@@ -25,10 +25,8 @@ from .dynamics import lowpass_filter, reconstruct_noise, simulate_trajectory
 from .estimators import (
     ThresholdCurve,
     detection_threshold_asymptotic,
-    regression_estimate,
     riccati_analytic,
     riccati_integrate,
-    run_kalman,
     shotnoise_limit,
     write_threshold_csv,
 )
@@ -242,6 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.workers < 1:
+        print(f"error: --workers: expected an integer >= 1, got {args.workers}", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config) if args.config else load_preset(args.preset)
         cfg = override(cfg, seed=args.seed, n_traj=args.n_traj,

@@ -138,6 +138,13 @@ def _number(doc: dict, key: str, where: str, required: bool = True, default=None
     return float(v)
 
 
+def _n_traj(doc: dict, where: str, default: int) -> int:
+    v = _number(doc, "n_traj", where, required=False, default=default)
+    if not (v >= 2 and float(v).is_integer()):
+        raise ConfigError(f"{where}.n_traj: expected an integer >= 2, got {doc['n_traj']!r}")
+    return int(v)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON configuration document into a validated RunConfig."""
     try:
@@ -207,7 +214,7 @@ def parse_config(text: str) -> RunConfig:
     if len(window) != 2 or not window[0] < window[1]:
         raise ConfigError("ensemble.mse_ratio_window: expected [lo, hi] with lo < hi")
     ensemble = EnsembleConfig(
-        n_traj=int(_number(ens_doc, "n_traj", "ensemble", required=False, default=10_000)),
+        n_traj=_n_traj(ens_doc, "ensemble", 10_000),
         estimators=estimators,
         checkpoints_per_decade=int(_number(ens_doc, "checkpoints_per_decade", "ensemble",
                                            required=False, default=30)),
@@ -224,7 +231,7 @@ def parse_config(text: str) -> RunConfig:
     scaling = ScalingConfig(
         j_values=tuple(sc_doc.get("j_values", (1e4, 1e5, 1e6, 4e6))),
         t_check=_number(sc_doc, "t_check", "scaling", required=False),
-        n_traj=int(_number(sc_doc, "n_traj", "scaling", required=False, default=2000)),
+        n_traj=_n_traj(sc_doc, "scaling", 2000),
         slope_window=tuple(sc_doc.get("slope_window", (-1.05, -0.95))),
         shotnoise_slope_tol=_number(sc_doc, "shotnoise_slope_tol", "scaling",
                                     required=False, default=1e-9),
@@ -279,6 +286,8 @@ def override(cfg: RunConfig, seed: int | None = None, n_traj: int | None = None,
             raise ConfigError("seed: expected a 64-bit non-negative integer")
         out = replace(out, seed=seed)
     if n_traj is not None:
+        if n_traj < 2:
+            raise ConfigError(f"ensemble.n_traj, scaling.n_traj: must be >= 2, got {n_traj}")
         out = replace(out, ensemble=replace(out.ensemble, n_traj=n_traj),
                       scaling=replace(out.scaling, n_traj=n_traj))
     if gamma_convention is not None and gamma_convention != out.gamma_convention:

@@ -197,9 +197,5 @@ def make_grid(p: PhysicalParams, dt: float | None = None, prefix: str | bool = "
     return TimeGrid(dt=p.t_total / n, n_steps=n)
 
 
-def with_field(p: PhysicalParams, b_true: float) -> PhysicalParams:
-    return replace(p, b_true=b_true)
-
-
 def with_spin(p: PhysicalParams, j_total: float) -> PhysicalParams:
     return replace(p, j_total=j_total)

@@ -122,11 +122,6 @@ class TrajectoryRecord:
     def times(self) -> np.ndarray:
         return self.grid.times
 
-    def states(self):
-        """Iterate the per-point conditional states."""
-        for t, m, v, b in zip(self.times, self.mean_jz, self.var_jz, self.bloch):
-            yield ConditionalState(t=float(t), mean_jz=float(m), var_jz=float(v), bloch_length=float(b))
-
     def to_csv(self, fobj) -> None:
         """Columns: t, mean_jz, var_jz, bloch_length, y, d_xi (step columns blank on the last row)."""
         w = csv.writer(fobj)

@@ -79,32 +79,13 @@ class KalmanState:
     """Filter state: estimate pair and its covariance.
 
     With ``info_form`` set (infinite prior) the stored values are the
-    internal reference-prior parametrization; read physical values via
-    :meth:`effective`.
+    internal reference-prior parametrization, removed as ``run_kalman`` does.
     """
 
     t: float
     x_tilde: np.ndarray      # (jz_tilde, b_tilde)
     v: np.ndarray            # 2x2 covariance
     info_form: bool = False
-
-    def effective(self):
-        """(x_tilde, v) with the reference prior removed if info_form."""
-        if not self.info_form:
-            return self.x_tilde.copy(), self.v.copy()
-        v11, v12, v22 = self.v[0, 0], self.v[0, 1], self.v[1, 1]
-        s = 1.0 - v22 / _REFERENCE_PRIOR
-        if s <= 0.0:
-            x = np.array([self.x_tilde[0], 0.0])
-            v = np.array([[v11, v12], [v12, math.inf]])
-            return x, v
-        b_eff = self.x_tilde[1] / s
-        v22_eff = v22 / s
-        ratio = v12 / v22
-        x = np.array([self.x_tilde[0] + ratio * (b_eff - self.x_tilde[1]), b_eff])
-        v11_eff = (v11 - v12 * ratio) + ratio * ratio * v22_eff
-        v12_eff = ratio * v22_eff
-        return x, np.array([[v11_eff, v12_eff], [v12_eff, v22_eff]])
 
 
 def kalman_init(p: PhysicalParams) -> KalmanState:

@@ -9,6 +9,14 @@ Both estimators consume the identical record per trajectory (paired
 design), and the per-trajectory noise comes from counter-based
 substreams of the master seed, making ``run_ensemble`` a pure function
 of its spec.
+
+Engine.  The model is linear-Gaussian with data-independent gains, so a
+trajectory's state obeys an affine recurrence in its unit normals.  The
+plan folds each chunk of at most ``CHUNK_STEPS`` steps (every checkpoint
+ends one; the scan stops at the last) into one affine map.  Normals are
+drawn per trajectory in stream order into a reused buffer, and the maps
+are applied with ``np.einsum``: a threaded BLAS would split the sums by
+its thread count, and results must not depend on it.
 """
 
 from __future__ import annotations
@@ -99,173 +107,180 @@ class EnsembleStats:
         }
 
 
-_STORE_RECORDS_MAX_STEPS = 20_000
+CHUNK_STEPS = 2048  # normals drawn per trajectory at a time; the longest scan chunk
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """state(end) = phi state(start) + h_t z[start:end] + d over steps [start, end)."""
+
+    start: int
+    end: int
+    phi: np.ndarray      # (n_col, n_col)
+    h_t: np.ndarray      # (n_col, end - start), C-contiguous
+    d: np.ndarray        # (n_col,)
+    checkpoint: int      # position of ``end`` in the checkpoint list, or -1
 
 
 @dataclass(frozen=True)
 class _EnginePlan:
-    """Precomputed per-step coefficients shared by every trajectory."""
+    """Chunk maps and checkpoint readouts shared by every trajectory.
+
+    State columns: the true mean m, the filter's errors (jz - m, b - B)
+    in the schedule's parametrization, then linear functionals of the
+    record: the line fit's shared sums s_r and s_xr, and one direct
+    estimate per checkpoint whose bins are not a prefix of the shared bins.
+    """
 
     times: np.ndarray
-    dts: np.ndarray
-    drift: np.ndarray        # deterministic mean increment per step
-    g_sqdt: np.ndarray       # diffusion amplitude per unit normal
-    d_sqdt: np.ndarray       # record noise amplitude per unit normal
-    schedule: KalmanSchedule
     checkpoints: np.ndarray  # grid indices
-    # streaming regression bookkeeping (single shared binning)
-    edge_at_step: np.ndarray  # bool per step: step k closes a bin ending at point k+1
-    bin_mid: np.ndarray       # midpoint per bin (in closure order)
-    bin_width: np.ndarray
-    bin_of_checkpoint: np.ndarray  # number of closed bins at each checkpoint
-    # stored-record regression (per-checkpoint binning, short grids only)
-    store_records: bool
-    cp_edges: tuple           # per checkpoint: grid indices of its bin edges
+    chunks: tuple
+    shrink: np.ndarray       # per checkpoint: b_hat = b / shrink (NaN: prior not yet resolved)
+    reg_read: np.ndarray     # (n_cp, n_col): line-fit estimate = state @ reg_read[i]
     b_true: float
-    gamma_j: float
-    want_qkf: bool
-    want_reg: bool
+
+
+def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float):
+    """Per-step record weights of the line-fit columns, (n_col, n_steps), and readout (n_cp, n_col).
+
+    The shared bins are ``bin_edge_indices`` up to the last checkpoint.  A
+    checkpoint whose own bins (``regression_estimate``'s) are a prefix of
+    them reads the slope from s_r and s_xr; any other gets a column that
+    holds its estimate.
+    """
+    n = int(checkpoints[-1])
+    edges = bin_edge_indices(times, n)
+    te = times[edges]
+    mid = 0.5 * (te[:-1] + te[1:])
+    per_bin = np.diff(edges)
+    cols = [np.repeat(1.0 / np.diff(te), per_bin), np.repeat(mid / np.diff(te), per_bin)]
+    read = np.zeros((len(checkpoints), 2 + len(checkpoints)))
+    wmax = np.maximum.accumulate(np.diff(times[:n + 1]))
+    multi = np.nonzero(per_bin > 1)[0]
+    for i, c in enumerate(checkpoints.tolist()):
+        nb = int(np.searchsorted(edges, c))
+        j = multi[multi < nb]
+        # its own width is never wider: the shared bins hold iff no
+        # multi-step bin below it would close one step early
+        shared = edges[nb] == c and np.all(times[edges[j + 1] - 1]
+                                           < times[edges[j]] + wmax[c - 1] * (1.0 - 1e-9))
+        own = edges[:nb + 1] if shared else bin_edge_indices(times, c)
+        if len(own) < 4:
+            raise ValueError(f"checkpoint {c} leaves fewer than 3 regression bins")
+        if shared:
+            sx = mid[:nb].sum()
+            denom = (mid[:nb] ** 2).sum() - sx * sx / nb
+            read[i, :2] = -sx / nb / denom / gamma_j, 1.0 / denom / gamma_j
+            continue
+        te_c = times[own]
+        xc = 0.5 * (te_c[:-1] + te_c[1:])
+        xc = xc - xc.mean()
+        cols.append(np.zeros(n))
+        cols[-1][:c] = np.repeat(xc / ((xc * xc).sum() * np.diff(te_c) * gamma_j), np.diff(own))
+        read[i, len(cols) - 1] = 1.0
+    return np.array(cols), read[:, :len(cols)]
+
+
+def _chunk_maps(bounds: list, dts, drift, gsq, dsq, schedule: KalmanSchedule, b_true: float,
+                rec_w: np.ndarray, cp_pos: dict) -> tuple:
+    """Affine maps over the chunks [bounds[i], bounds[i+1]).
+
+    Per step, d_xi = m dt + dsq z and m' = m + drift + gsq z.  The filter is
+    carried as its errors x = (jz - m, b - B), which the record reaches only
+    through the innovation d_xi - jz dt = -x_1 dt + dsq z:
+
+        x' = F x + G z + (phi12 B - drift, 0),
+        F = [[1 - k1 dt, phi12], [-k2 dt, 1]],  G = (k1 dsq - gsq, k2 dsq),
+
+    free of the large m that jz and m share.  A backward (adjoint) pass over
+    each chunk gives the noise weights F_{e-1} ... F_{k+1} G_k.  The line-fit
+    columns weigh d_xi; suffix sums carry their weight on m_k onto the
+    normals of the chunk's earlier steps.
+    """
+    n = len(dts)
+    k1, k2, phi12, dtl, gl, dl, drive = (a.tolist() for a in (
+        schedule.k1[:n], schedule.k2[:n], schedule.phi12[:n], dts, gsq, dsq,
+        schedule.phi12[:n] * b_true - drift))
+    h1, h2 = [0.0] * n, [0.0] * n
+    filter_maps = []
+    for s, e in zip(bounds[-2::-1], bounds[:0:-1]):
+        p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+        d1 = d2 = 0.0
+        for k in range(e - 1, s - 1, -1):
+            a1, a2, dt = k1[k], k2[k], dtl[k]
+            g1, g2 = a1 * dl[k] - gl[k], a2 * dl[k]
+            h1[k] = p11 * g1 + p12 * g2
+            h2[k] = p21 * g1 + p22 * g2
+            d1 += p11 * drive[k]
+            d2 += p21 * drive[k]
+            f11, f21, f12 = 1.0 - a1 * dt, -a2 * dt, phi12[k]
+            p11, p12 = p11 * f11 + p12 * f21, p11 * f12 + p12
+            p21, p22 = p21 * f11 + p22 * f21, p21 * f12 + p22
+        filter_maps.append((((p11, p12), (p21, p22)), (d1, d2)))
+    n_col = 3 + len(rec_w)
+    chunks = []
+    for s, e, (p_x, d_x) in zip(bounds[:-1], bounds[1:], filter_maps[::-1]):
+        w = rec_w[:, s:e]
+        wm = w * dts[s:e]  # weight of m_k, since d_xi_k = m_k dt_k + dsq_k z_k
+        later = np.zeros_like(wm)  # z_k moves every later m_j: sum of wm[j] over j > k
+        later[:, :-1] = np.cumsum(wm[:, :0:-1], axis=1)[:, ::-1]
+        h_t = np.vstack([gsq[s:e], h1[s:e], h2[s:e], w * dsq[s:e] + later * gsq[s:e]])
+        phi = np.eye(n_col)
+        phi[1:3, 1:3] = p_x
+        phi[3:, 0] = wm.sum(axis=1)
+        drift_before = np.concatenate(([0.0], np.cumsum(drift[s:e - 1])))
+        d = np.concatenate(([drift[s:e].sum()], d_x, (wm * drift_before).sum(axis=1)))
+        chunks.append(_Chunk(s, e, phi, h_t, d, cp_pos.get(e, -1)))
+    return tuple(chunks)
 
 
 def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
     p = spec.params
     times = spec.grid.times
-    dts = np.diff(times)
-    drift, g = step_coefficients(p, times)
+    checkpoints = np.asarray(spec.checkpoints, dtype=int)
+    n = int(checkpoints[-1])  # the scan ends at the last checkpoint
+    dts = np.diff(times[:n + 1])
+    drift, g = step_coefficients(p, times[:n + 1])
     sq = np.sqrt(dts)
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     schedule = kalman_schedule(p, spec.grid)
-    checkpoints = np.asarray(spec.checkpoints, dtype=int)
-    want_reg = "regression" in spec.estimators
-
-    n_steps = len(dts)
-    edges = bin_edge_indices(times, n_steps)
-    # streaming mode needs every checkpoint on the shared bin-edge set;
-    # otherwise (e.g. checkpoints inside the log prefix) store the records
-    # and bin each checkpoint window exactly as regression_estimate does
-    store_records = want_reg and any(int(c) not in set(edges.tolist()) for c in checkpoints)
-    if store_records and n_steps > _STORE_RECORDS_MAX_STEPS:
-        raise ValueError(
-            "off-edge regression checkpoints require storing records; grid too long "
-            f"({n_steps} > {_STORE_RECORDS_MAX_STEPS} steps). Snap checkpoints to "
-            "uniform-region bin edges or shorten the grid.")
-    cp_edges = ()
-    if store_records:
-        cp_edges = tuple(bin_edge_indices(times, int(c)) for c in checkpoints)
-        thin = [int(c) for c, e in zip(checkpoints, cp_edges) if len(e) < 4]
-        if thin:
-            raise ValueError(f"checkpoints {thin} leave fewer than 3 regression bins")
-
-    te = times[edges]
-    bin_mid = 0.5 * (te[:-1] + te[1:])
-    bin_width = np.diff(te)
-    edge_at_step = np.zeros(n_steps, dtype=bool)
-    edge_at_step[edges[1:] - 1] = True
-    bins_before = np.searchsorted(edges, checkpoints, side="left")
-    return _EnginePlan(
-        times=times, dts=dts, drift=drift, g_sqdt=g * sq, d_sqdt=d * sq,
-        schedule=schedule, checkpoints=checkpoints,
-        edge_at_step=edge_at_step, bin_mid=bin_mid, bin_width=bin_width,
-        bin_of_checkpoint=bins_before,
-        store_records=store_records, cp_edges=cp_edges,
-        b_true=p.b_true,
-        gamma_j=p.gamma * p.j_total,
-        want_qkf="qkf" in spec.estimators,
-        want_reg=want_reg,
-    )
+    rec_w, read = (_line_fit_weights(times, checkpoints, p.gamma * p.j_total)
+                   if "regression" in spec.estimators
+                   else (np.empty((0, n)), np.empty((len(checkpoints), 0))))
+    bounds = sorted(set(range(0, n, CHUNK_STEPS)) | set(checkpoints.tolist()))
+    chunks = _chunk_maps(bounds, dts, drift, g * sq, d * sq, schedule, p.b_true, rec_w,
+                         {c: i for i, c in enumerate(checkpoints.tolist())})
+    shrink = schedule.shrink[checkpoints]
+    return _EnginePlan(times=times, checkpoints=checkpoints, chunks=chunks,
+                       shrink=np.where(shrink > 0.0, shrink, np.nan),
+                       reg_read=np.hstack([np.zeros((len(checkpoints), 3)), read]),
+                       b_true=p.b_true)
 
 
-def _run_block(spec: EnsembleSpec, plan: _EnginePlan, i0: int, i1: int,
-               noise_chunk: int = 8192) -> dict:
-    """Simulate trajectories [i0, i1) and accumulate checkpoint statistics."""
-    nb = i1 - i0
+def _run_block(spec: EnsembleSpec, plan: _EnginePlan, i0: int, i1: int) -> dict:
+    """Scan trajectories [i0, i1); per estimator, sums of e^2, e^4 and b_hat per checkpoint."""
     gens = [substream(spec.master_seed, i).generator() for i in range(i0, i1)]
-    n_steps = len(plan.dts)
-    sched = plan.schedule
-    n_cp = len(plan.checkpoints)
-    cp_set = {int(c): idx for idx, c in enumerate(plan.checkpoints)}
-
-    m = np.zeros(nb)
-    jz = np.zeros(nb)
-    b = np.zeros(nb)
-    xi_cum = np.zeros(nb)
-    xi_edge = np.zeros(nb)
-    # running OLS sums over closed bins (shared x-geometry)
-    s_r = np.zeros(nb)
-    s_xr = np.zeros(nb)
-    n_bins_closed = 0
-
-    out = {
-        "qkf_e2": np.zeros(n_cp), "qkf_e4": np.zeros(n_cp), "qkf_b": np.zeros(n_cp),
-        "reg_e2": np.zeros(n_cp), "reg_e4": np.zeros(n_cp), "reg_b": np.zeros(n_cp),
-    }
-    stream_reg = plan.want_reg and not plan.store_records
-    d_xi_store = np.empty((nb, n_steps)) if plan.store_records else None
-    z_buf = None
-    for k in range(n_steps):
-        off = k % noise_chunk
+    out = {name: np.zeros((3, len(plan.checkpoints))) for name in spec.estimators}
+    n = plan.chunks[-1].end
+    state = np.zeros((i1 - i0, plan.chunks[0].phi.shape[0]))
+    state[:, 2] = -plan.b_true  # b starts at 0
+    buf = np.empty((i1 - i0, min(CHUNK_STEPS, n)))
+    for ch in plan.chunks:
+        off = ch.start % CHUNK_STEPS
         if off == 0:
-            width = min(noise_chunk, n_steps - k)
-            z_buf = np.empty((nb, width))
-            for i, gen in enumerate(gens):
-                z_buf[i] = gen.standard_normal(width)
-        z = z_buf[:, off]
-        d_xi = m * plan.dts[k] + plan.d_sqdt[k] * z
-        if d_xi_store is not None:
-            d_xi_store[:, k] = d_xi
-        if plan.want_qkf:
-            inn = d_xi - jz * plan.dts[k]
-            jz = jz + sched.phi12[k] * b + sched.k1[k] * inn
-            b = b + sched.k2[k] * inn
-        m = m + plan.drift[k] + plan.g_sqdt[k] * z
-        xi_cum = xi_cum + d_xi
-        if stream_reg and plan.edge_at_step[k]:
-            rate = (xi_cum - xi_edge) / plan.bin_width[n_bins_closed]
-            s_r += rate
-            s_xr += plan.bin_mid[n_bins_closed] * rate
-            xi_edge = xi_cum.copy()
-            n_bins_closed += 1
-        idx = cp_set.get(k + 1)
-        if idx is None:
+            for row, gen in zip(buf, gens):
+                gen.standard_normal(out=row[:min(CHUNK_STEPS, n - ch.start)])
+        z = buf[:, off:off + ch.end - ch.start]
+        state = (np.einsum("ij,kj->ik", state, ch.phi)
+                 + np.einsum("ij,kj->ik", z, ch.h_t) + ch.d)
+        i = ch.checkpoint
+        if i < 0:
             continue
-        if plan.want_qkf:
-            if sched.info_form:
-                s = sched.shrink[k + 1]
-                b_hat = b / s if s > 0.0 else np.zeros(nb)
-            else:
-                b_hat = b
-            err = b_hat - plan.b_true
-            e2 = err * err
-            out["qkf_e2"][idx] = e2.sum()
-            out["qkf_e4"][idx] = (e2 * e2).sum()
-            out["qkf_b"][idx] = b_hat.sum()
-        if stream_reg:
-            nb_bins = plan.bin_of_checkpoint[idx]
-            x = plan.bin_mid[:nb_bins]
-            sx, sxx = x.sum(), (x * x).sum()
-            denom = sxx - sx * sx / nb_bins
-            slope = (s_xr - sx * s_r / nb_bins) / denom
-            b_hat = slope / plan.gamma_j
-            err = b_hat - plan.b_true
-            e2 = err * err
-            out["reg_e2"][idx] = e2.sum()
-            out["reg_e4"][idx] = (e2 * e2).sum()
-            out["reg_b"][idx] = b_hat.sum()
-    if plan.store_records and plan.want_reg:
-        xi = np.concatenate([np.zeros((nb, 1)), np.cumsum(d_xi_store, axis=1)], axis=1)
-        for idx in range(n_cp):
-            edges = plan.cp_edges[idx]
-            te = plan.times[edges]
-            rates = np.diff(xi[:, edges], axis=1) / np.diff(te)
-            x = 0.5 * (te[:-1] + te[1:])
-            xc = x - x.mean()
-            slope = (rates @ xc) / np.dot(xc, xc)
-            b_hat = slope / plan.gamma_j
-            err = b_hat - plan.b_true
-            e2 = err * err
-            out["reg_e2"][idx] = e2.sum()
-            out["reg_e4"][idx] = (e2 * e2).sum()
-            out["reg_b"][idx] = b_hat.sum()
+        for name, b_hat in (("qkf", (state[:, 2] + plan.b_true) / plan.shrink[i]),
+                            ("regression", np.einsum("ij,j->i", state, plan.reg_read[i]))):
+            if name in out:
+                e2 = (b_hat - plan.b_true) ** 2
+                out[name][:, i] = e2.sum(), (e2 * e2).sum(), b_hat.sum()
     return out
 
 
@@ -280,7 +295,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     blocks = [(i, min(i + BLOCK_SIZE, spec.n_traj)) for i in range(0, spec.n_traj, BLOCK_SIZE)]
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_block_star, [(spec, plan, a, b) for a, b in blocks]))
+            partials = list(pool.map(_run_block, [spec] * len(blocks), [plan] * len(blocks),
+                                     *zip(*blocks)))
     else:
         partials = [_run_block(spec, plan, a, b) for a, b in blocks]
 
@@ -288,12 +304,9 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     n_cp = len(spec.checkpoints)
     times = plan.times[plan.checkpoints]
     mse, stderr, mean_b = {}, {}, {}
-    for name, key in (("qkf", "qkf"), ("regression", "reg")):
-        if name not in spec.estimators:
-            continue
-        e2 = np.array([math.fsum(pt[f"{key}_e2"][i] for pt in partials) for i in range(n_cp)])
-        e4 = np.array([math.fsum(pt[f"{key}_e4"][i] for pt in partials) for i in range(n_cp)])
-        bs = np.array([math.fsum(pt[f"{key}_b"][i] for pt in partials) for i in range(n_cp)])
+    for name in (e for e in ESTIMATOR_NAMES if e in spec.estimators):
+        e2, e4, bs = (np.array([math.fsum(pt[name][r, i] for pt in partials) for i in range(n_cp)])
+                      for r in range(3))
         mse[name] = e2 / n
         var_e2 = np.maximum(e4 / n - (e2 / n) ** 2, 0.0)
         stderr[name] = np.sqrt(var_e2 / (n - 1))
@@ -302,10 +315,6 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     return EnsembleStats(times=times, estimators=tuple(spec.estimators), mse=mse,
                          stderr=stderr, mean_b=mean_b, predicted_v22=predicted,
                          n_traj=n, master_seed=spec.master_seed)
-
-
-def _run_block_star(args):
-    return _run_block(*args)
 
 
 def checkpoints_for_times(grid: TimeGrid, wanted_times, require_bin_edges: bool = True):

@@ -89,6 +89,18 @@ class TestParseConfig:
         assert out.ensemble.n_traj == 123
         assert out.scaling.n_traj == 123
 
+    @pytest.mark.parametrize("section", ["ensemble", "scaling"])
+    @pytest.mark.parametrize("n_traj", [1, 0, -5, 2.5])
+    def test_n_traj_below_two_named(self, section, n_traj):
+        doc = dict(FIG2_DOC, **{section: {"n_traj": n_traj}})
+        with pytest.raises(ConfigError, match=f"{section}.n_traj"):
+            parse_config(json.dumps(doc))
+
+    def test_override_n_traj_below_two(self):
+        cfg = parse_config(json.dumps(FIG2_DOC))
+        with pytest.raises(ConfigError, match="ensemble.n_traj, scaling.n_traj"):
+            override(cfg, n_traj=1)
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", ["fig1", "fig2", "scaling", "oracle"])
@@ -200,6 +212,33 @@ class TestCliEnsemble:
         assert tlines[0] == "t,delta_b,source"
         sources = {ln.split(",")[2] for ln in tlines[1:]}
         assert sources == {"riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise"}
+
+
+class TestCliBadInput:
+    """Bad input exits 2 with a message naming the field, before any work."""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        cfg = _write_cfg(tmp_path, TOY_DOC)
+        rc = main(["ensemble", "--config", cfg, "--workers", workers,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_n_traj_flag_below_two(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, TOY_DOC)
+        rc = main(["ensemble", "--config", cfg, "--n-traj", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "ensemble.n_traj" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ensemble", "scaling"])
+    def test_n_traj_config_below_two(self, tmp_path, capsys, command):
+        doc = dict(TOY_DOC, **{command: {"n_traj": 1}})
+        cfg = _write_cfg(tmp_path, doc)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{command}.n_traj" in capsys.readouterr().err
 
 
 class TestCliScaling:

@@ -1,20 +1,31 @@
 import io
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkfmag.core import PhysicalParams, TimeGrid, make_grid
+import qkfmag
+from qkfmag.config import load_preset
+from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid
 from qkfmag.dynamics import simulate_trajectory
 from qkfmag.estimators import kalman_schedule, regression_estimate, run_kalman
 from qkfmag.montecarlo import (
     EnsembleSpec,
+    _build_plan,
     checkpoints_for_times,
     log_checkpoints,
     run_ensemble,
     scaling_study,
     substream,
 )
+
+FIG2 = dict(j_total=4e6, gamma=2 * math.pi * 1e6, b_true=1e-6, meas_strength=1e5,
+            efficiency=1.0, prior_b_variance=1e-8, t_total=2e-3)
 
 
 def toy(**kw):
@@ -30,6 +41,41 @@ def toy_spec(n_traj=64, seed=7, **kw):
     cps = checkpoints_for_times(grid, [0.1, 0.5])
     return EnsembleSpec(params=p, grid=grid, n_traj=n_traj, master_seed=seed,
                         checkpoints=cps)
+
+
+def convergence_spec(n_traj):
+    """Fig-2 physics over [0, 0.5/M] at B = 0 with no prior: a log-prefix grid
+    of 563 steps, the information form, and checkpoints off the shared bin
+    edges (the acceptance ``convergence_run`` shape)."""
+    p = PhysicalParams(**dict(FIG2, b_true=0.0, prior_b_variance=INFINITE, t_total=0.5e-5))
+    grid = make_grid(p)
+    jm = p.j_total * p.meas_strength
+    wanted = np.concatenate([[1.0 / jm], np.geomspace(10.0 / jm, p.t_total, 12)])
+    cps = checkpoints_for_times(grid, wanted, require_bin_edges=False)
+    return EnsembleSpec(params=p, grid=grid, n_traj=n_traj, master_seed=20260810, checkpoints=cps)
+
+
+def oracle_mse(spec):
+    """Per-checkpoint MSE of simulate_trajectory + run_kalman / regression_estimate."""
+    p, grid, cps = spec.params, spec.grid, spec.checkpoints
+    sched = kalman_schedule(p, grid)
+    err = {name: np.zeros((len(cps), spec.n_traj)) for name in spec.estimators}
+    for i in range(spec.n_traj):
+        rec = simulate_trajectory(p, grid, substream(spec.master_seed, i))
+        trace = run_kalman(p, rec, sched)
+        for c, idx in enumerate(cps):
+            if "qkf" in err:
+                err["qkf"][c, i] = (trace.b_tilde[idx] - p.b_true) ** 2
+            if "regression" in err:
+                err["regression"][c, i] = (regression_estimate(rec, p, grid.times[idx])
+                                           - p.b_true) ** 2
+    return {name: e.mean(axis=1) for name, e in err.items()}
+
+
+def csv_text(stats):
+    buf = io.StringIO()
+    stats.to_csv(buf)
+    return buf.getvalue()
 
 
 class TestSpecValidation:
@@ -96,18 +142,9 @@ class TestRunEnsemble:
         # regression_estimate trajectory by trajectory
         spec = toy_spec(n_traj=6)
         stats = run_ensemble(spec)
-        p, grid, cps = spec.params, spec.grid, spec.checkpoints
-        sched = kalman_schedule(p, grid)
-        qkf = np.zeros((len(cps), spec.n_traj))
-        reg = np.zeros((len(cps), spec.n_traj))
-        for i in range(spec.n_traj):
-            rec = simulate_trajectory(p, grid, substream(spec.master_seed, i))
-            trace = run_kalman(p, rec, sched)
-            for c, idx in enumerate(cps):
-                qkf[c, i] = (trace.b_tilde[idx] - p.b_true) ** 2
-                reg[c, i] = (regression_estimate(rec, p, grid.times[idx]) - p.b_true) ** 2
-        np.testing.assert_allclose(stats.mse["qkf"], qkf.mean(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(stats.mse["regression"], reg.mean(axis=1), rtol=1e-9)
+        ref = oracle_mse(spec)
+        np.testing.assert_allclose(stats.mse["qkf"], ref["qkf"], rtol=1e-12)
+        np.testing.assert_allclose(stats.mse["regression"], ref["regression"], rtol=1e-9)
 
     def test_unbiased_at_zero_field(self):
         spec = toy_spec(n_traj=600, b_true=0.0)
@@ -179,7 +216,9 @@ class TestScalingStudy:
 
 
 class TestStoredRecordRegression:
-    """Off-edge checkpoints (inside a log prefix) use exact per-window binning."""
+    """Checkpoints whose bins differ from the shared ones (inside a log
+    prefix) get their own line-fit weights, binned as regression_estimate
+    bins them."""
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
     def test_matches_regression_estimate(self):
@@ -199,11 +238,109 @@ class TestStoredRecordRegression:
                 reg[c, i] = (regression_estimate(rec, p, grid.times[idx]) - p.b_true) ** 2
         np.testing.assert_allclose(stats.mse["regression"], reg.mean(axis=1), rtol=1e-9)
 
-    def test_long_grid_off_edge_checkpoint_rejected(self):
-        p = toy(j_total=4e6, gamma=2 * math.pi * 1e6, b_true=1e-6,
-                meas_strength=1e5, efficiency=1.0, prior_b_variance=1e-8, t_total=2e-3)
+    @pytest.mark.filterwarnings("ignore:M \\* t_end")
+    def test_long_grid_off_edge_checkpoint(self):
+        # fig-2 grid, 200,063 steps; checkpoint 3 lies inside the log prefix,
+        # off the shared bin edges
+        p = PhysicalParams(**FIG2)
         grid = make_grid(p)
-        with pytest.raises(ValueError, match="off-edge"):
-            spec = EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0,
-                                checkpoints=(3,))
-            run_ensemble(spec)
+        last = len(grid.times) - 1
+        lam = 2 * p.efficiency * p.meas_strength * p.j_total
+        off_edge = checkpoints_for_times(grid, [20.0 / lam], require_bin_edges=False)[0]
+        qkf = EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0, estimators=("qkf",),
+                           checkpoints=(3, off_edge))
+        both = EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0,
+                            checkpoints=(off_edge, last))
+        ref_qkf, ref_both = oracle_mse(qkf), oracle_mse(both)
+        np.testing.assert_allclose(run_ensemble(qkf).mse["qkf"], ref_qkf["qkf"], rtol=1e-10)
+        stats = run_ensemble(both)
+        np.testing.assert_allclose(stats.mse["regression"], ref_both["regression"], rtol=1e-9)
+        # after 200k steps the stepwise oracle's own rounding is ~1e-9 of the
+        # filter error (measured against a long-double replay)
+        np.testing.assert_allclose(stats.mse["qkf"], ref_both["qkf"], rtol=1e-8)
+        # checkpoint 3 leaves two line-fit bins: the engine, like the oracle, refuses the fit
+        rec = simulate_trajectory(p, grid, substream(0, 0))
+        with pytest.raises(ValueError, match="at least 3 points"):
+            regression_estimate(rec, p, grid.times[3])
+        with pytest.raises(ValueError, match="fewer than 3 regression bins"):
+            run_ensemble(EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0,
+                                      checkpoints=(3,)))
+
+
+class TestChunkScan:
+    """The chunked affine scan against the stepwise oracles and its own invariances."""
+
+    @pytest.mark.filterwarnings("ignore:M \\* t_end")
+    def test_prefix_infinite_prior_off_edge_matches_oracles(self):
+        spec = convergence_spec(n_traj=6)
+        assert spec.grid.prefix.size > 0
+        stats = run_ensemble(spec)
+        ref = oracle_mse(spec)
+        np.testing.assert_allclose(stats.mse["qkf"], ref["qkf"], rtol=1e-10)
+        np.testing.assert_allclose(stats.mse["regression"], ref["regression"], rtol=1e-9)
+
+    def test_worker_count_byte_identical(self):
+        spec = convergence_spec(n_traj=2200)
+        s1 = run_ensemble(spec, workers=1)
+        s3 = run_ensemble(spec, workers=3)
+        assert csv_text(s1) == csv_text(s3)
+        for k in s1.estimators:
+            for field in ("mse", "stderr", "mean_b"):
+                assert getattr(s1, field)[k].tobytes() == getattr(s3, field)[k].tobytes()
+
+    def test_blas_thread_count_byte_identical(self, tmp_path):
+        path = tmp_path / "spec.pkl"
+        # a 400-step chunk over a 1024-trajectory block: OpenBLAS would split
+        # that product between two threads
+        spec = toy_spec(n_traj=1100)
+        path.write_bytes(pickle.dumps(spec))
+        code = ("import pickle, sys; from qkfmag.montecarlo import run_ensemble; "
+                f"run_ensemble(pickle.loads(open({str(path)!r}, 'rb').read())).to_csv(sys.stdout)")
+        src = str(Path(qkfmag.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=300, check=True)
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count("\n") == 1 + 2 * len(spec.checkpoints)
+
+
+class TestCovarianceIdentity:
+    """No noise drawn: the plan's chunk maps propagate the covariance of the
+    state, Sigma <- phi Sigma phi^T + h_t h_t^T, and the filter estimate's
+    variance over the noise must equal the schedule's prediction,
+    v22 (1 - v22/p0) for a finite prior p0 and v22/shrink for an infinite
+    one.  This separates discretization error from Monte Carlo noise."""
+
+    @staticmethod
+    def check(spec):
+        plan = _build_plan(spec)
+        sigma = np.zeros(plan.chunks[0].phi.shape)
+        var_b = np.zeros(len(spec.checkpoints))
+        for ch in plan.chunks:
+            sigma = ch.phi @ sigma @ ch.phi.T + ch.h_t @ ch.h_t.T
+            if ch.checkpoint >= 0:
+                var_b[ch.checkpoint] = sigma[2, 2]
+        sched = kalman_schedule(spec.params, spec.grid)
+        cps = list(spec.checkpoints)
+        v22 = sched.v22[cps]
+        if sched.info_form:
+            shrink = sched.shrink[cps]
+            got, want = var_b / shrink**2, v22 / shrink
+        else:
+            got, want = var_b, v22 * (1.0 - v22 / spec.params.prior_b_variance)
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    def test_fig2_preset(self):
+        cfg = load_preset("fig2")
+        grid = cfg.make_grid()
+        cps = log_checkpoints(grid, cfg.ensemble.first_checkpoint,
+                              cfg.ensemble.checkpoints_per_decade)
+        self.check(EnsembleSpec(params=cfg.params, grid=grid, n_traj=2, master_seed=cfg.seed,
+                                checkpoints=cps))
+
+    def test_infinite_prior(self):
+        self.check(convergence_spec(n_traj=2))
