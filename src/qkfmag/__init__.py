@@ -22,31 +22,22 @@ from .core import (
     validate_params,
 )
 from .dynamics import (
-    ConditionalState,
     TrajectoryRecord,
     conditional_variance,
     lowpass_filter,
-    photocurrent_increment,
     reconstruct_noise,
     simulate_trajectory,
-    step_mean,
 )
 from .estimators import (
-    KalmanState,
     RiccatiSolution,
-    SystemMatrices,
     ThresholdCurve,
     detection_threshold_asymptotic,
-    kalman_gain,
-    kalman_init,
     kalman_schedule,
-    kalman_step,
     regression_estimate,
     riccati_analytic,
     riccati_integrate,
     run_kalman,
     shotnoise_limit,
-    system_matrices,
 )
 from .montecarlo import (
     EnsembleSpec,

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .core import INFINITE, PhysicalParams, TimeGrid, gamma_from_cycles, make_grid, validate_params
+from .montecarlo import ESTIMATOR_NAMES, sorted_j_values
 
 GAMMA_CONVENTIONS = ("angular", "cycles")
 
@@ -98,6 +99,7 @@ class RunConfig:
                 "t_total": p.t_total,
             },
             "gamma_convention": self.gamma_convention,
+            "gamma_raw": self.gamma_raw,
             "grid": {"dt": self.grid.dt, "log_prefix": self.grid.log_prefix,
                      "prefix_ratio": self.grid.prefix_ratio,
                      "prefix_safety": self.grid.prefix_safety},
@@ -109,7 +111,8 @@ class RunConfig:
                          "mse_ratio_window": list(self.ensemble.mse_ratio_window)},
             "scaling": {"j_values": list(self.scaling.j_values),
                         "t_check": self.scaling.t_check, "n_traj": self.scaling.n_traj,
-                        "slope_window": list(self.scaling.slope_window)},
+                        "slope_window": list(self.scaling.slope_window),
+                        "shotnoise_slope_tol": self.scaling.shotnoise_slope_tol},
             "oracle": {"j_small": self.oracle.j_small, "mt_max": self.oracle.mt_max,
                        "dephasing_j": self.oracle.dephasing_j,
                        "mean_threshold_frac": self.oracle.mean_threshold_frac,
@@ -133,9 +136,40 @@ def _number(doc: dict, key: str, where: str, required: bool = True, default=None
             raise ConfigError(f"{where}: missing required key '{key}'")
         return default
     v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
     return float(v)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_positive(v) -> bool:
+    return _is_number(v) and 0 < v < math.inf
+
+
+def _positive(doc: dict, key: str, where: str):
+    """Optional finite number > 0 (None when absent)."""
+    if key in doc and not _is_positive(doc[key]):
+        raise ConfigError(f"{where}.{key}: expected a positive number, got {doc[key]!r}")
+    return _number(doc, key, where, required=False)
+
+
+def _positive_list(doc: dict, key: str, where: str, default: tuple) -> tuple:
+    v = doc.get(key, default)
+    if not (isinstance(v, (list, tuple)) and all(_is_positive(x) for x in v)):
+        raise ConfigError(f"{where}.{key}: expected a list of positive numbers, got {v!r}")
+    return tuple(v)
+
+
+def _window(doc: dict, key: str, where: str, default: tuple) -> tuple:
+    v = doc.get(key, default)
+    if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_number(x) for x in v)
+            and v[0] < v[1]):
+        raise ConfigError(f"{where}.{key}: expected [lo, hi], two numbers with lo < hi, "
+                          f"got {v!r}")
+    return tuple(v)
 
 
 def _n_traj(doc: dict, where: str, default: int) -> int:
@@ -198,7 +232,7 @@ def parse_config(text: str) -> RunConfig:
     if log_prefix not in ("auto", True, False):
         raise ConfigError("grid.log_prefix: expected 'auto', true, or false")
     grid = GridConfig(
-        dt=_number(grid_doc, "dt", "grid", required=False),
+        dt=_positive(grid_doc, "dt", "grid"),
         log_prefix=log_prefix,
         prefix_ratio=_number(grid_doc, "prefix_ratio", "grid", required=False, default=1.2),
         prefix_safety=_number(grid_doc, "prefix_safety", "grid", required=False, default=0.2),
@@ -209,18 +243,20 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("ensemble: expected an object")
     if set(ens_doc) - _ENSEMBLE_KEYS:
         raise ConfigError(f"ensemble: unknown keys {sorted(set(ens_doc) - _ENSEMBLE_KEYS)}")
-    estimators = tuple(ens_doc.get("estimators", ("qkf", "regression")))
-    window = tuple(ens_doc.get("mse_ratio_window", (0.9, 1.1)))
-    if len(window) != 2 or not window[0] < window[1]:
-        raise ConfigError("ensemble.mse_ratio_window: expected [lo, hi] with lo < hi")
+    estimators = ens_doc.get("estimators", ESTIMATOR_NAMES)
+    if not (isinstance(estimators, (list, tuple)) and estimators
+            and all(e in ESTIMATOR_NAMES for e in estimators)
+            and len(set(estimators)) == len(estimators)):
+        raise ConfigError(f"ensemble.estimators: expected a list of distinct names from "
+                          f"{list(ESTIMATOR_NAMES)}, got {estimators!r}")
     ensemble = EnsembleConfig(
         n_traj=_n_traj(ens_doc, "ensemble", 10_000),
-        estimators=estimators,
+        estimators=tuple(estimators),
         checkpoints_per_decade=int(_number(ens_doc, "checkpoints_per_decade", "ensemble",
                                            required=False, default=30)),
-        first_checkpoint=_number(ens_doc, "first_checkpoint", "ensemble", required=False),
-        checkpoint_times=tuple(ens_doc.get("checkpoint_times", ())),
-        mse_ratio_window=window,
+        first_checkpoint=_positive(ens_doc, "first_checkpoint", "ensemble"),
+        checkpoint_times=_positive_list(ens_doc, "checkpoint_times", "ensemble", ()),
+        mse_ratio_window=_window(ens_doc, "mse_ratio_window", "ensemble", (0.9, 1.1)),
     )
 
     sc_doc = doc.get("scaling", {})
@@ -228,11 +264,16 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("scaling: expected an object")
     if set(sc_doc) - _SCALING_KEYS:
         raise ConfigError(f"scaling: unknown keys {sorted(set(sc_doc) - _SCALING_KEYS)}")
+    j_values = _positive_list(sc_doc, "j_values", "scaling", (1e4, 1e5, 1e6, 4e6))
+    try:
+        sorted_j_values(j_values)
+    except ValueError as exc:
+        raise ConfigError(f"scaling.j_values: {exc}, got {list(j_values)!r}") from exc
     scaling = ScalingConfig(
-        j_values=tuple(sc_doc.get("j_values", (1e4, 1e5, 1e6, 4e6))),
-        t_check=_number(sc_doc, "t_check", "scaling", required=False),
+        j_values=j_values,
+        t_check=_positive(sc_doc, "t_check", "scaling"),
         n_traj=_n_traj(sc_doc, "scaling", 2000),
-        slope_window=tuple(sc_doc.get("slope_window", (-1.05, -0.95))),
+        slope_window=_window(sc_doc, "slope_window", "scaling", (-1.05, -0.95)),
         shotnoise_slope_tol=_number(sc_doc, "shotnoise_slope_tol", "scaling",
                                     required=False, default=1e-9),
     )
@@ -258,7 +299,7 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         params=params, gamma_convention=convention, gamma_raw=gamma_raw,
         grid=grid, ensemble=ensemble, scaling=scaling, oracle=oracle, seed=seed,
-        lowpass_cutoff_hz=_number(doc, "lowpass_cutoff_hz", "top", required=False),
+        lowpass_cutoff_hz=_positive(doc, "lowpass_cutoff_hz", "top"),
     )
 
 

@@ -48,23 +48,14 @@ def bloch_length(p: PhysicalParams, t):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ConditionalState:
-    """Gaussian conditional spin state at one instant."""
-
-    t: float
-    mean_jz: float
-    var_jz: float
-    bloch_length: float
-
-
 def step_coefficients(p: PhysicalParams, times: np.ndarray):
-    """Per-interval simulation coefficients for a grid ``times``.
+    """Per-interval coefficients for a grid ``times``: the one step geometry.
 
-    Returns (drift, g) where, over step k = [t_k, t_{k+1}]:
-      drift[k] = gamma B J * avg(exp(-M s/2)) * dt_k   (deterministic mean shift)
+    Returns (phi12, g) where, over step k = [t_k, t_{k+1}]:
+      phi12[k] = gamma J * avg(exp(-M s/2)) * dt_k   (precession per unit field)
       g[k]     = 2 sqrt(M eta) * sqrt(var(t_k) var(t_{k+1}))  (diffusion amplitude)
-    so that Var(mean increment) = g^2 dt = var(t_k) - var(t_{k+1}) exactly.
+    The deterministic mean shift is b_true * phi12, and
+    Var(mean increment) = g^2 dt = var(t_k) - var(t_{k+1}) exactly.
     """
     t0 = times[:-1]
     t1 = times[1:]
@@ -74,30 +65,11 @@ def step_coefficients(p: PhysicalParams, times: np.ndarray):
     e1 = np.exp(-m * t1 / 2.0)
     with np.errstate(invalid="ignore"):
         ebar = np.where(dts * m > 1e-12, (e0 - e1) * (2.0 / m) / dts, np.sqrt(e0 * e1))
-    drift = p.gamma * p.b_true * p.j_total * ebar * dts
+    phi12 = p.gamma * p.j_total * ebar * dts
     v0 = conditional_variance(p, t0)
     v1 = conditional_variance(p, t1)
     g = 2.0 * math.sqrt(p.meas_strength * p.efficiency) * np.sqrt(v0 * v1)
-    return drift, g
-
-
-def step_mean(state: ConditionalState, p: PhysicalParams, dt: float, dW: float) -> float:
-    """One Euler-Maruyama update of the conditional mean."""
-    times = np.array([state.t, state.t + dt])
-    drift, g = step_coefficients(p, times)
-    return state.mean_jz + float(drift[0]) + float(g[0]) * dW
-
-
-def photocurrent_increment(mean_jz: float, p: PhysicalParams, dt: float, dW: float):
-    """Photocurrent sample and record increment for one step.
-
-    y*dt = 2 eta sqrt(M) <Jz>_c dt + sqrt(eta) dW;  d_xi = y*dt / (2 eta sqrt(M)).
-    The same ``dW`` must be the one used by :func:`step_mean` for this step.
-    """
-    root_m = math.sqrt(p.meas_strength)
-    y_dt = 2.0 * p.efficiency * root_m * mean_jz * dt + math.sqrt(p.efficiency) * dW
-    d_xi = y_dt / (2.0 * p.efficiency * root_m)
-    return y_dt / dt, d_xi
+    return phi12, g
 
 
 @dataclass(frozen=True)
@@ -154,6 +126,7 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     n = len(times) - 1
     dts = np.diff(times)
     drift, g = step_coefficients(p, times)
+    drift *= p.b_true  # B phi12, in place: one grid-length array fewer at peak
     z = np.zeros(n) if zero_noise else seed.generator().standard_normal(n)
     sq = np.sqrt(dts)
     g_sqdt = g * sq  # diffusion amplitude per unit normal

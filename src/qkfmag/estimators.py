@@ -19,17 +19,18 @@ contradicts the closed-form solution; the minus sign is implemented).
 Discretization.  On production grids the continuous gain satisfies
 gain*dt = 2 eta M J dt >> 1 at t=0, where a literal explicit-Euler step
 overflows within a few steps.  ``kalman_step`` therefore performs the
-*exact* conditional update of the discretized model (the same
-discretization the simulator uses): geometric-mean variance coefficient,
-finite-step gain denominator, and a generalized Joseph covariance step
-that is unconditionally PSD.  All of it reduces to the continuous
-equations as dt -> 0.
+*exact* conditional update of the discretized model (the simulator's
+``step_coefficients``): geometric-mean variance coefficient, finite-step
+gain denominator, and a generalized Joseph covariance step that is PSD in
+exact arithmetic; ``kalman_schedule`` checks it in floating point.  All of
+it reduces to the continuous equations as dt -> 0.
 
 Infinite prior.  For prior_b_variance = inf the filter runs on a finite
 reference prior and removes it algebraically: the data information
 I(t) = 1/v22_ref - 1/p_ref is prior-independent, so
 b_inf = b_ref / (1 - v22_ref/p_ref) and v22_inf = 1/I.  This is the
-information-form limit, exact for the linear-Gaussian model.
+information-form limit, exact for the linear-Gaussian model; where
+1 - v22_ref/p_ref <= 0 the prior is not yet resolved and b_inf is NaN.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params
-from .dynamics import TrajectoryRecord, conditional_variance, step_coefficients
+from .dynamics import TrajectoryRecord, step_coefficients
 
 _REFERENCE_PRIOR = 1.0  # G^2, internal stand-in for an infinite prior
 
@@ -52,83 +53,22 @@ THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotn
 
 
 # ---------------------------------------------------------------------------
-# types
+# the exact discrete Kalman step and the gain schedule built from it
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SystemMatrices:
-    """Continuous-time filter matrices at one instant."""
+def kalman_step(phi12: float, g: float, d: float, dt: float, v11: float, v12: float, v22: float):
+    """Gains (k1, k2) and Joseph-updated covariance (n11, n12, n22) for one interval.
 
-    a: np.ndarray   # 2x2, a[0,1] = gamma J e^{-Mt/2}
-    b: np.ndarray   # (var_jz, 0)
-    c: np.ndarray   # (1, 0) row
-    d: float        # 1/(2 sqrt(M eta))
-
-
-def system_matrices(p: PhysicalParams, t: float) -> SystemMatrices:
-    a = np.zeros((2, 2))
-    a[0, 1] = p.gamma * p.j_total * math.exp(-p.meas_strength * t / 2.0)
-    b = np.array([conditional_variance(p, t), 0.0])
-    c = np.array([1.0, 0.0])
-    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
-    return SystemMatrices(a=a, b=b, c=c, d=d)
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    """Filter state: estimate pair and its covariance.
-
-    With ``info_form`` set (infinite prior) the stored values are the
-    internal reference-prior parametrization, removed as ``run_kalman`` does.
-    """
-
-    t: float
-    x_tilde: np.ndarray      # (jz_tilde, b_tilde)
-    v: np.ndarray            # 2x2 covariance
-    info_form: bool = False
-
-
-def kalman_init(p: PhysicalParams) -> KalmanState:
-    """x(0) = 0; V(0) = diag(0, prior), information form for an infinite prior."""
-    validate_params(p)
-    if math.isinf(p.prior_b_variance):
-        return KalmanState(t=0.0, x_tilde=np.zeros(2),
-                           v=np.diag([0.0, _REFERENCE_PRIOR]), info_form=True)
-    return KalmanState(t=0.0, x_tilde=np.zeros(2),
-                       v=np.diag([0.0, p.prior_b_variance]), info_form=False)
-
-
-def kalman_gain(mats: SystemMatrices, v: np.ndarray) -> np.ndarray:
-    """Continuous-time gain G = D^-2 (B + V C^T)."""
-    return (mats.b + v @ mats.c) / mats.d**2
-
-
-# ---------------------------------------------------------------------------
-# one exact discrete step (shared by kalman_step, schedules, the MC engine)
-# ---------------------------------------------------------------------------
-
-def _step_geometry(p: PhysicalParams, t0: float, t1: float):
-    """(phi12, g, d) for the interval [t0, t1]: drift entry, diffusion amp, noise scale."""
-    _, g = step_coefficients(p, np.array([t0, t1]))
-    dt = t1 - t0
-    m = p.meas_strength
-    e0, e1 = math.exp(-m * t0 / 2.0), math.exp(-m * t1 / 2.0)
-    ebar = (e0 - e1) * (2.0 / m) / dt if m * dt > 1e-12 else math.sqrt(e0 * e1)
-    phi12 = p.gamma * p.j_total * ebar * dt
-    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
-    return float(phi12), float(g[0]), d
-
-
-def _kalman_coeffs(phi12: float, g: float, d: float, dt: float, v11: float, v12: float, v22: float):
-    """Gain and Joseph-updated covariance for one interval.
-
-    Exact conditional update for the discrete model
-        m' = m + phi12/dt' ... m' = m + drift + g sqrt(dt) xi
+    ``phi12`` and ``g`` are the step's ``step_coefficients`` and ``d`` the
+    record noise scale 1/(2 sqrt(M eta)).  Exact conditional update for
+    the discrete model
+        m' = m + B phi12 + g sqrt(dt) xi
         z  = m dt + d sqrt(dt) xi          (same xi: correlated noise)
     For any gain the error covariance is
         V' = (Phi - K H) V (Phi - K H)^T + Cov(w - K n)
     which is a sum of two PSD terms; with the optimal K used here it is
-    the exact posterior covariance.
+    the exact posterior covariance.  The estimate update is
+    jz' = jz + phi12 b + k1 (d_xi - jz dt), b' = b + k2 (d_xi - jz dt).
     """
     den = dt * v11 + d * d
     k1 = (v11 + phi12 * v12 + g * d) / den
@@ -147,48 +87,15 @@ def _kalman_coeffs(phi12: float, g: float, d: float, dt: float, v11: float, v12:
     return k1, k2, n11, n12, n22
 
 
-def kalman_step(state: KalmanState, mats: SystemMatrices, d_xi: float, dt: float,
-                params: PhysicalParams | None = None) -> KalmanState:
-    """Advance the filter by one record increment.
-
-    With ``params`` the step uses the exact closed-form coefficients over
-    [t, t+dt]; without it the coefficients are frozen at ``mats`` (valid
-    for small gain*dt).  The innovation is d_xi - Jz_tilde * dt and the
-    update limit as dt -> 0 is the continuous gain ``kalman_gain``.
-    """
-    v11, v12, v22 = float(state.v[0, 0]), float(state.v[0, 1]), float(state.v[1, 1])
-    if params is not None:
-        phi12, g, d = _step_geometry(params, state.t, state.t + dt)
-    else:
-        phi12 = float(mats.a[0, 1]) * dt
-        g = float(mats.b[0]) / mats.d
-        d = mats.d
-    k1, k2, n11, n12, n22 = _kalman_coeffs(phi12, g, d, dt, v11, v12, v22)
-    inn = d_xi - state.x_tilde[0] * dt
-    jz = state.x_tilde[0] + phi12 * state.x_tilde[1] + k1 * inn
-    b = state.x_tilde[1] + k2 * inn
-    v_new = np.array([[n11, n12], [n12, n22]])
-    # achievable determinant accuracy degrades with the step conditioning
-    # (the Joseph products cancel at the (1 - K1 dt)^2 scale)
-    cond = max(1.0, (k1 * dt) ** 2, phi12 ** 2)
-    tol = 1e-12 * cond * max(n11 + n22, 1e-300)
-    if n11 < -tol or n22 < -tol or n11 * n22 - n12 * n12 < -tol * max(n11, n22, 1e-300):
-        raise RuntimeError("covariance lost positive semidefiniteness; reduce dt")
-    return KalmanState(t=state.t + dt, x_tilde=np.array([jz, b]), v=v_new,
-                       info_form=state.info_form)
-
-
-# ---------------------------------------------------------------------------
-# precomputed gain schedule + a full filter run
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class KalmanSchedule:
     """Deterministic per-step gains and covariance path for a (params, grid) pair.
 
     The gains do not depend on the data, so one schedule drives any
     number of trajectories.  ``shrink`` is the prior-removal factor
-    1 - v22/p_ref for an infinite prior (1.0 otherwise).
+    1 - v22/p_ref for an infinite prior (1.0 otherwise): the estimate is
+    b / shrink, and shrink is NaN where 1 - v22/p_ref <= 0, the prior not
+    yet resolved, so the estimate there is NaN.
     """
 
     times: np.ndarray
@@ -201,29 +108,14 @@ class KalmanSchedule:
     shrink: np.ndarray
     info_form: bool
 
-    def effective_v22(self) -> np.ndarray:
-        if not self.info_form:
-            return self.v22.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(self.shrink > 0.0, self.v22 / self.shrink, np.inf)
-        return out
-
 
 def kalman_schedule(p: PhysicalParams, grid: TimeGrid) -> KalmanSchedule:
+    """Run ``kalman_step`` over the grid; raise if the covariance leaves the PSD cone."""
     validate_params(p)
     times = grid.times
     n = len(times) - 1
     dts = np.diff(times)
-    drift, g = step_coefficients(p, times)
-    if p.b_true != 0.0:
-        phi12 = drift / p.b_true
-    else:
-        m = p.meas_strength
-        e = np.exp(-m * times / 2.0)
-        with np.errstate(invalid="ignore"):
-            ebar = np.where(m * dts > 1e-12, (e[:-1] - e[1:]) * (2.0 / m) / dts,
-                            np.sqrt(e[:-1] * e[1:]))
-        phi12 = p.gamma * p.j_total * ebar * dts
+    phi12, g = step_coefficients(p, times)
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     info_form = math.isinf(p.prior_b_variance)
     prior = _REFERENCE_PRIOR if info_form else p.prior_b_variance
@@ -236,10 +128,21 @@ def kalman_schedule(p: PhysicalParams, grid: TimeGrid) -> KalmanSchedule:
     v11[0], v12[0], v22[0] = 0.0, 0.0, prior
     a, b_, c = 0.0, 0.0, prior
     for k in range(n):
-        k1[k], k2[k], a, b_, c = _kalman_coeffs(float(phi12[k]), float(g[k]), d,
-                                                float(dts[k]), a, b_, c)
+        k1[k], k2[k], a, b_, c = kalman_step(float(phi12[k]), float(g[k]), d,
+                                             float(dts[k]), a, b_, c)
         v11[k + 1], v12[k + 1], v22[k + 1] = a, b_, c
-    shrink = (1.0 - v22 / _REFERENCE_PRIOR) if info_form else np.ones(n + 1)
+    # achievable determinant accuracy degrades with the step conditioning
+    # (the Joseph products cancel at the (1 - K1 dt)^2 scale)
+    n11, n12, n22 = v11[1:], v12[1:], v22[1:]
+    cond = np.maximum(np.maximum((k1 * dts) ** 2, phi12 ** 2), 1.0)
+    tol = 1e-12 * cond * np.maximum(n11 + n22, 1e-300)
+    if np.any((n11 < -tol) | (n22 < -tol)
+               | (n11 * n22 - n12 * n12 < -tol * np.maximum(np.maximum(n11, n22), 1e-300))):
+        raise RuntimeError("covariance lost positive semidefiniteness; reduce dt")
+    shrink = np.ones(n + 1)
+    if info_form:
+        shrink = 1.0 - v22 / _REFERENCE_PRIOR
+        shrink[shrink <= 0.0] = np.nan
     return KalmanSchedule(times=times, k1=k1, k2=k2, phi12=phi12,
                           v11=v11, v12=v12, v22=v22, shrink=shrink, info_form=info_form)
 
@@ -254,12 +157,6 @@ class KalmanTrace:
     v11: np.ndarray
     v12: np.ndarray
     v22: np.ndarray
-
-    def to_csv(self, fobj) -> None:
-        w = csv.writer(fobj)
-        w.writerow(["t", "jz_tilde", "b_tilde", "v11", "v12", "v22"])
-        for row in zip(self.times, self.jz_tilde, self.b_tilde, self.v11, self.v12, self.v22):
-            w.writerow([repr(float(x)) for x in row])
 
 
 def run_kalman(p: PhysicalParams, record: TrajectoryRecord,
@@ -284,10 +181,9 @@ def run_kalman(p: PhysicalParams, record: TrajectoryRecord,
         b[k + 1] = y
     if schedule.info_form:
         s = schedule.shrink
-        good = s > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            b_eff = np.where(good, b / s, 0.0)
-            v22_eff = np.where(good, schedule.v22 / s, np.inf)
+            b_eff = b / s
+            v22_eff = np.where(np.isnan(s), np.inf, schedule.v22 / s)
             ratio = np.where(schedule.v22 > 0.0, schedule.v12 / schedule.v22, 0.0)
             jz_eff = jz + ratio * (b_eff - b)
             v12_eff = ratio * v22_eff

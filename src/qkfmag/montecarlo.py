@@ -135,7 +135,7 @@ class _EnginePlan:
     times: np.ndarray
     checkpoints: np.ndarray  # grid indices
     chunks: tuple
-    shrink: np.ndarray       # per checkpoint: b_hat = b / shrink (NaN: prior not yet resolved)
+    shrink: np.ndarray       # per checkpoint: b_hat = b / shrink (see KalmanSchedule)
     reg_read: np.ndarray     # (n_cp, n_col): line-fit estimate = state @ reg_read[i]
     b_true: float
 
@@ -181,45 +181,42 @@ def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float
     return np.array(cols), read[:, :len(cols)]
 
 
-def _chunk_maps(bounds: list, dts, drift, gsq, dsq, schedule: KalmanSchedule, b_true: float,
+def _chunk_maps(bounds: list, dts, drift, gsq, dsq, schedule: KalmanSchedule,
                 rec_w: np.ndarray, cp_pos: dict) -> tuple:
     """Affine maps over the chunks [bounds[i], bounds[i+1]).
 
-    Per step, d_xi = m dt + dsq z and m' = m + drift + gsq z.  The filter is
-    carried as its errors x = (jz - m, b - B), which the record reaches only
-    through the innovation d_xi - jz dt = -x_1 dt + dsq z:
+    Per step, d_xi = m dt + dsq z and m' = m + drift + gsq z, drift = B phi12.
+    The filter is carried as its errors x = (jz - m, b - B), which the record
+    reaches only through the innovation d_xi - jz dt = -x_1 dt + dsq z:
 
-        x' = F x + G z + (phi12 B - drift, 0),
+        x' = F x + G z,
         F = [[1 - k1 dt, phi12], [-k2 dt, 1]],  G = (k1 dsq - gsq, k2 dsq),
 
-    free of the large m that jz and m share.  A backward (adjoint) pass over
+    free of the large m that jz and m share (the filter's drift phi12 b
+    less the true drift is phi12 (b - B)).  A backward (adjoint) pass over
     each chunk gives the noise weights F_{e-1} ... F_{k+1} G_k.  The line-fit
     columns weigh d_xi; suffix sums carry their weight on m_k onto the
     normals of the chunk's earlier steps.
     """
     n = len(dts)
-    k1, k2, phi12, dtl, gl, dl, drive = (a.tolist() for a in (
-        schedule.k1[:n], schedule.k2[:n], schedule.phi12[:n], dts, gsq, dsq,
-        schedule.phi12[:n] * b_true - drift))
+    k1, k2, phi12, dtl, gl, dl = (a.tolist() for a in (
+        schedule.k1[:n], schedule.k2[:n], schedule.phi12[:n], dts, gsq, dsq))
     h1, h2 = [0.0] * n, [0.0] * n
     filter_maps = []
     for s, e in zip(bounds[-2::-1], bounds[:0:-1]):
         p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
-        d1 = d2 = 0.0
         for k in range(e - 1, s - 1, -1):
             a1, a2, dt = k1[k], k2[k], dtl[k]
             g1, g2 = a1 * dl[k] - gl[k], a2 * dl[k]
             h1[k] = p11 * g1 + p12 * g2
             h2[k] = p21 * g1 + p22 * g2
-            d1 += p11 * drive[k]
-            d2 += p21 * drive[k]
             f11, f21, f12 = 1.0 - a1 * dt, -a2 * dt, phi12[k]
             p11, p12 = p11 * f11 + p12 * f21, p11 * f12 + p12
             p21, p22 = p21 * f11 + p22 * f21, p21 * f12 + p22
-        filter_maps.append((((p11, p12), (p21, p22)), (d1, d2)))
+        filter_maps.append(((p11, p12), (p21, p22)))
     n_col = 3 + len(rec_w)
     chunks = []
-    for s, e, (p_x, d_x) in zip(bounds[:-1], bounds[1:], filter_maps[::-1]):
+    for s, e, p_x in zip(bounds[:-1], bounds[1:], filter_maps[::-1]):
         w = rec_w[:, s:e]
         wm = w * dts[s:e]  # weight of m_k, since d_xi_k = m_k dt_k + dsq_k z_k
         later = np.zeros_like(wm)  # z_k moves every later m_j: sum of wm[j] over j > k
@@ -229,7 +226,7 @@ def _chunk_maps(bounds: list, dts, drift, gsq, dsq, schedule: KalmanSchedule, b_
         phi[1:3, 1:3] = p_x
         phi[3:, 0] = wm.sum(axis=1)
         drift_before = np.concatenate(([0.0], np.cumsum(drift[s:e - 1])))
-        d = np.concatenate(([drift[s:e].sum()], d_x, (wm * drift_before).sum(axis=1)))
+        d = np.concatenate(([drift[s:e].sum()], [0.0, 0.0], (wm * drift_before).sum(axis=1)))
         chunks.append(_Chunk(s, e, phi, h_t, d, cp_pos.get(e, -1)))
     return tuple(chunks)
 
@@ -240,7 +237,7 @@ def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
     checkpoints = np.asarray(spec.checkpoints, dtype=int)
     n = int(checkpoints[-1])  # the scan ends at the last checkpoint
     dts = np.diff(times[:n + 1])
-    drift, g = step_coefficients(p, times[:n + 1])
+    _, g = step_coefficients(p, times[:n + 1])
     sq = np.sqrt(dts)
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     schedule = kalman_schedule(p, spec.grid)
@@ -248,11 +245,10 @@ def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
                    if "regression" in spec.estimators
                    else (np.empty((0, n)), np.empty((len(checkpoints), 0))))
     bounds = sorted(set(range(0, n, CHUNK_STEPS)) | set(checkpoints.tolist()))
-    chunks = _chunk_maps(bounds, dts, drift, g * sq, d * sq, schedule, p.b_true, rec_w,
-                         {c: i for i, c in enumerate(checkpoints.tolist())})
-    shrink = schedule.shrink[checkpoints]
+    chunks = _chunk_maps(bounds, dts, p.b_true * schedule.phi12[:n], g * sq, d * sq, schedule,
+                         rec_w, {c: i for i, c in enumerate(checkpoints.tolist())})
     return _EnginePlan(times=times, checkpoints=checkpoints, chunks=chunks,
-                       shrink=np.where(shrink > 0.0, shrink, np.nan),
+                       shrink=schedule.shrink[checkpoints],
                        reg_read=np.hstack([np.zeros((len(checkpoints), 3)), read]),
                        b_true=p.b_true)
 
@@ -380,6 +376,16 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(lxc, ly) / np.dot(lxc, lxc))
 
 
+def sorted_j_values(j_values) -> np.ndarray:
+    """The study's J values, sorted; at least 4, positive, spanning >= 2 decades."""
+    j_values = np.asarray(sorted(float(j) for j in j_values))
+    if len(j_values) < 4:
+        raise ValueError("need at least 4 j_values")
+    if not (j_values[0] > 0 and j_values[-1] / j_values[0] >= 100.0):
+        raise ValueError("j_values must be positive and span at least two decades")
+    return j_values
+
+
 def scaling_study(base: EnsembleSpec, j_values, t_check: float | None = None,
                   workers: int = 1) -> ScalingResult:
     """RMS-error-vs-J slopes for each estimator at a fixed readout time.
@@ -387,11 +393,7 @@ def scaling_study(base: EnsembleSpec, j_values, t_check: float | None = None,
     Requires >= 4 values of J spanning >= 2 decades.  Each J reuses the
     master seed (paired noise across J reduces slope variance).
     """
-    j_values = np.asarray(sorted(float(j) for j in j_values))
-    if len(j_values) < 4:
-        raise ValueError("need at least 4 j_values")
-    if j_values[-1] / j_values[0] < 100.0:
-        raise ValueError("j_values must span at least two decades")
+    j_values = sorted_j_values(j_values)
     if t_check is None:
         t_check = base.params.t_total
     rms = {name: [] for name in base.estimators}

@@ -42,7 +42,3 @@ def substream(master_seed: int, i: int) -> SeedSpec:
     """Stream for trajectory ``i``; collision-free by counter spacing."""
     return SeedSpec(master_seed=master_seed, stream_index=i)
 
-
-def standard_normals(spec: SeedSpec, n: int) -> np.ndarray:
-    """First ``n`` unit normals of the stream."""
-    return spec.generator().standard_normal(n)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -100,6 +101,17 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(FIG2_DOC))
         with pytest.raises(ConfigError, match="ensemble.n_traj, scaling.n_traj"):
             override(cfg, n_traj=1)
+
+
+class TestResolvedDict:
+    def test_every_config_field_echoed(self):
+        cfg = load_preset("scaling")
+        echo = cfg.resolved_dict()
+        assert set(echo) == {f.name for f in dataclasses.fields(cfg)}
+        for name in ("params", "grid", "ensemble", "scaling", "oracle"):
+            assert set(echo[name]) == {f.name for f in dataclasses.fields(getattr(cfg, name))}
+        assert echo["scaling"]["shotnoise_slope_tol"] == cfg.scaling.shotnoise_slope_tol
+        json.dumps(echo)
 
 
 class TestPresets:
@@ -214,8 +226,42 @@ class TestCliEnsemble:
         assert sources == {"riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise"}
 
 
+BAD_CONFIGS = {
+    "first_checkpoint": ("ensemble", {"ensemble": {"first_checkpoint": -1e-6}},
+                         "ensemble.first_checkpoint"),
+    "lowpass_cutoff": ("simulate", {"lowpass_cutoff_hz": 0.0}, "lowpass_cutoff_hz"),
+    "estimators_not_list": ("ensemble", {"ensemble": {"estimators": "qkf"}},
+                            "ensemble.estimators"),
+    "estimator_unknown": ("ensemble", {"ensemble": {"estimators": ["qkf", "kalman"]}},
+                          "ensemble.estimators"),
+    "checkpoint_time_string": ("ensemble", {"ensemble": {"checkpoint_times": [0.1, "0.5"]}},
+                               "ensemble.checkpoint_times"),
+    "mse_window_strings": ("ensemble", {"ensemble": {"mse_ratio_window": ["0.9", "1.1"]}},
+                           "ensemble.mse_ratio_window"),
+    "j_values_three": ("scaling", {"scaling": {"j_values": [1e4, 1e5, 1e6]}},
+                       "scaling.j_values"),
+    "j_values_one_decade": ("scaling", {"scaling": {"j_values": [1e4, 2e4, 4e4, 8e4]}},
+                            "scaling.j_values"),
+    "slope_window_single": ("scaling", {"scaling": {"slope_window": [-1.05]}},
+                            "scaling.slope_window"),
+    "t_check": ("scaling", {"scaling": {"t_check": 0.0}}, "scaling.t_check"),
+    "grid_dt": ("simulate", {"grid": {"dt": -2e-3}}, "grid.dt"),
+}
+
+
 class TestCliBadInput:
     """Bad input exits 2 with a message naming the field, before any work."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_names_field(self, tmp_path, capsys, case):
+        command, change, field = BAD_CONFIGS[case]
+        cfg = _write_cfg(tmp_path, dict(TOY_DOC, **change))
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, tmp_path, capsys, workers):

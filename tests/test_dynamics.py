@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 
 from qkfmag.core import PhysicalParams, TimeGrid, make_grid
 from qkfmag.dynamics import (
-    ConditionalState,
     bloch_length,
     conditional_variance,
     lowpass_filter,
-    photocurrent_increment,
     reconstruct_noise,
     simulate_trajectory,
     step_coefficients,
-    step_mean,
 )
 from qkfmag.rng import substream
 
@@ -89,18 +86,16 @@ class TestConditionalVariance:
 class TestStepMean:
     def test_no_field_no_noise_is_fixed_point(self):
         p = params(b_true=0.0)
-        s = ConditionalState(t=0.1, mean_jz=3.3, var_jz=1.0, bloch_length=99.0)
-        assert step_mean(s, p, 1e-3, 0.0) == 3.3
+        rec = simulate_trajectory(p, make_grid(p, dt=1e-3), substream(0, 0), zero_noise=True)
+        np.testing.assert_array_equal(rec.mean_jz, 0.0)
 
     def test_drift_only_larmor_ramp(self):
         # M -> 0: mean grows like gamma*B*J*t
-        p = params(meas_strength=1e-9, efficiency=1.0, b_true=0.02)
-        n, dt = 200, 1e-3
-        m, t = 0.0, 0.0
-        for _ in range(n):
-            m = step_mean(ConditionalState(t, m, 0.0, 0.0), p, dt, 0.0)
-            t += dt
-        assert m == pytest.approx(p.gamma * p.b_true * p.j_total * t, rel=1e-6)
+        p = params(meas_strength=1e-9, efficiency=1.0, b_true=0.02, t_total=0.2)
+        rec = simulate_trajectory(p, make_grid(p, dt=1e-3), substream(0, 0), zero_noise=True)
+        assert len(rec.times) == 201
+        assert rec.mean_jz[-1] == pytest.approx(p.gamma * p.b_true * p.j_total * p.t_total,
+                                                rel=1e-6)
 
     def test_ensemble_variance_matches_ito_isometry(self):
         # Var[mean(t)] = J/2 * lam t / (1 + lam t), lam = 2 eta M J
@@ -130,25 +125,30 @@ class TestStepMean:
 
 
 class TestPhotocurrent:
+    """The record relation d_xi = m dt + dW / (2 sqrt(M eta)), y = 2 eta sqrt(M) d_xi / dt."""
+
     def test_zero_mean_zero_noise(self):
-        y, d_xi = photocurrent_increment(0.0, params(), 1e-3, 0.0)
-        assert y == 0.0 and d_xi == 0.0
+        p = params(b_true=0.0)
+        rec = simulate_trajectory(p, make_grid(p, dt=1e-3), substream(0, 0), zero_noise=True)
+        np.testing.assert_array_equal(rec.y, 0.0)
+        np.testing.assert_array_equal(rec.d_xi, 0.0)
 
     def test_direct_substitution(self):
         p = params(efficiency=1.0, meas_strength=4.0)
-        y, d_xi = photocurrent_increment(3.0, p, 1.0, 0.0)
-        assert y == pytest.approx(12.0, rel=1e-14)
-        assert d_xi == pytest.approx(3.0, rel=1e-14)
+        rec = simulate_trajectory(p, make_grid(p, dt=1e-2), substream(0, 0), zero_noise=True)
+        dts = np.diff(rec.times)
+        assert rec.mean_jz[-1] > 0.0
+        np.testing.assert_allclose(rec.d_xi, rec.mean_jz[:-1] * dts, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(rec.y, 4.0 * rec.mean_jz[:-1], rtol=1e-14, atol=0.0)
 
     def test_moments(self):
-        p = params(meas_strength=5.0, efficiency=0.6)
+        p = params(meas_strength=5.0, efficiency=0.6, b_true=0.0)
         dt = 1e-2
-        rng = np.random.default_rng(11)
-        dws = rng.normal(0.0, math.sqrt(dt), 40000)
-        d_xis = np.array([photocurrent_increment(1.7, p, dt, dw)[1] for dw in dws])
-        assert d_xis.mean() == pytest.approx(1.7 * dt, abs=4 * d_xis.std() / 200)
+        rec = simulate_trajectory(p, TimeGrid.uniform(dt, 40000), substream(11, 0))
+        resid = rec.d_xi - rec.mean_jz[:-1] * dt
+        assert resid.mean() == pytest.approx(0.0, abs=4 * resid.std() / 200)
         expected_var = dt / (4 * p.meas_strength * p.efficiency)
-        assert d_xis.var() == pytest.approx(expected_var, rel=0.05)
+        assert resid.var() == pytest.approx(expected_var, rel=0.05)
 
 
 class TestSimulateTrajectory:

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from qkfmag.config import load_preset
 from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, collapse_rate, make_grid
-from qkfmag.dynamics import conditional_variance, simulate_trajectory
+from qkfmag.dynamics import conditional_variance, simulate_trajectory, step_coefficients
 from qkfmag.estimators import (
-    KalmanState,
     ThresholdCurve,
     detection_threshold_asymptotic,
-    kalman_gain,
-    kalman_init,
     kalman_schedule,
     kalman_step,
     regression_estimate,
@@ -22,7 +20,6 @@ from qkfmag.estimators import (
     riccati_integrate,
     run_kalman,
     shotnoise_limit,
-    system_matrices,
 )
 from qkfmag.rng import substream
 
@@ -60,31 +57,57 @@ def riccati_ode_oracle(p, ts):
     return sol.y
 
 
+def continuous_gain(p, t, v11, v12):
+    """Oracle: the continuous-time gain D^-2 (B + V C^T) = 4 M eta (var + v11, v12)."""
+    k = 4.0 * p.meas_strength * p.efficiency
+    return k * (conditional_variance(p, t) + v11), k * v12
+
+
+def one_step(p, t0, dt, v11, v12, v22):
+    """``kalman_step`` over [t0, t0 + dt] from the covariance (v11, v12, v22)."""
+    phi12, g = step_coefficients(p, np.array([t0, t0 + dt]))
+    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
+    return kalman_step(float(phi12[0]), float(g[0]), d, dt, v11, v12, v22)
+
+
 class TestSystemMatrices:
+    """The step coefficients reduce to the continuous filter matrices."""
+
     def test_b_entry_equals_conditional_variance(self):
+        # B = (var, 0): the step's correlated-noise term g d is sqrt(var(t0) var(t1))
         p = toy()
+        d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
         for t in (0.0, 0.3, 2.2):
-            mats = system_matrices(p, t)
-            assert mats.b[0] == conditional_variance(p, t)
-            assert mats.b[1] == 0.0
+            for dt in (0.5, 1e-9):
+                _, g = step_coefficients(p, np.array([t, t + dt]))
+                assert g[0] * d == pytest.approx(
+                    math.sqrt(conditional_variance(p, t) * conditional_variance(p, t + dt)),
+                    rel=1e-14)
+            assert g[0] * d == pytest.approx(conditional_variance(p, t), rel=1e-6)
 
     def test_structure(self):
+        # A[0, 1] = gamma J e^{-Mt/2}; phi12 is its exact integral over the step
         p = toy()
-        mats = system_matrices(p, 0.5)
-        assert mats.a[0, 1] == pytest.approx(
-            p.gamma * p.j_total * math.exp(-p.meas_strength * 0.25), rel=1e-14)
-        assert mats.a[0, 0] == mats.a[1, 0] == mats.a[1, 1] == 0.0
-        np.testing.assert_array_equal(mats.c, [1.0, 0.0])
-        assert mats.d == pytest.approx(1.0 / (2 * math.sqrt(p.meas_strength * p.efficiency)))
-        assert mats.d > 0
+        phi12, _ = step_coefficients(p, np.array([0.5, 0.5 + 1e-6]))
+        assert phi12[0] / 1e-6 == pytest.approx(
+            p.gamma * p.j_total * math.exp(-p.meas_strength * 0.25), rel=1e-6)
+        phi12, _ = step_coefficients(p, np.array([0.5, 1.5]))
+        m = p.meas_strength
+        assert phi12[0] == pytest.approx(
+            p.gamma * p.j_total * (2.0 / m) * (math.exp(-m * 0.25) - math.exp(-m * 0.75)),
+            rel=1e-14)
 
 
 class TestKalmanInit:
     def test_finite_prior(self):
-        s = kalman_init(params())
-        np.testing.assert_array_equal(s.x_tilde, [0.0, 0.0])
-        np.testing.assert_array_equal(s.v, [[0.0, 0.0], [0.0, 1e-8]])
-        assert not s.info_form
+        p = params(t_total=1e-6)
+        grid = make_grid(p)
+        sched = kalman_schedule(p, grid)
+        assert (sched.v11[0], sched.v12[0], sched.v22[0]) == (0.0, 0.0, 1e-8)
+        assert not sched.info_form
+        np.testing.assert_array_equal(sched.shrink, np.ones(len(sched.times)))
+        trace = run_kalman(p, simulate_trajectory(p, grid, substream(1, 0)), sched)
+        assert trace.jz_tilde[0] == trace.b_tilde[0] == 0.0
 
     def test_zero_prior_pins_estimate(self):
         p = toy(prior_b_variance=0.0, b_true=0.0)
@@ -120,65 +143,88 @@ class TestKalmanInit:
 
 class TestKalmanStep:
     def test_zero_innovation_drifts_only(self):
-        p = toy()
-        s = KalmanState(t=0.2, x_tilde=np.array([1.5, 0.03]),
-                        v=np.array([[0.4, 0.01], [0.01, 0.2]]))
-        dt = 1e-4
-        mats = system_matrices(p, s.t)
-        d_xi = s.x_tilde[0] * dt  # innovation exactly zero
-        out = kalman_step(s, mats, d_xi, dt, params=p)
-        drift = out.x_tilde - s.x_tilde
-        # jz moves by (A x)_1 dt only; b unchanged
-        assert drift[1] == 0.0
-        assert drift[0] == pytest.approx(mats.a[0, 1] * s.x_tilde[1] * dt, rel=1e-3)
+        # two informative increments (v12 = 0 at t = 0, so the first leaves
+        # b = 0), then records that run_kalman's own estimate predicts
+        # exactly: b holds, jz moves by phi12 b ~ (A x)_1 dt
+        p = toy(t_total=1e-3)
+        grid = make_grid(p, dt=1e-4)
+        rec = simulate_trajectory(p, grid, substream(5, 0))
+        sched = kalman_schedule(p, grid)
+        dts = np.diff(grid.times)
+        d_xi = np.zeros(len(dts))
+        d_xi[:2] = 0.05
+        for k in range(2, len(d_xi)):
+            jz = run_kalman(p, dataclasses.replace(rec, d_xi=d_xi), sched).jz_tilde[k]
+            d_xi[k] = jz * dts[k]
+        trace = run_kalman(p, dataclasses.replace(rec, d_xi=d_xi), sched)
+        b = trace.b_tilde[2]
+        assert b != 0.0
+        np.testing.assert_array_equal(trace.b_tilde[2:], b)
+        a01 = p.gamma * p.j_total * np.exp(-p.meas_strength * grid.times[2:-1] / 2.0)
+        np.testing.assert_allclose(np.diff(trace.jz_tilde[2:]), a01 * b * dts[2:], rtol=1e-3)
 
     def test_gain_formula_at_t0(self):
         p = params()
-        mats = system_matrices(p, 0.0)
-        g = kalman_gain(mats, np.diag([0.0, p.prior_b_variance]))
+        g = continuous_gain(p, 0.0, 0.0, 0.0)
         expected = 2 * p.meas_strength * p.efficiency * p.j_total
         assert g[0] == pytest.approx(expected, rel=1e-12)
         assert g[1] == 0.0
+        k1, k2, *_ = one_step(p, 0.0, 1e-20, 0.0, 0.0, p.prior_b_variance)
+        assert k1 == pytest.approx(expected, rel=1e-6)
+        assert k2 == 0.0
 
     def test_step_gain_converges_to_continuous_gain(self):
         p = toy()
-        s = KalmanState(t=0.1, x_tilde=np.zeros(2),
-                        v=np.array([[0.3, 0.05], [0.05, 0.6]]))
-        mats = system_matrices(p, s.t)
-        g_cont = kalman_gain(mats, s.v)
-        est = []
-        for dt in (1e-3, 1e-4, 1e-5, 1e-6):
-            out = kalman_step(s, mats, 1.0, dt, params=p)  # d_xi = 1, x=0 -> inn = 1
-            est.append(out.x_tilde)  # gain * innovation = gain
+        v11, v12, v22 = 0.3, 0.05, 0.6
+        g_cont = continuous_gain(p, 0.1, v11, v12)
+        est = [one_step(p, 0.1, dt, v11, v12, v22)[:2] for dt in (1e-3, 1e-4, 1e-5, 1e-6)]
         for i, dt in enumerate((1e-3, 1e-4, 1e-5, 1e-6)):
             rel = abs(est[i][1] / g_cont[1] - 1)
             assert rel < 5.0 * dt / 1e-3 * 0.05 + 1e-6
         assert est[-1][0] == pytest.approx(g_cont[0], rel=1e-4)
         assert est[-1][1] == pytest.approx(g_cont[1], rel=1e-4)
 
-    def test_psd_violation_raises(self):
+    def test_psd_violation_raises(self, monkeypatch):
+        # a step that leaves the PSD cone, injected into the production schedule
+        import qkfmag.estimators as est
+
         p = toy()
-        s = KalmanState(t=0.0, x_tilde=np.zeros(2),
-                        v=np.array([[1.0, 5.0], [5.0, 1.0]]))  # not PSD on entry
-        mats = system_matrices(p, 0.0)
-        with pytest.raises(RuntimeError, match="positive semidefiniteness"):
-            kalman_step(s, mats, 0.0, 1e-4, params=p)
+        grid = make_grid(p, dt=5e-3)
+        exact = est.kalman_step
+        for corrupt in (lambda k1, k2, n11, n12, n22: (k1, k2, n11, 5.0 * (n11 + n22), n22),
+                        lambda k1, k2, n11, n12, n22: (k1, k2, n11, n12, -n22)):
+            calls = []
+
+            def step(*args, corrupt=corrupt):
+                calls.append(1)
+                out = exact(*args)
+                return corrupt(*out) if len(calls) == 40 else out
+
+            monkeypatch.setattr(est, "kalman_step", step)
+            with pytest.raises(RuntimeError, match="positive semidefiniteness"):
+                kalman_schedule(p, grid)
+        monkeypatch.setattr(est, "kalman_step", exact)
+        kalman_schedule(p, grid)
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "scaling", "oracle"])
+    @pytest.mark.parametrize("prior", ["preset", "infinite"])
+    def test_schedule_guard_silent_on_presets(self, preset, prior):
+        cfg = load_preset(preset)
+        p = cfg.params
+        if prior == "infinite":
+            p = dataclasses.replace(p, prior_b_variance=INFINITE)
+        sched = kalman_schedule(p, cfg.make_grid())
+        assert np.all(sched.v11 >= 0.0) and np.all(sched.v22 >= 0.0)
 
     @given(st.floats(min_value=0.0, max_value=2.0),
-           st.floats(min_value=1e-6, max_value=1e-2),
-           st.floats(min_value=-3.0, max_value=3.0))
+           st.floats(min_value=1e-6, max_value=1e-2))
     @settings(max_examples=60, deadline=None)
-    def test_covariance_stays_psd_and_b_variance_monotone(self, t0, dt, z):
+    def test_covariance_stays_psd_and_b_variance_monotone(self, t0, dt):
         p = toy()
-        s = kalman_init(p)
-        s = KalmanState(t=t0, x_tilde=s.x_tilde, v=s.v)
-        mats = system_matrices(p, t0)
-        d_xi = z * math.sqrt(dt) * mats.d
-        out = kalman_step(s, mats, d_xi, dt, params=p)
-        v = out.v
-        assert v[0, 0] >= 0 and v[1, 1] >= 0
-        assert v[0, 0] * v[1, 1] - v[0, 1] ** 2 >= -1e-12 * (v[0, 0] + v[1, 1]) ** 2
-        assert out.v[1, 1] <= s.v[1, 1] + 1e-30
+        _, _, n11, n12, n22 = one_step(p, t0, dt, 0.0, 0.0, p.prior_b_variance)
+        assert n11 >= 0 and n22 >= 0
+        assert n11 * n22 - n12 ** 2 >= -1e-12 * (n11 + n22) ** 2
+        assert n22 <= p.prior_b_variance + 1e-30
 
     def test_schedule_v22_never_increases(self):
         p = toy()
@@ -187,17 +233,23 @@ class TestKalmanStep:
         assert np.all(np.diff(sched.v22) <= 1e-30)
 
     def test_run_kalman_matches_stepwise_api(self):
+        # run_kalman against a loop of single steps, each with its own
+        # step_coefficients call and the update jz' = jz + phi12 b + k1 inn
         p = toy()
         grid = make_grid(p, dt=0.05)
         rec = simulate_trajectory(p, grid, substream(21, 0))
         trace = run_kalman(p, rec)
-        s = kalman_init(p)
+        jz, b, v = 0.0, 0.0, (0.0, 0.0, p.prior_b_variance)
+        d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
         times = grid.times
         for k in range(len(times) - 1):
             dt = times[k + 1] - times[k]
-            s = kalman_step(s, system_matrices(p, s.t), rec.d_xi[k], dt, params=p)
-        assert s.x_tilde[1] == pytest.approx(trace.b_tilde[-1], rel=1e-9)
-        assert s.v[1, 1] == pytest.approx(trace.v22[-1], rel=1e-9)
+            phi12, g = step_coefficients(p, times[k:k + 2])
+            k1, k2, *v = kalman_step(float(phi12[0]), float(g[0]), d, dt, *v)
+            inn = rec.d_xi[k] - jz * dt
+            jz, b = jz + phi12[0] * b + k1 * inn, b + k2 * inn
+        assert b == pytest.approx(trace.b_tilde[-1], rel=1e-9)
+        assert v[2] == pytest.approx(trace.v22[-1], rel=1e-9)
 
 
 class TestRiccatiIntegrate:

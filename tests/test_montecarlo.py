@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import qkfmag
 from qkfmag.config import load_preset
-from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid
+from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid, with_spin
 from qkfmag.dynamics import simulate_trajectory
 from qkfmag.estimators import kalman_schedule, regression_estimate, run_kalman
 from qkfmag.montecarlo import (
@@ -279,6 +280,20 @@ class TestChunkScan:
         np.testing.assert_allclose(stats.mse["qkf"], ref["qkf"], rtol=1e-10)
         np.testing.assert_allclose(stats.mse["regression"], ref["regression"], rtol=1e-9)
 
+    def test_unresolved_prior_scores_nan(self):
+        # infinite prior: one step cannot resolve it (shrink = 0 at grid point 1),
+        # and the engine and run_kalman both read NaN there from the schedule
+        spec = dataclasses.replace(convergence_spec(n_traj=3), estimators=("qkf",))
+        last = spec.checkpoints[-1]
+        spec = dataclasses.replace(spec, checkpoints=(1, last))
+        sched = kalman_schedule(spec.params, spec.grid)
+        assert np.isnan(sched.shrink[1]) and sched.shrink[last] > 0.0
+        stats = run_ensemble(spec)
+        assert np.isnan(stats.mse["qkf"][0]) and np.isnan(stats.mean_b["qkf"][0])
+        ref = oracle_mse(spec)["qkf"]
+        assert np.isnan(ref[0])
+        np.testing.assert_allclose(stats.mse["qkf"][1], ref[1], rtol=1e-10)
+
     def test_worker_count_byte_identical(self):
         spec = convergence_spec(n_traj=2200)
         s1 = run_ensemble(spec, workers=1)
@@ -344,3 +359,13 @@ class TestCovarianceIdentity:
 
     def test_infinite_prior(self):
         self.check(convergence_spec(n_traj=2))
+
+    @pytest.mark.parametrize("j", load_preset("scaling").scaling.j_values)
+    def test_scaling_preset(self, j):
+        # the grid and single checkpoint scaling_study runs at this J
+        cfg = load_preset("scaling")
+        t = cfg.scaling.t_check
+        p = dataclasses.replace(with_spin(cfg.params, j), t_total=t)
+        grid = make_grid(p)
+        self.check(EnsembleSpec(params=p, grid=grid, n_traj=2, master_seed=cfg.seed,
+                                checkpoints=checkpoints_for_times(grid, [t])))

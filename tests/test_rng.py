@@ -2,32 +2,32 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from qkfmag.rng import SeedSpec, standard_normals, substream
+from qkfmag.rng import SeedSpec, substream
 
 
 class TestSubstream:
     def test_distinct_streams_differ(self):
-        a = standard_normals(substream(99, 0), 1024)
-        b = standard_normals(substream(99, 1), 1024)
+        a = substream(99, 0).generator().standard_normal(1024)
+        b = substream(99, 1).generator().standard_normal(1024)
         assert not np.array_equal(a, b)
         # spot check a handful of index pairs
         for i in range(2, 10):
-            assert not np.array_equal(a, standard_normals(substream(99, i), 1024))
+            assert not np.array_equal(a, substream(99, i).generator().standard_normal(1024))
 
     def test_deterministic_across_calls(self):
-        a = standard_normals(substream(1234, 7), 256)
-        b = standard_normals(substream(1234, 7), 256)
+        a = substream(1234, 7).generator().standard_normal(256)
+        b = substream(1234, 7).generator().standard_normal(256)
         np.testing.assert_array_equal(a, b)
 
     def test_chunked_draws_match_whole(self):
         g = substream(5, 3).generator()
         parts = np.concatenate([g.standard_normal(100), g.standard_normal(156)])
-        whole = standard_normals(substream(5, 3), 256)
+        whole = substream(5, 3).generator().standard_normal(256)
         np.testing.assert_array_equal(parts, whole)
 
     def test_master_seed_matters(self):
-        a = standard_normals(substream(1, 0), 64)
-        b = standard_normals(substream(2, 0), 64)
+        a = substream(1, 0).generator().standard_normal(64)
+        b = substream(2, 0).generator().standard_normal(64)
         assert not np.array_equal(a, b)
 
     def test_validation(self):
@@ -41,7 +41,8 @@ class TestEquidistribution:
     """Pooled-substream battery, alpha = 0.01, fixed seeds (deterministic)."""
 
     def _pool(self, n_streams=64, n=4096, seed=20260810):
-        return np.stack([standard_normals(substream(seed, i), n) for i in range(n_streams)])
+        return np.stack([substream(seed, i).generator().standard_normal(n)
+                         for i in range(n_streams)])
 
     def test_uniform_bins_chi2(self):
         z = self._pool().ravel()
