@@ -150,13 +150,10 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 def cmd_scaling(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     """RMS-vs-J study: per-J errors and fitted log-log slopes."""
-    p = cfg.params
-    grid = cfg.make_grid()
-    t_check = cfg.scaling.t_check or p.t_total
-    base = EnsembleSpec(params=p, grid=grid, n_traj=cfg.scaling.n_traj,
-                        master_seed=cfg.seed, estimators=tuple(cfg.ensemble.estimators),
-                        checkpoints=(len(grid.times) - 1,))
-    result = scaling_study(base, cfg.scaling.j_values, t_check=t_check, workers=workers)
+    result = scaling_study(cfg.params, cfg.scaling.j_values, n_traj=cfg.scaling.n_traj,
+                           master_seed=cfg.seed, estimators=tuple(cfg.ensemble.estimators),
+                           t_check=cfg.scaling.t_check, grid_for=cfg.make_grid,
+                           workers=workers)
     with open(out_dir / "scaling.csv", "w", encoding="utf-8", newline="") as f:
         result.to_csv(f)
 

@@ -82,8 +82,10 @@ class RunConfig:
     seed: int = 0
     lowpass_cutoff_hz: float | None = None
 
-    def make_grid(self) -> TimeGrid:
-        return make_grid(self.params, dt=self.grid.dt, prefix=self.grid.log_prefix,
+    def make_grid(self, params: PhysicalParams | None = None) -> TimeGrid:
+        """The grid section's grid for ``params`` (default: the config's own)."""
+        return make_grid(self.params if params is None else params,
+                         dt=self.grid.dt, prefix=self.grid.log_prefix,
                          prefix_ratio=self.grid.prefix_ratio,
                          prefix_safety=self.grid.prefix_safety)
 
@@ -149,11 +151,11 @@ def _is_positive(v) -> bool:
     return _is_number(v) and 0 < v < math.inf
 
 
-def _positive(doc: dict, key: str, where: str):
-    """Optional finite number > 0 (None when absent)."""
+def _positive(doc: dict, key: str, where: str, default=None):
+    """Optional finite number > 0 (``default`` when absent)."""
     if key in doc and not _is_positive(doc[key]):
         raise ConfigError(f"{where}.{key}: expected a positive number, got {doc[key]!r}")
-    return _number(doc, key, where, required=False)
+    return _number(doc, key, where, required=False, default=default)
 
 
 def _positive_list(doc: dict, key: str, where: str, default: tuple) -> tuple:
@@ -172,10 +174,10 @@ def _window(doc: dict, key: str, where: str, default: tuple) -> tuple:
     return tuple(v)
 
 
-def _n_traj(doc: dict, where: str, default: int) -> int:
-    v = _number(doc, "n_traj", where, required=False, default=default)
-    if not (v >= 2 and float(v).is_integer()):
-        raise ConfigError(f"{where}.n_traj: expected an integer >= 2, got {doc['n_traj']!r}")
+def _integer(doc: dict, key: str, where: str, default: int, least: int) -> int:
+    v = _number(doc, key, where, required=False, default=default)
+    if not (v >= least and float(v).is_integer()):
+        raise ConfigError(f"{where}.{key}: expected an integer >= {least}, got {doc[key]!r}")
     return int(v)
 
 
@@ -231,11 +233,15 @@ def parse_config(text: str) -> RunConfig:
     log_prefix = grid_doc.get("log_prefix", "auto")
     if log_prefix not in ("auto", True, False):
         raise ConfigError("grid.log_prefix: expected 'auto', true, or false")
+    prefix_ratio = _number(grid_doc, "prefix_ratio", "grid", required=False, default=1.2)
+    if not 1.0 < prefix_ratio < math.inf:  # the prefix's steps must grow
+        raise ConfigError(f"grid.prefix_ratio: expected a finite number > 1, "
+                          f"got {grid_doc['prefix_ratio']!r}")
     grid = GridConfig(
         dt=_positive(grid_doc, "dt", "grid"),
         log_prefix=log_prefix,
-        prefix_ratio=_number(grid_doc, "prefix_ratio", "grid", required=False, default=1.2),
-        prefix_safety=_number(grid_doc, "prefix_safety", "grid", required=False, default=0.2),
+        prefix_ratio=prefix_ratio,
+        prefix_safety=_positive(grid_doc, "prefix_safety", "grid", default=0.2),
     )
 
     ens_doc = doc.get("ensemble", {})
@@ -250,10 +256,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"ensemble.estimators: expected a list of distinct names from "
                           f"{list(ESTIMATOR_NAMES)}, got {estimators!r}")
     ensemble = EnsembleConfig(
-        n_traj=_n_traj(ens_doc, "ensemble", 10_000),
+        n_traj=_integer(ens_doc, "n_traj", "ensemble", 10_000, least=2),
         estimators=tuple(estimators),
-        checkpoints_per_decade=int(_number(ens_doc, "checkpoints_per_decade", "ensemble",
-                                           required=False, default=30)),
+        checkpoints_per_decade=_integer(ens_doc, "checkpoints_per_decade", "ensemble", 30,
+                                        least=1),
         first_checkpoint=_positive(ens_doc, "first_checkpoint", "ensemble"),
         checkpoint_times=_positive_list(ens_doc, "checkpoint_times", "ensemble", ()),
         mse_ratio_window=_window(ens_doc, "mse_ratio_window", "ensemble", (0.9, 1.1)),
@@ -272,7 +278,7 @@ def parse_config(text: str) -> RunConfig:
     scaling = ScalingConfig(
         j_values=j_values,
         t_check=_positive(sc_doc, "t_check", "scaling"),
-        n_traj=_n_traj(sc_doc, "scaling", 2000),
+        n_traj=_integer(sc_doc, "n_traj", "scaling", 2000, least=2),
         slope_window=_window(sc_doc, "slope_window", "scaling", (-1.05, -0.95)),
         shotnoise_slope_tol=_number(sc_doc, "shotnoise_slope_tol", "scaling",
                                     required=False, default=1e-9),

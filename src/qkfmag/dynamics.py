@@ -60,11 +60,9 @@ def step_coefficients(p: PhysicalParams, times: np.ndarray):
     t0 = times[:-1]
     t1 = times[1:]
     dts = t1 - t0
-    m = p.meas_strength
-    e0 = np.exp(-m * t0 / 2.0)
-    e1 = np.exp(-m * t1 / 2.0)
-    with np.errstate(invalid="ignore"):
-        ebar = np.where(dts * m > 1e-12, (e0 - e1) * (2.0 / m) / dts, np.sqrt(e0 * e1))
+    x = p.meas_strength * dts / 2.0
+    # avg of exp(-M s/2) over the step, (e0 - e1) / x, without cancelling e0 - e1
+    ebar = np.exp(-p.meas_strength * t0 / 2.0) * -np.expm1(-x) / x
     phi12 = p.gamma * p.j_total * ebar * dts
     v0 = conditional_variance(p, t0)
     v1 = conditional_variance(p, t1)

@@ -13,16 +13,22 @@ of its spec.
 Engine.  The model is linear-Gaussian with data-independent gains, so a
 trajectory's state obeys an affine recurrence in its unit normals.  The
 plan folds each chunk of at most ``CHUNK_STEPS`` steps (every checkpoint
-ends one; the scan stops at the last) into one affine map.  Normals are
-drawn per trajectory in stream order into a reused buffer, and the maps
-are applied with ``np.einsum``: a threaded BLAS would split the sums by
-its thread count, and results must not depend on it.
+ends one; the scan stops at the last) into one affine map.  A chunk's
+noise term h_t z is a Gaussian vector with n_col components and
+covariance h_t h_t^T, and the terms of disjoint chunks are independent;
+so the plan keeps a factor F with F F^T = h_t h_t^T and at most n_col
+columns, and a trajectory draws one normal per column, not per step.
+The law of the state at every chunk end, and so at every checkpoint, is
+exactly that of the per-step scan.  The maps are applied with
+``np.einsum``: a threaded BLAS would split the sums by its thread count,
+and results must not depend on it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -107,19 +113,28 @@ class EnsembleStats:
         }
 
 
-CHUNK_STEPS = 2048  # normals drawn per trajectory at a time; the longest scan chunk
+CHUNK_STEPS = 2048  # the longest scan chunk: bounds the plan's per-chunk temporaries
 
 
 @dataclass(frozen=True)
 class _Chunk:
-    """state(end) = phi state(start) + h_t z[start:end] + d over steps [start, end)."""
+    """state(end) = phi state(start) + factor u + d over steps [start, end), u the chunk's normals."""
 
     start: int
     end: int
     phi: np.ndarray      # (n_col, n_col)
-    h_t: np.ndarray      # (n_col, end - start), C-contiguous
+    factor: np.ndarray   # (n_col, width), factor factor^T = h_t h_t^T of the per-step noise
     d: np.ndarray        # (n_col,)
     checkpoint: int      # position of ``end`` in the checkpoint list, or -1
+
+
+def _noise_factor(h_t: np.ndarray) -> np.ndarray:
+    """F with F F^T = h_t h_t^T and min(L, n_col) columns, for h_t of shape (n_col, L).
+
+    F = R^T from h_t^T = Q R: the chunk's noise h_t z has the law of F u
+    for unit normals u.
+    """
+    return np.ascontiguousarray(np.linalg.qr(h_t.T, mode="r").T)
 
 
 @dataclass(frozen=True)
@@ -196,7 +211,8 @@ def _chunk_maps(bounds: list, dts, drift, gsq, dsq, schedule: KalmanSchedule,
     less the true drift is phi12 (b - B)).  A backward (adjoint) pass over
     each chunk gives the noise weights F_{e-1} ... F_{k+1} G_k.  The line-fit
     columns weigh d_xi; suffix sums carry their weight on m_k onto the
-    normals of the chunk's earlier steps.
+    normals of the chunk's earlier steps.  Each chunk keeps the
+    ``_noise_factor`` of its per-step noise weights h_t.
     """
     n = len(dts)
     k1, k2, phi12, dtl, gl, dl = (a.tolist() for a in (
@@ -227,7 +243,7 @@ def _chunk_maps(bounds: list, dts, drift, gsq, dsq, schedule: KalmanSchedule,
         phi[3:, 0] = wm.sum(axis=1)
         drift_before = np.concatenate(([0.0], np.cumsum(drift[s:e - 1])))
         d = np.concatenate(([drift[s:e].sum()], [0.0, 0.0], (wm * drift_before).sum(axis=1)))
-        chunks.append(_Chunk(s, e, phi, h_t, d, cp_pos.get(e, -1)))
+        chunks.append(_Chunk(s, e, phi, _noise_factor(h_t), d, cp_pos.get(e, -1)))
     return tuple(chunks)
 
 
@@ -255,20 +271,19 @@ def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
 
 def _run_block(spec: EnsembleSpec, plan: _EnginePlan, i0: int, i1: int) -> dict:
     """Scan trajectories [i0, i1); per estimator, sums of e^2, e^4 and b_hat per checkpoint."""
-    gens = [substream(spec.master_seed, i).generator() for i in range(i0, i1)]
     out = {name: np.zeros((3, len(plan.checkpoints))) for name in spec.estimators}
-    n = plan.chunks[-1].end
     state = np.zeros((i1 - i0, plan.chunks[0].phi.shape[0]))
     state[:, 2] = -plan.b_true  # b starts at 0
-    buf = np.empty((i1 - i0, min(CHUNK_STEPS, n)))
+    # each trajectory's normals for every chunk, in chunk order, in one draw
+    u = np.empty((i1 - i0, sum(ch.factor.shape[1] for ch in plan.chunks)))
+    for row, i in zip(u, range(i0, i1)):
+        substream(spec.master_seed, i).generator().standard_normal(out=row)
+    off = 0
     for ch in plan.chunks:
-        off = ch.start % CHUNK_STEPS
-        if off == 0:
-            for row, gen in zip(buf, gens):
-                gen.standard_normal(out=row[:min(CHUNK_STEPS, n - ch.start)])
-        z = buf[:, off:off + ch.end - ch.start]
+        width = ch.factor.shape[1]
         state = (np.einsum("ij,kj->ik", state, ch.phi)
-                 + np.einsum("ij,kj->ik", z, ch.h_t) + ch.d)
+                 + np.einsum("ij,kj->ik", u[:, off:off + width], ch.factor) + ch.d)
+        off += width
         i = ch.checkpoint
         if i < 0:
             continue
@@ -386,28 +401,33 @@ def sorted_j_values(j_values) -> np.ndarray:
     return j_values
 
 
-def scaling_study(base: EnsembleSpec, j_values, t_check: float | None = None,
+def scaling_study(params: PhysicalParams, j_values, n_traj: int, master_seed: int,
+                  estimators: tuple = ESTIMATOR_NAMES, t_check: float | None = None,
+                  grid_for: Callable[[PhysicalParams], TimeGrid] = make_grid,
                   workers: int = 1) -> ScalingResult:
     """RMS-error-vs-J slopes for each estimator at a fixed readout time.
 
-    Requires >= 4 values of J spanning >= 2 decades.  Each J reuses the
-    master seed (paired noise across J reduces slope variance).
+    Requires >= 4 values of J spanning >= 2 decades.  Each J runs
+    ``params`` with that J over [0, t_check] (default ``params.t_total``)
+    on the grid ``grid_for(p)``, with one checkpoint at t_check; the
+    ``scaling`` command passes its config's grid section in ``grid_for``.
+    Every J uses the same master seed, so its trajectories draw the same
+    unit normals, but each J applies them through its own chunk factors:
+    the noise is paired across J only as far as those factors agree.
     """
     j_values = sorted_j_values(j_values)
     if t_check is None:
-        t_check = base.params.t_total
-    rms = {name: [] for name in base.estimators}
+        t_check = params.t_total
+    rms = {name: [] for name in estimators}
     shot = []
     for j in j_values:
-        p = with_spin(base.params, j)
-        p = replace(p, t_total=t_check)
-        grid = make_grid(p)
+        p = replace(with_spin(params, j), t_total=t_check)
+        grid = grid_for(p)
         cps = checkpoints_for_times(grid, [t_check])
-        spec = EnsembleSpec(params=p, grid=grid, n_traj=base.n_traj,
-                            master_seed=base.master_seed, estimators=base.estimators,
-                            checkpoints=cps)
+        spec = EnsembleSpec(params=p, grid=grid, n_traj=n_traj, master_seed=master_seed,
+                            estimators=estimators, checkpoints=cps)
         stats = run_ensemble(spec, workers=workers)
-        for name in base.estimators:
+        for name in estimators:
             rms[name].append(math.sqrt(stats.mse[name][-1]))
         shot.append(shotnoise_limit(p, t_check))
     rms = {k: np.array(v) for k, v in rms.items()}

@@ -132,10 +132,8 @@ class TestCriterion3HeisenbergScaling:
         # a field only through its saturated ramp (response ~ 24/(Mt)^2), so
         # any bias from nonzero B dwarfs the 1/J noise floor at large J.
         p = dataclasses.replace(fig2.params, b_true=0.0, t_total=1e-3)
-        grid = make_grid(p)
-        base = EnsembleSpec(params=p, grid=grid, n_traj=2000, master_seed=fig2.seed,
-                            checkpoints=(len(grid.times) - 1,))
-        return scaling_study(base, [1e4, 1e5, 1e6, 4e6], t_check=1e-3, workers=N_WORKERS)
+        return scaling_study(p, [1e4, 1e5, 1e6, 4e6], n_traj=2000, master_seed=fig2.seed,
+                             t_check=1e-3, workers=N_WORKERS)
 
     def test_qkf_slope(self, scaling_result):
         s = scaling_result.slopes["qkf"]

@@ -246,6 +246,12 @@ BAD_CONFIGS = {
                             "scaling.slope_window"),
     "t_check": ("scaling", {"scaling": {"t_check": 0.0}}, "scaling.t_check"),
     "grid_dt": ("simulate", {"grid": {"dt": -2e-3}}, "grid.dt"),
+    "checkpoints_per_decade": ("ensemble", {"ensemble": {"checkpoints_per_decade": -3}},
+                               "ensemble.checkpoints_per_decade"),
+    "checkpoints_per_decade_zero": ("ensemble", {"ensemble": {"checkpoints_per_decade": 0}},
+                                    "ensemble.checkpoints_per_decade"),
+    "prefix_ratio": ("simulate", {"grid": {"prefix_ratio": 1.0}}, "grid.prefix_ratio"),
+    "prefix_safety": ("scaling", {"grid": {"prefix_safety": 0.0}}, "grid.prefix_safety"),
 }
 
 
@@ -302,6 +308,21 @@ class TestCliScaling:
         assert shot["passed"] is True
         assert rc == 0
         assert (tmp_path / "out" / "scaling.csv").exists()
+
+    def test_grid_section_reaches_every_j(self, tmp_path):
+        doc = dict(TOY_DOC, b_true=0.0)
+        doc["scaling"] = {"j_values": [10, 100, 1000, 10000], "t_check": 0.05, "n_traj": 8,
+                          "slope_window": [-5.0, 5.0]}
+        del doc["ensemble"]
+        csvs = []
+        for dt in (1e-4, 5e-3):
+            out = tmp_path / f"dt{dt:g}"
+            main(["scaling", "--config", _write_cfg(tmp_path, dict(doc, grid={"dt": dt})),
+                  "--out", str(out)])
+            csvs.append((out / "scaling.csv").read_text())
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["config"]["grid"]["dt"] == dt
+        assert csvs[0] != csvs[1]
 
 
 class TestCliOracleCheck:

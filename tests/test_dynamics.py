@@ -234,6 +234,25 @@ class TestStepCoefficients:
         v = conditional_variance(p, times)
         np.testing.assert_allclose(g * g * dts, v[:-1] - v[1:], rtol=1e-12)
 
+    @pytest.mark.parametrize("m, dt", [(1e-9, 1e-3), (1e-5, 1e-3), (50.0, 1e-3), (1e5, 1e-8),
+                                       (1e5, 1e-3)])
+    def test_phi12_matches_50_digit_reference(self, m, dt):
+        # phi12 = gamma J (2/M) (exp(-M t0/2) - exp(-M t1/2)) on the float grid
+        # points, evaluated in 50 digits: no cancellation however small M dt is.
+        # Rounding M t / 2 alone costs eps M t / 2 relative, hence the tolerance.
+        mpmath = pytest.importorskip("mpmath")
+        p = params(meas_strength=m)
+        times = np.concatenate([dt * np.arange(6), [0.37, 0.37 + dt]])
+        phi12, _ = step_coefficients(p, times)
+        with mpmath.workdps(50):
+            half = mpmath.mpf(m) / 2
+            want = [mpmath.mpf(p.gamma) * mpmath.mpf(p.j_total) / half
+                    * (mpmath.exp(-half * mpmath.mpf(a)) - mpmath.exp(-half * mpmath.mpf(b)))
+                    for a, b in zip(times[:-1].tolist(), times[1:].tolist())]
+            want = np.array([float(w) for w in want])
+        rtol = 4e-15 * (1.0 + m * times[1:] / 2.0)
+        assert np.all(np.abs(phi12 - want) <= rtol * want)
+
 
 class TestLowpass:
     def test_dc_gain_unity(self):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qkfmag
+from qkfmag import montecarlo
 from qkfmag.config import load_preset
 from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid, with_spin
 from qkfmag.dynamics import simulate_trajectory
@@ -36,9 +37,9 @@ def toy(**kw):
     return PhysicalParams(**base)
 
 
-def toy_spec(n_traj=64, seed=7, **kw):
+def toy_spec(n_traj=64, seed=7, dt=1e-3, **kw):
     p = toy(**kw)
-    grid = make_grid(p, dt=1e-3)
+    grid = make_grid(p, dt=dt)
     cps = checkpoints_for_times(grid, [0.1, 0.5])
     return EnsembleSpec(params=p, grid=grid, n_traj=n_traj, master_seed=seed,
                         checkpoints=cps)
@@ -54,6 +55,34 @@ def convergence_spec(n_traj):
     wanted = np.concatenate([[1.0 / jm], np.geomspace(10.0 / jm, p.t_total, 12)])
     cps = checkpoints_for_times(grid, wanted, require_bin_edges=False)
     return EnsembleSpec(params=p, grid=grid, n_traj=n_traj, master_seed=20260810, checkpoints=cps)
+
+
+def fig2_preset_spec():
+    cfg = load_preset("fig2")
+    grid = cfg.make_grid()
+    cps = log_checkpoints(grid, cfg.ensemble.first_checkpoint,
+                          cfg.ensemble.checkpoints_per_decade)
+    return EnsembleSpec(params=cfg.params, grid=grid, n_traj=2, master_seed=cfg.seed,
+                        checkpoints=cps)
+
+
+def scaling_preset_spec(j):
+    """The grid and single checkpoint scaling_study runs at this J of the scaling preset."""
+    cfg = load_preset("scaling")
+    t = cfg.scaling.t_check
+    p = dataclasses.replace(with_spin(cfg.params, j), t_total=t)
+    grid = make_grid(p)
+    return EnsembleSpec(params=p, grid=grid, n_traj=2, master_seed=cfg.seed,
+                        checkpoints=checkpoints_for_times(grid, [t]))
+
+
+@pytest.fixture
+def per_step_noise(monkeypatch):
+    """Each chunk's factor is its per-step noise weights h_t itself: the engine
+    then draws one normal per step in stream order, as the stepwise oracles
+    (simulate_trajectory + run_kalman / regression_estimate) do, and must
+    agree with them trajectory by trajectory."""
+    monkeypatch.setattr(montecarlo, "_noise_factor", lambda h_t: h_t)
 
 
 def oracle_mse(spec):
@@ -138,6 +167,7 @@ class TestRunEnsemble:
             assert s1.mean_b[k].tobytes() == s2.mean_b[k].tobytes()
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
+    @pytest.mark.usefixtures("per_step_noise")
     def test_matches_reference_path(self):
         # the vectorized engine must agree with simulate + run_kalman +
         # regression_estimate trajectory by trajectory
@@ -196,24 +226,43 @@ class TestCheckpointHelpers:
 
 class TestScalingStudy:
     def test_span_validation(self):
-        base = toy_spec(n_traj=4)
         with pytest.raises(ValueError, match="at least 4"):
-            scaling_study(base, [1e2, 1e3, 1e4])
+            scaling_study(toy(), [1e2, 1e3, 1e4], n_traj=4, master_seed=7)
         with pytest.raises(ValueError, match="two decades"):
-            scaling_study(base, [1e2, 2e2, 4e2, 8e2])
+            scaling_study(toy(), [1e2, 2e2, 4e2, 8e2], n_traj=4, master_seed=7)
 
     def test_shotnoise_slope_exact(self):
-        base = toy_spec(n_traj=8, b_true=0.0)
-        res = scaling_study(base, [10, 100, 1000, 10000], t_check=0.05)
+        res = scaling_study(toy(b_true=0.0), [10, 100, 1000, 10000], n_traj=8, master_seed=7,
+                            t_check=0.05)
         assert res.shotnoise_slope == pytest.approx(-0.5, abs=1e-12)
 
     def test_reproducible(self):
-        base = toy_spec(n_traj=16, b_true=0.0)
-        r1 = scaling_study(base, [10, 100, 1000, 10000], t_check=0.05)
-        r2 = scaling_study(base, [10, 100, 1000, 10000], t_check=0.05)
+        args = (toy(b_true=0.0), [10, 100, 1000, 10000])
+        r1 = scaling_study(*args, n_traj=16, master_seed=7, t_check=0.05)
+        r2 = scaling_study(*args, n_traj=16, master_seed=7, t_check=0.05)
         for k in r1.rms:
             np.testing.assert_array_equal(r1.rms[k], r2.rms[k])
         assert r1.slopes == r2.slopes
+
+    def test_scaling_preset_runs_default_grids(self, monkeypatch):
+        # the preset has no grid section: its config grid is make_grid's default
+        # at every J, the grid and checkpoint TestCovarianceIdentity checks
+        cfg = load_preset("scaling")
+        ran = []
+
+        def record(spec, workers=1):
+            ran.append(spec)
+            return run_ensemble(spec, workers)
+
+        monkeypatch.setattr(montecarlo, "run_ensemble", record)
+        scaling_study(cfg.params, cfg.scaling.j_values, n_traj=2, master_seed=cfg.seed,
+                      t_check=cfg.scaling.t_check, grid_for=cfg.make_grid)
+        assert len(ran) == len(cfg.scaling.j_values)
+        for spec, j in zip(ran, cfg.scaling.j_values):
+            want = scaling_preset_spec(j)
+            assert spec.params == want.params
+            assert spec.grid == want.grid
+            assert spec.checkpoints == want.checkpoints
 
 
 class TestStoredRecordRegression:
@@ -222,6 +271,7 @@ class TestStoredRecordRegression:
     bins them."""
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
+    @pytest.mark.usefixtures("per_step_noise")
     def test_matches_regression_estimate(self):
         p = toy(j_total=5000.0, b_true=0.0)   # collapse_rate*dt >> 1: prefix grid
         grid = make_grid(p, dt=1e-3)
@@ -240,6 +290,7 @@ class TestStoredRecordRegression:
         np.testing.assert_allclose(stats.mse["regression"], reg.mean(axis=1), rtol=1e-9)
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
+    @pytest.mark.usefixtures("per_step_noise")
     def test_long_grid_off_edge_checkpoint(self):
         # fig-2 grid, 200,063 steps; checkpoint 3 lies inside the log prefix,
         # off the shared bin edges
@@ -272,6 +323,7 @@ class TestChunkScan:
     """The chunked affine scan against the stepwise oracles and its own invariances."""
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
+    @pytest.mark.usefixtures("per_step_noise")
     def test_prefix_infinite_prior_off_edge_matches_oracles(self):
         spec = convergence_spec(n_traj=6)
         assert spec.grid.prefix.size > 0
@@ -280,6 +332,7 @@ class TestChunkScan:
         np.testing.assert_allclose(stats.mse["qkf"], ref["qkf"], rtol=1e-10)
         np.testing.assert_allclose(stats.mse["regression"], ref["regression"], rtol=1e-9)
 
+    @pytest.mark.usefixtures("per_step_noise")
     def test_unresolved_prior_scores_nan(self):
         # infinite prior: one step cannot resolve it (shrink = 0 at grid point 1),
         # and the engine and run_kalman both read NaN there from the schedule
@@ -304,28 +357,32 @@ class TestChunkScan:
                 assert getattr(s1, field)[k].tobytes() == getattr(s3, field)[k].tobytes()
 
     def test_blas_thread_count_byte_identical(self, tmp_path):
-        path = tmp_path / "spec.pkl"
-        # a 400-step chunk over a 1024-trajectory block: OpenBLAS would split
-        # that product between two threads
-        spec = toy_spec(n_traj=1100)
-        path.write_bytes(pickle.dumps(spec))
-        code = ("import pickle, sys; from qkfmag.montecarlo import run_ensemble; "
-                f"run_ensemble(pickle.loads(open({str(path)!r}, 'rb').read())).to_csv(sys.stdout)")
+        # a 401-step chunk over a 1024-trajectory block: OpenBLAS would split that
+        # product between two threads; full 2048-step chunks: each chunk's noise
+        # factor is a LAPACK QR of a 2048 x n_col matrix
         src = str(Path(qkfmag.__file__).resolve().parents[1])
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, timeout=300, check=True)
-            outs.append(run.stdout)
-        assert outs[0] == outs[1]
-        assert outs[0].count("\n") == 1 + 2 * len(spec.checkpoints)
+        for dt, longest in ((1e-3, 401), (1e-4, montecarlo.CHUNK_STEPS)):
+            spec = toy_spec(n_traj=1100, dt=dt)
+            assert max(ch.end - ch.start for ch in _build_plan(spec).chunks) == longest
+            path = tmp_path / f"spec-{dt:g}.pkl"
+            path.write_bytes(pickle.dumps(spec))
+            code = ("import pickle, sys; from qkfmag.montecarlo import run_ensemble; "
+                    f"run_ensemble(pickle.loads(open({str(path)!r}, 'rb').read()))"
+                    ".to_csv(sys.stdout)")
+            outs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                     text=True, timeout=300, check=True)
+                outs.append(run.stdout)
+            assert outs[0] == outs[1]
+            assert outs[0].count("\n") == 1 + 2 * len(spec.checkpoints)
 
 
 class TestCovarianceIdentity:
     """No noise drawn: the plan's chunk maps propagate the covariance of the
-    state, Sigma <- phi Sigma phi^T + h_t h_t^T, and the filter estimate's
+    state, Sigma <- phi Sigma phi^T + F F^T, and the filter estimate's
     variance over the noise must equal the schedule's prediction,
     v22 (1 - v22/p0) for a finite prior p0 and v22/shrink for an infinite
     one.  This separates discretization error from Monte Carlo noise."""
@@ -336,7 +393,7 @@ class TestCovarianceIdentity:
         sigma = np.zeros(plan.chunks[0].phi.shape)
         var_b = np.zeros(len(spec.checkpoints))
         for ch in plan.chunks:
-            sigma = ch.phi @ sigma @ ch.phi.T + ch.h_t @ ch.h_t.T
+            sigma = ch.phi @ sigma @ ch.phi.T + ch.factor @ ch.factor.T
             if ch.checkpoint >= 0:
                 var_b[ch.checkpoint] = sigma[2, 2]
         sched = kalman_schedule(spec.params, spec.grid)
@@ -350,22 +407,64 @@ class TestCovarianceIdentity:
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
     def test_fig2_preset(self):
-        cfg = load_preset("fig2")
-        grid = cfg.make_grid()
-        cps = log_checkpoints(grid, cfg.ensemble.first_checkpoint,
-                              cfg.ensemble.checkpoints_per_decade)
-        self.check(EnsembleSpec(params=cfg.params, grid=grid, n_traj=2, master_seed=cfg.seed,
-                                checkpoints=cps))
+        self.check(fig2_preset_spec())
 
     def test_infinite_prior(self):
         self.check(convergence_spec(n_traj=2))
 
     @pytest.mark.parametrize("j", load_preset("scaling").scaling.j_values)
     def test_scaling_preset(self, j):
-        # the grid and single checkpoint scaling_study runs at this J
-        cfg = load_preset("scaling")
-        t = cfg.scaling.t_check
-        p = dataclasses.replace(with_spin(cfg.params, j), t_total=t)
-        grid = make_grid(p)
-        self.check(EnsembleSpec(params=p, grid=grid, n_traj=2, master_seed=cfg.seed,
-                                checkpoints=checkpoints_for_times(grid, [t])))
+        self.check(scaling_preset_spec(j))
+
+
+class TestNoiseFactor:
+    """Each chunk draws one normal per column of its factor F, not one per
+    step: F u has the law of the per-step noise h_t z iff F F^T = h_t h_t^T."""
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(fig2_preset_spec, id="fig2"),
+        # 13 state columns and chunks of 6 steps: F is as wide as h_t
+        pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
+        *(pytest.param(lambda j=j: scaling_preset_spec(j), id=f"scaling-J{j:g}")
+          for j in load_preset("scaling").scaling.j_values)])
+    def test_factor_covariance_per_chunk(self, spec, monkeypatch):
+        pairs = []
+        factor = montecarlo._noise_factor
+
+        def keep(h_t):
+            pairs.append((h_t, factor(h_t)))
+            return pairs[-1][1]
+
+        monkeypatch.setattr(montecarlo, "_noise_factor", keep)
+        plan = _build_plan(spec())
+        assert len(pairs) == len(plan.chunks)
+        for ch, (h_t, f) in zip(plan.chunks, pairs):
+            assert h_t.shape[1] == ch.end - ch.start
+            assert f.shape == (h_t.shape[0], min(h_t.shape))
+            cov = h_t @ h_t.T
+            # entry (i, j) to rounding of |h_i| |h_j|: QR is backward stable per column
+            scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+            assert np.all(np.abs(f @ f.T - cov) <= 1e-12 * scale)
+
+    def test_normals_per_trajectory(self, monkeypatch):
+        spec = toy_spec(n_traj=3, dt=1e-4)
+        plan = _build_plan(spec)
+        n_col = plan.chunks[0].phi.shape[0]
+        want = sum(min(ch.end - ch.start, n_col) for ch in plan.chunks)
+        assert want == sum(ch.factor.shape[1] for ch in plan.chunks) < len(spec.grid.times) - 1
+        drawn = []
+
+        class Counting:
+            def __init__(self, seed, i):
+                self.gen = substream(seed, i).generator()
+
+            def generator(self):
+                return self
+
+            def standard_normal(self, out):
+                drawn.append(out.size)
+                return self.gen.standard_normal(out=out)
+
+        monkeypatch.setattr(montecarlo, "substream", Counting)
+        montecarlo._run_block(spec, plan, 0, spec.n_traj)
+        assert drawn == [want] * spec.n_traj
