@@ -114,13 +114,14 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
     times = _threshold_times(cfg)
     curves = [riccati_integrate(p, times).threshold_curve()]
+    skipped = []
     try:
         curves.append(ThresholdCurve(times=times, delta_b=riccati_analytic(p, times),
                                      source="riccati_analytic"))
-    except ValueError:
-        pass  # outside closed-form validity somewhere; numeric curves still present
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    except ValueError as exc:  # outside closed-form validity somewhere
+        skipped.append({"source": "riccati_analytic", "reason": str(exc)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         curves.append(ThresholdCurve(times=times, delta_b=detection_threshold_asymptotic(p, times),
                                      source="asymptotic"))
     curves.append(ThresholdCurve(times=times,
@@ -145,7 +146,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
                        + ("" if enough else "; skipped: n_traj < 1000")),
         })
     return _write_summary(out_dir, "ensemble", cfg, checks,
-                          {"checkpoints": [float(t) for t in stats.times]})
+                          {"checkpoints": [float(t) for t in stats.times],
+                           "warnings": [str(w.message) for w in caught],
+                           "skipped_curves": skipped})
 
 
 def cmd_scaling(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:

@@ -18,19 +18,35 @@ contradicts the closed-form solution; the minus sign is implemented).
 
 Discretization.  On production grids the continuous gain satisfies
 gain*dt = 2 eta M J dt >> 1 at t=0, where a literal explicit-Euler step
-overflows within a few steps.  ``kalman_step`` therefore performs the
-*exact* conditional update of the discretized model (the simulator's
-``step_coefficients``): geometric-mean variance coefficient, finite-step
-gain denominator, and a generalized Joseph covariance step that is PSD in
-exact arithmetic; ``kalman_schedule`` checks it in floating point.  All of
-it reduces to the continuous equations as dt -> 0.
+overflows within a few steps.  The filter is therefore the *exact*
+conditional estimate for the discretized model (the simulator's
+``step_coefficients``), in which one unit normal z_k drives both the mean
+and the record:
 
-Infinite prior.  For prior_b_variance = inf the filter runs on a finite
-reference prior and removes it algebraically: the data information
-I(t) = 1/v22_ref - 1/p_ref is prior-independent, so
-b_inf = b_ref / (1 - v22_ref/p_ref) and v22_inf = 1/I.  This is the
-information-form limit, exact for the linear-Gaussian model; where
-1 - v22_ref/p_ref <= 0 the prior is not yet resolved and b_inf is NaN.
+    m_{k+1} = m_k + B phi12_k + g_k sqrt(dt_k) z_k,
+    d_xi_k  = m_k dt_k + d sqrt(dt_k) z_k.
+
+Given B, the record fixes m exactly: m_k = c_k + r_k B with
+
+    c_{k+1} = a_k c_k + k1_k d_xi_k,   r_{k+1} = a_k r_k + phi12_k,
+    a_k = 1 - k1_k dt_k,
+
+k1 = g/d and c_0 = r_0 = 0.  So the covariance is rank one,
+V = v22 (r, 1)(r, 1)^T, the discrete twin of the continuous statement in
+``riccati_integrate``, and B is a linear regression on the independent
+innovations d_xi_k - c_k dt_k = r_k dt_k B + d sqrt(dt_k) z_k.  Its data
+information is data_k = sum_{j<k} r_j^2 dt_j / d^2, so
+
+    v22 = p0 / (1 + p0 data),
+    b   = v22 sum_{j<k} r_j (d_xi_j - c_j dt_j) / d^2,   jz = c + r b.
+
+All of it reduces to the continuous equations as dt -> 0.  V is PSD by
+construction; what can still fail on too coarse a grid is overflow of r
+or data, which ``kalman_schedule`` checks.
+
+Infinite prior.  For prior_b_variance = inf the prior information 1/p0 is
+zero and v22 = 1/data.  Where data = 0 (grid points 0 and 1, since
+r_0 = 0) nothing is known about B yet: v22 is inf and the estimate NaN.
 """
 
 from __future__ import annotations
@@ -47,44 +63,23 @@ from numpy.polynomial.legendre import leggauss
 from .core import PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params
 from .dynamics import TrajectoryRecord, step_coefficients
 
-_REFERENCE_PRIOR = 1.0  # G^2, internal stand-in for an infinite prior
-
 THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise")
 
 
 # ---------------------------------------------------------------------------
-# the exact discrete Kalman step and the gain schedule built from it
+# the exact discrete filter in rank-one information form
 # ---------------------------------------------------------------------------
 
-def kalman_step(phi12: float, g: float, d: float, dt: float, v11: float, v12: float, v22: float):
-    """Gains (k1, k2) and Joseph-updated covariance (n11, n12, n22) for one interval.
+def _linear_recurrence(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x with x[0] = 0 and x[k+1] = a[k] x[k] + u[k], one float at a time.
 
-    ``phi12`` and ``g`` are the step's ``step_coefficients`` and ``d`` the
-    record noise scale 1/(2 sqrt(M eta)).  Exact conditional update for
-    the discrete model
-        m' = m + B phi12 + g sqrt(dt) xi
-        z  = m dt + d sqrt(dt) xi          (same xi: correlated noise)
-    For any gain the error covariance is
-        V' = (Phi - K H) V (Phi - K H)^T + Cov(w - K n)
-    which is a sum of two PSD terms; with the optimal K used here it is
-    the exact posterior covariance.  The estimate update is
-    jz' = jz + phi12 b + k1 (d_xi - jz dt), b' = b + k2 (d_xi - jz dt).
+    Not a cumprod scan: the product of the a[k] falls to 2e-10 on the fig2
+    grid, and a[k] is negative on a grid too coarse for the early collapse.
     """
-    den = dt * v11 + d * d
-    k1 = (v11 + phi12 * v12 + g * d) / den
-    k2 = v12 / den
-    m11 = 1.0 - k1 * dt
-    m21 = -k2 * dt
-    a11 = m11 * v11 + phi12 * v12
-    a12 = m11 * v12 + phi12 * v22
-    a21 = m21 * v11 + v12
-    a22 = m21 * v12 + v22
-    w1 = g - d * k1
-    w2 = -d * k2
-    n11 = a11 * m11 + a12 * phi12 + dt * w1 * w1
-    n12 = a21 * m11 + a22 * phi12 + dt * w1 * w2
-    n22 = a21 * m21 + a22 + dt * w2 * w2
-    return k1, k2, n11, n12, n22
+    x = [0.0]
+    for ak, uk in zip(a.tolist(), u.tolist()):
+        x.append(ak * x[-1] + uk)
+    return np.array(x)
 
 
 @dataclass(frozen=True)
@@ -92,70 +87,45 @@ class KalmanSchedule:
     """Deterministic per-step gains and covariance path for a (params, grid) pair.
 
     The gains do not depend on the data, so one schedule drives any
-    number of trajectories.  ``shrink`` is the prior-removal factor
-    1 - v22/p_ref for an infinite prior (1.0 otherwise): the estimate is
-    b / shrink, and shrink is NaN where 1 - v22/p_ref <= 0, the prior not
-    yet resolved, so the estimate there is NaN.
+    number of trajectories.  Per step: ``phi12`` and ``k1`` = g/d; per
+    grid point: ``r`` (V = v22 (r, 1)(r, 1)^T), the data information
+    ``data`` and ``v22``; ``d`` is the record noise scale 1/(2 sqrt(M eta)).
     """
 
     times: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
     phi12: np.ndarray
-    v11: np.ndarray
-    v12: np.ndarray
+    k1: np.ndarray
+    r: np.ndarray
+    data: np.ndarray
     v22: np.ndarray
-    shrink: np.ndarray
-    info_form: bool
+    d: float
 
 
 def kalman_schedule(p: PhysicalParams, grid: TimeGrid) -> KalmanSchedule:
-    """Run ``kalman_step`` over the grid; raise if the covariance leaves the PSD cone."""
+    """Gains and covariance along the grid; raise if r or the information overflows."""
     validate_params(p)
     times = grid.times
-    n = len(times) - 1
     dts = np.diff(times)
     phi12, g = step_coefficients(p, times)
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
-    info_form = math.isinf(p.prior_b_variance)
-    prior = _REFERENCE_PRIOR if info_form else p.prior_b_variance
-
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    v11 = np.empty(n + 1)
-    v12 = np.empty(n + 1)
-    v22 = np.empty(n + 1)
-    v11[0], v12[0], v22[0] = 0.0, 0.0, prior
-    a, b_, c = 0.0, 0.0, prior
-    for k in range(n):
-        k1[k], k2[k], a, b_, c = kalman_step(float(phi12[k]), float(g[k]), d,
-                                             float(dts[k]), a, b_, c)
-        v11[k + 1], v12[k + 1], v22[k + 1] = a, b_, c
-    # achievable determinant accuracy degrades with the step conditioning
-    # (the Joseph products cancel at the (1 - K1 dt)^2 scale)
-    n11, n12, n22 = v11[1:], v12[1:], v22[1:]
-    cond = np.maximum(np.maximum((k1 * dts) ** 2, phi12 ** 2), 1.0)
-    tol = 1e-12 * cond * np.maximum(n11 + n22, 1e-300)
-    if np.any((n11 < -tol) | (n22 < -tol)
-               | (n11 * n22 - n12 * n12 < -tol * np.maximum(np.maximum(n11, n22), 1e-300))):
-        raise RuntimeError("covariance lost positive semidefiniteness; reduce dt")
-    shrink = np.ones(n + 1)
-    if info_form:
-        shrink = 1.0 - v22 / _REFERENCE_PRIOR
-        shrink[shrink <= 0.0] = np.nan
-    return KalmanSchedule(times=times, k1=k1, k2=k2, phi12=phi12,
-                          v11=v11, v12=v12, v22=v22, shrink=shrink, info_form=info_form)
+    k1 = g / d
+    r = _linear_recurrence(1.0 - k1 * dts, phi12)
+    p0 = p.prior_b_variance
+    with np.errstate(over="ignore", divide="ignore"):  # overflow raises below; 1/0 is inf
+        data = np.concatenate(([0.0], np.cumsum(r[:-1] ** 2 * dts) / (d * d)))
+        v22 = 1.0 / data if math.isinf(p0) else p0 / (1.0 + p0 * data)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(data))):
+        raise RuntimeError("gain schedule overflowed; reduce dt")
+    return KalmanSchedule(times=times, phi12=phi12, k1=k1, r=r, data=data, v22=v22, d=d)
 
 
 @dataclass(frozen=True)
 class KalmanTrace:
-    """Filter outputs along a record (physical, prior-removed values)."""
+    """Filter outputs along a record."""
 
     times: np.ndarray
     jz_tilde: np.ndarray
     b_tilde: np.ndarray
-    v11: np.ndarray
-    v12: np.ndarray
     v22: np.ndarray
 
 
@@ -168,30 +138,12 @@ def run_kalman(p: PhysicalParams, record: TrajectoryRecord,
     if len(times) != len(record.times) or not np.array_equal(times, record.times):
         raise ValueError("schedule grid does not match record grid")
     dts = np.diff(times)
-    n = len(dts)
-    jz = np.empty(n + 1)
-    b = np.empty(n + 1)
-    jz[0] = b[0] = 0.0
-    x, y = 0.0, 0.0
-    for k in range(n):
-        inn = record.d_xi[k] - x * dts[k]
-        x = x + schedule.phi12[k] * y + schedule.k1[k] * inn
-        y = y + schedule.k2[k] * inn
-        jz[k + 1] = x
-        b[k + 1] = y
-    if schedule.info_form:
-        s = schedule.shrink
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b_eff = b / s
-            v22_eff = np.where(np.isnan(s), np.inf, schedule.v22 / s)
-            ratio = np.where(schedule.v22 > 0.0, schedule.v12 / schedule.v22, 0.0)
-            jz_eff = jz + ratio * (b_eff - b)
-            v12_eff = ratio * v22_eff
-            v11_eff = (schedule.v11 - schedule.v12 * ratio) + ratio**2 * v22_eff
-        return KalmanTrace(times=times, jz_tilde=jz_eff, b_tilde=b_eff,
-                           v11=v11_eff, v12=v12_eff, v22=v22_eff)
-    return KalmanTrace(times=times, jz_tilde=jz, b_tilde=b,
-                       v11=schedule.v11, v12=schedule.v12, v22=schedule.v22)
+    k1 = schedule.k1
+    c = _linear_recurrence(1.0 - k1 * dts, k1 * record.d_xi)
+    fit = np.concatenate(([0.0], np.cumsum(schedule.r[:-1] * (record.d_xi - c[:-1] * dts))))
+    with np.errstate(invalid="ignore"):  # inf * 0 where an infinite prior is unresolved
+        b = schedule.v22 * fit / schedule.d**2
+    return KalmanTrace(times=times, jz_tilde=c + schedule.r * b, b_tilde=b, v22=schedule.v22)
 
 
 # ---------------------------------------------------------------------------

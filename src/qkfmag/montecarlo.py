@@ -22,6 +22,14 @@ The law of the state at every chunk end, and so at every checkpoint, is
 exactly that of the per-step scan.  The maps are applied with
 ``np.einsum``: a threaded BLAS would split the sums by its thread count,
 and results must not depend on it.
+
+The state columns are the true mean m, the filter's one weighted sum of
+normals S = sum_k r_k sqrt(dt_k) z_k / d, and the line fit's linear
+functionals of the record.  Putting the innovations
+d_xi_k - c_k dt_k = r_k dt_k B + d sqrt(dt_k) z_k into the filter's
+estimate (see ``estimators``) gives b = v22 (B data + S) =
+B (1 - w) + v22 S, with w = 1/(1 + p0 data) the prior's pull, 0 for an
+infinite prior.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ import numpy as np
 from .core import PhysicalParams, TimeGrid, make_grid, validate_params, with_spin
 from .dynamics import step_coefficients
 from .estimators import (
-    KalmanSchedule,
     bin_edge_indices,
     kalman_schedule,
     riccati_integrate,
@@ -141,8 +148,8 @@ def _noise_factor(h_t: np.ndarray) -> np.ndarray:
 class _EnginePlan:
     """Chunk maps and checkpoint readouts shared by every trajectory.
 
-    State columns: the true mean m, the filter's errors (jz - m, b - B)
-    in the schedule's parametrization, then linear functionals of the
+    State columns: the true mean m, the filter's weighted sum of normals
+    S = sum_k r_k sqrt(dt_k) z_k / d, then linear functionals of the
     record: the line fit's shared sums s_r and s_xr, and one direct
     estimate per checkpoint whose bins are not a prefix of the shared bins.
     """
@@ -150,7 +157,8 @@ class _EnginePlan:
     times: np.ndarray
     checkpoints: np.ndarray  # grid indices
     chunks: tuple
-    shrink: np.ndarray       # per checkpoint: b_hat = b / shrink (see KalmanSchedule)
+    v22: np.ndarray          # per checkpoint: b_hat = B (1 - w) + v22 S
+    w: np.ndarray            # per checkpoint: the prior's pull 1/(1 + p0 data); 0 if p0 = inf
     reg_read: np.ndarray     # (n_cp, n_col): line-fit estimate = state @ reg_read[i]
     b_true: float
 
@@ -196,53 +204,29 @@ def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float
     return np.array(cols), read[:, :len(cols)]
 
 
-def _chunk_maps(bounds: list, dts, drift, gsq, dsq, schedule: KalmanSchedule,
-                rec_w: np.ndarray, cp_pos: dict) -> tuple:
+def _chunk_maps(bounds: list, dts, drift, gsq, dsq, ssq, rec_w: np.ndarray,
+                cp_pos: dict) -> tuple:
     """Affine maps over the chunks [bounds[i], bounds[i+1]).
 
-    Per step, d_xi = m dt + dsq z and m' = m + drift + gsq z, drift = B phi12.
-    The filter is carried as its errors x = (jz - m, b - B), which the record
-    reaches only through the innovation d_xi - jz dt = -x_1 dt + dsq z:
-
-        x' = F x + G z,
-        F = [[1 - k1 dt, phi12], [-k2 dt, 1]],  G = (k1 dsq - gsq, k2 dsq),
-
-    free of the large m that jz and m share (the filter's drift phi12 b
-    less the true drift is phi12 (b - B)).  A backward (adjoint) pass over
-    each chunk gives the noise weights F_{e-1} ... F_{k+1} G_k.  The line-fit
-    columns weigh d_xi; suffix sums carry their weight on m_k onto the
-    normals of the chunk's earlier steps.  Each chunk keeps the
-    ``_noise_factor`` of its per-step noise weights h_t.
+    Per step, d_xi = m dt + dsq z, m' = m + drift + gsq z with
+    drift = B phi12, and S' = S + ssq z: the filter's column has the
+    identity map and no drift.  The line-fit columns weigh d_xi; suffix
+    sums carry their weight on m_k onto the normals of the chunk's earlier
+    steps.  Each chunk keeps the ``_noise_factor`` of its per-step noise
+    weights h_t.
     """
-    n = len(dts)
-    k1, k2, phi12, dtl, gl, dl = (a.tolist() for a in (
-        schedule.k1[:n], schedule.k2[:n], schedule.phi12[:n], dts, gsq, dsq))
-    h1, h2 = [0.0] * n, [0.0] * n
-    filter_maps = []
-    for s, e in zip(bounds[-2::-1], bounds[:0:-1]):
-        p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
-        for k in range(e - 1, s - 1, -1):
-            a1, a2, dt = k1[k], k2[k], dtl[k]
-            g1, g2 = a1 * dl[k] - gl[k], a2 * dl[k]
-            h1[k] = p11 * g1 + p12 * g2
-            h2[k] = p21 * g1 + p22 * g2
-            f11, f21, f12 = 1.0 - a1 * dt, -a2 * dt, phi12[k]
-            p11, p12 = p11 * f11 + p12 * f21, p11 * f12 + p12
-            p21, p22 = p21 * f11 + p22 * f21, p21 * f12 + p22
-        filter_maps.append(((p11, p12), (p21, p22)))
-    n_col = 3 + len(rec_w)
+    n_col = 2 + len(rec_w)
     chunks = []
-    for s, e, p_x in zip(bounds[:-1], bounds[1:], filter_maps[::-1]):
+    for s, e in zip(bounds[:-1], bounds[1:]):
         w = rec_w[:, s:e]
         wm = w * dts[s:e]  # weight of m_k, since d_xi_k = m_k dt_k + dsq_k z_k
         later = np.zeros_like(wm)  # z_k moves every later m_j: sum of wm[j] over j > k
         later[:, :-1] = np.cumsum(wm[:, :0:-1], axis=1)[:, ::-1]
-        h_t = np.vstack([gsq[s:e], h1[s:e], h2[s:e], w * dsq[s:e] + later * gsq[s:e]])
+        h_t = np.vstack([gsq[s:e], ssq[s:e], w * dsq[s:e] + later * gsq[s:e]])
         phi = np.eye(n_col)
-        phi[1:3, 1:3] = p_x
-        phi[3:, 0] = wm.sum(axis=1)
+        phi[2:, 0] = wm.sum(axis=1)
         drift_before = np.concatenate(([0.0], np.cumsum(drift[s:e - 1])))
-        d = np.concatenate(([drift[s:e].sum()], [0.0, 0.0], (wm * drift_before).sum(axis=1)))
+        d = np.concatenate(([drift[s:e].sum(), 0.0], (wm * drift_before).sum(axis=1)))
         chunks.append(_Chunk(s, e, phi, _noise_factor(h_t), d, cp_pos.get(e, -1)))
     return tuple(chunks)
 
@@ -255,17 +239,22 @@ def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
     dts = np.diff(times[:n + 1])
     _, g = step_coefficients(p, times[:n + 1])
     sq = np.sqrt(dts)
-    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     schedule = kalman_schedule(p, spec.grid)
+    d = schedule.d
     rec_w, read = (_line_fit_weights(times, checkpoints, p.gamma * p.j_total)
                    if "regression" in spec.estimators
                    else (np.empty((0, n)), np.empty((len(checkpoints), 0))))
     bounds = sorted(set(range(0, n, CHUNK_STEPS)) | set(checkpoints.tolist()))
-    chunks = _chunk_maps(bounds, dts, p.b_true * schedule.phi12[:n], g * sq, d * sq, schedule,
-                         rec_w, {c: i for i, c in enumerate(checkpoints.tolist())})
+    chunks = _chunk_maps(bounds, dts, p.b_true * schedule.phi12[:n], g * sq, d * sq,
+                         schedule.r[:n] * sq / d, rec_w,
+                         {c: i for i, c in enumerate(checkpoints.tolist())})
+    p0 = p.prior_b_variance
+    data = schedule.data[checkpoints]
+    # never B/p0: p0 = 0 is valid input
+    w = np.zeros(len(data)) if math.isinf(p0) else 1.0 / (1.0 + p0 * data)
     return _EnginePlan(times=times, checkpoints=checkpoints, chunks=chunks,
-                       shrink=schedule.shrink[checkpoints],
-                       reg_read=np.hstack([np.zeros((len(checkpoints), 3)), read]),
+                       v22=schedule.v22[checkpoints], w=w,
+                       reg_read=np.hstack([np.zeros((len(checkpoints), 2)), read]),
                        b_true=p.b_true)
 
 
@@ -273,7 +262,6 @@ def _run_block(spec: EnsembleSpec, plan: _EnginePlan, i0: int, i1: int) -> dict:
     """Scan trajectories [i0, i1); per estimator, sums of e^2, e^4 and b_hat per checkpoint."""
     out = {name: np.zeros((3, len(plan.checkpoints))) for name in spec.estimators}
     state = np.zeros((i1 - i0, plan.chunks[0].phi.shape[0]))
-    state[:, 2] = -plan.b_true  # b starts at 0
     # each trajectory's normals for every chunk, in chunk order, in one draw
     u = np.empty((i1 - i0, sum(ch.factor.shape[1] for ch in plan.chunks)))
     for row, i in zip(u, range(i0, i1)):
@@ -287,7 +275,9 @@ def _run_block(spec: EnsembleSpec, plan: _EnginePlan, i0: int, i1: int) -> dict:
         i = ch.checkpoint
         if i < 0:
             continue
-        for name, b_hat in (("qkf", (state[:, 2] + plan.b_true) / plan.shrink[i]),
+        with np.errstate(invalid="ignore"):  # inf * 0 where an infinite prior is unresolved
+            qkf = plan.b_true * (1.0 - plan.w[i]) + plan.v22[i] * state[:, 1]
+        for name, b_hat in (("qkf", qkf),
                             ("regression", np.einsum("ij,j->i", state, plan.reg_read[i]))):
             if name in out:
                 e2 = (b_hat - plan.b_true) ** 2

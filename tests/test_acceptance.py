@@ -53,6 +53,8 @@ from qkfmag.sme_oracle import (
 )
 from qkfmag.core import TimeGrid
 
+from joseph_oracle import joseph_covariance
+
 pytestmark = pytest.mark.acceptance
 
 N_WORKERS = min(4, os.cpu_count() or 1)
@@ -279,8 +281,9 @@ class TestCriterion7Determinism:
 class TestCriterion8InvariantSuites:
     def test_kalman_covariance_psd_randomized(self):
         # randomized parameters, scheduled along the package's own validated
-        # grids (make_grid keeps collapse_rate * step bounded); kalman_schedule
-        # raises if the covariance leaves the PSD cone at any step
+        # grids (make_grid keeps collapse_rate * step bounded); the rank-one
+        # covariance v22 (r, 1)(r, 1)^T, PSD by construction, must be the one
+        # the 2x2 Joseph recursion reaches at every step
         rng = np.random.default_rng(8)
         for _ in range(40):
             p = PhysicalParams(
@@ -295,9 +298,12 @@ class TestCriterion8InvariantSuites:
             validate_params(p)
             rng.standard_normal(119)  # one record's draws between parameter sets
             sched = kalman_schedule(p, make_grid(p, dt=p.t_total / 200))
-            assert np.all(sched.v11 >= 0.0) and np.all(sched.v22 >= 0.0)
+            _, v12, v22 = joseph_covariance(p, sched.times)
+            np.testing.assert_allclose(sched.v22, v22, rtol=1e-9)
+            np.testing.assert_allclose(sched.r, v12 / v22, rtol=1e-9)
         check("criterion-8-psd", True,
-              "covariance PSD maintained at every step over randomized filter runs")
+              "rank-one covariance matches the Joseph recursion at every step over "
+              "randomized filter runs")
 
     def test_density_matrix_invariants_randomized(self):
         rng = np.random.default_rng(9)

@@ -225,6 +225,38 @@ class TestCliEnsemble:
         sources = {ln.split(",")[2] for ln in tlines[1:]}
         assert sources == {"riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise"}
 
+    def test_warnings_recorded(self, tmp_path):
+        # fig2 physics at J = 1 (valid input): the asymptotic law is outside its
+        # validity, t <= 10/(J M) = 1e-4 s, at every threshold time
+        doc = dict(FIG2_DOC, j_total=1.0, t_total=2e-5)
+        doc["ensemble"] = {"n_traj": 4, "checkpoint_times": [1e-5, 2e-5]}
+        cfg = _write_cfg(tmp_path, doc)
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert len(summary["warnings"]) == 1
+        assert "outside validity" in summary["warnings"][0]
+        assert summary["skipped_curves"] == []
+
+    def test_skipped_closed_form_recorded(self, tmp_path, monkeypatch):
+        import qkfmag.cli as cli
+
+        doc = dict(TOY_DOC)
+        doc["ensemble"] = {"n_traj": 16, "checkpoint_times": [0.5]}
+        cfg = _write_cfg(tmp_path, doc)
+        main(["ensemble", "--config", cfg, "--out", str(tmp_path / "full")])
+
+        def invalid(p, t):
+            raise ValueError("denominator <= 0")
+
+        monkeypatch.setattr(cli, "riccati_analytic", invalid)
+        main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out")])
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["skipped_curves"] == [{"source": "riccati_analytic",
+                                              "reason": "denominator <= 0"}]
+        kept = [ln for ln in (tmp_path / "full" / "thresholds.csv").read_text().splitlines()
+                if not ln.endswith(",riccati_analytic")]
+        assert (tmp_path / "out" / "thresholds.csv").read_text().splitlines() == kept
+
 
 BAD_CONFIGS = {
     "first_checkpoint": ("ensemble", {"ensemble": {"first_checkpoint": -1e-6}},

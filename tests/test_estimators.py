@@ -14,7 +14,6 @@ from qkfmag.estimators import (
     ThresholdCurve,
     detection_threshold_asymptotic,
     kalman_schedule,
-    kalman_step,
     regression_estimate,
     riccati_analytic,
     riccati_integrate,
@@ -22,6 +21,8 @@ from qkfmag.estimators import (
     shotnoise_limit,
 )
 from qkfmag.rng import substream
+
+from joseph_oracle import joseph_covariance, kalman_step
 
 
 def params(**kw):
@@ -103,9 +104,7 @@ class TestKalmanInit:
         p = params(t_total=1e-6)
         grid = make_grid(p)
         sched = kalman_schedule(p, grid)
-        assert (sched.v11[0], sched.v12[0], sched.v22[0]) == (0.0, 0.0, 1e-8)
-        assert not sched.info_form
-        np.testing.assert_array_equal(sched.shrink, np.ones(len(sched.times)))
+        assert (sched.r[0], sched.v22[0]) == (0.0, 1e-8)
         trace = run_kalman(p, simulate_trajectory(p, grid, substream(1, 0)), sched)
         assert trace.jz_tilde[0] == trace.b_tilde[0] == 0.0
 
@@ -159,7 +158,8 @@ class TestKalmanStep:
         trace = run_kalman(p, dataclasses.replace(rec, d_xi=d_xi), sched)
         b = trace.b_tilde[2]
         assert b != 0.0
-        np.testing.assert_array_equal(trace.b_tilde[2:], b)
+        # b = v22 * (a fixed sum): it holds to rounding
+        np.testing.assert_allclose(trace.b_tilde[2:], b, rtol=1e-15)
         a01 = p.gamma * p.j_total * np.exp(-p.meas_strength * grid.times[2:-1] / 2.0)
         np.testing.assert_allclose(np.diff(trace.jz_tilde[2:]), a01 * b * dts[2:], rtol=1e-3)
 
@@ -184,26 +184,23 @@ class TestKalmanStep:
         assert est[-1][0] == pytest.approx(g_cont[0], rel=1e-4)
         assert est[-1][1] == pytest.approx(g_cont[1], rel=1e-4)
 
-    def test_psd_violation_raises(self, monkeypatch):
-        # a step that leaves the PSD cone, injected into the production schedule
+    def test_schedule_overflow_raises(self, monkeypatch):
+        # a gain that drives r past the float range, injected into the production schedule
         import qkfmag.estimators as est
 
         p = toy()
         grid = make_grid(p, dt=5e-3)
-        exact = est.kalman_step
-        for corrupt in (lambda k1, k2, n11, n12, n22: (k1, k2, n11, 5.0 * (n11 + n22), n22),
-                        lambda k1, k2, n11, n12, n22: (k1, k2, n11, n12, -n22)):
-            calls = []
+        exact = est.step_coefficients
 
-            def step(*args, corrupt=corrupt):
-                calls.append(1)
-                out = exact(*args)
-                return corrupt(*out) if len(calls) == 40 else out
+        def huge_gain(p, times):
+            phi12, g = exact(p, times)
+            g[40:] *= 1e40
+            return phi12, g
 
-            monkeypatch.setattr(est, "kalman_step", step)
-            with pytest.raises(RuntimeError, match="positive semidefiniteness"):
-                kalman_schedule(p, grid)
-        monkeypatch.setattr(est, "kalman_step", exact)
+        monkeypatch.setattr(est, "step_coefficients", huge_gain)
+        with pytest.raises(RuntimeError, match="reduce dt"):
+            kalman_schedule(p, grid)
+        monkeypatch.setattr(est, "step_coefficients", exact)
         kalman_schedule(p, grid)
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "scaling", "oracle"])
@@ -214,7 +211,17 @@ class TestKalmanStep:
         if prior == "infinite":
             p = dataclasses.replace(p, prior_b_variance=INFINITE)
         sched = kalman_schedule(p, cfg.make_grid())
-        assert np.all(sched.v11 >= 0.0) and np.all(sched.v22 >= 0.0)
+        assert np.all(np.isfinite(sched.r))
+        assert np.all(np.diff(sched.data) >= 0.0) and np.all(sched.v22 >= 0.0)
+
+    def test_rank_one_matches_joseph_on_fig2(self):
+        # the rank-one schedule against the 2x2 Joseph recursion it replaces
+        cfg = load_preset("fig2")
+        p = cfg.params
+        sched = kalman_schedule(p, cfg.make_grid())
+        _, v12, v22 = joseph_covariance(p, sched.times)
+        np.testing.assert_allclose(sched.v22, v22, rtol=1e-12)
+        np.testing.assert_allclose(sched.r, v12 / v22, rtol=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=2.0),
            st.floats(min_value=1e-6, max_value=1e-2))

@@ -15,7 +15,7 @@ from qkfmag import montecarlo
 from qkfmag.config import load_preset
 from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid, with_spin
 from qkfmag.dynamics import simulate_trajectory
-from qkfmag.estimators import kalman_schedule, regression_estimate, run_kalman
+from qkfmag.estimators import kalman_schedule, regression_estimate, riccati_integrate, run_kalman
 from qkfmag.montecarlo import (
     EnsembleSpec,
     _build_plan,
@@ -194,6 +194,16 @@ class TestRunEnsemble:
         assert 2.0 < r1 < 5.0       # ~ sqrt(10) = 3.16 with sampling slack
         assert 2.3 < r2 < 4.3
 
+    def test_zero_prior_reads_zero(self):
+        # p0 = 0: the filter never leaves its prior mean, whatever the field
+        spec = toy_spec(n_traj=8, prior_b_variance=0.0)
+        stats = run_ensemble(spec)
+        b = spec.params.b_true
+        np.testing.assert_array_equal(stats.mse["qkf"], b * b)
+        np.testing.assert_array_equal(stats.mean_b["qkf"], 0.0)
+        rec = simulate_trajectory(spec.params, spec.grid, substream(spec.master_seed, 0))
+        np.testing.assert_array_equal(run_kalman(spec.params, rec).b_tilde, 0.0)
+
     def test_requires_checkpoints(self):
         p = toy()
         grid = make_grid(p, dt=1e-2)
@@ -334,13 +344,13 @@ class TestChunkScan:
 
     @pytest.mark.usefixtures("per_step_noise")
     def test_unresolved_prior_scores_nan(self):
-        # infinite prior: one step cannot resolve it (shrink = 0 at grid point 1),
-        # and the engine and run_kalman both read NaN there from the schedule
+        # infinite prior: one step cannot resolve it (no data at grid point 1,
+        # since r = 0 at t = 0), and the engine and run_kalman both read NaN there
         spec = dataclasses.replace(convergence_spec(n_traj=3), estimators=("qkf",))
         last = spec.checkpoints[-1]
         spec = dataclasses.replace(spec, checkpoints=(1, last))
         sched = kalman_schedule(spec.params, spec.grid)
-        assert np.isnan(sched.shrink[1]) and sched.shrink[last] > 0.0
+        assert sched.data[1] == 0.0 and sched.data[last] > 0.0
         stats = run_ensemble(spec)
         assert np.isnan(stats.mse["qkf"][0]) and np.isnan(stats.mean_b["qkf"][0])
         ref = oracle_mse(spec)["qkf"]
@@ -383,28 +393,22 @@ class TestChunkScan:
 class TestCovarianceIdentity:
     """No noise drawn: the plan's chunk maps propagate the covariance of the
     state, Sigma <- phi Sigma phi^T + F F^T, and the filter estimate's
-    variance over the noise must equal the schedule's prediction,
-    v22 (1 - v22/p0) for a finite prior p0 and v22/shrink for an infinite
-    one.  This separates discretization error from Monte Carlo noise."""
+    variance over the noise, v22^2 Sigma_SS, must equal the schedule's
+    prediction v22 (1 - v22/p0) (v22 for an infinite prior p0).  This
+    separates discretization error from Monte Carlo noise."""
 
     @staticmethod
     def check(spec):
         plan = _build_plan(spec)
         sigma = np.zeros(plan.chunks[0].phi.shape)
-        var_b = np.zeros(len(spec.checkpoints))
+        var_s = np.zeros(len(spec.checkpoints))
         for ch in plan.chunks:
             sigma = ch.phi @ sigma @ ch.phi.T + ch.factor @ ch.factor.T
             if ch.checkpoint >= 0:
-                var_b[ch.checkpoint] = sigma[2, 2]
-        sched = kalman_schedule(spec.params, spec.grid)
-        cps = list(spec.checkpoints)
-        v22 = sched.v22[cps]
-        if sched.info_form:
-            shrink = sched.shrink[cps]
-            got, want = var_b / shrink**2, v22 / shrink
-        else:
-            got, want = var_b, v22 * (1.0 - v22 / spec.params.prior_b_variance)
-        np.testing.assert_allclose(got, want, rtol=1e-6)
+                var_s[ch.checkpoint] = sigma[1, 1]
+        v22 = kalman_schedule(spec.params, spec.grid).v22[list(spec.checkpoints)]
+        np.testing.assert_allclose(v22**2 * var_s,
+                                   v22 * (1.0 - v22 / spec.params.prior_b_variance), rtol=1e-6)
 
     def test_fig2_preset(self):
         self.check(fig2_preset_spec())
@@ -415,6 +419,20 @@ class TestCovarianceIdentity:
     @pytest.mark.parametrize("j", load_preset("scaling").scaling.j_values)
     def test_scaling_preset(self, j):
         self.check(scaling_preset_spec(j))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(fig2_preset_spec, id="fig2"),
+    *(pytest.param(lambda j=j: scaling_preset_spec(j), id=f"scaling-J{j:g}")
+      for j in load_preset("scaling").scaling.j_values)])
+def test_schedule_matches_riccati_at_checkpoints(spec):
+    # no noise drawn: the discrete schedule's v22 against the continuous
+    # Riccati quadrature, i.e. the discretization error alone
+    spec = spec()
+    cps = list(spec.checkpoints)
+    v22 = kalman_schedule(spec.params, spec.grid).v22[cps]
+    want = riccati_integrate(spec.params, spec.grid.times[cps]).v22
+    np.testing.assert_allclose(v22, want, rtol=1e-3)
 
 
 class TestNoiseFactor:
