@@ -34,6 +34,7 @@ from .montecarlo import (
     EnsembleSpec,
     checkpoints_for_times,
     log_checkpoints,
+    log_times,
     run_ensemble,
     scaling_study,
 )
@@ -90,12 +91,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, zero_noise: bool = False) -> int
                           {"zero_noise": zero_noise, "n_grid_points": len(record.times)})
 
 
-def _threshold_times(cfg: RunConfig) -> np.ndarray:
-    t_first = cfg.ensemble.first_checkpoint or max(1e-8, cfg.params.t_total * 1e-5)
-    n = max(2, int(math.ceil(30 * math.log10(cfg.params.t_total / t_first))) + 1)
-    return np.geomspace(t_first, cfg.params.t_total, n)
-
-
 def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     """Ensemble MSE table plus the four reference threshold curves."""
     p = cfg.params
@@ -112,7 +107,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     with open(out_dir / "ensemble.csv", "w", encoding="utf-8", newline="") as f:
         stats.to_csv(f)
 
-    times = _threshold_times(cfg)
+    times = log_times(cfg.ensemble.first_checkpoint or max(1e-8, p.t_total * 1e-5), p.t_total, 30)
     curves = [riccati_integrate(p, times).threshold_curve()]
     skipped = []
     try:
@@ -145,9 +140,14 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
                        f"(window [{lo}, {hi}], n_traj={stats.n_traj})"
                        + ("" if enough else "; skipped: n_traj < 1000")),
         })
+    notes = [str(w.message) for w in caught]
+    unresolved = stats.times[np.isnan(stats.mse["qkf"])] if "qkf" in stats.estimators else []
+    if len(unresolved):
+        notes.append(f"qkf mse is NaN at t = {[float(t) for t in unresolved]}: the infinite "
+                     f"prior is not yet resolved there (no data information)")
     return _write_summary(out_dir, "ensemble", cfg, checks,
                           {"checkpoints": [float(t) for t in stats.times],
-                           "warnings": [str(w.message) for w in caught],
+                           "warnings": notes,
                            "skipped_curves": skipped})
 
 

@@ -124,14 +124,6 @@ class RunConfig:
         }
 
 
-def _require(doc: dict, key: str, allowed, where: str):
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    if key not in doc:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-
-
 def _number(doc: dict, key: str, where: str, required: bool = True, default=None):
     if key not in doc:
         if required:
@@ -197,7 +189,10 @@ def parse_config(text: str) -> RunConfig:
     if convention not in GAMMA_CONVENTIONS:
         raise ConfigError(f"gamma_convention: must be one of {GAMMA_CONVENTIONS}")
     gamma_raw = _number(doc, "gamma", "params")
-    gamma = gamma_from_cycles(gamma_raw) if convention == "cycles" else gamma_raw
+    try:
+        gamma = gamma_from_cycles(gamma_raw) if convention == "cycles" else gamma_raw
+    except ValueError as exc:
+        raise ConfigError(f"params.gamma: {exc}, got {gamma_raw!r}") from exc
 
     prior_raw = doc.get("prior_b_variance")
     if prior_raw is None:

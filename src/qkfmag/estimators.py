@@ -56,9 +56,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .core import PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params
 from .dynamics import TrajectoryRecord, step_coefficients
@@ -268,15 +268,28 @@ def riccati_integrate(p: PhysicalParams, times) -> RiccatiSolution:
 # closed forms
 # ---------------------------------------------------------------------------
 
+# Taylor coefficients of the closed form's denominator parts f1 and f2 (see
+# ``riccati_analytic``); through x^25 they reach float64 round-off for x < 2
+_F1_TAYLOR = np.array([0.0] * 4 + [(-1) ** n * (n - 4 + 8 / 2**n) / math.factorial(n)
+                                   for n in range(4, 26)])
+_F2_TAYLOR = np.array([0.0] * 3 + [(-1) ** n * (4 / 2**n - 1) / math.factorial(n)
+                                   for n in range(3, 26)])
+
+
 def riccati_analytic(p: PhysicalParams, t):
     """Closed-form detection threshold (infinite prior), G.
 
-    Evaluated in extended precision: the denominator is an
-    exponentially-cancelling combination (~19 significant digits lost at
-    M t ~ 1e-3) and float64 evaluation returns garbage below t ~ 1e-7 at
-    production parameters.  Exact for efficiency = 1; for eta < 1 the
-    expression omits an efficiency factor in the noise-floor regime and
-    only approximates the true solution.
+    With x = M t the denominator is 2 eta J f1(x) + f2(x), where
+
+        f1 = (x - 4) - (x + 4) e^{-x} + 8 e^{-x/2}  ~ x^4/48,
+        f2 = x - 3 - e^{-x} + 4 e^{-x/2}            ~ x^3/12.
+
+    Both cancel exponentially for small x (~19 digits at M t ~ 1e-3), so
+    below x = 2 the denominator is summed from their Taylor series, and
+    above it from the direct forms (relative error ~4e-15 near x = 2).
+    Exact for efficiency = 1; for eta < 1 the expression omits an
+    efficiency factor in the noise-floor regime and only approximates the
+    true solution.
 
     Raises if the denominator is not positive (outside validity).
     """
@@ -285,20 +298,15 @@ def riccati_analytic(p: PhysicalParams, t):
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
-    with mp.workdps(60):
-        j = mp.mpf(p.j_total)
-        gam = mp.mpf(p.gamma)
-        m = mp.mpf(p.meas_strength)
-        eta = mp.mpf(p.efficiency)
-        out = np.empty(len(ts))
-        for i, tv in enumerate(ts):
-            x = m * mp.mpf(tv)
-            a = -(2 * eta * j * (x + 4) + 1)
-            b = x + 2 * eta * j * (x - 4) - 3
-            den = a * mp.e**(-x) + 4 * mp.e**(-x / 2) * (4 * eta * j + 1) + b
-            if den <= 0:
-                raise ValueError(f"threshold expression invalid at t={tv!r}: denominator <= 0")
-            out[i] = float((m / (4 * gam * j)) * mp.sqrt((1 + 2 * eta * j * x) / den))
+    x = p.meas_strength * ts
+    ej = 2 * p.efficiency * p.j_total
+    e1, e2 = np.exp(-x), np.exp(-x / 2)
+    den = np.where(x < 2.0, polyval(np.minimum(x, 2.0), ej * _F1_TAYLOR + _F2_TAYLOR),
+                   ej * ((x - 4) - (x + 4) * e1 + 8 * e2) + (x - 3 - e1 + 4 * e2))
+    if np.any(den <= 0):
+        tv = float(ts[np.argmax(den <= 0)])
+        raise ValueError(f"threshold expression invalid at t={tv!r}: denominator <= 0")
+    out = (p.meas_strength / (4 * p.gamma * p.j_total)) * np.sqrt((1 + ej * x) / den)
     return float(out[0]) if scalar else out
 
 
@@ -354,44 +362,47 @@ def write_threshold_csv(curves, fobj) -> None:
 # linear-regression baseline
 # ---------------------------------------------------------------------------
 
-def bin_edge_indices(times: np.ndarray, n_end: int, width: float | None = None) -> np.ndarray:
+def bin_edge_indices(times: np.ndarray, n_end: int) -> np.ndarray:
     """Greedy grid indices acting as near-uniform bin edges over [0, t(n_end)].
 
-    Default width is the largest step in the window, so a uniform grid
-    keeps every point and a log prefix is coalesced to uniform-width
-    bins (raw per-step rates on a log prefix have noise ~ 1/sqrt(dt) and
-    would poison an unweighted fit).
+    The width is the largest step in the window, so a uniform grid keeps
+    every point and a log prefix is coalesced to uniform-width bins (raw
+    per-step rates on a log prefix have noise ~ 1/sqrt(dt) and would
+    poison an unweighted fit).  The greedy pass runs only up to the last
+    step narrower than the width: every later step is at least the width
+    wide, so every later point is an edge.
     """
-    if width is None:
-        width = float(np.max(np.diff(times[:n_end + 1])))
+    step = float(np.max(np.diff(times[:n_end + 1]))) * (1.0 - 1e-9)
+    narrow = np.nonzero(times[1:n_end + 1] < times[:n_end] + step)[0]
+    last = int(narrow[-1]) + 1 if len(narrow) else 0
     idx = [0]
-    target = times[0] + width * (1.0 - 1e-9)
-    for i in range(1, n_end + 1):
-        if times[i] >= target:
+    for i in range(1, last + 1):
+        if times[i] >= times[idx[-1]] + step or i == n_end:
             idx.append(i)
-            target = times[i] + width * (1.0 - 1e-9)
-    if idx[-1] != n_end:
-        idx.append(n_end)
-    return np.asarray(idx)
+    return np.concatenate([np.asarray(idx), np.arange(last + 1, n_end + 1)])
 
 
-def binned_rates(times: np.ndarray, d_xi: np.ndarray, n_end: int):
-    """(bin midpoints, record rates) over [0, times[n_end]]."""
+def line_fit_weights(times: np.ndarray, n_end: int, gamma_j: float) -> np.ndarray:
+    """Per-step record weights w of the line-fit estimate w @ d_xi[:n_end].
+
+    Ordinary least squares of the binned record rate against the bin
+    midpoints (``bin_edge_indices`` over [0, t(n_end)]), with model
+    alpha + beta t; the estimate is beta / (gamma J).  The intercept
+    absorbs the frozen diffusive offset.
+    """
     edges = bin_edge_indices(times, n_end)
+    if len(edges) < 4:
+        raise ValueError("regression needs at least 3 points")
     te = times[edges]
-    xi = np.concatenate([[0.0], np.cumsum(d_xi[:n_end])])
-    widths = np.diff(te)
-    rates = np.diff(xi[edges]) / widths
-    mids = 0.5 * (te[:-1] + te[1:])
-    return mids, rates
+    xc = 0.5 * (te[:-1] + te[1:])
+    xc = xc - xc.mean()
+    return np.repeat(xc / ((xc * xc).sum() * np.diff(te) * gamma_j), np.diff(edges))
 
 
 def regression_estimate(record: TrajectoryRecord, p: PhysicalParams, t_end: float) -> float:
-    """Field estimate from the slope of a line fit to the record rate.
+    """Field estimate from the slope of a line fit to the record rate over [0, t_end].
 
-    Ordinary least squares of d_xi/dt against time over [0, t_end] with
-    model alpha + beta t; returns beta / (gamma J).  The intercept
-    absorbs the frozen diffusive offset.
+    See ``line_fit_weights``.
     """
     times = record.times
     if t_end > times[-1] * (1.0 + 1e-9):
@@ -402,9 +413,5 @@ def regression_estimate(record: TrajectoryRecord, p: PhysicalParams, t_end: floa
     n_end = int(np.searchsorted(times, t_end * (1.0 + 1e-12), side="right") - 1)
     if n_end < 1:
         raise ValueError("regression needs at least 3 points")
-    x, r = binned_rates(times, record.d_xi, n_end)
-    if len(x) < 3:
-        raise ValueError("regression needs at least 3 points")
-    xc = x - x.mean()
-    beta = float(np.dot(xc, r) / np.dot(xc, xc))
-    return beta / (p.gamma * p.j_total)
+    w = line_fit_weights(times, n_end, p.gamma * p.j_total)
+    return float(w @ record.d_xi[:n_end])

@@ -47,6 +47,7 @@ from .dynamics import step_coefficients
 from .estimators import (
     bin_edge_indices,
     kalman_schedule,
+    line_fit_weights,
     riccati_integrate,
     shotnoise_limit,
 )
@@ -167,9 +168,8 @@ def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float
     """Per-step record weights of the line-fit columns, (n_col, n_steps), and readout (n_cp, n_col).
 
     The shared bins are ``bin_edge_indices`` up to the last checkpoint.  A
-    checkpoint whose own bins (``regression_estimate``'s) are a prefix of
-    them reads the slope from s_r and s_xr; any other gets a column that
-    holds its estimate.
+    checkpoint whose own bins are a prefix of them reads the slope from
+    s_r and s_xr; any other gets a column of its ``line_fit_weights``.
     """
     n = int(checkpoints[-1])
     edges = bin_edge_indices(times, n)
@@ -178,28 +178,18 @@ def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float
     per_bin = np.diff(edges)
     cols = [np.repeat(1.0 / np.diff(te), per_bin), np.repeat(mid / np.diff(te), per_bin)]
     read = np.zeros((len(checkpoints), 2 + len(checkpoints)))
-    wmax = np.maximum.accumulate(np.diff(times[:n + 1]))
-    multi = np.nonzero(per_bin > 1)[0]
     for i, c in enumerate(checkpoints.tolist()):
-        nb = int(np.searchsorted(edges, c))
-        j = multi[multi < nb]
-        # its own width is never wider: the shared bins hold iff no
-        # multi-step bin below it would close one step early
-        shared = edges[nb] == c and np.all(times[edges[j + 1] - 1]
-                                           < times[edges[j]] + wmax[c - 1] * (1.0 - 1e-9))
-        own = edges[:nb + 1] if shared else bin_edge_indices(times, c)
-        if len(own) < 4:
+        own = bin_edge_indices(times, c)
+        nb = len(own) - 1
+        if nb < 3:
             raise ValueError(f"checkpoint {c} leaves fewer than 3 regression bins")
-        if shared:
+        if np.array_equal(own, edges[:nb + 1]):
             sx = mid[:nb].sum()
             denom = (mid[:nb] ** 2).sum() - sx * sx / nb
             read[i, :2] = -sx / nb / denom / gamma_j, 1.0 / denom / gamma_j
             continue
-        te_c = times[own]
-        xc = 0.5 * (te_c[:-1] + te_c[1:])
-        xc = xc - xc.mean()
         cols.append(np.zeros(n))
-        cols[-1][:c] = np.repeat(xc / ((xc * xc).sum() * np.diff(te_c) * gamma_j), np.diff(own))
+        cols[-1][:c] = line_fit_weights(times, c, gamma_j)
         read[i, len(cols) - 1] = 1.0
     return np.array(cols), read[:, :len(cols)]
 
@@ -318,25 +308,29 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
                          n_traj=n, master_seed=spec.master_seed)
 
 
-def checkpoints_for_times(grid: TimeGrid, wanted_times, require_bin_edges: bool = True):
-    """Grid indices nearest to the wanted times, snapped to regression bin edges."""
+def checkpoints_for_times(grid: TimeGrid, wanted_times):
+    """Grid indices nearest to the wanted times, snapped to regression bin edges.
+
+    On an exact tie the lower edge wins.
+    """
     times = grid.times
-    n_steps = len(times) - 1
-    edges = bin_edge_indices(times, n_steps) if require_bin_edges else np.arange(1, n_steps + 1)
-    edges = edges[edges > 0]
-    out = []
-    for t in wanted_times:
-        i = edges[np.argmin(np.abs(times[edges] - t))]
-        out.append(int(i))
-    return tuple(sorted(set(out)))
+    edges = bin_edge_indices(times, len(times) - 1)[1:]
+    te = times[edges]
+    t = np.asarray(wanted_times, dtype=float)
+    k = np.clip(np.searchsorted(te, t), 1, len(te) - 1)
+    lower = np.abs(te[k - 1] - t) <= np.abs(te[k] - t)
+    return tuple(sorted(set(edges[k - lower].tolist())))
+
+
+def log_times(t_first: float, t_last: float, per_decade: int) -> np.ndarray:
+    """At least ``per_decade`` log-spaced times per decade from t_first to t_last."""
+    n = max(2, int(math.ceil(per_decade * math.log10(t_last / t_first))) + 1)
+    return np.geomspace(t_first, t_last, n)
 
 
 def log_checkpoints(grid: TimeGrid, t_first: float, per_decade: int = 30):
     """Log-spaced checkpoints from t_first to the end of the grid."""
-    t_last = grid.t_total
-    n = max(2, int(math.ceil(per_decade * math.log10(t_last / t_first))) + 1)
-    wanted = np.geomspace(t_first, t_last, n)
-    return checkpoints_for_times(grid, wanted)
+    return checkpoints_for_times(grid, log_times(t_first, grid.t_total, per_decade))
 
 
 # ---------------------------------------------------------------------------

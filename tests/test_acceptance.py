@@ -54,6 +54,7 @@ from qkfmag.sme_oracle import (
 from qkfmag.core import TimeGrid
 
 from joseph_oracle import joseph_covariance
+from line_fit_oracle import nearest_grid_indices
 
 pytestmark = pytest.mark.acceptance
 
@@ -96,9 +97,8 @@ def convergence_run(fig2):
                             t_total=0.5 / fig2.params.meas_strength)
     grid = make_grid(p)
     jm = p.j_total * p.meas_strength
-    early = checkpoints_for_times(grid, [1.0 / jm], require_bin_edges=False)
-    window = checkpoints_for_times(grid, np.geomspace(10.0 / jm, p.t_total, 12),
-                                   require_bin_edges=False)
+    early = nearest_grid_indices(grid, [1.0 / jm])
+    window = nearest_grid_indices(grid, np.geomspace(10.0 / jm, p.t_total, 12))
     cps = tuple(sorted(set(early) | set(window)))
     spec = EnsembleSpec(params=p, grid=grid, n_traj=10_000, master_seed=fig2.seed,
                         checkpoints=cps)

@@ -1,13 +1,20 @@
+import contextlib
+import copy
 import dataclasses
+import importlib.resources
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkfmag.cli import main
-from qkfmag.config import ConfigError, load_preset, override, parse_config
+from qkfmag.config import ConfigError, RunConfig, load_preset, override, parse_config
 
 FIG2_DOC = {
     "j_total": 4e6,
@@ -237,6 +244,18 @@ class TestCliEnsemble:
         assert "outside validity" in summary["warnings"][0]
         assert summary["skipped_curves"] == []
 
+    def test_unresolved_prior_checkpoints_recorded(self, tmp_path):
+        # infinite prior: grid point 1 carries no data information, so the
+        # filter is scored NaN at its checkpoint
+        doc = dict(TOY_DOC, prior_b_variance="infinite", t_total=0.01, grid={"dt": 1e-5})
+        doc["ensemble"] = {"n_traj": 4, "estimators": ["qkf"], "checkpoint_times": [1e-5, 0.01]}
+        cfg = _write_cfg(tmp_path, doc)
+        main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out")])
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        nan = [w for w in summary["warnings"] if "NaN" in w]
+        assert len(nan) == 1
+        assert "[1e-05]" in nan[0]
+
     def test_skipped_closed_form_recorded(self, tmp_path, monkeypatch):
         import qkfmag.cli as cli
 
@@ -366,3 +385,78 @@ class TestCliOracleCheck:
         assert names == {"gaussian_mean_agreement", "dephasing_rates"}
         assert summary["passed"] is True
         assert (tmp_path / "out" / "oracle_deviation.csv").exists()
+
+
+PRESET_COMMANDS = {"fig1": "simulate", "fig2": "ensemble", "scaling": "scaling",
+                   "oracle": "oracle-check"}
+
+
+def _preset_doc(name: str) -> dict:
+    res = importlib.resources.files("qkfmag").joinpath("presets", f"{name}.json")
+    return json.loads(res.read_text(encoding="utf-8"))
+
+
+def _paths(node, prefix=()):
+    """Every key or list index in a JSON document, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+SWAPPED = ["x", "infinite", True, None, [], {}, [1.0], 7, 0.5]
+
+
+@st.composite
+def mutated_preset(draw):
+    """A shipped preset with one to three keys dropped, retyped, negated, NaN or inf."""
+    name = draw(st.sampled_from(sorted(PRESET_COMMANDS)))
+    doc = _preset_doc(name)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *outer, key = draw(st.sampled_from(paths))
+        parent = doc
+        for k in outer:
+            parent = parent[k]
+        how = draw(st.sampled_from(["drop", "swap", "negate", "nan", "inf"]))
+        value = parent[key]
+        if how == "drop":
+            del parent[key]
+        elif how == "swap":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(SWAPPED)))
+        elif how == "negate" and isinstance(value, (int, float)) and not isinstance(value, bool):
+            parent[key] = -value
+        elif how == "inf":
+            parent[key] = draw(st.sampled_from([math.inf, -math.inf]))
+        else:
+            parent[key] = math.nan
+    return name, doc
+
+
+class TestMutatedPresets:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_preset())
+    def test_parse_or_config_error(self, case):
+        """parse_config returns a RunConfig or raises ConfigError; a rejected
+        document makes the CLI exit 2 with a message and no traceback."""
+        name, doc = case
+        text = json.dumps(doc)
+        try:
+            assert isinstance(parse_config(text), RunConfig)
+            return
+        except ConfigError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([PRESET_COMMANDS[name], "--config", str(path),
+                           "--out", str(Path(tmp) / "out")])
+            assert rc == 2
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+            assert not (Path(tmp) / "out").exists()

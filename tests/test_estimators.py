@@ -23,6 +23,7 @@ from qkfmag.estimators import (
 from qkfmag.rng import substream
 
 from joseph_oracle import joseph_covariance, kalman_step
+from line_fit_oracle import binned_rate_estimate
 
 
 def params(**kw):
@@ -312,6 +313,27 @@ class TestRiccatiAnalytic:
         with pytest.raises(ValueError):
             riccati_analytic(params(), 0.0)
 
+    def test_matches_extended_precision(self):
+        # the unsplit closed form in 60 digits, over both sides of the
+        # series crossover (measured worst 1.8e-15)
+        mpmath = pytest.importorskip("mpmath")
+
+        def closed_form(p, t):
+            with mpmath.workdps(60):
+                j, m, eta = (mpmath.mpf(v) for v in (p.j_total, p.meas_strength, p.efficiency))
+                x = m * mpmath.mpf(t)
+                den = (-(2 * eta * j * (x + 4) + 1) * mpmath.exp(-x)
+                       + 4 * mpmath.exp(-x / 2) * (4 * eta * j + 1)
+                       + x + 2 * eta * j * (x - 4) - 3)
+                return float(m / (4 * mpmath.mpf(p.gamma) * j)
+                             * mpmath.sqrt((1 + 2 * eta * j * x) / den))
+
+        for j, eta in ((1.0, 1.0), (4e6, 1.0), (1e9, 0.3)):
+            p = params(j_total=j, efficiency=eta, prior_b_variance=INFINITE)
+            ts = np.concatenate([np.geomspace(1e-11, 3e-3, 40), np.linspace(1e-5, 2.5e-5, 31)])
+            want = np.array([closed_form(p, t) for t in ts])
+            np.testing.assert_allclose(riccati_analytic(p, ts), want, rtol=1e-14)
+
     def test_value_at_one_ms(self):
         # frozen by direct evaluation; the Bloch vector is long dead at Mt = 100,
         # so the threshold has saturated near M/(4 gamma J)
@@ -406,6 +428,21 @@ class TestRegression:
         rec = self._record_with_rates(p, grid, lambda t: 7.7 * np.ones_like(t))
         est = regression_estimate(rec, p, t_end=0.2)
         assert est == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:M \\* t_end")
+    def test_matches_binned_rate_slope(self):
+        # the per-step weights read the binned-rate slope up to rounding
+        # (measured 3.7e-13), on a uniform grid and on two log-prefix grids
+        for p, dt in ((toy(), 1e-3), (toy(j_total=5000.0), 1e-3),
+                      (params(t_total=2e-5), None)):
+            grid = make_grid(p, dt=dt)
+            times = grid.times
+            for seed in range(3):
+                rec = simulate_trajectory(p, grid, substream(5, seed))
+                for t_end in np.geomspace(times[grid.prefix.size + 5], p.t_total, 6):
+                    n_end = int(np.searchsorted(times, t_end * (1 + 1e-12), side="right") - 1)
+                    want = binned_rate_estimate(times, rec.d_xi, n_end, p.gamma * p.j_total)
+                    assert regression_estimate(rec, p, t_end) == pytest.approx(want, rel=1e-12)
 
     def test_too_few_points(self):
         p = toy(t_total=3.0)

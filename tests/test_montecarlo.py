@@ -12,10 +12,17 @@ import pytest
 
 import qkfmag
 from qkfmag import montecarlo
-from qkfmag.config import load_preset
+from qkfmag.config import load_config, load_preset
 from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid, with_spin
 from qkfmag.dynamics import simulate_trajectory
-from qkfmag.estimators import kalman_schedule, regression_estimate, riccati_integrate, run_kalman
+from qkfmag.estimators import (
+    bin_edge_indices,
+    kalman_schedule,
+    line_fit_weights,
+    regression_estimate,
+    riccati_integrate,
+    run_kalman,
+)
 from qkfmag.montecarlo import (
     EnsembleSpec,
     _build_plan,
@@ -26,8 +33,11 @@ from qkfmag.montecarlo import (
     substream,
 )
 
+from line_fit_oracle import greedy_bin_edges, nearest_grid_indices, nearest_indices
+
 FIG2 = dict(j_total=4e6, gamma=2 * math.pi * 1e6, b_true=1e-6, meas_strength=1e5,
             efficiency=1.0, prior_b_variance=1e-8, t_total=2e-3)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def toy(**kw):
@@ -53,7 +63,7 @@ def convergence_spec(n_traj):
     grid = make_grid(p)
     jm = p.j_total * p.meas_strength
     wanted = np.concatenate([[1.0 / jm], np.geomspace(10.0 / jm, p.t_total, 12)])
-    cps = checkpoints_for_times(grid, wanted, require_bin_edges=False)
+    cps = nearest_grid_indices(grid, wanted)
     return EnsembleSpec(params=p, grid=grid, n_traj=n_traj, master_seed=20260810, checkpoints=cps)
 
 
@@ -234,6 +244,73 @@ class TestCheckpointHelpers:
         assert cps[-1] == 1000
 
 
+def line_fit_grids():
+    """Prefix grids with every n_end checked, and long grids with sampled n_end."""
+    every = [toy_spec().grid, convergence_spec(2).grid,
+             load_config(PERFBENCH / "fig2-identity.json").make_grid()]
+    sampled = [fig2_preset_spec().grid] + [scaling_preset_spec(j).grid
+                                            for j in load_preset("scaling").scaling.j_values]
+    return every, sampled
+
+
+class TestLineFitBins:
+    """The fast bin rule, checkpoint search and weights against their plain forms."""
+
+    def test_bin_edges_match_greedy_loop(self):
+        every, sampled = line_fit_grids()
+        for grid in every:
+            assert grid.prefix.size > 0
+            for n_end in range(1, len(grid.times)):
+                np.testing.assert_array_equal(bin_edge_indices(grid.times, n_end),
+                                              greedy_bin_edges(grid.times, n_end))
+        for grid in sampled:
+            n, k = len(grid.times) - 1, grid.prefix.size
+            for n_end in (1, 2, 3, k - 1, k, k + 1, k + 2, 2 * k, n // 3, n - 1, n):
+                np.testing.assert_array_equal(bin_edge_indices(grid.times, n_end),
+                                              greedy_bin_edges(grid.times, n_end))
+
+    def test_checkpoints_match_argmin(self):
+        every, sampled = line_fit_grids()
+        rng = np.random.default_rng(11)
+        for grid in every + sampled[:1]:
+            times = grid.times
+            edges = greedy_bin_edges(times, len(times) - 1)[1:]
+            te = times[edges]
+            wanted = np.concatenate([rng.uniform(-0.1, 1.2, 40) * grid.t_total,
+                                     0.5 * (te[:-1] + te[1:])[:40], te[:10], [0.0]])
+            assert checkpoints_for_times(grid, wanted) == nearest_indices(times, edges, wanted)
+            for t in wanted[:10]:
+                assert checkpoints_for_times(grid, [t]) == nearest_indices(times, edges, [t])
+
+    def test_checkpoint_tie_takes_lower_edge(self):
+        grid = TimeGrid.uniform(0.25, 8)
+        assert checkpoints_for_times(grid, [0.375]) == (1,)
+        assert checkpoints_for_times(grid, [0.375, 1.875, 9.0, -1.0]) == (1, 7, 8)
+        assert checkpoints_for_times(TimeGrid.uniform(0.25, 1), [0.1, 3.0]) == (1,)
+
+    def test_own_columns_are_line_fit_weights(self):
+        spec = convergence_spec(2)
+        times = spec.grid.times
+        # with shared edges inside the log prefix, whose own bins are finer
+        edges = bin_edge_indices(times, spec.checkpoints[-1])
+        cps = np.array(sorted(set(spec.checkpoints) | set(edges[1:4].tolist())))
+        gamma_j = spec.params.gamma * spec.params.j_total
+        cols, read = montecarlo._line_fit_weights(times, cps, gamma_j)
+        own = 0
+        for i, c in enumerate(cps.tolist()):
+            w = line_fit_weights(times, c, gamma_j)
+            if read[i, :2].any():
+                # the shared s_r/s_xr fold reads the same estimate
+                folded = read[i, 0] * cols[0][:c] + read[i, 1] * cols[1][:c]
+                np.testing.assert_allclose(folded, w, rtol=0, atol=1e-9 * np.abs(w).max())
+                continue
+            col = cols[np.argmax(read[i])]
+            assert col[:c].tobytes() == w.tobytes()
+            assert not col[c:].any()
+            own += 1
+        assert 0 < own < len(cps)
+
+
 class TestScalingStudy:
     def test_span_validation(self):
         with pytest.raises(ValueError, match="at least 4"):
@@ -287,7 +364,7 @@ class TestStoredRecordRegression:
         grid = make_grid(p, dt=1e-3)
         assert grid.prefix.size > 0
         lam = 2 * p.efficiency * p.meas_strength * p.j_total
-        early = checkpoints_for_times(grid, [20.0 / lam], require_bin_edges=False)
+        early = nearest_grid_indices(grid, [20.0 / lam])
         late = checkpoints_for_times(grid, [0.4])
         cps = tuple(sorted(set(early + late)))
         spec = EnsembleSpec(params=p, grid=grid, n_traj=5, master_seed=3, checkpoints=cps)
@@ -308,7 +385,7 @@ class TestStoredRecordRegression:
         grid = make_grid(p)
         last = len(grid.times) - 1
         lam = 2 * p.efficiency * p.meas_strength * p.j_total
-        off_edge = checkpoints_for_times(grid, [20.0 / lam], require_bin_edges=False)[0]
+        off_edge = nearest_grid_indices(grid, [20.0 / lam])[0]
         qkf = EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0, estimators=("qkf",),
                            checkpoints=(3, off_edge))
         both = EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0,
