@@ -14,7 +14,6 @@ from .core import (
     PhysicalParams,
     TimeGrid,
     gamma_from_cycles,
-    gamma_to_cycles,
     larmor_frequency,
     make_grid,
     snr,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, load_preset, override
-from .core import TimeGrid, validate_params
+from .core import TimeGrid, validate_params, write_csv
 from .dynamics import lowpass_filter, reconstruct_noise, simulate_trajectory
 from .estimators import (
     ThresholdCurve,
@@ -31,6 +31,7 @@ from .estimators import (
     write_threshold_csv,
 )
 from .montecarlo import (
+    CheckpointError,
     EnsembleSpec,
     checkpoints_for_times,
     log_checkpoints,
@@ -75,9 +76,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, zero_noise: bool = False) -> int
     filtered = lowpass_filter(y_uniform, grid.dt, cutoff_hz=cfg.lowpass_cutoff_hz,
                               params=cfg.params)
     with open(out_dir / "photocurrent_filtered.csv", "w", encoding="utf-8", newline="") as f:
-        f.write("t,y,y_filtered\n")
-        for t, y, yf in zip(record.times[n_pref:-1], y_uniform, filtered):
-            f.write(f"{t!r},{y!r},{yf!r}\n")
+        write_csv(f, ["t", "y", "y_filtered"], [record.times[n_pref:-1], y_uniform, filtered])
 
     dw = reconstruct_noise(record, cfg.params)
     err = float(np.max(np.abs(dw - record.noise))) if len(dw) else 0.0
@@ -103,7 +102,11 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     spec = EnsembleSpec(params=p, grid=grid, n_traj=cfg.ensemble.n_traj,
                         master_seed=cfg.seed, estimators=tuple(cfg.ensemble.estimators),
                         checkpoints=cps)
-    stats = run_ensemble(spec, workers=workers)
+    try:
+        stats = run_ensemble(spec, workers=workers)
+    except CheckpointError as exc:
+        key = "checkpoint_times" if cfg.ensemble.checkpoint_times else "first_checkpoint"
+        raise ConfigError(f"ensemble.{key}: {exc}") from exc
     with open(out_dir / "ensemble.csv", "w", encoding="utf-8", newline="") as f:
         stats.to_csv(f)
 
@@ -129,7 +132,6 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     if "qkf" in stats.estimators:
         lo, hi = cfg.ensemble.mse_ratio_window
         ratios = stats.mse["qkf"] / stats.predicted_v22
-        worst = float(np.max(np.abs(np.log(ratios))))
         # only enforce where the ensemble has resolving power
         enough = stats.n_traj >= 1000
         inside = bool(np.all((ratios >= lo) & (ratios <= hi))) if enough else True
@@ -153,10 +155,13 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 def cmd_scaling(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     """RMS-vs-J study: per-J errors and fitted log-log slopes."""
-    result = scaling_study(cfg.params, cfg.scaling.j_values, n_traj=cfg.scaling.n_traj,
-                           master_seed=cfg.seed, estimators=tuple(cfg.ensemble.estimators),
-                           t_check=cfg.scaling.t_check, grid_for=cfg.make_grid,
-                           workers=workers)
+    try:
+        result = scaling_study(cfg.params, cfg.scaling.j_values, n_traj=cfg.scaling.n_traj,
+                               master_seed=cfg.seed, estimators=tuple(cfg.ensemble.estimators),
+                               t_check=cfg.scaling.t_check, grid_for=cfg.make_grid,
+                               workers=workers)
+    except CheckpointError as exc:
+        raise ConfigError(f"scaling.t_check: {exc}") from exc
     with open(out_dir / "scaling.csv", "w", encoding="utf-8", newline="") as f:
         result.to_csv(f)
 
@@ -247,19 +252,19 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else load_preset(args.preset)
         cfg = override(cfg, seed=args.seed, n_traj=args.n_traj,
                        gamma_convention=args.gamma_convention)
-    except (ConfigError, OSError) as exc:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "simulate":
+            return cmd_simulate(cfg, out_dir, zero_noise=args.zero_noise)
+        if args.command == "ensemble":
+            return cmd_ensemble(cfg, out_dir, workers=args.workers)
+        if args.command == "scaling":
+            return cmd_scaling(cfg, out_dir, workers=args.workers)
+        if args.command == "oracle-check":
+            return cmd_oracle_check(cfg, out_dir)
+    except (ConfigError, OSError) as exc:  # a ConfigError can also come from a running command
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.command == "simulate":
-        return cmd_simulate(cfg, out_dir, zero_noise=args.zero_noise)
-    if args.command == "ensemble":
-        return cmd_ensemble(cfg, out_dir, workers=args.workers)
-    if args.command == "scaling":
-        return cmd_scaling(cfg, out_dir, workers=args.workers)
-    if args.command == "oracle-check":
-        return cmd_oracle_check(cfg, out_dir)
     raise AssertionError("unreachable")
 
 

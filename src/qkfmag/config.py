@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import INFINITE, PhysicalParams, TimeGrid, gamma_from_cycles, make_grid, validate_params
 from .montecarlo import ESTIMATOR_NAMES, sorted_j_values
+from .sme_oracle import MAX_DENSE_J
 
 GAMMA_CONVENTIONS = ("angular", "cycles")
 
@@ -173,6 +174,16 @@ def _integer(doc: dict, key: str, where: str, default: int, least: int) -> int:
     return int(v)
 
 
+def _spin(doc: dict, key: str, where: str, default: float, most: float = math.inf) -> float:
+    """Optional spin: a positive half-integer, at most ``most``."""
+    v = _number(doc, key, where, required=False, default=default)
+    if not (0 < v <= most and (2 * v).is_integer()):
+        bound = f" <= {most:g}" if most < math.inf else ""
+        raise ConfigError(f"{where}.{key}: expected a positive half-integer{bound}, "
+                          f"got {doc[key]!r}")
+    return v
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON configuration document into a validated RunConfig."""
     try:
@@ -285,9 +296,9 @@ def parse_config(text: str) -> RunConfig:
     if set(or_doc) - _ORACLE_KEYS:
         raise ConfigError(f"oracle: unknown keys {sorted(set(or_doc) - _ORACLE_KEYS)}")
     oracle = OracleConfig(
-        j_small=_number(or_doc, "j_small", "oracle", required=False, default=10.0),
-        mt_max=_number(or_doc, "mt_max", "oracle", required=False, default=0.1),
-        dephasing_j=_number(or_doc, "dephasing_j", "oracle", required=False, default=5.0),
+        j_small=_spin(or_doc, "j_small", "oracle", 10.0, most=MAX_DENSE_J),
+        mt_max=_positive(or_doc, "mt_max", "oracle", default=0.1),
+        dephasing_j=_spin(or_doc, "dephasing_j", "oracle", 5.0),
         mean_threshold_frac=_number(or_doc, "mean_threshold_frac", "oracle",
                                     required=False, default=0.05),
         dephasing_tol=_number(or_doc, "dephasing_tol", "oracle", required=False, default=0.01),

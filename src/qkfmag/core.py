@@ -80,13 +80,6 @@ def gamma_from_cycles(value_khz_per_mg: float) -> float:
     return _CYCLES_KHZ_PER_MG_TO_ANGULAR * value_khz_per_mg
 
 
-def gamma_to_cycles(gamma_angular: float) -> float:
-    """Inverse of :func:`gamma_from_cycles`."""
-    if not gamma_angular > 0:
-        raise ValueError("gamma must be positive")
-    return gamma_angular / _CYCLES_KHZ_PER_MG_TO_ANGULAR
-
-
 def larmor_frequency(p: PhysicalParams) -> float:
     """Precession frequency gamma*B, rad/s."""
     return p.gamma * p.b_true
@@ -199,3 +192,26 @@ def make_grid(p: PhysicalParams, dt: float | None = None, prefix: str | bool = "
 
 def with_spin(p: PhysicalParams, j_total: float) -> PhysicalParams:
     return replace(p, j_total=j_total)
+
+
+CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the writer's string temporaries
+
+
+def write_csv(fobj, header, columns) -> None:
+    """Write ``columns`` under ``header`` as comma-separated rows ending in "\\r\\n".
+
+    A float array-like column is written as the shortest round-trip repr of
+    each value, a list-of-str column as is; a shorter column is padded with
+    empty fields.  No field is quoted: none holds ``,``, ``"`` or a line break.
+    """
+    cols = [c if isinstance(c, list) and c and isinstance(c[0], str)
+            else np.asarray(c, dtype=float) for c in columns]
+    n = max(len(c) for c in cols)
+    fobj.write(",".join(header) + "\r\n")
+    for a in range(0, n, CSV_BLOCK_ROWS):
+        b = min(a + CSV_BLOCK_ROWS, n)
+        fields = []
+        for c in cols:
+            part = c[a:b] if isinstance(c, list) else list(map(repr, c[a:b].tolist()))
+            fields.append(part + [""] * (b - a - len(part)))
+        fobj.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")

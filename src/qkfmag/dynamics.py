@@ -20,15 +20,14 @@ exact step average of the Bloch decay envelope.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, TimeGrid, collapse_rate, larmor_frequency, validate_params
+from .core import (PhysicalParams, TimeGrid, collapse_rate, larmor_frequency, validate_params,
+                   write_csv)
 from .rng import SeedSpec
 
 
@@ -94,18 +93,8 @@ class TrajectoryRecord:
 
     def to_csv(self, fobj) -> None:
         """Columns: t, mean_jz, var_jz, bloch_length, y, d_xi (step columns blank on the last row)."""
-        w = csv.writer(fobj)
-        w.writerow(["t", "mean_jz", "var_jz", "bloch_length", "y", "d_xi"])
-        n = len(self.times)
-        for k in range(n):
-            step = [repr(float(self.y[k])), repr(float(self.d_xi[k]))] if k < n - 1 else ["", ""]
-            w.writerow([repr(float(self.times[k])), repr(float(self.mean_jz[k])),
-                        repr(float(self.var_jz[k])), repr(float(self.bloch[k]))] + step)
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        write_csv(fobj, ["t", "mean_jz", "var_jz", "bloch_length", "y", "d_xi"],
+                  [self.times, self.mean_jz, self.var_jz, self.bloch, self.y, self.d_xi])
 
 
 def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
@@ -127,7 +116,7 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     drift *= p.b_true  # B phi12, in place: one grid-length array fewer at peak
     z = np.zeros(n) if zero_noise else seed.generator().standard_normal(n)
     sq = np.sqrt(dts)
-    g_sqdt = g * sq  # diffusion amplitude per unit normal
+    g_sqdt = np.multiply(g, sq, out=g)  # in place: one grid-length array fewer at peak
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     d_sqdt = d * sq
 

@@ -51,7 +51,6 @@ r_0 = 0) nothing is known about B yet: v22 is inf and the estimate NaN.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
-from .core import PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params
+from .core import PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params, write_csv
 from .dynamics import TrajectoryRecord, step_coefficients
 
 THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise")
@@ -351,11 +350,9 @@ class ThresholdCurve:
 
 
 def write_threshold_csv(curves, fobj) -> None:
-    w = csv.writer(fobj)
-    w.writerow(["t", "delta_b", "source"])
-    for curve in curves:
-        for t, db in zip(curve.times, curve.delta_b):
-            w.writerow([repr(float(t)), repr(float(db)), curve.source])
+    write_csv(fobj, ["t", "delta_b", "source"],
+              [np.concatenate([c.times for c in curves]), np.concatenate([c.delta_b for c in curves]),
+               [c.source for c in curves for _ in c.times]])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ infinite prior.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -42,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalParams, TimeGrid, make_grid, validate_params, with_spin
+from .core import PhysicalParams, TimeGrid, make_grid, validate_params, with_spin, write_csv
 from .dynamics import step_coefficients
 from .estimators import (
     bin_edge_indices,
@@ -55,6 +54,10 @@ from .rng import substream
 
 BLOCK_SIZE = 1024
 ESTIMATOR_NAMES = ("qkf", "regression")
+
+
+class CheckpointError(ValueError):
+    """A checkpoint too early for the line fit: fewer than 3 bins before it."""
 
 
 @dataclass(frozen=True)
@@ -100,13 +103,12 @@ class EnsembleStats:
     master_seed: int
 
     def to_csv(self, fobj) -> None:
-        w = csv.writer(fobj)
-        w.writerow(["t", "estimator", "mse", "stderr", "mean_b", "predicted_v22"])
-        for name in self.estimators:
-            for i, t in enumerate(self.times):
-                w.writerow([repr(float(t)), name, repr(float(self.mse[name][i])),
-                            repr(float(self.stderr[name][i])), repr(float(self.mean_b[name][i])),
-                            repr(float(self.predicted_v22[i]))])
+        names = self.estimators
+        write_csv(fobj, ["t", "estimator", "mse", "stderr", "mean_b", "predicted_v22"],
+                  [np.tile(self.times, len(names)), [n for n in names for _ in self.times],
+                   *(np.concatenate([col[n] for n in names])
+                     for col in (self.mse, self.stderr, self.mean_b)),
+                   np.tile(self.predicted_v22, len(names))])
 
     def summary_dict(self) -> dict:
         return {
@@ -182,7 +184,8 @@ def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float
         own = bin_edge_indices(times, c)
         nb = len(own) - 1
         if nb < 3:
-            raise ValueError(f"checkpoint {c} leaves fewer than 3 regression bins")
+            raise CheckpointError(f"checkpoint t = {times[c]:g} s (grid point {c}) leaves "
+                                  f"fewer than 3 regression bins")
         if np.array_equal(own, edges[:nb + 1]):
             sx = mid[:nb].sum()
             denom = (mid[:nb] ** 2).sum() - sx * sx / nb
@@ -349,13 +352,10 @@ class ScalingResult:
     shotnoise_slope: float
 
     def to_csv(self, fobj) -> None:
-        w = csv.writer(fobj)
-        w.writerow(["j_total", "estimator", "rms_error"])
-        for name, arr in self.rms.items():
-            for j, r in zip(self.j_values, arr):
-                w.writerow([repr(float(j)), name, repr(float(r))])
-        for j, r in zip(self.j_values, self.shotnoise_rms):
-            w.writerow([repr(float(j)), "shotnoise", repr(float(r))])
+        names = [*self.rms, "shotnoise"]
+        write_csv(fobj, ["j_total", "estimator", "rms_error"],
+                  [np.tile(self.j_values, len(names)), [n for n in names for _ in self.j_values],
+                   np.concatenate([*self.rms.values(), self.shotnoise_rms])])
 
     def summary_dict(self) -> dict:
         return {

@@ -17,13 +17,12 @@ comparing distributions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, TimeGrid, validate_params
+from .core import PhysicalParams, TimeGrid, validate_params, write_csv
 from .dynamics import TrajectoryRecord, simulate_trajectory
 from .rng import SeedSpec
 
@@ -35,6 +34,7 @@ POSITIVITY_TOL = 1e-8
 # sqrt(J/2): neglected terms are down by 1/J and this bound holds with
 # ample margin at J = 10 over matched-noise runs.
 MEAN_DEVIATION_FRAC = 0.05
+MAX_DENSE_J = 20.0  # largest J the pathwise comparison integrates densely
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,6 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(r)) < -positivity_tol:
             raise ValueError("density matrix has negative eigenvalues beyond tolerance")
         return self
-
-
-def positivity_tolerance(p: PhysicalParams, dt: float) -> float:
-    """Intrinsic positivity floor of the first-order scheme for pure states.
-
-    From a pure state the zero eigenvalues fluctuate per step at order
-    M (J/2) dt (the leading 2x2 block has determinant ~ (J/2) M (dt - dW^2),
-    negative for |dW| > sqrt(dt)); a 30x margin covers extreme draws over
-    a full run.
-    """
-    return 30.0 * p.meas_strength * (p.j_total / 2.0) * dt
 
 
 def coherent_spin_state_x(ops: SpinOperators) -> DensityMatrix:
@@ -154,15 +143,8 @@ class DeviationSeries:
         """max |mean gap| in units of sqrt(J/2)."""
         return float(np.max(self.d_mean) / math.sqrt(self.j_total / 2.0))
 
-    def rms_var_frac(self) -> float:
-        """rms variance gap in units of J/2."""
-        return float(np.sqrt(np.mean(self.d_var**2)) / (self.j_total / 2.0))
-
     def to_csv(self, fobj) -> None:
-        w = csv.writer(fobj)
-        w.writerow(["t", "d_mean", "d_var"])
-        for t, dm, dv in zip(self.times, self.d_mean, self.d_var):
-            w.writerow([repr(float(t)), repr(float(dm)), repr(float(dv))])
+        write_csv(fobj, ["t", "d_mean", "d_var"], [self.times, self.d_mean, self.d_var])
 
 
 def compare_to_gaussian(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
@@ -173,8 +155,8 @@ def compare_to_gaussian(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     comparison is pathwise.  Tractable for j_total <= ~20.
     """
     validate_params(p)
-    if p.j_total > 20.0:
-        raise ValueError("dense oracle limited to j_total <= 20")
+    if p.j_total > MAX_DENSE_J:
+        raise ValueError(f"dense oracle limited to j_total <= {MAX_DENSE_J:g}")
     if record is None:
         record = simulate_trajectory(p, grid, seed)
     times = grid.times

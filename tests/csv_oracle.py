@@ -1,0 +1,60 @@
+"""The per-row ``csv.writer`` loops that ``core.write_csv`` replaced: one
+generic row loop and each artifact's own loop as it was written.  They are
+the byte-for-byte reference for the block writer."""
+
+import csv
+
+
+def write_csv_rows(fobj, header, columns) -> None:
+    """One ``writerow`` per index: ``repr(float(x))`` per float, str as is,
+    an empty field past a column's end."""
+    w = csv.writer(fobj)
+    w.writerow(header)
+    for k in range(max(len(c) for c in columns)):
+        w.writerow(["" if k >= len(c) else c[k] if isinstance(c[k], str) else repr(float(c[k]))
+                    for c in columns])
+
+
+def trajectory_rows(record, fobj) -> None:
+    w = csv.writer(fobj)
+    w.writerow(["t", "mean_jz", "var_jz", "bloch_length", "y", "d_xi"])
+    n = len(record.times)
+    for k in range(n):
+        step = [repr(float(record.y[k])), repr(float(record.d_xi[k]))] if k < n - 1 else ["", ""]
+        w.writerow([repr(float(record.times[k])), repr(float(record.mean_jz[k])),
+                    repr(float(record.var_jz[k])), repr(float(record.bloch[k]))] + step)
+
+
+def ensemble_rows(stats, fobj) -> None:
+    w = csv.writer(fobj)
+    w.writerow(["t", "estimator", "mse", "stderr", "mean_b", "predicted_v22"])
+    for name in stats.estimators:
+        for i, t in enumerate(stats.times):
+            w.writerow([repr(float(t)), name, repr(float(stats.mse[name][i])),
+                        repr(float(stats.stderr[name][i])), repr(float(stats.mean_b[name][i])),
+                        repr(float(stats.predicted_v22[i]))])
+
+
+def scaling_rows(result, fobj) -> None:
+    w = csv.writer(fobj)
+    w.writerow(["j_total", "estimator", "rms_error"])
+    for name, arr in result.rms.items():
+        for j, r in zip(result.j_values, arr):
+            w.writerow([repr(float(j)), name, repr(float(r))])
+    for j, r in zip(result.j_values, result.shotnoise_rms):
+        w.writerow([repr(float(j)), "shotnoise", repr(float(r))])
+
+
+def threshold_rows(curves, fobj) -> None:
+    w = csv.writer(fobj)
+    w.writerow(["t", "delta_b", "source"])
+    for curve in curves:
+        for t, db in zip(curve.times, curve.delta_b):
+            w.writerow([repr(float(t)), repr(float(db)), curve.source])
+
+
+def deviation_rows(dev, fobj) -> None:
+    w = csv.writer(fobj)
+    w.writerow(["t", "d_mean", "d_var"])
+    for t, dm, dv in zip(dev.times, dev.d_mean, dev.d_var):
+        w.writerow([repr(float(t)), repr(float(dm)), repr(float(dv))])

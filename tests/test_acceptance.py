@@ -47,7 +47,6 @@ from qkfmag.sme_oracle import (
     coherent_spin_state_x,
     compare_to_gaussian,
     dephasing_rate_errors,
-    positivity_tolerance,
     recommended_dt,
     sme_step,
 )
@@ -55,6 +54,7 @@ from qkfmag.core import TimeGrid
 
 from joseph_oracle import joseph_covariance
 from line_fit_oracle import nearest_grid_indices
+from sme_measures import positivity_tolerance
 
 pytestmark = pytest.mark.acceptance
 

@@ -1,0 +1,163 @@
+"""``core.write_csv`` against the per-row ``csv.writer`` loops it replaced."""
+
+import io
+import math
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from qkfmag.core import CSV_BLOCK_ROWS, PhysicalParams, TimeGrid, make_grid, write_csv
+from qkfmag.dynamics import simulate_trajectory
+from qkfmag.estimators import (
+    ThresholdCurve,
+    detection_threshold_asymptotic,
+    riccati_analytic,
+    riccati_integrate,
+    shotnoise_limit,
+    write_threshold_csv,
+)
+from qkfmag.montecarlo import EnsembleSpec, checkpoints_for_times, run_ensemble, scaling_study
+from qkfmag.rng import substream
+from qkfmag.sme_oracle import compare_to_gaussian, recommended_dt
+
+from csv_oracle import (
+    deviation_rows,
+    ensemble_rows,
+    scaling_rows,
+    threshold_rows,
+    trajectory_rows,
+    write_csv_rows,
+)
+
+B = CSV_BLOCK_ROWS
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16, 1e-5, 0.0001,
+           1000.0, -3.0, 1.0 / 3.0, 2.0**53 + 2, 1.7976931348623157e308]
+
+
+def written(write, *args) -> str:
+    """What ``write(*args, fobj)`` writes."""
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()
+
+
+def both(header, columns):
+    new, ref = io.StringIO(), io.StringIO()
+    write_csv(new, header, columns)
+    write_csv_rows(ref, header, columns)
+    return new.getvalue(), ref.getvalue()
+
+
+def first_difference(new: str, ref: str):
+    """None if the texts are equal, else the first differing line of each
+    (a short failure report: a diff of two large texts is slow)."""
+    if new == ref:
+        return None
+    a, b = new.split("\n"), ref.split("\n")
+    k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return k, a[k:k + 1], b[k:k + 1]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        cols = [np.cumsum(rng.exponential(size=n)), rng.normal(size=n) * 1e-7,
+                rng.normal(size=n - 1), rng.normal(size=n // 2),
+                [("qkf", "regression")[k % 2] for k in range(n)]]
+        new, ref = both(["t", "a", "step", "half", "estimator"], cols)
+        assert first_difference(new, ref) is None
+        assert new.count("\r\n") == n + 1
+
+    @pytest.mark.parametrize("short", [0, 1, B - 1, B, B + 1, 2 * B])
+    def test_short_column_padded(self, short):
+        n = 2 * B + 1
+        cols = [np.arange(n, dtype=float), np.linspace(0.0, 1.0, short)]
+        new, ref = both(["t", "y"], cols)
+        assert first_difference(new, ref) is None
+        assert new.splitlines()[-1] == f"{float(n - 1)!r},"
+
+    def test_special_values(self):
+        vals = np.array(SPECIAL)
+        new, ref = both(["x", "y"], [vals, vals[::-1].tolist()])
+        assert first_difference(new, ref) is None
+        first = [row.split(",")[0] for row in new.split("\r\n")[1:-1]]
+        assert first == [repr(v) for v in SPECIAL]
+        assert first[:6] == ["nan", "inf", "-inf", "-0.0", "0.0", "5e-324"]
+
+    def test_integer_values_print_as_floats(self):
+        new, ref = both(["j_total", "estimator"], [[1000, 10, 2**53], ["qkf", "a", "b"]])
+        assert first_difference(new, ref) is None
+        assert new == "j_total,estimator\r\n1000.0,qkf\r\n10.0,a\r\n9007199254740992.0,b\r\n"
+
+    def test_str_columns(self):
+        cols = [["riccati_numeric"] * 3 + ["shotnoise"] * 2, np.arange(5) * 0.5, ["x"] * 4]
+        new, ref = both(["source", "v", "tag"], cols)
+        assert first_difference(new, ref) is None
+        assert new.split("\r\n")[-2] == "shotnoise,2.0,"
+
+    def test_dialect(self):
+        # csv.writer's terminator, raw fields, blank fields past a column's end
+        buf = io.StringIO()
+        write_csv(buf, ["t", "y", "d_xi"], [[0.0, 0.5], [1.25, -2.0], np.array([3e-9])])
+        assert buf.getvalue() == "t,y,d_xi\r\n0.0,1.25,3e-09\r\n0.5,-2.0,\r\n"
+
+    def test_header_only(self):
+        new, ref = both(["t", "y"], [np.empty(0), np.empty(0)])
+        assert new == ref == "t,y\r\n"
+
+
+class TestArtifactBytes:
+    """Each artifact's ``to_csv`` writes what its old row loop wrote."""
+
+    def test_trajectory(self, toy_params):
+        p = toy_params
+        for n in (B - 2, B - 1, 2 * B + 7):
+            rec = simulate_trajectory(p, TimeGrid.uniform(p.t_total / n, n), substream(5, n))
+            assert first_difference(written(rec.to_csv), written(trajectory_rows, rec)) is None
+        rec = simulate_trajectory(p, make_grid(p, dt=1e-4, prefix=True), substream(5, 0))
+        assert first_difference(written(rec.to_csv), written(trajectory_rows, rec)) is None
+
+    @pytest.mark.parametrize("estimators, prior", [(("qkf", "regression"), 0.05),
+                                                   (("regression", "qkf"), 0.05),
+                                                   (("qkf",), math.inf)])
+    def test_ensemble(self, toy_params, estimators, prior):
+        p = replace(toy_params, prior_b_variance=prior, t_total=0.01)
+        grid = make_grid(p, dt=1e-5)
+        times = [1e-5, 1e-3, 0.01] if estimators == ("qkf",) else [1e-3, 0.005, 0.01]
+        spec = EnsembleSpec(params=p, grid=grid, n_traj=24, master_seed=3,
+                            estimators=estimators, checkpoints=checkpoints_for_times(grid, times))
+        stats = run_ensemble(spec)
+        text = written(stats.to_csv)
+        assert first_difference(text, written(ensemble_rows, stats)) is None
+        assert ("nan" in text) == math.isinf(prior)  # unresolved prior at grid point 1
+
+    def test_scaling(self, toy_params):
+        p = replace(toy_params, b_true=0.0, prior_b_variance=math.inf)
+        result = scaling_study(p, [10, 100, 1000, 10000], n_traj=8, master_seed=1,
+                               t_check=0.05, grid_for=lambda q: make_grid(q, dt=2e-3))
+        assert first_difference(written(result.to_csv), written(scaling_rows, result)) is None
+
+    def test_thresholds(self, toy_params):
+        p = toy_params
+        times = np.geomspace(1e-4, p.t_total, 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            curves = [riccati_integrate(p, times).threshold_curve(),
+                      ThresholdCurve(times, riccati_analytic(p, times), "riccati_analytic"),
+                      ThresholdCurve(times, detection_threshold_asymptotic(p, times), "asymptotic"),
+                      ThresholdCurve(times, np.array([shotnoise_limit(p, t) for t in times]),
+                                     "shotnoise")]
+        new, ref = written(write_threshold_csv, curves), written(threshold_rows, curves)
+        assert first_difference(new, ref) is None
+
+    def test_oracle_deviation(self):
+        p = PhysicalParams(j_total=2.0, gamma=1.0, b_true=0.0, meas_strength=1.0,
+                           efficiency=1.0, prior_b_variance=1.0, t_total=0.3)
+        dt = recommended_dt(p, p.j_total)
+        n = int(math.ceil(p.t_total / dt))
+        dev = compare_to_gaussian(p, TimeGrid.uniform(p.t_total / n, n), substream(3, 3))
+        assert n > B
+        assert first_difference(written(dev.to_csv), written(deviation_rows, dev)) is None

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import dataclasses
 import importlib.resources
 import io
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkfmag.cli import main
-from qkfmag.config import ConfigError, RunConfig, load_preset, override, parse_config
+from qkfmag.config import ConfigError, RunConfig, load_config, load_preset, override, parse_config
+from qkfmag.dynamics import lowpass_filter, simulate_trajectory
+from qkfmag.rng import substream
 
 FIG2_DOC = {
     "j_total": 4e6,
@@ -344,6 +347,40 @@ class TestCliBadInput:
         assert f"{command}.n_traj" in capsys.readouterr().err
 
 
+class TestCliEarlyCheckpoint:
+    """A checkpoint too early for 3 regression bins is a config error found at run time."""
+
+    def _run(self, tmp_path, capsys, command, doc):
+        rc = main([command, "--config", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "fewer than 3 regression bins" in err
+        assert not list((tmp_path / "out").iterdir())
+        return err
+
+    def early_doc(self, **ensemble):
+        doc = dict(_preset_doc("fig2"), j_total=100.0, meas_strength=50.0,
+                   gamma_convention="angular", prior_b_variance="infinite", grid={"dt": 1e-5})
+        doc["ensemble"] = dict(doc["ensemble"], n_traj=1000, **ensemble)
+        return doc
+
+    def test_checkpoint_times_named(self, tmp_path, capsys):
+        doc = self.early_doc(checkpoint_times=[1e-5, 0.01])
+        err = self._run(tmp_path, capsys, "ensemble", doc)
+        assert err.startswith("error: ensemble.checkpoint_times: ")
+
+    def test_first_checkpoint_named(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, "ensemble", self.early_doc())  # first_checkpoint 1e-6
+        assert err.startswith("error: ensemble.first_checkpoint: ")
+
+    def test_scaling_t_check_named(self, tmp_path, capsys):
+        doc = dict(TOY_DOC, b_true=0.0, prior_b_variance="infinite")
+        doc["scaling"] = {"j_values": [10, 100, 1000, 10000], "t_check": 1e-3, "n_traj": 8}
+        err = self._run(tmp_path, capsys, "scaling", doc)
+        assert err.startswith("error: scaling.t_check: ")
+
+
 class TestCliScaling:
     def test_micro_scaling_run(self, tmp_path):
         # infinite prior so the error is data-dominated at every J
@@ -385,6 +422,85 @@ class TestCliOracleCheck:
         assert names == {"gaussian_mean_agreement", "dephasing_rates"}
         assert summary["passed"] is True
         assert (tmp_path / "out" / "oracle_deviation.csv").exists()
+
+
+ORACLE_FIELDS = [("j_small", -10), ("j_small", 0), ("j_small", 2.3), ("j_small", 40),
+                 ("mt_max", -0.1), ("mt_max", 0), ("dephasing_j", -5), ("dephasing_j", 0.3)]
+
+
+class TestCliOracleBounds:
+    """Each oracle value that reaches the dense model is checked when the config loads."""
+
+    @pytest.mark.parametrize("key, value", ORACLE_FIELDS)
+    def test_bad_value_named(self, tmp_path, capsys, key, value):
+        doc = _preset_doc("oracle")
+        doc["oracle"][key] = value
+        rc = main(["oracle-check", "--config", _write_cfg(tmp_path, doc),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: oracle.{key}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_half_integer_spins_accepted(self):
+        doc = _preset_doc("oracle")
+        doc["oracle"].update(j_small=20, dephasing_j=2.5, mt_max=0.05)
+        oc = parse_config(json.dumps(doc)).oracle
+        assert (oc.j_small, oc.dephasing_j, oc.mt_max) == (20.0, 2.5, 0.05)
+
+
+PARSED_TEXT_COLUMNS = {"estimator", "source"}
+
+
+class TestCliArtifactsParse:
+    """Every artifact of every command is a numeric CSV that ``csv.reader`` reads."""
+
+    def _rows(self, out: Path) -> dict:
+        tables = {}
+        for path in sorted(out.glob("*.csv")):
+            with open(path, newline="", encoding="utf-8") as f:
+                header, *rows = list(csv.reader(f))
+            for row in rows:
+                assert len(row) == len(header), path.name
+                for name, field in zip(header, row):
+                    if name not in PARSED_TEXT_COLUMNS and field:
+                        float(field)
+            tables[path.name] = (header, rows)
+        return tables
+
+    def test_every_command(self, tmp_path):
+        docs = {"simulate": TOY_DOC, "ensemble": TOY_DOC,
+                "scaling": dict(TOY_DOC, scaling={"j_values": [10, 100, 1000, 10000],
+                                                  "t_check": 0.05, "n_traj": 8,
+                                                  "slope_window": [-5.0, 5.0]}),
+                "oracle-check": dict(_preset_doc("oracle"),
+                                     oracle={"j_small": 2, "mt_max": 0.05, "dephasing_j": 1})}
+        names = set()
+        for command, doc in docs.items():
+            out = tmp_path / command
+            main([command, "--config", _write_cfg(tmp_path, doc), "--out", str(out)])
+            tables = self._rows(out)
+            assert tables
+            names |= set(tables)
+        assert names == {"trajectory.csv", "photocurrent_filtered.csv", "ensemble.csv",
+                         "thresholds.csv", "scaling.csv", "oracle_deviation.csv"}
+
+    def test_photocurrent_matches_record(self, tmp_path):
+        path = _write_cfg(tmp_path, TOY_DOC)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        header, rows = self._rows(tmp_path / "out")["photocurrent_filtered.csv"]
+        cfg = load_config(path)
+        grid = cfg.make_grid()
+        record = simulate_trajectory(cfg.params, grid, substream(cfg.seed, 0))
+        n_pref = grid.n_intervals - grid.n_steps
+        assert n_pref > 0  # the toy grid has a log prefix
+        filtered = lowpass_filter(record.y[n_pref:], grid.dt, params=cfg.params)
+        assert header == ["t", "y", "y_filtered"]
+        assert len(rows) == grid.n_steps
+        got = np.array(rows, dtype=float).T
+        for col, want in zip(got, (record.times[n_pref:-1], record.y[n_pref:], filtered)):
+            assert np.array_equal(col.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 PRESET_COMMANDS = {"fig1": "simulate", "fig2": "ensemble", "scaling": "scaling",

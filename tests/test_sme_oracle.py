@@ -18,6 +18,8 @@ from qkfmag.sme_oracle import (
     sme_step,
 )
 
+from sme_measures import positivity_tolerance, rms_var_frac
+
 
 def small_params(j, m=1.0, eta=1.0, b=0.0, t_total=0.1):
     return PhysicalParams(j_total=j, gamma=1.0, b_true=b, meas_strength=m,
@@ -102,7 +104,6 @@ class TestSmeStep:
     def test_invariants_along_noisy_run(self):
         # Hermiticity/trace to 1e-12 per step; positivity to the scheme's
         # intrinsic floor (pure-state zero eigenvalues fluctuate at O(M J dt/2))
-        from qkfmag.sme_oracle import positivity_tolerance
         p = small_params(4.0, m=1.0, eta=1.0)
         ops = build_spin_operators(4.0)
         dt = recommended_dt(p, 4.0)
@@ -162,7 +163,7 @@ class TestCompareToGaussian:
         for j in (2.0, 5.0, 10.0, 20.0):
             p = small_params(j)
             grid = oracle_grid(p)
-            vals = [compare_to_gaussian(p, grid, substream(100 + s, 0)).rms_var_frac()
+            vals = [rms_var_frac(compare_to_gaussian(p, grid, substream(100 + s, 0)))
                     for s in range(3)]
             scores.append(np.mean(vals))
         assert all(a > b for a, b in zip(scores, scores[1:])), scores
