@@ -16,7 +16,6 @@ from .core import (
     gamma_from_cycles,
     larmor_frequency,
     make_grid,
-    snr,
     t2_bound,
     validate_params,
 )
@@ -32,10 +31,8 @@ from .estimators import (
     ThresholdCurve,
     detection_threshold_asymptotic,
     kalman_schedule,
-    regression_estimate,
     riccati_analytic,
     riccati_integrate,
-    run_kalman,
     shotnoise_limit,
 )
 from .montecarlo import (
@@ -47,7 +44,6 @@ from .montecarlo import (
 )
 from .rng import SeedSpec
 from .sme_oracle import (
-    DensityMatrix,
     SpinOperators,
     build_spin_operators,
     coherent_spin_state_x,

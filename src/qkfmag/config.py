@@ -11,24 +11,13 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .core import INFINITE, PhysicalParams, TimeGrid, gamma_from_cycles, make_grid, validate_params
 from .montecarlo import ESTIMATOR_NAMES, sorted_j_values
-from .sme_oracle import MAX_DENSE_J
+from .sme_oracle import MAX_DENSE_J, MEAN_DEVIATION_FRAC
 
 GAMMA_CONVENTIONS = ("angular", "cycles")
-
-_PARAM_KEYS = {
-    "j_total", "gamma", "gamma_convention", "b_true", "meas_strength",
-    "efficiency", "prior_b_variance", "t_total",
-}
-_GRID_KEYS = {"dt", "log_prefix", "prefix_ratio", "prefix_safety"}
-_ENSEMBLE_KEYS = {"n_traj", "estimators", "checkpoints_per_decade", "first_checkpoint",
-                  "checkpoint_times", "mse_ratio_window"}
-_SCALING_KEYS = {"j_values", "t_check", "n_traj", "slope_window", "shotnoise_slope_tol"}
-_ORACLE_KEYS = {"j_small", "mt_max", "dephasing_j", "mean_threshold_frac", "dephasing_tol"}
-_TOP_KEYS = _PARAM_KEYS | {"grid", "ensemble", "scaling", "oracle", "seed", "lowpass_cutoff_hz"}
 
 
 class ConfigError(ValueError):
@@ -46,7 +35,7 @@ class GridConfig:
 @dataclass(frozen=True)
 class EnsembleConfig:
     n_traj: int = 10_000
-    estimators: tuple = ("qkf", "regression")
+    estimators: tuple = ESTIMATOR_NAMES
     checkpoints_per_decade: int = 30
     first_checkpoint: float | None = None
     checkpoint_times: tuple = ()
@@ -67,7 +56,7 @@ class OracleConfig:
     j_small: float = 10.0
     mt_max: float = 0.1
     dephasing_j: float = 5.0
-    mean_threshold_frac: float = 0.05
+    mean_threshold_frac: float = MEAN_DEVIATION_FRAC
     dephasing_tol: float = 0.01
 
 
@@ -92,44 +81,26 @@ class RunConfig:
 
     def resolved_dict(self) -> dict:
         """Full resolved configuration for run artifacts (audit echo)."""
-        p = self.params
-        return {
-            "params": {
-                "j_total": p.j_total, "gamma": p.gamma, "b_true": p.b_true,
-                "meas_strength": p.meas_strength, "efficiency": p.efficiency,
-                "prior_b_variance": ("infinite" if math.isinf(p.prior_b_variance)
-                                     else p.prior_b_variance),
-                "t_total": p.t_total,
-            },
-            "gamma_convention": self.gamma_convention,
-            "gamma_raw": self.gamma_raw,
-            "grid": {"dt": self.grid.dt, "log_prefix": self.grid.log_prefix,
-                     "prefix_ratio": self.grid.prefix_ratio,
-                     "prefix_safety": self.grid.prefix_safety},
-            "ensemble": {"n_traj": self.ensemble.n_traj,
-                         "estimators": list(self.ensemble.estimators),
-                         "checkpoints_per_decade": self.ensemble.checkpoints_per_decade,
-                         "first_checkpoint": self.ensemble.first_checkpoint,
-                         "checkpoint_times": list(self.ensemble.checkpoint_times),
-                         "mse_ratio_window": list(self.ensemble.mse_ratio_window)},
-            "scaling": {"j_values": list(self.scaling.j_values),
-                        "t_check": self.scaling.t_check, "n_traj": self.scaling.n_traj,
-                        "slope_window": list(self.scaling.slope_window),
-                        "shotnoise_slope_tol": self.scaling.shotnoise_slope_tol},
-            "oracle": {"j_small": self.oracle.j_small, "mt_max": self.oracle.mt_max,
-                       "dephasing_j": self.oracle.dephasing_j,
-                       "mean_threshold_frac": self.oracle.mean_threshold_frac,
-                       "dephasing_tol": self.oracle.dephasing_tol},
-            "seed": self.seed,
-            "lowpass_cutoff_hz": self.lowpass_cutoff_hz,
-        }
+        out = asdict(self)
+        if math.isinf(self.params.prior_b_variance):
+            out["params"]["prior_b_variance"] = "infinite"
+        return out
 
 
-def _number(doc: dict, key: str, where: str, required: bool = True, default=None):
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+# the document's top level: the physical parameters and every RunConfig field
+# except the two that parsing derives
+_TOP_KEYS = _field_names(PhysicalParams) | _field_names(RunConfig) - {"params", "gamma_raw"}
+
+
+def _number(doc: dict, key: str, where: str, required: bool = True):
     if key not in doc:
         if required:
             raise ConfigError(f"{where}: missing required key '{key}'")
-        return default
+        return None
     v = doc[key]
     if not _is_number(v):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
@@ -144,22 +115,22 @@ def _is_positive(v) -> bool:
     return _is_number(v) and 0 < v < math.inf
 
 
-def _positive(doc: dict, key: str, where: str, default=None):
-    """Optional finite number > 0 (``default`` when absent)."""
+def _positive(doc: dict, key: str, where: str):
+    """Optional finite number > 0 (None when absent)."""
     if key in doc and not _is_positive(doc[key]):
         raise ConfigError(f"{where}.{key}: expected a positive number, got {doc[key]!r}")
-    return _number(doc, key, where, required=False, default=default)
+    return _number(doc, key, where, required=False)
 
 
-def _positive_list(doc: dict, key: str, where: str, default: tuple) -> tuple:
-    v = doc.get(key, default)
+def _positive_list(doc: dict, key: str, where: str) -> tuple:
+    v = doc[key]
     if not (isinstance(v, (list, tuple)) and all(_is_positive(x) for x in v)):
         raise ConfigError(f"{where}.{key}: expected a list of positive numbers, got {v!r}")
     return tuple(v)
 
 
-def _window(doc: dict, key: str, where: str, default: tuple) -> tuple:
-    v = doc.get(key, default)
+def _window(doc: dict, key: str, where: str) -> tuple:
+    v = doc[key]
     if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_number(x) for x in v)
             and v[0] < v[1]):
         raise ConfigError(f"{where}.{key}: expected [lo, hi], two numbers with lo < hi, "
@@ -167,16 +138,31 @@ def _window(doc: dict, key: str, where: str, default: tuple) -> tuple:
     return tuple(v)
 
 
-def _integer(doc: dict, key: str, where: str, default: int, least: int) -> int:
-    v = _number(doc, key, where, required=False, default=default)
+def _integer(doc: dict, key: str, where: str, least: int) -> int:
+    v = _number(doc, key, where)
     if not (v >= least and float(v).is_integer()):
         raise ConfigError(f"{where}.{key}: expected an integer >= {least}, got {doc[key]!r}")
     return int(v)
 
 
-def _spin(doc: dict, key: str, where: str, default: float, most: float = math.inf) -> float:
-    """Optional spin: a positive half-integer, at most ``most``."""
-    v = _number(doc, key, where, required=False, default=default)
+def _section(doc: dict, name: str, cls) -> dict:
+    """The document's object ``name`` with ``cls``'s fields as its only keys.
+
+    Absent keys take ``cls``'s defaults, except that a None default stays
+    absent: the document has no spelling for "not set".
+    """
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name}: expected an object")
+    unknown = set(sec) - _field_names(cls)
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+    return {**{f.name: f.default for f in fields(cls) if f.default is not None}, **sec}
+
+
+def _spin(doc: dict, key: str, where: str, most: float = math.inf) -> float:
+    """Spin: a positive half-integer, at most ``most``."""
+    v = _number(doc, key, where)
     if not (0 < v <= most and (2 * v).is_integer()):
         bound = f" <= {most:g}" if most < math.inf else ""
         raise ConfigError(f"{where}.{key}: expected a positive half-integer{bound}, "
@@ -196,7 +182,7 @@ def parse_config(text: str) -> RunConfig:
     if unknown:
         raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
 
-    convention = doc.get("gamma_convention", "angular")
+    convention = doc.get("gamma_convention", RunConfig.gamma_convention)
     if convention not in GAMMA_CONVENTIONS:
         raise ConfigError(f"gamma_convention: must be one of {GAMMA_CONVENTIONS}")
     gamma_raw = _number(doc, "gamma", "params")
@@ -231,15 +217,11 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    grid_doc = doc.get("grid", {})
-    if not isinstance(grid_doc, dict):
-        raise ConfigError("grid: expected an object")
-    if set(grid_doc) - _GRID_KEYS:
-        raise ConfigError(f"grid: unknown keys {sorted(set(grid_doc) - _GRID_KEYS)}")
-    log_prefix = grid_doc.get("log_prefix", "auto")
+    grid_doc = _section(doc, "grid", GridConfig)
+    log_prefix = grid_doc["log_prefix"]
     if log_prefix not in ("auto", True, False):
         raise ConfigError("grid.log_prefix: expected 'auto', true, or false")
-    prefix_ratio = _number(grid_doc, "prefix_ratio", "grid", required=False, default=1.2)
+    prefix_ratio = _number(grid_doc, "prefix_ratio", "grid")
     if not 1.0 < prefix_ratio < math.inf:  # the prefix's steps must grow
         raise ConfigError(f"grid.prefix_ratio: expected a finite number > 1, "
                           f"got {grid_doc['prefix_ratio']!r}")
@@ -247,36 +229,27 @@ def parse_config(text: str) -> RunConfig:
         dt=_positive(grid_doc, "dt", "grid"),
         log_prefix=log_prefix,
         prefix_ratio=prefix_ratio,
-        prefix_safety=_positive(grid_doc, "prefix_safety", "grid", default=0.2),
+        prefix_safety=_positive(grid_doc, "prefix_safety", "grid"),
     )
 
-    ens_doc = doc.get("ensemble", {})
-    if not isinstance(ens_doc, dict):
-        raise ConfigError("ensemble: expected an object")
-    if set(ens_doc) - _ENSEMBLE_KEYS:
-        raise ConfigError(f"ensemble: unknown keys {sorted(set(ens_doc) - _ENSEMBLE_KEYS)}")
-    estimators = ens_doc.get("estimators", ESTIMATOR_NAMES)
+    ens_doc = _section(doc, "ensemble", EnsembleConfig)
+    estimators = ens_doc["estimators"]
     if not (isinstance(estimators, (list, tuple)) and estimators
             and all(e in ESTIMATOR_NAMES for e in estimators)
             and len(set(estimators)) == len(estimators)):
         raise ConfigError(f"ensemble.estimators: expected a list of distinct names from "
                           f"{list(ESTIMATOR_NAMES)}, got {estimators!r}")
     ensemble = EnsembleConfig(
-        n_traj=_integer(ens_doc, "n_traj", "ensemble", 10_000, least=2),
+        n_traj=_integer(ens_doc, "n_traj", "ensemble", least=2),
         estimators=tuple(estimators),
-        checkpoints_per_decade=_integer(ens_doc, "checkpoints_per_decade", "ensemble", 30,
-                                        least=1),
+        checkpoints_per_decade=_integer(ens_doc, "checkpoints_per_decade", "ensemble", least=1),
         first_checkpoint=_positive(ens_doc, "first_checkpoint", "ensemble"),
-        checkpoint_times=_positive_list(ens_doc, "checkpoint_times", "ensemble", ()),
-        mse_ratio_window=_window(ens_doc, "mse_ratio_window", "ensemble", (0.9, 1.1)),
+        checkpoint_times=_positive_list(ens_doc, "checkpoint_times", "ensemble"),
+        mse_ratio_window=_window(ens_doc, "mse_ratio_window", "ensemble"),
     )
 
-    sc_doc = doc.get("scaling", {})
-    if not isinstance(sc_doc, dict):
-        raise ConfigError("scaling: expected an object")
-    if set(sc_doc) - _SCALING_KEYS:
-        raise ConfigError(f"scaling: unknown keys {sorted(set(sc_doc) - _SCALING_KEYS)}")
-    j_values = _positive_list(sc_doc, "j_values", "scaling", (1e4, 1e5, 1e6, 4e6))
+    sc_doc = _section(doc, "scaling", ScalingConfig)
+    j_values = _positive_list(sc_doc, "j_values", "scaling")
     try:
         sorted_j_values(j_values)
     except ValueError as exc:
@@ -284,27 +257,21 @@ def parse_config(text: str) -> RunConfig:
     scaling = ScalingConfig(
         j_values=j_values,
         t_check=_positive(sc_doc, "t_check", "scaling"),
-        n_traj=_integer(sc_doc, "n_traj", "scaling", 2000, least=2),
-        slope_window=_window(sc_doc, "slope_window", "scaling", (-1.05, -0.95)),
-        shotnoise_slope_tol=_number(sc_doc, "shotnoise_slope_tol", "scaling",
-                                    required=False, default=1e-9),
+        n_traj=_integer(sc_doc, "n_traj", "scaling", least=2),
+        slope_window=_window(sc_doc, "slope_window", "scaling"),
+        shotnoise_slope_tol=_number(sc_doc, "shotnoise_slope_tol", "scaling"),
     )
 
-    or_doc = doc.get("oracle", {})
-    if not isinstance(or_doc, dict):
-        raise ConfigError("oracle: expected an object")
-    if set(or_doc) - _ORACLE_KEYS:
-        raise ConfigError(f"oracle: unknown keys {sorted(set(or_doc) - _ORACLE_KEYS)}")
+    or_doc = _section(doc, "oracle", OracleConfig)
     oracle = OracleConfig(
-        j_small=_spin(or_doc, "j_small", "oracle", 10.0, most=MAX_DENSE_J),
-        mt_max=_positive(or_doc, "mt_max", "oracle", default=0.1),
-        dephasing_j=_spin(or_doc, "dephasing_j", "oracle", 5.0),
-        mean_threshold_frac=_number(or_doc, "mean_threshold_frac", "oracle",
-                                    required=False, default=0.05),
-        dephasing_tol=_number(or_doc, "dephasing_tol", "oracle", required=False, default=0.01),
+        j_small=_spin(or_doc, "j_small", "oracle", most=MAX_DENSE_J),
+        mt_max=_positive(or_doc, "mt_max", "oracle"),
+        dephasing_j=_spin(or_doc, "dephasing_j", "oracle"),
+        mean_threshold_frac=_number(or_doc, "mean_threshold_frac", "oracle"),
+        dephasing_tol=_number(or_doc, "dephasing_tol", "oracle"),
     )
 
-    seed = doc.get("seed", 0)
+    seed = doc.get("seed", RunConfig.seed)
     if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
         raise ConfigError("seed: expected a 64-bit non-negative integer")
 

@@ -90,11 +90,6 @@ def t2_bound(p: PhysicalParams) -> float:
     return 2.0 / p.meas_strength
 
 
-def snr(p: PhysicalParams) -> float:
-    """Signal-to-noise figure J*sqrt(M)."""
-    return p.j_total * math.sqrt(p.meas_strength)
-
-
 def collapse_rate(p: PhysicalParams) -> float:
     """Measurement-induced variance collapse rate 2*eta*M*J, s^-1.
 

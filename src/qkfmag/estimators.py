@@ -60,7 +60,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
 from .core import PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params, write_csv
-from .dynamics import TrajectoryRecord, step_coefficients
+from .dynamics import step_coefficients
 
 THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise")
 
@@ -116,33 +116,6 @@ def kalman_schedule(p: PhysicalParams, grid: TimeGrid) -> KalmanSchedule:
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(data))):
         raise RuntimeError("gain schedule overflowed; reduce dt")
     return KalmanSchedule(times=times, phi12=phi12, k1=k1, r=r, data=data, v22=v22, d=d)
-
-
-@dataclass(frozen=True)
-class KalmanTrace:
-    """Filter outputs along a record."""
-
-    times: np.ndarray
-    jz_tilde: np.ndarray
-    b_tilde: np.ndarray
-    v22: np.ndarray
-
-
-def run_kalman(p: PhysicalParams, record: TrajectoryRecord,
-               schedule: KalmanSchedule | None = None) -> KalmanTrace:
-    """Filter one record with the precomputed schedule."""
-    if schedule is None:
-        schedule = kalman_schedule(p, record.grid)
-    times = schedule.times
-    if len(times) != len(record.times) or not np.array_equal(times, record.times):
-        raise ValueError("schedule grid does not match record grid")
-    dts = np.diff(times)
-    k1 = schedule.k1
-    c = _linear_recurrence(1.0 - k1 * dts, k1 * record.d_xi)
-    fit = np.concatenate(([0.0], np.cumsum(schedule.r[:-1] * (record.d_xi - c[:-1] * dts))))
-    with np.errstate(invalid="ignore"):  # inf * 0 where an infinite prior is unresolved
-        b = schedule.v22 * fit / schedule.d**2
-    return KalmanTrace(times=times, jz_tilde=c + schedule.r * b, b_tilde=b, v22=schedule.v22)
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +367,3 @@ def line_fit_weights(times: np.ndarray, n_end: int, gamma_j: float) -> np.ndarra
     xc = 0.5 * (te[:-1] + te[1:])
     xc = xc - xc.mean()
     return np.repeat(xc / ((xc * xc).sum() * np.diff(te) * gamma_j), np.diff(edges))
-
-
-def regression_estimate(record: TrajectoryRecord, p: PhysicalParams, t_end: float) -> float:
-    """Field estimate from the slope of a line fit to the record rate over [0, t_end].
-
-    See ``line_fit_weights``.
-    """
-    times = record.times
-    if t_end > times[-1] * (1.0 + 1e-9):
-        raise ValueError("t_end exceeds the record duration")
-    if p.meas_strength * t_end > 0.5:
-        warnings.warn("M * t_end > 0.5: Bloch decay biases the line-fit estimate",
-                      stacklevel=2)
-    n_end = int(np.searchsorted(times, t_end * (1.0 + 1e-12), side="right") - 1)
-    if n_end < 1:
-        raise ValueError("regression needs at least 3 points")
-    w = line_fit_weights(times, n_end, p.gamma * p.j_total)
-    return float(w @ record.d_xi[:n_end])

@@ -100,7 +100,6 @@ class EnsembleStats:
     mean_b: dict                       # name -> ensemble mean estimate, G
     predicted_v22: np.ndarray          # Riccati v22 at the checkpoints, G^2
     n_traj: int
-    master_seed: int
 
     def to_csv(self, fobj) -> None:
         names = self.estimators
@@ -109,18 +108,6 @@ class EnsembleStats:
                    *(np.concatenate([col[n] for n in names])
                      for col in (self.mse, self.stderr, self.mean_b)),
                    np.tile(self.predicted_v22, len(names))])
-
-    def summary_dict(self) -> dict:
-        return {
-            "n_traj": self.n_traj,
-            "master_seed": self.master_seed,
-            "checkpoint_times": [float(t) for t in self.times],
-            "estimators": list(self.estimators),
-            "mse": {k: [float(x) for x in v] for k, v in self.mse.items()},
-            "stderr": {k: [float(x) for x in v] for k, v in self.stderr.items()},
-            "mean_b": {k: [float(x) for x in v] for k, v in self.mean_b.items()},
-            "predicted_v22": [float(x) for x in self.predicted_v22],
-        }
 
 
 CHUNK_STEPS = 2048  # the longest scan chunk: bounds the plan's per-chunk temporaries
@@ -307,8 +294,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
         mean_b[name] = bs / n
     predicted = riccati_integrate(spec.params, times).v22
     return EnsembleStats(times=times, estimators=tuple(spec.estimators), mse=mse,
-                         stderr=stderr, mean_b=mean_b, predicted_v22=predicted,
-                         n_traj=n, master_seed=spec.master_seed)
+                         stderr=stderr, mean_b=mean_b, predicted_v22=predicted, n_traj=n)
 
 
 def checkpoints_for_times(grid: TimeGrid, wanted_times):

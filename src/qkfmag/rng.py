@@ -30,12 +30,9 @@ class SeedSpec:
         if not (0 <= self.stream_index < 2**63):
             raise ValueError("stream_index must be in [0, 2**63)")
 
-    def bit_generator(self) -> np.random.Philox:
-        return np.random.Philox(key=self.master_seed,
-                                counter=self.stream_index << _STREAM_STRIDE_BITS)
-
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(self.bit_generator())
+        return np.random.Generator(np.random.Philox(
+            key=self.master_seed, counter=self.stream_index << _STREAM_STRIDE_BITS))
 
 
 def substream(master_seed: int, i: int) -> SeedSpec:

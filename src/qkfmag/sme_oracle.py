@@ -18,17 +18,13 @@ comparing distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import PhysicalParams, TimeGrid, validate_params, write_csv
-from .dynamics import TrajectoryRecord, simulate_trajectory
+from .dynamics import simulate_trajectory
 from .rng import SeedSpec
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-POSITIVITY_TOL = 1e-8
 
 # Pathwise Gaussian-model agreement threshold for the mean, in units of
 # sqrt(J/2): neglected terms are down by 1/J and this bound holds with
@@ -39,14 +35,20 @@ MAX_DENSE_J = 20.0  # largest J the pathwise comparison integrates densely
 
 @dataclass(frozen=True)
 class SpinOperators:
+    """Dense Jx, Jy, Jz; D[Jz] and H[Jz] act elementwise in the Jz eigenbasis through
+    its eigenvalues ``m``, ``dephase`` = -(m - m')^2 / 2 and ``msum`` = m + m'."""
+
     dim: int
     jx: np.ndarray
     jy: np.ndarray
     jz: np.ndarray
+    m: np.ndarray
+    dephase: np.ndarray
+    msum: np.ndarray
 
 
 def build_spin_operators(j: float) -> SpinOperators:
-    """Dense Jx, Jy, Jz for spin ``j`` (basis ordered m = j..-j)."""
+    """Dense Jx, Jy, Jz for spin ``j`` (basis ordered m = j..-j) and the step's factors."""
     two_j = 2.0 * j
     if j <= 0 or abs(two_j - round(two_j)) > 1e-12:
         raise ValueError("j must be a positive half-integer")
@@ -60,29 +62,16 @@ def build_spin_operators(j: float) -> SpinOperators:
     jm = jp.conj().T
     jx = 0.5 * (jp + jm)
     jy = -0.5j * (jp - jm)
-    return SpinOperators(dim=dim, jx=jx, jy=jy, jz=jz)
+    diff = np.subtract.outer(m, m)
+    return SpinOperators(dim=dim, jx=jx, jy=jy, jz=jz, m=m, dephase=-0.5 * diff * diff,
+                         msum=np.add.outer(m, m))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    rho: np.ndarray
-
-    def validate(self, positivity_tol: float = POSITIVITY_TOL) -> "DensityMatrix":
-        r = self.rho
-        if np.max(np.abs(r - r.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(r).real - 1.0) > TRACE_TOL:
-            raise ValueError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(r)) < -positivity_tol:
-            raise ValueError("density matrix has negative eigenvalues beyond tolerance")
-        return self
-
-
-def coherent_spin_state_x(ops: SpinOperators) -> DensityMatrix:
-    """Highest-weight eigenstate of Jx: <Jx> = J, <Jz> = 0, <dJz^2> = J/2."""
+def coherent_spin_state_x(ops: SpinOperators) -> np.ndarray:
+    """Density matrix of the highest-weight eigenstate of Jx: <Jx> = J, <Jz> = 0, <dJz^2> = J/2."""
     w, v = np.linalg.eigh(ops.jx)
     psi = v[:, np.argmax(w)]
-    return DensityMatrix(rho=np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj())
 
 
 def recommended_dt(p: PhysicalParams, j: float) -> float:
@@ -91,24 +80,18 @@ def recommended_dt(p: PhysicalParams, j: float) -> float:
     return 1.0 / (100.0 * p.meas_strength * dim * dim)
 
 
-def sme_step(rho: DensityMatrix, ops: SpinOperators, p: PhysicalParams, dt: float,
-             dW: float, renormalize: bool = True) -> DensityMatrix:
-    """One Euler-Maruyama step, then Hermitize and renormalize.
+def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
+             dW: float, renormalize: bool = True) -> np.ndarray:
+    """One Euler-Maruyama step of the density matrix ``r``, then Hermitize and renormalize.
 
     Both superoperators are trace-free, so the raw increment preserves
     the trace to rounding; renormalization only corrects accumulated
     O(dt^2) drift.
     """
-    r = rho.rho
-    jz = ops.jz
-    d = np.real(np.diag(jz))
-    mz = float(np.real(np.sum(d * np.real(np.diag(r)))))
-    # D[Jz] and H[Jz] are elementwise in the Jz eigenbasis
-    dmat = np.subtract.outer(d, d)
-    smat = np.add.outer(d, d)
+    mz = float(np.real(np.sum(ops.m * np.real(np.diag(r)))))
     m = p.meas_strength
-    new = r + m * dt * (-0.5 * dmat * dmat) * r \
-        + math.sqrt(m * p.efficiency) * dW * (smat * r - 2.0 * mz * r)
+    new = r + m * dt * ops.dephase * r \
+        + math.sqrt(m * p.efficiency) * dW * (ops.msum * r - 2.0 * mz * r)
     gb = p.gamma * p.b_true
     if gb != 0.0:
         new = new + (-1j * gb * dt) * (ops.jy @ r - r @ ops.jy)
@@ -118,15 +101,14 @@ def sme_step(rho: DensityMatrix, ops: SpinOperators, p: PhysicalParams, dt: floa
         if not (tr > 0.0 and np.isfinite(tr)):
             raise RuntimeError("trace collapsed; dt too large for this J")
         new = new / tr
-    return DensityMatrix(rho=new)
+    return new
 
 
-def oracle_moments(rho: DensityMatrix, ops: SpinOperators):
+def oracle_moments(rho: np.ndarray, ops: SpinOperators):
     """(<Jz>, <dJz^2>) of the state."""
-    d = np.real(np.diag(ops.jz))
-    pops = np.real(np.diag(rho.rho))
-    mean = float(np.sum(d * pops))
-    second = float(np.sum(d * d * pops))
+    pops = np.real(np.diag(rho))
+    mean = float(np.sum(ops.m * pops))
+    second = float(np.sum(ops.m * ops.m * pops))
     return mean, second - mean * mean
 
 
@@ -147,8 +129,7 @@ class DeviationSeries:
         write_csv(fobj, ["t", "d_mean", "d_var"], [self.times, self.d_mean, self.d_var])
 
 
-def compare_to_gaussian(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
-                        record: TrajectoryRecord | None = None) -> DeviationSeries:
+def compare_to_gaussian(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec) -> DeviationSeries:
     """Per-step deviations between the dense SME and the Gaussian model.
 
     The SME consumes the trajectory record's stored dW sequence, so the
@@ -157,11 +138,8 @@ def compare_to_gaussian(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     validate_params(p)
     if p.j_total > MAX_DENSE_J:
         raise ValueError(f"dense oracle limited to j_total <= {MAX_DENSE_J:g}")
-    if record is None:
-        record = simulate_trajectory(p, grid, seed)
+    record = simulate_trajectory(p, grid, seed)
     times = grid.times
-    if not np.array_equal(record.times, times):
-        raise ValueError("record grid does not match comparison grid")
     ops = build_spin_operators(p.j_total)
     rho = coherent_spin_state_x(ops)
     n = len(times) - 1
@@ -181,22 +159,18 @@ def compare_to_gaussian(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
 def dephasing_rate_errors(p: PhysicalParams, n_steps: int | None = None) -> np.ndarray:
     """Relative errors of the off-diagonal decay rates vs M (m - m')^2 / 2.
 
-    Deterministic check at eta = 0, B = 0 starting from the x-polarized
-    coherent state; returns the per-coherence relative rate errors.
+    Deterministic check of ``sme_step`` at eta = 0, B = 0 and dW = 0,
+    starting from the x-polarized coherent state; returns the
+    per-coherence relative rate errors.
     """
     ops = build_spin_operators(p.j_total)
     dt = recommended_dt(p, p.j_total)
     if n_steps is None:
         n_steps = int(math.ceil(0.1 / (p.meas_strength * dt)))
-    rho0 = coherent_spin_state_x(ops).rho
-    d = np.real(np.diag(ops.jz))
-    dmat = np.subtract.outer(d, d)
-    decay = -0.5 * p.meas_strength * dmat * dmat
-    rho = rho0.copy()
+    unobserved = replace(p, efficiency=0.0, b_true=0.0)
+    rho = rho0 = coherent_spin_state_x(ops)
     for _ in range(n_steps):
-        rho = rho + dt * decay * rho
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / float(np.trace(rho).real)
+        rho = sme_step(rho, ops, unobserved, dt, 0.0)
     t = n_steps * dt
     errs = []
     for a in range(ops.dim):
@@ -204,6 +178,6 @@ def dephasing_rate_errors(p: PhysicalParams, n_steps: int | None = None) -> np.n
             if a == b or abs(rho0[a, b]) < 1e-8:
                 continue
             rate = -math.log(abs(rho[a, b] / rho0[a, b])) / t
-            exact = p.meas_strength * (d[a] - d[b]) ** 2 / 2.0
+            exact = p.meas_strength * (ops.m[a] - ops.m[b]) ** 2 / 2.0
             errs.append(rate / exact - 1.0)
     return np.abs(np.array(errs))

@@ -1,10 +1,15 @@
 """Plain reference forms of the line fit's bin rule, checkpoint search and
 estimate: the greedy loop over every step that ``bin_edge_indices`` must
-reproduce, an argmin over candidate indices, and the binned-rate slope
-that ``line_fit_weights`` folds into per-step weights.  Shared by the unit
-and acceptance tests."""
+reproduce, an argmin over candidate indices, the binned-rate slope that
+``line_fit_weights`` folds into per-step weights, and the line fit over one
+stored record that the ensemble engine's readout must reproduce.  Shared by
+the unit, Monte Carlo and acceptance tests."""
+
+import warnings
 
 import numpy as np
+
+from qkfmag.estimators import line_fit_weights
 
 
 def greedy_bin_edges(times: np.ndarray, n_end: int) -> np.ndarray:
@@ -41,3 +46,21 @@ def binned_rate_estimate(times: np.ndarray, d_xi: np.ndarray, n_end: int, gamma_
     x = 0.5 * (te[:-1] + te[1:])
     xc = x - x.mean()
     return float(np.dot(xc, rates) / np.dot(xc, xc)) / gamma_j
+
+
+def regression_estimate(record, p, t_end: float) -> float:
+    """Field estimate from the slope of a line fit to the record rate over [0, t_end].
+
+    See ``line_fit_weights``.
+    """
+    times = record.times
+    if t_end > times[-1] * (1.0 + 1e-9):
+        raise ValueError("t_end exceeds the record duration")
+    if p.meas_strength * t_end > 0.5:
+        warnings.warn("M * t_end > 0.5: Bloch decay biases the line-fit estimate",
+                      stacklevel=2)
+    n_end = int(np.searchsorted(times, t_end * (1.0 + 1e-12), side="right") - 1)
+    if n_end < 1:
+        raise ValueError("regression needs at least 3 points")
+    w = line_fit_weights(times, n_end, p.gamma * p.j_total)
+    return float(w @ record.d_xi[:n_end])

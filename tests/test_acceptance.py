@@ -54,7 +54,7 @@ from qkfmag.core import TimeGrid
 
 from joseph_oracle import joseph_covariance
 from line_fit_oracle import nearest_grid_indices
-from sme_measures import positivity_tolerance
+from sme_measures import check_density, positivity_tolerance
 
 pytestmark = pytest.mark.acceptance
 
@@ -319,7 +319,7 @@ class TestCriterion8InvariantSuites:
             tol = positivity_tolerance(p, dt)
             for k in range(200):
                 rho = sme_step(rho, ops, p, dt, float(rng.normal(0, math.sqrt(dt))))
-            rho.validate(positivity_tol=tol)
+            check_density(rho, positivity_tol=tol)
         check("criterion-8-density", True,
               "Hermiticity/trace/positivity maintained across randomized oracle runs")
 

@@ -15,7 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkfmag.cli import main
-from qkfmag.config import ConfigError, RunConfig, load_config, load_preset, override, parse_config
+from qkfmag.config import (
+    ConfigError,
+    EnsembleConfig,
+    GridConfig,
+    OracleConfig,
+    RunConfig,
+    ScalingConfig,
+    load_config,
+    load_preset,
+    override,
+    parse_config,
+)
 from qkfmag.dynamics import lowpass_filter, simulate_trajectory
 from qkfmag.rng import substream
 
@@ -69,10 +80,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="tesla_mode"):
             parse_config(json.dumps(doc))
 
-    def test_unknown_nested_key_rejected(self):
-        doc = dict(FIG2_DOC, grid={"dx": 1.0})
-        with pytest.raises(ConfigError, match="dx"):
+    @pytest.mark.parametrize("section", ["grid", "ensemble", "scaling", "oracle"])
+    def test_unknown_nested_key_rejected(self, section):
+        doc = dict(FIG2_DOC, **{section: {"dx": 1.0}})
+        with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['dx'\]"):
             parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["params", "gamma_raw"])
+    def test_derived_fields_are_not_document_keys(self, key):
+        # RunConfig fields that parsing fills in, not keys a document may set
+        doc = dict(FIG2_DOC, **{key: 1.0})
+        with pytest.raises(ConfigError, match=rf"top level: unknown keys \['{key}'\]"):
+            parse_config(json.dumps(doc))
+
+    def test_defaults_spelled_out_parse_the_same(self):
+        # every section field with a value default, written out at that default;
+        # a None default has no spelling in the document
+        doc = dict(FIG2_DOC)
+        for name, cls in (("grid", GridConfig), ("ensemble", EnsembleConfig),
+                          ("scaling", ScalingConfig), ("oracle", OracleConfig)):
+            doc[name] = {f.name: f.default for f in dataclasses.fields(cls)
+                         if f.default is not None}
+        spelled = parse_config(json.dumps(doc))
+        assert spelled == parse_config(json.dumps(FIG2_DOC))
+        assert spelled.ensemble.n_traj == 10_000 and spelled.oracle.j_small == 10.0
 
     def test_infinite_prior_string(self):
         doc = dict(FIG2_DOC, prior_b_variance="infinite")
@@ -356,7 +387,7 @@ class TestCliEarlyCheckpoint:
         assert rc == 2
         assert "Traceback" not in err
         assert "fewer than 3 regression bins" in err
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
         return err
 
     def early_doc(self, **ensemble):
@@ -373,6 +404,24 @@ class TestCliEarlyCheckpoint:
     def test_first_checkpoint_named(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, "ensemble", self.early_doc())  # first_checkpoint 1e-6
         assert err.startswith("error: ensemble.first_checkpoint: ")
+
+    def test_unresolved_prior_checkpoint_not_scored(self, tmp_path):
+        # a qkf-only ensemble runs at that checkpoint: the infinite prior is not yet
+        # resolved there, so the ratio check leaves it out and names it
+        doc = self.early_doc(estimators=["qkf"], checkpoint_times=[1e-5, 0.01])
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        (check,) = json.loads((out / "summary.json").read_text())["checks"]
+        assert check["passed"] is True
+        assert check["detail"].startswith("mse/v22 in [")
+        assert "not scored at t = [1e-05]" in check["detail"]
+        assert "nan" not in check["detail"] and "skipped" not in check["detail"]
+
+        doc = self.early_doc(estimators=["qkf"], checkpoint_times=[1e-5])
+        assert main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        (check,) = json.loads((out / "summary.json").read_text())["checks"]
+        assert check["passed"] is True
+        assert check["detail"].endswith("not scored at t = [1e-05]; skipped: no checkpoint scored")
 
     def test_scaling_t_check_named(self, tmp_path, capsys):
         doc = dict(TOY_DOC, b_true=0.0, prior_b_variance="infinite")

@@ -13,7 +13,6 @@ from qkfmag.core import (
     gamma_from_cycles,
     larmor_frequency,
     make_grid,
-    snr,
     t2_bound,
     validate_params,
 )
@@ -76,14 +75,9 @@ class TestDerivedQuantities:
     def test_t2_bound(self):
         assert t2_bound(params()) == pytest.approx(2e-5, rel=1e-12)
 
-    def test_snr(self):
-        assert snr(params()) == pytest.approx(4e6 * math.sqrt(1e5), rel=1e-12)
-        assert snr(params()) == pytest.approx(1.2649e9, rel=1e-4)
-
     def test_pure_functions(self):
         p = params()
         assert larmor_frequency(p) == larmor_frequency(p)
-        assert snr(p) == snr(p)
         assert collapse_rate(p) == 2 * p.efficiency * p.meas_strength * p.j_total
 
 

@@ -14,16 +14,15 @@ from qkfmag.estimators import (
     ThresholdCurve,
     detection_threshold_asymptotic,
     kalman_schedule,
-    regression_estimate,
     riccati_analytic,
     riccati_integrate,
-    run_kalman,
     shotnoise_limit,
 )
 from qkfmag.rng import substream
 
 from joseph_oracle import joseph_covariance, kalman_step
-from line_fit_oracle import binned_rate_estimate
+from kalman_oracle import run_kalman
+from line_fit_oracle import binned_rate_estimate, regression_estimate
 
 
 def params(**kw):
