@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .core import INFINITE, PhysicalParams, TimeGrid, gamma_from_cycles, make_grid, validate_params
+from .core import (INFINITE, GridConfig, PhysicalParams, TimeGrid, gamma_from_cycles, make_grid,
+                   validate_params)
 from .montecarlo import ESTIMATOR_NAMES, sorted_j_values
 from .sme_oracle import MAX_DENSE_J, MEAN_DEVIATION_FRAC
 
@@ -22,14 +23,6 @@ GAMMA_CONVENTIONS = ("angular", "cycles")
 
 class ConfigError(ValueError):
     """Configuration document rejected; message carries the field path."""
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    dt: float | None = None
-    log_prefix: str | bool = "auto"
-    prefix_ratio: float = 1.2
-    prefix_safety: float = 0.2
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,18 @@ class TimeGrid:
         return cls(dt=(t_total - start) / n, n_steps=n, prefix=pts)
 
 
-def make_grid(p: PhysicalParams, dt: float | None = None, prefix: str | bool = "auto",
-              prefix_ratio: float = 1.2, prefix_safety: float = 0.2) -> TimeGrid:
+@dataclass(frozen=True)
+class GridConfig:  # the config's grid section, and the one statement of make_grid's defaults
+    dt: float | None = None
+    log_prefix: str | bool = "auto"
+    prefix_ratio: float = 1.2
+    prefix_safety: float = 0.2
+
+
+def make_grid(p: PhysicalParams, dt: float | None = GridConfig.dt,
+              prefix: str | bool = GridConfig.log_prefix,
+              prefix_ratio: float = GridConfig.prefix_ratio,
+              prefix_safety: float = GridConfig.prefix_safety) -> TimeGrid:
     """Default grid for ``p``: uniform dt <= 1e-3/M, log prefix when needed.
 
     The prefix is enabled automatically once ``collapse_rate * dt``
@@ -190,6 +200,7 @@ def with_spin(p: PhysicalParams, j_total: float) -> PhysicalParams:
 
 
 CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the writer's string temporaries
+SCAN_BLOCK = 4096  # steps per tolist() block of a scalar recurrence: bounds its Python floats
 
 
 def write_csv(fobj, header, columns) -> None:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PhysicalParams, TimeGrid, collapse_rate, larmor_frequency, validate_params,
-                   write_csv)
+from .core import (SCAN_BLOCK, PhysicalParams, TimeGrid, collapse_rate, larmor_frequency,
+                   validate_params, write_csv)
 from .rng import SeedSpec
 
 
@@ -121,11 +121,10 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     d_sqdt = d * sq
 
     mean = np.empty(n + 1)
-    mean[0] = 0.0
-    m = 0.0
-    for k in range(n):
-        m = m + drift[k] + g_sqdt[k] * z[k]
-        mean[k + 1] = m
+    mean[0] = m = 0.0
+    for s in range(0, n, SCAN_BLOCK):  # Python floats, one block of steps at a time
+        block = zip(*(c[s:s + SCAN_BLOCK].tolist() for c in (drift, g_sqdt, z)))
+        mean[s + 1:s + 1 + SCAN_BLOCK] = [m := m + dk + gk * zk for dk, gk, zk in block]
     d_xi = mean[:-1] * dts + d_sqdt * z  # record uses the pre-step mean
     y = d_xi * (2.0 * p.efficiency * math.sqrt(p.meas_strength)) / dts
     return TrajectoryRecord(
@@ -161,9 +160,9 @@ def lowpass_filter(y: np.ndarray, dt: float, cutoff_hz: float | None = None,
         raise ValueError("cutoff must be positive")
     omega = 2.0 * math.pi * cutoff_hz
     alpha = 1.0 - math.exp(-omega * dt)
-    out = np.empty_like(np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
     acc = 0.0
-    for k, v in enumerate(np.asarray(y, dtype=float)):
-        acc += alpha * (v - acc)
-        out[k] = acc
+    for s in range(0, len(y), SCAN_BLOCK):  # Python floats, one block of samples at a time
+        out[s:s + SCAN_BLOCK] = [acc := acc + alpha * (v - acc) for v in y[s:s + SCAN_BLOCK].tolist()]
     return out

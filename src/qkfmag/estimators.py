@@ -59,7 +59,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
-from .core import PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params, write_csv
+from .core import (SCAN_BLOCK, PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params,
+                   write_csv)
 from .dynamics import step_coefficients
 
 THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise")
@@ -74,11 +75,14 @@ def _linear_recurrence(a: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Not a cumprod scan: the product of the a[k] falls to 2e-10 on the fig2
     grid, and a[k] is negative on a grid too coarse for the early collapse.
+    The floats pass through Python in blocks of ``SCAN_BLOCK`` steps.
     """
-    x = [0.0]
-    for ak, uk in zip(a.tolist(), u.tolist()):
-        x.append(ak * x[-1] + uk)
-    return np.array(x)
+    x = np.empty(len(a) + 1)
+    x[0] = xk = 0.0
+    for s in range(0, len(a), SCAN_BLOCK):
+        block = zip(a[s:s + SCAN_BLOCK].tolist(), u[s:s + SCAN_BLOCK].tolist())
+        x[s + 1:s + 1 + SCAN_BLOCK] = [xk := ak * xk + uk for ak, uk in block]
+    return x
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,12 @@ def kalman_schedule(p: PhysicalParams, grid: TimeGrid) -> KalmanSchedule:
     validate_params(p)
     times = grid.times
     dts = np.diff(times)
-    phi12, g = step_coefficients(p, times)
+    phi12, k1 = np.empty(len(dts)), np.empty(len(dts))
+    for s in range(0, len(dts), SCAN_BLOCK):  # no grid-length temporaries of step_coefficients
+        e = s + SCAN_BLOCK
+        phi12[s:e], k1[s:e] = step_coefficients(p, times[s:e + 1])
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
-    k1 = g / d
+    k1 /= d
     r = _linear_recurrence(1.0 - k1 * dts, phi12)
     p0 = p.prior_b_variance
     with np.errstate(over="ignore", divide="ignore"):  # overflow raises below; 1/0 is inf

@@ -159,56 +159,62 @@ def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float
     The shared bins are ``bin_edge_indices`` up to the last checkpoint.  A
     checkpoint whose own bins are a prefix of them reads the slope from
     s_r and s_xr; any other gets a column of its ``line_fit_weights``.
+    A window's bins depend on its widest step alone: the greedy pass over
+    the longest window of one width picks every edge below a shorter
+    window's end c, whose bins then end at c.  So one pass per width
+    decides every checkpoint.
     """
     n = int(checkpoints[-1])
     edges = bin_edge_indices(times, n)
-    te = times[edges]
-    mid = 0.5 * (te[:-1] + te[1:])
-    per_bin = np.diff(edges)
-    cols = [np.repeat(1.0 / np.diff(te), per_bin), np.repeat(mid / np.diff(te), per_bin)]
-    read = np.zeros((len(checkpoints), 2 + len(checkpoints)))
-    for i, c in enumerate(checkpoints.tolist()):
-        own = bin_edge_indices(times, c)
-        nb = len(own) - 1
+    widest = np.maximum.accumulate(np.diff(times[:n + 1]))[checkpoints - 1]  # per window
+    n_bins = np.zeros(len(checkpoints), dtype=int)
+    prefix = np.zeros(len(checkpoints), dtype=bool)
+    for width in np.unique(widest):
+        at = widest == width
+        own = bin_edge_indices(times, int(checkpoints[at][-1]))
+        m = min(len(own), len(edges))
+        agree = np.argmin(np.append(own[:m] == edges[:m], False))  # leading edges in common
+        n_bins[at] = np.searchsorted(own, checkpoints[at])
+        prefix[at] = (n_bins[at] <= agree) & (edges[n_bins[at]] == checkpoints[at])
+    for c, nb in zip(checkpoints.tolist(), n_bins.tolist()):
         if nb < 3:
             raise CheckpointError(f"checkpoint t = {times[c]:g} s (grid point {c}) leaves "
                                   f"fewer than 3 regression bins")
-        if np.array_equal(own, edges[:nb + 1]):
-            sx = mid[:nb].sum()
-            denom = (mid[:nb] ** 2).sum() - sx * sx / nb
-            read[i, :2] = -sx / nb / denom / gamma_j, 1.0 / denom / gamma_j
-            continue
-        cols.append(np.zeros(n))
-        cols[-1][:c] = line_fit_weights(times, c, gamma_j)
-        read[i, len(cols) - 1] = 1.0
-    return np.array(cols), read[:, :len(cols)]
+    te = times[edges]
+    mid = 0.5 * (te[:-1] + te[1:])
+    cols = np.zeros((2 + int((~prefix).sum()), n))
+    cols[0] = np.repeat(1.0 / np.diff(te), np.diff(edges))  # row by row: one temporary at a time
+    cols[1] = np.repeat(mid / np.diff(te), np.diff(edges))
+    read = np.zeros((len(checkpoints), len(cols)))
+    for i, nb in zip(np.flatnonzero(prefix).tolist(), n_bins[prefix].tolist()):
+        sx = mid[:nb].sum()
+        denom = (mid[:nb] ** 2).sum() - sx * sx / nb
+        read[i, :2] = -sx / nb / denom / gamma_j, 1.0 / denom / gamma_j
+    for col, c in enumerate(checkpoints[~prefix].tolist(), start=2):
+        cols[col, :c] = line_fit_weights(times, c, gamma_j)
+        read[np.searchsorted(checkpoints, c), col] = 1.0
+    return cols, read
 
 
-def _chunk_maps(bounds: list, dts, drift, gsq, dsq, ssq, rec_w: np.ndarray,
-                cp_pos: dict) -> tuple:
-    """Affine maps over the chunks [bounds[i], bounds[i+1]).
+def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
+    """(phi, factor, d) of the affine map over one chunk, from its per-step coefficients.
 
     Per step, d_xi = m dt + dsq z, m' = m + drift + gsq z with
     drift = B phi12, and S' = S + ssq z: the filter's column has the
-    identity map and no drift.  The line-fit columns weigh d_xi; suffix
-    sums carry their weight on m_k onto the normals of the chunk's earlier
-    steps.  Each chunk keeps the ``_noise_factor`` of its per-step noise
-    weights h_t.
+    identity map and no drift.  The line-fit columns weigh d_xi by
+    ``rec_w``; suffix sums carry their weight on m_k onto the normals of the
+    chunk's earlier steps.  The factor is the ``_noise_factor`` of the
+    per-step noise weights h_t.
     """
-    n_col = 2 + len(rec_w)
-    chunks = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        w = rec_w[:, s:e]
-        wm = w * dts[s:e]  # weight of m_k, since d_xi_k = m_k dt_k + dsq_k z_k
-        later = np.zeros_like(wm)  # z_k moves every later m_j: sum of wm[j] over j > k
-        later[:, :-1] = np.cumsum(wm[:, :0:-1], axis=1)[:, ::-1]
-        h_t = np.vstack([gsq[s:e], ssq[s:e], w * dsq[s:e] + later * gsq[s:e]])
-        phi = np.eye(n_col)
-        phi[2:, 0] = wm.sum(axis=1)
-        drift_before = np.concatenate(([0.0], np.cumsum(drift[s:e - 1])))
-        d = np.concatenate(([drift[s:e].sum(), 0.0], (wm * drift_before).sum(axis=1)))
-        chunks.append(_Chunk(s, e, phi, _noise_factor(h_t), d, cp_pos.get(e, -1)))
-    return tuple(chunks)
+    wm = rec_w * dts  # weight of m_k, since d_xi_k = m_k dt_k + dsq_k z_k
+    later = np.zeros_like(wm)  # z_k moves every later m_j: sum of wm[j] over j > k
+    later[:, :-1] = np.cumsum(wm[:, :0:-1], axis=1)[:, ::-1]
+    h_t = np.vstack([gsq, ssq, rec_w * dsq + later * gsq])
+    phi = np.eye(2 + len(rec_w))
+    phi[2:, 0] = wm.sum(axis=1)
+    drift_before = np.concatenate(([0.0], np.cumsum(drift[:-1])))
+    return phi, _noise_factor(h_t), np.concatenate(([drift.sum(), 0.0],
+                                                     (wm * drift_before).sum(axis=1)))
 
 
 def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
@@ -216,23 +222,26 @@ def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
     times = spec.grid.times
     checkpoints = np.asarray(spec.checkpoints, dtype=int)
     n = int(checkpoints[-1])  # the scan ends at the last checkpoint
-    dts = np.diff(times[:n + 1])
-    _, g = step_coefficients(p, times[:n + 1])
-    sq = np.sqrt(dts)
-    schedule = kalman_schedule(p, spec.grid)
-    d = schedule.d
+    # the line-fit weights first: their temporaries and the schedule's never coexist
     rec_w, read = (_line_fit_weights(times, checkpoints, p.gamma * p.j_total)
                    if "regression" in spec.estimators
                    else (np.empty((0, n)), np.empty((len(checkpoints), 0))))
-    bounds = sorted(set(range(0, n, CHUNK_STEPS)) | set(checkpoints.tolist()))
-    chunks = _chunk_maps(bounds, dts, p.b_true * schedule.phi12[:n], g * sq, d * sq,
-                         schedule.r[:n] * sq / d, rec_w,
-                         {c: i for i, c in enumerate(checkpoints.tolist())})
+    schedule = kalman_schedule(p, spec.grid)
+    cp_pos = {c: i for i, c in enumerate(checkpoints.tolist())}
+    bounds = sorted(set(range(0, n, CHUNK_STEPS)) | set(cp_pos))
+    chunks = []
+    for s, e in zip(bounds[:-1], bounds[1:]):  # coefficients from this chunk's slices alone
+        dts = np.diff(times[s:e + 1])
+        sq = np.sqrt(dts)
+        _, g = step_coefficients(p, times[s:e + 1])
+        chunks.append(_Chunk(s, e, *_chunk_map(dts, p.b_true * schedule.phi12[s:e], g * sq,
+                                               schedule.d * sq, schedule.r[s:e] * sq / schedule.d,
+                                               rec_w[:, s:e]), cp_pos.get(e, -1)))
     p0 = p.prior_b_variance
     data = schedule.data[checkpoints]
     # never B/p0: p0 = 0 is valid input
     w = np.zeros(len(data)) if math.isinf(p0) else 1.0 / (1.0 + p0 * data)
-    return _EnginePlan(times=times, checkpoints=checkpoints, chunks=chunks,
+    return _EnginePlan(times=times, checkpoints=checkpoints, chunks=tuple(chunks),
                        v22=schedule.v22[checkpoints], w=w,
                        reg_read=np.hstack([np.zeros((len(checkpoints), 2)), read]),
                        b_true=p.b_true)

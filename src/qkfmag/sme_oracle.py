@@ -88,7 +88,7 @@ def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
     the trace to rounding; renormalization only corrects accumulated
     O(dt^2) drift.
     """
-    mz = float(np.real(np.sum(ops.m * np.real(np.diag(r)))))
+    mz = float((ops.m * r.diagonal().real).sum())
     m = p.meas_strength
     new = r + m * dt * ops.dephase * r \
         + math.sqrt(m * p.efficiency) * dW * (ops.msum * r - 2.0 * mz * r)
@@ -97,7 +97,7 @@ def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
         new = new + (-1j * gb * dt) * (ops.jy @ r - r @ ops.jy)
     new = 0.5 * (new + new.conj().T)
     if renormalize:
-        tr = float(np.trace(new).real)
+        tr = float(new.trace().real)
         if not (tr > 0.0 and np.isfinite(tr)):
             raise RuntimeError("trace collapsed; dt too large for this J")
         new = new / tr
@@ -106,9 +106,9 @@ def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
 
 def oracle_moments(rho: np.ndarray, ops: SpinOperators):
     """(<Jz>, <dJz^2>) of the state."""
-    pops = np.real(np.diag(rho))
-    mean = float(np.sum(ops.m * pops))
-    second = float(np.sum(ops.m * ops.m * pops))
+    pops = rho.diagonal().real
+    mean = float((ops.m * pops).sum())
+    second = float((ops.m * ops.m * pops).sum())
     return mean, second - mean * mean
 
 

@@ -1,13 +1,42 @@
 """The quantum Kalman filter run over one stored record: ``kalman_schedule``'s
 gains applied step by step, the per-record reference that the ensemble
 engine's filter readout must reproduce trajectory by trajectory.  Shared by
-the unit and Monte Carlo tests."""
+the unit and Monte Carlo tests.
 
+Also the schedule's own reference: the recurrence as one grid-length Python
+list and every coefficient over the whole grid at once, which the blocked
+``kalman_schedule`` must match bit for bit."""
+
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from qkfmag.dynamics import step_coefficients
 from qkfmag.estimators import KalmanSchedule, _linear_recurrence, kalman_schedule
+
+
+def list_recurrence(a, u):
+    """x with x[0] = 0 and x[k+1] = a[k] x[k] + u[k], in one Python list."""
+    x = [0.0]
+    for ak, uk in zip(a.tolist(), u.tolist()):
+        x.append(ak * x[-1] + uk)
+    return np.array(x)
+
+
+def reference_schedule(p, grid) -> KalmanSchedule:
+    """``kalman_schedule`` over whole-grid arrays and ``list_recurrence``."""
+    times = grid.times
+    dts = np.diff(times)
+    phi12, g = step_coefficients(p, times)
+    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
+    k1 = g / d
+    r = list_recurrence(1.0 - k1 * dts, phi12)
+    p0 = p.prior_b_variance
+    with np.errstate(over="ignore", divide="ignore"):
+        data = np.concatenate(([0.0], np.cumsum(r[:-1] ** 2 * dts) / (d * d)))
+        v22 = 1.0 / data if math.isinf(p0) else p0 / (1.0 + p0 * data)
+    return KalmanSchedule(times=times, phi12=phi12, k1=k1, r=r, data=data, v22=v22, d=d)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,15 @@
 estimate: the greedy loop over every step that ``bin_edge_indices`` must
 reproduce, an argmin over candidate indices, the binned-rate slope that
 ``line_fit_weights`` folds into per-step weights, and the line fit over one
-stored record that the ensemble engine's readout must reproduce.  Shared by
-the unit, Monte Carlo and acceptance tests."""
+stored record that the ensemble engine's readout must reproduce, and the
+engine's line-fit columns built from every checkpoint's own bin edges.
+Shared by the unit, Monte Carlo and acceptance tests."""
 
 import warnings
 
 import numpy as np
 
-from qkfmag.estimators import line_fit_weights
+from qkfmag.estimators import bin_edge_indices, line_fit_weights
 
 
 def greedy_bin_edges(times: np.ndarray, n_end: int) -> np.ndarray:
@@ -64,3 +65,26 @@ def regression_estimate(record, p, t_end: float) -> float:
         raise ValueError("regression needs at least 3 points")
     w = line_fit_weights(times, n_end, p.gamma * p.j_total)
     return float(w @ record.d_xi[:n_end])
+
+
+def per_checkpoint_line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float):
+    """The engine's line-fit columns and readout, each checkpoint's bins built and compared in full."""
+    n = int(checkpoints[-1])
+    edges = bin_edge_indices(times, n)
+    te = times[edges]
+    mid = 0.5 * (te[:-1] + te[1:])
+    per_bin = np.diff(edges)
+    cols = [np.repeat(1.0 / np.diff(te), per_bin), np.repeat(mid / np.diff(te), per_bin)]
+    read = np.zeros((len(checkpoints), 2 + len(checkpoints)))
+    for i, c in enumerate(checkpoints.tolist()):
+        own = bin_edge_indices(times, c)
+        nb = len(own) - 1
+        if np.array_equal(own, edges[:nb + 1]):
+            sx = mid[:nb].sum()
+            denom = (mid[:nb] ** 2).sum() - sx * sx / nb
+            read[i, :2] = -sx / nb / denom / gamma_j, 1.0 / denom / gamma_j
+            continue
+        cols.append(np.zeros(n))
+        cols[-1][:c] = line_fit_weights(times, c, gamma_j)
+        read[i, len(cols) - 1] = 1.0
+    return np.array(cols), read[:, :len(cols)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkfmag.core import PhysicalParams, TimeGrid, make_grid
+from qkfmag.core import SCAN_BLOCK, PhysicalParams, TimeGrid, make_grid
 from qkfmag.dynamics import (
     bloch_length,
     conditional_variance,
@@ -155,6 +155,39 @@ class TestPhotocurrent:
         assert resid.mean() == pytest.approx(0.0, abs=4 * resid.std() / 200)
         expected_var = dt / (4 * p.meas_strength * p.efficiency)
         assert resid.var() == pytest.approx(expected_var, rel=0.05)
+
+
+class TestBlockedLoops:
+    """The mean and low-pass recurrences run in blocks of SCAN_BLOCK steps; they
+    must equal their per-element loops bit for bit."""
+
+    N_STEPS = 2 * SCAN_BLOCK + 5
+
+    def test_mean_matches_per_step_loop(self):
+        p = params()
+        grid = TimeGrid.uniform(p.t_total / self.N_STEPS, self.N_STEPS)
+        rec = simulate_trajectory(p, grid, substream(4, 1))
+        drift, g = step_coefficients(p, grid.times)
+        drift *= p.b_true
+        g_sqdt = g * np.sqrt(np.diff(grid.times))
+        z = substream(4, 1).generator().standard_normal(self.N_STEPS)
+        mean = np.empty(self.N_STEPS + 1)
+        mean[0] = m = 0.0
+        for k in range(self.N_STEPS):
+            m = m + drift[k] + g_sqdt[k] * z[k]
+            mean[k + 1] = m
+        assert rec.mean_jz.tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, SCAN_BLOCK, N_STEPS])
+    def test_lowpass_matches_per_sample_loop(self, n):
+        y = np.random.default_rng(5).normal(size=n)
+        alpha = 1.0 - math.exp(-2.0 * math.pi * 30.0 * 1e-3)
+        want = np.empty(n)
+        acc = 0.0
+        for k, v in enumerate(y):
+            acc += alpha * (v - acc)
+            want[k] = acc
+        assert lowpass_filter(y, dt=1e-3, cutoff_hz=30.0).tobytes() == want.tobytes()
 
 
 class TestSimulateTrajectory:

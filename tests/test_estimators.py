@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from qkfmag.config import load_preset
-from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, collapse_rate, make_grid
+from qkfmag.core import (INFINITE, SCAN_BLOCK, PhysicalParams, TimeGrid, collapse_rate, make_grid,
+                         with_spin)
 from qkfmag.dynamics import conditional_variance, simulate_trajectory, step_coefficients
 from qkfmag.estimators import (
     ThresholdCurve,
+    _linear_recurrence,
     detection_threshold_asymptotic,
     kalman_schedule,
     riccati_analytic,
@@ -21,7 +23,7 @@ from qkfmag.estimators import (
 from qkfmag.rng import substream
 
 from joseph_oracle import joseph_covariance, kalman_step
-from kalman_oracle import run_kalman
+from kalman_oracle import list_recurrence, reference_schedule, run_kalman
 from line_fit_oracle import binned_rate_estimate, regression_estimate
 
 
@@ -257,6 +259,45 @@ class TestKalmanStep:
             jz, b = jz + phi12[0] * b + k1 * inn, b + k2 * inn
         assert b == pytest.approx(trace.b_tilde[-1], rel=1e-9)
         assert v[2] == pytest.approx(trace.v22[-1], rel=1e-9)
+
+
+class TestBlockedSchedule:
+    """The schedule's recurrence runs in blocks of SCAN_BLOCK steps and its step
+    coefficients block by block; it must equal the one-list, whole-grid form
+    bit for bit."""
+
+    @staticmethod
+    def check(p, grid):
+        got, want = kalman_schedule(p, grid), reference_schedule(p, grid)
+        for name in ("phi12", "k1", "r", "data", "v22"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.d == want.d
+
+    @pytest.mark.parametrize("prior", ["preset", "infinite"])
+    def test_fig2(self, prior):
+        cfg = load_preset("fig2")
+        p = cfg.params if prior == "preset" else dataclasses.replace(cfg.params,
+                                                                     prior_b_variance=INFINITE)
+        grid = cfg.make_grid()
+        assert grid.n_intervals % SCAN_BLOCK != 0
+        self.check(p, grid)
+
+    @pytest.mark.parametrize("j", load_preset("scaling").scaling.j_values)
+    def test_scaling_preset(self, j):
+        cfg = load_preset("scaling")
+        p = dataclasses.replace(with_spin(cfg.params, j), t_total=cfg.scaling.t_check)
+        self.check(p, make_grid(p))
+
+    @pytest.mark.parametrize("n_steps", [1, SCAN_BLOCK - 1, SCAN_BLOCK, 2 * SCAN_BLOCK + 5])
+    def test_block_boundaries(self, n_steps):
+        p = toy()
+        self.check(p, TimeGrid.uniform(p.t_total / n_steps, n_steps))
+
+    def test_recurrence_with_sign_changes(self):
+        rng = np.random.default_rng(3)
+        a, u = rng.uniform(-1.5, 1.5, 3 * SCAN_BLOCK + 7), rng.normal(size=3 * SCAN_BLOCK + 7)
+        assert _linear_recurrence(a, u).tobytes() == list_recurrence(a, u).tobytes()
+        assert _linear_recurrence(a[:0], u[:0]).tolist() == [0.0]
 
 
 class TestRiccatiIntegrate:

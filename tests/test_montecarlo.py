@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import qkfmag
 from qkfmag import montecarlo
 from qkfmag.config import load_config, load_preset
 from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid, with_spin
-from qkfmag.dynamics import simulate_trajectory
+from qkfmag.dynamics import simulate_trajectory, step_coefficients
 from qkfmag.estimators import (
     bin_edge_indices,
     kalman_schedule,
@@ -36,6 +37,7 @@ from line_fit_oracle import (
     greedy_bin_edges,
     nearest_grid_indices,
     nearest_indices,
+    per_checkpoint_line_fit_weights,
     regression_estimate,
 )
 
@@ -306,6 +308,22 @@ class TestLineFitBins:
             own += 1
         assert 0 < own < len(cps)
 
+    def test_shared_bin_test_matches_per_checkpoint_edges(self):
+        # one greedy pass per window width decides which checkpoints read the shared sums
+        every, sampled = line_fit_grids()
+        cases = [(spec.grid, np.asarray(spec.checkpoints))
+                 for spec in (fig2_preset_spec(), convergence_spec(2), toy_spec())]
+        for grid in every:  # every grid point with 3 bins before it, log prefix included
+            first = next(c for c in range(1, len(grid.times))
+                         if len(bin_edge_indices(grid.times, c)) > 3)
+            cases.append((grid, np.arange(first, len(grid.times))))
+        for grid in sampled[1:]:
+            cases.append((grid, np.asarray(checkpoints_for_times(grid, [grid.t_total]))))
+        for grid, cps in cases:
+            cols, read = montecarlo._line_fit_weights(grid.times, cps, 3.0)
+            want_cols, want_read = per_checkpoint_line_fit_weights(grid.times, cps, 3.0)
+            assert cols.tobytes() == want_cols.tobytes() and read.tobytes() == want_read.tobytes()
+
 
 class TestScalingStudy:
     def test_span_validation(self):
@@ -506,6 +524,48 @@ def test_schedule_matches_riccati_at_checkpoints(spec):
     v22 = kalman_schedule(spec.params, spec.grid).v22[cps]
     want = riccati_integrate(spec.params, spec.grid.times[cps]).v22
     np.testing.assert_allclose(v22, want, rtol=1e-3)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(fig2_preset_spec, id="fig2"),
+    pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
+    pytest.param(lambda: scaling_preset_spec(1e4), id="scaling-J1e4")])
+def test_chunk_maps_match_whole_grid_coefficients(spec):
+    # each chunk's coefficients, formed from its own slice of the grid, against
+    # slices of whole-grid arrays: the same maps bit for bit
+    spec = spec()
+    p, times = spec.params, spec.grid.times
+    plan = _build_plan(spec)
+    n = int(plan.checkpoints[-1])
+    sched = kalman_schedule(p, spec.grid)
+    dts = np.diff(times[:n + 1])
+    sq = np.sqrt(dts)
+    _, g = step_coefficients(p, times[:n + 1])
+    drift, gsq = p.b_true * sched.phi12[:n], g * sq
+    dsq, ssq = sched.d * sq, sched.r[:n] * sq / sched.d
+    rec_w, _ = montecarlo._line_fit_weights(times, plan.checkpoints, p.gamma * p.j_total)
+    for ch in plan.chunks:
+        s, e = ch.start, ch.end
+        phi, factor, d = montecarlo._chunk_map(dts[s:e], drift[s:e], gsq[s:e], dsq[s:e], ssq[s:e],
+                                               rec_w[:, s:e])
+        assert (phi.tobytes(), factor.tobytes(), d.tobytes()) == (
+            ch.phi.tobytes(), ch.factor.tobytes(), ch.d.tobytes())
+
+
+def test_plan_memory_is_bounded_by_a_chunk():
+    # The plan keeps the schedule's five grid-length arrays and the line fit's
+    # two shared columns; everything else is formed one chunk at a time.  The
+    # bound, 12 grid-length float64 arrays, was fixed before measuring: with
+    # whole-grid temporaries the fig2 plan peaked at 21.
+    spec = fig2_preset_spec()
+    _build_plan(spec)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        _build_plan(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * len(spec.grid.times)
 
 
 class TestNoiseFactor:
