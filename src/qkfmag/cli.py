@@ -110,7 +110,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     with open(out_dir / "ensemble.csv", "w", encoding="utf-8", newline="") as f:
         stats.to_csv(f)
 
-    times = log_times(cfg.ensemble.first_checkpoint or max(1e-8, p.t_total * 1e-5), p.t_total, 30)
+    # the axis starts at 1e-8 s or t_total * 1e-5, whichever is later, but below t_total
+    t_first = max(1e-8, p.t_total * 1e-5) if p.t_total > 1e-8 else p.t_total * 1e-5
+    times = log_times(cfg.ensemble.first_checkpoint or t_first, p.t_total, 30)
     curves = [riccati_integrate(p, times).threshold_curve()]
     skipped = []
     try:

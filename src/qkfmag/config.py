@@ -187,14 +187,11 @@ def parse_config(text: str) -> RunConfig:
     prior_raw = doc.get("prior_b_variance")
     if prior_raw is None:
         raise ConfigError("params: missing required key 'prior_b_variance'")
-    if isinstance(prior_raw, str):
-        if prior_raw.lower() not in ("infinite", "inf"):
-            raise ConfigError("prior_b_variance: number or the string 'infinite'")
-        prior = INFINITE
-    elif isinstance(prior_raw, (int, float)) and not isinstance(prior_raw, bool):
-        prior = float(prior_raw)
-    else:
-        raise ConfigError("prior_b_variance: number or the string 'infinite'")
+    # a zero prior leaves nothing to estimate
+    prior = INFINITE if str(prior_raw).lower() in ("infinite", "inf") else prior_raw
+    if not (_is_number(prior) and prior > 0):
+        raise ConfigError(f"params.prior_b_variance: expected a positive number or 'infinite', "
+                          f"got {prior_raw!r}")
 
     params = PhysicalParams(
         j_total=_number(doc, "j_total", "params"),
@@ -202,7 +199,7 @@ def parse_config(text: str) -> RunConfig:
         b_true=_number(doc, "b_true", "params"),
         meas_strength=_number(doc, "meas_strength", "params"),
         efficiency=_number(doc, "efficiency", "params"),
-        prior_b_variance=prior,
+        prior_b_variance=float(prior),
         t_total=_number(doc, "t_total", "params"),
     )
     try:
@@ -240,6 +237,9 @@ def parse_config(text: str) -> RunConfig:
         checkpoint_times=_positive_list(ens_doc, "checkpoint_times", "ensemble"),
         mse_ratio_window=_window(ens_doc, "mse_ratio_window", "ensemble"),
     )
+    if (ensemble.first_checkpoint or 0.0) >= params.t_total:
+        raise ConfigError(f"ensemble.first_checkpoint: expected a time below t_total = "
+                          f"{params.t_total!r} s, got {ensemble.first_checkpoint!r}")
 
     sc_doc = _section(doc, "scaling", ScalingConfig)
     j_values = _positive_list(sc_doc, "j_values", "scaling")

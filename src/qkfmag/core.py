@@ -149,7 +149,7 @@ class TimeGrid:
         return cls(dt, n_steps)
 
     @classmethod
-    def with_prefix(cls, dt: float, t_total: float, t_first: float, ratio: float = 1.2) -> "TimeGrid":
+    def with_prefix(cls, dt: float, t_total: float, t_first: float, ratio: float) -> "TimeGrid":
         """Geometric prefix from ``t_first`` until steps reach ``dt``, then uniform to ``t_total``."""
         if not (0 < t_first < t_total):
             raise ValueError("t_first must be in (0, t_total)")

@@ -25,11 +25,13 @@ and results must not depend on it.
 
 The state columns are the true mean m, the filter's one weighted sum of
 normals S = sum_k r_k sqrt(dt_k) z_k / d, and the line fit's linear
-functionals of the record.  Putting the innovations
+functionals of the record.  Both estimators are linear in the record, so
+each is one affine readout of the state at its checkpoint:
+b_hat = read @ state + offset.  Putting the innovations
 d_xi_k - c_k dt_k = r_k dt_k B + d sqrt(dt_k) z_k into the filter's
 estimate (see ``estimators``) gives b = v22 (B data + S) =
 B (1 - w) + v22 S, with w = 1/(1 + p0 data) the prior's pull, 0 for an
-infinite prior.
+infinite prior: the filter's row is v22 on S, with offset B (1 - w).
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ class _Chunk:
     phi: np.ndarray      # (n_col, n_col)
     factor: np.ndarray   # (n_col, width), factor factor^T = h_t h_t^T of the per-step noise
     d: np.ndarray        # (n_col,)
-    checkpoint: int      # position of ``end`` in the checkpoint list, or -1
+    read: np.ndarray | None = None    # at a checkpoint, (n_est, n_col): b_hat = read @ state
+    offset: np.ndarray | None = None  # ... + offset, (n_est,)
 
 
 def _noise_factor(h_t: np.ndarray) -> np.ndarray:
@@ -132,25 +135,6 @@ def _noise_factor(h_t: np.ndarray) -> np.ndarray:
     for unit normals u.
     """
     return np.ascontiguousarray(np.linalg.qr(h_t.T, mode="r").T)
-
-
-@dataclass(frozen=True)
-class _EnginePlan:
-    """Chunk maps and checkpoint readouts shared by every trajectory.
-
-    State columns: the true mean m, the filter's weighted sum of normals
-    S = sum_k r_k sqrt(dt_k) z_k / d, then linear functionals of the
-    record: the line fit's shared sums s_r and s_xr, and one direct
-    estimate per checkpoint whose bins are not a prefix of the shared bins.
-    """
-
-    times: np.ndarray
-    checkpoints: np.ndarray  # grid indices
-    chunks: tuple
-    v22: np.ndarray          # per checkpoint: b_hat = B (1 - w) + v22 S
-    w: np.ndarray            # per checkpoint: the prior's pull 1/(1 + p0 data); 0 if p0 = inf
-    reg_read: np.ndarray     # (n_cp, n_col): line-fit estimate = state @ reg_read[i]
-    b_true: float
 
 
 def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float):
@@ -217,16 +201,34 @@ def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
                                                      (wm * drift_before).sum(axis=1)))
 
 
-def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
+def _build_plan(spec: EnsembleSpec) -> tuple:
+    """The ``_Chunk``s from grid point 0 to the last checkpoint, in scan order.
+
+    A chunk that ends at a checkpoint reads every estimator of the spec off
+    the state there, one row each in ``ESTIMATOR_NAMES`` order: the
+    filter's row is v22 on the S column with offset B (1 - w), the line
+    fit's is its ``_line_fit_weights`` readout with offset 0.
+    """
     p = spec.params
     times = spec.grid.times
     checkpoints = np.asarray(spec.checkpoints, dtype=int)
     n = int(checkpoints[-1])  # the scan ends at the last checkpoint
     # the line-fit weights first: their temporaries and the schedule's never coexist
-    rec_w, read = (_line_fit_weights(times, checkpoints, p.gamma * p.j_total)
-                   if "regression" in spec.estimators
-                   else (np.empty((0, n)), np.empty((len(checkpoints), 0))))
+    rec_w, reg_read = (_line_fit_weights(times, checkpoints, p.gamma * p.j_total)
+                       if "regression" in spec.estimators else (np.empty((0, n)), None))
     schedule = kalman_schedule(p, spec.grid)
+    names = [e for e in ESTIMATOR_NAMES if e in spec.estimators]
+    read = np.zeros((len(checkpoints), len(names), 2 + len(rec_w)))
+    offset = np.zeros((len(checkpoints), len(names)))
+    if "qkf" in names:
+        p0 = p.prior_b_variance
+        data = schedule.data[checkpoints]
+        # never B/p0: p0 = 0 is valid input
+        w = np.zeros(len(data)) if math.isinf(p0) else 1.0 / (1.0 + p0 * data)
+        read[:, names.index("qkf"), 1] = schedule.v22[checkpoints]
+        offset[:, names.index("qkf")] = p.b_true * (1.0 - w)
+    if reg_read is not None:
+        read[:, names.index("regression"), 2:] = reg_read
     cp_pos = {c: i for i, c in enumerate(checkpoints.tolist())}
     bounds = sorted(set(range(0, n, CHUNK_STEPS)) | set(cp_pos))
     chunks = []
@@ -234,44 +236,35 @@ def _build_plan(spec: EnsembleSpec) -> _EnginePlan:
         dts = np.diff(times[s:e + 1])
         sq = np.sqrt(dts)
         _, g = step_coefficients(p, times[s:e + 1])
+        i = cp_pos.get(e)
         chunks.append(_Chunk(s, e, *_chunk_map(dts, p.b_true * schedule.phi12[s:e], g * sq,
                                                schedule.d * sq, schedule.r[s:e] * sq / schedule.d,
-                                               rec_w[:, s:e]), cp_pos.get(e, -1)))
-    p0 = p.prior_b_variance
-    data = schedule.data[checkpoints]
-    # never B/p0: p0 = 0 is valid input
-    w = np.zeros(len(data)) if math.isinf(p0) else 1.0 / (1.0 + p0 * data)
-    return _EnginePlan(times=times, checkpoints=checkpoints, chunks=tuple(chunks),
-                       v22=schedule.v22[checkpoints], w=w,
-                       reg_read=np.hstack([np.zeros((len(checkpoints), 2)), read]),
-                       b_true=p.b_true)
+                                               rec_w[:, s:e]),
+                             *(() if i is None else (read[i], offset[i]))))
+    return tuple(chunks)
 
 
-def _run_block(spec: EnsembleSpec, plan: _EnginePlan, i0: int, i1: int) -> dict:
-    """Scan trajectories [i0, i1); per estimator, sums of e^2, e^4 and b_hat per checkpoint."""
-    out = {name: np.zeros((3, len(plan.checkpoints))) for name in spec.estimators}
-    state = np.zeros((i1 - i0, plan.chunks[0].phi.shape[0]))
+def _run_block(spec: EnsembleSpec, chunks: tuple, i0: int, i1: int) -> np.ndarray:
+    """Scan trajectories [i0, i1); (n_cp, 3, n_est): per checkpoint, sums of e^2, e^4 and b_hat."""
+    state = np.zeros((i1 - i0, chunks[0].phi.shape[0]))
     # each trajectory's normals for every chunk, in chunk order, in one draw
-    u = np.empty((i1 - i0, sum(ch.factor.shape[1] for ch in plan.chunks)))
+    u = np.empty((i1 - i0, sum(ch.factor.shape[1] for ch in chunks)))
     for row, i in zip(u, range(i0, i1)):
         substream(spec.master_seed, i).generator().standard_normal(out=row)
+    out = []
     off = 0
-    for ch in plan.chunks:
+    for ch in chunks:
         width = ch.factor.shape[1]
         state = (np.einsum("ij,kj->ik", state, ch.phi)
                  + np.einsum("ij,kj->ik", u[:, off:off + width], ch.factor) + ch.d)
         off += width
-        i = ch.checkpoint
-        if i < 0:
+        if ch.read is None:
             continue
         with np.errstate(invalid="ignore"):  # inf * 0 where an infinite prior is unresolved
-            qkf = plan.b_true * (1.0 - plan.w[i]) + plan.v22[i] * state[:, 1]
-        for name, b_hat in (("qkf", qkf),
-                            ("regression", np.einsum("ij,j->i", state, plan.reg_read[i]))):
-            if name in out:
-                e2 = (b_hat - plan.b_true) ** 2
-                out[name][:, i] = e2.sum(), (e2 * e2).sum(), b_hat.sum()
-    return out
+            b_hat = np.einsum("ej,ij->ei", ch.read, state) + ch.offset[:, None]
+        e2 = (b_hat - spec.params.b_true) ** 2
+        out.append((e2.sum(axis=1), (e2 * e2).sum(axis=1), b_hat.sum(axis=1)))
+    return np.array(out)
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
@@ -281,29 +274,27 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     """
     if len(spec.checkpoints) == 0:
         raise ValueError("spec.checkpoints must be non-empty")
-    plan = _build_plan(spec)
+    chunks = _build_plan(spec)
     blocks = [(i, min(i + BLOCK_SIZE, spec.n_traj)) for i in range(0, spec.n_traj, BLOCK_SIZE)]
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_block, [spec] * len(blocks), [plan] * len(blocks),
+            partials = list(pool.map(_run_block, [spec] * len(blocks), [chunks] * len(blocks),
                                      *zip(*blocks)))
     else:
-        partials = [_run_block(spec, plan, a, b) for a, b in blocks]
+        partials = [_run_block(spec, chunks, a, b) for a, b in blocks]
 
     n = spec.n_traj
-    n_cp = len(spec.checkpoints)
-    times = plan.times[plan.checkpoints]
-    mse, stderr, mean_b = {}, {}, {}
-    for name in (e for e in ESTIMATOR_NAMES if e in spec.estimators):
-        e2, e4, bs = (np.array([math.fsum(pt[name][r, i] for pt in partials) for i in range(n_cp)])
-                      for r in range(3))
-        mse[name] = e2 / n
-        var_e2 = np.maximum(e4 / n - (e2 / n) ** 2, 0.0)
-        stderr[name] = np.sqrt(var_e2 / (n - 1))
-        mean_b[name] = bs / n
+    stacked = np.stack(partials).reshape(len(partials), -1)
+    e2, e4, bs = np.array([math.fsum(col) for col in stacked.T]).reshape(
+        partials[0].shape).transpose(1, 2, 0)  # each (n_est, n_cp)
+    names = [e for e in ESTIMATOR_NAMES if e in spec.estimators]
+    var_e2 = np.maximum(e4 / n - (e2 / n) ** 2, 0.0)
+    times = spec.grid.times[list(spec.checkpoints)]
     predicted = riccati_integrate(spec.params, times).v22
-    return EnsembleStats(times=times, estimators=tuple(spec.estimators), mse=mse,
-                         stderr=stderr, mean_b=mean_b, predicted_v22=predicted, n_traj=n)
+    return EnsembleStats(times=times, estimators=tuple(spec.estimators),
+                         mse=dict(zip(names, e2 / n)),
+                         stderr=dict(zip(names, np.sqrt(var_e2 / (n - 1)))),
+                         mean_b=dict(zip(names, bs / n)), predicted_v22=predicted, n_traj=n)
 
 
 def checkpoints_for_times(grid: TimeGrid, wanted_times):

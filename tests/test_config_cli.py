@@ -278,6 +278,17 @@ class TestCliEnsemble:
         assert "outside validity" in summary["warnings"][0]
         assert summary["skipped_curves"] == []
 
+    def test_threshold_axis_below_short_t_total(self, tmp_path):
+        # t_total = 5 ns is below the axis's usual 1e-8 s start: it starts at t_total * 1e-5
+        doc = dict(TOY_DOC, meas_strength=1e9, t_total=5e-9)
+        del doc["grid"]
+        doc["ensemble"] = {"n_traj": 4}
+        cfg = _write_cfg(tmp_path, doc)
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "thresholds.csv", newline="", encoding="utf-8") as f:
+            t = np.array([float(row[0]) for row in list(csv.reader(f))[1:]])
+        assert t.min() == pytest.approx(5e-14, rel=1e-12) and t.max() == 5e-9
+
     def test_unresolved_prior_checkpoints_recorded(self, tmp_path):
         # infinite prior: grid point 1 carries no data information, so the
         # filter is scored NaN at its checkpoint
@@ -314,6 +325,16 @@ class TestCliEnsemble:
 BAD_CONFIGS = {
     "first_checkpoint": ("ensemble", {"ensemble": {"first_checkpoint": -1e-6}},
                          "ensemble.first_checkpoint"),
+    # the threshold time axis would start at or after t_total = 0.5
+    "first_checkpoint_at_t_total": ("ensemble", {"ensemble": {"first_checkpoint": 0.5}},
+                                    "ensemble.first_checkpoint"),
+    "first_checkpoint_after_t_total": ("ensemble", {"ensemble": {"first_checkpoint": 0.9}},
+                                       "ensemble.first_checkpoint"),
+    # a zero prior leaves nothing to estimate
+    "prior_zero": ("ensemble", {"prior_b_variance": 0}, "params.prior_b_variance"),
+    "prior_negative": ("simulate", {"prior_b_variance": -0.05}, "params.prior_b_variance"),
+    "prior_string": ("simulate", {"prior_b_variance": "none"}, "params.prior_b_variance"),
+    "prior_bool": ("oracle-check", {"prior_b_variance": True}, "params.prior_b_variance"),
     "lowpass_cutoff": ("simulate", {"lowpass_cutoff_hz": 0.0}, "lowpass_cutoff_hz"),
     "estimators_not_list": ("ensemble", {"ensemble": {"estimators": "qkf"}},
                             "ensemble.estimators"),

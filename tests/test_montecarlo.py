@@ -464,7 +464,7 @@ class TestChunkScan:
         src = str(Path(qkfmag.__file__).resolve().parents[1])
         for dt, longest in ((1e-3, 401), (1e-4, montecarlo.CHUNK_STEPS)):
             spec = toy_spec(n_traj=1100, dt=dt)
-            assert max(ch.end - ch.start for ch in _build_plan(spec).chunks) == longest
+            assert max(ch.end - ch.start for ch in _build_plan(spec)) == longest
             path = tmp_path / f"spec-{dt:g}.pkl"
             path.write_bytes(pickle.dumps(spec))
             code = ("import pickle, sys; from qkfmag.montecarlo import run_ensemble; "
@@ -490,16 +490,16 @@ class TestCovarianceIdentity:
 
     @staticmethod
     def check(spec):
-        plan = _build_plan(spec)
-        sigma = np.zeros(plan.chunks[0].phi.shape)
-        var_s = np.zeros(len(spec.checkpoints))
-        for ch in plan.chunks:
+        chunks = _build_plan(spec)
+        sigma = np.zeros(chunks[0].phi.shape)
+        var_b = []
+        for ch in chunks:
             sigma = ch.phi @ sigma @ ch.phi.T + ch.factor @ ch.factor.T
-            if ch.checkpoint >= 0:
-                var_s[ch.checkpoint] = sigma[1, 1]
+            if ch.read is not None:
+                var_b.append(ch.read[0] @ sigma @ ch.read[0])  # the filter's row
         v22 = kalman_schedule(spec.params, spec.grid).v22[list(spec.checkpoints)]
-        np.testing.assert_allclose(v22**2 * var_s,
-                                   v22 * (1.0 - v22 / spec.params.prior_b_variance), rtol=1e-6)
+        np.testing.assert_allclose(var_b, v22 * (1.0 - v22 / spec.params.prior_b_variance),
+                                   rtol=1e-6)
 
     def test_fig2_preset(self):
         self.check(fig2_preset_spec())
@@ -510,6 +510,42 @@ class TestCovarianceIdentity:
     @pytest.mark.parametrize("j", load_preset("scaling").scaling.j_values)
     def test_scaling_preset(self, j):
         self.check(scaling_preset_spec(j))
+
+
+class TestMeanIdentity:
+    """No noise drawn: the chunk maps propagate the mean of the state,
+    mu <- phi mu + d, and every estimator's readout of it, read @ mu + offset,
+    must equal that estimator's per-record oracle on the zero-noise record:
+    ``run_kalman`` for the filter, ``line_fit_weights`` @ d_xi for the line
+    fit.  The line fit's mean is its Bloch-decay bias, a deterministic curve."""
+
+    @staticmethod
+    def check(spec):
+        p, times, cps = spec.params, spec.grid.times, list(spec.checkpoints)
+        rec = simulate_trajectory(p, spec.grid, substream(spec.master_seed, 0), zero_noise=True)
+        chunks = _build_plan(spec)
+        mu = np.zeros(chunks[0].phi.shape[0])
+        got = []
+        for ch in chunks:
+            mu = ch.phi @ mu + ch.d
+            if ch.read is not None:
+                got.append(ch.read @ mu + ch.offset)
+        qkf, line_fit = np.array(got).T
+        np.testing.assert_allclose(qkf, run_kalman(p, rec).b_tilde[cps], rtol=1e-9)
+        want = [line_fit_weights(times, c, p.gamma * p.j_total) @ rec.d_xi[:c] for c in cps]
+        np.testing.assert_allclose(line_fit, want, rtol=1e-9)
+        return line_fit / p.b_true
+
+    def test_fig2_preset(self):
+        bias = self.check(fig2_preset_spec()) - 1.0
+        # Bloch decay: a few percent low at the first checkpoint, almost all of B lost at 2 ms
+        assert -0.05 < bias[0] < 0.0 and bias[-1] < -0.99
+
+    def test_own_line_fit_columns(self):
+        # off-edge checkpoints inside the log prefix: each reads its own column
+        spec = convergence_spec(n_traj=2)
+        self.check(dataclasses.replace(
+            spec, params=dataclasses.replace(spec.params, b_true=FIG2["b_true"])))
 
 
 @pytest.mark.parametrize("spec", [
@@ -535,16 +571,17 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
     # slices of whole-grid arrays: the same maps bit for bit
     spec = spec()
     p, times = spec.params, spec.grid.times
-    plan = _build_plan(spec)
-    n = int(plan.checkpoints[-1])
+    chunks = _build_plan(spec)
+    n = int(spec.checkpoints[-1])
     sched = kalman_schedule(p, spec.grid)
     dts = np.diff(times[:n + 1])
     sq = np.sqrt(dts)
     _, g = step_coefficients(p, times[:n + 1])
     drift, gsq = p.b_true * sched.phi12[:n], g * sq
     dsq, ssq = sched.d * sq, sched.r[:n] * sq / sched.d
-    rec_w, _ = montecarlo._line_fit_weights(times, plan.checkpoints, p.gamma * p.j_total)
-    for ch in plan.chunks:
+    rec_w, _ = montecarlo._line_fit_weights(times, np.asarray(spec.checkpoints),
+                                            p.gamma * p.j_total)
+    for ch in chunks:
         s, e = ch.start, ch.end
         phi, factor, d = montecarlo._chunk_map(dts[s:e], drift[s:e], gsq[s:e], dsq[s:e], ssq[s:e],
                                                rec_w[:, s:e])
@@ -587,9 +624,9 @@ class TestNoiseFactor:
             return pairs[-1][1]
 
         monkeypatch.setattr(montecarlo, "_noise_factor", keep)
-        plan = _build_plan(spec())
-        assert len(pairs) == len(plan.chunks)
-        for ch, (h_t, f) in zip(plan.chunks, pairs):
+        chunks = _build_plan(spec())
+        assert len(pairs) == len(chunks)
+        for ch, (h_t, f) in zip(chunks, pairs):
             assert h_t.shape[1] == ch.end - ch.start
             assert f.shape == (h_t.shape[0], min(h_t.shape))
             cov = h_t @ h_t.T
@@ -599,10 +636,10 @@ class TestNoiseFactor:
 
     def test_normals_per_trajectory(self, monkeypatch):
         spec = toy_spec(n_traj=3, dt=1e-4)
-        plan = _build_plan(spec)
-        n_col = plan.chunks[0].phi.shape[0]
-        want = sum(min(ch.end - ch.start, n_col) for ch in plan.chunks)
-        assert want == sum(ch.factor.shape[1] for ch in plan.chunks) < len(spec.grid.times) - 1
+        chunks = _build_plan(spec)
+        n_col = chunks[0].phi.shape[0]
+        want = sum(min(ch.end - ch.start, n_col) for ch in chunks)
+        assert want == sum(ch.factor.shape[1] for ch in chunks) < len(spec.grid.times) - 1
         drawn = []
 
         class Counting:
@@ -617,5 +654,5 @@ class TestNoiseFactor:
                 return self.gen.standard_normal(out=out)
 
         monkeypatch.setattr(montecarlo, "substream", Counting)
-        montecarlo._run_block(spec, plan, 0, spec.n_traj)
+        montecarlo._run_block(spec, chunks, 0, spec.n_traj)
         assert drawn == [want] * spec.n_traj

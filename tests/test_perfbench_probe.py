@@ -1,16 +1,23 @@
 """The benchmark's probe reaches into the program by name and silently skips a
 name it cannot find, so a renamed or deleted target would quietly drop a
-per-layer metric.  These tests load ``perfbench/probe.py`` as it is and
-resolve every name it uses."""
+per-layer metric.  These tests load ``perfbench/probe.py`` as it is, resolve
+every name it uses, and run each of its counters on what its target returns."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+from qkfmag.core import PhysicalParams, TimeGrid, make_grid
+from qkfmag.montecarlo import EnsembleSpec, checkpoints_for_times
+from qkfmag.rng import substream
+
+ROOT = Path(__file__).resolve().parents[1]
+PROBE = ROOT / "perfbench" / "probe.py"
 
 
 def _load_probe():
@@ -45,3 +52,29 @@ def test_every_qkfmag_name_the_probe_reads_exists():
     missing = [f"{m}.{n}" for m, n in sorted(wanted)
                if not hasattr(importlib.import_module(m), n)]
     assert not missing
+
+
+def _tiny_args() -> dict:
+    """Positional arguments for each counted target: a tiny grid and spec."""
+    p = PhysicalParams(j_total=100.0, gamma=1.5, b_true=0.01, meas_strength=50.0,
+                       efficiency=0.8, prior_b_variance=0.05, t_total=0.05)
+    grid = make_grid(p, dt=1e-3)
+    spec = EnsembleSpec(params=p, grid=grid, n_traj=2, master_seed=1,
+                        checkpoints=checkpoints_for_times(grid, [0.05]))
+    dense = dataclasses.replace(p, j_total=2.0, meas_strength=1.0, b_true=0.0, t_total=5e-3)
+    return {"make_grid": (p,), "kalman_schedule": (p, grid),
+            "riccati_integrate": (p, grid.times[1:]), "run_ensemble": (spec,),
+            "compare_to_gaussian": (dense, TimeGrid.uniform(1e-3, 5), substream(1, 0))}
+
+
+@pytest.mark.parametrize("module, attr, count",
+                         [(m, a, c) for m, a, _, c in PATCHES if c is not None],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_counter_reads_its_targets_return_value(module, attr, count):
+    # a counter reads fields of the real return value, e.g. ``len(sched.k1)``:
+    # a renamed field would crash every traced run
+    args = _tiny_args()[attr]
+    counts = count(args, getattr(importlib.import_module(module), attr)(*args))
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    metrics = {k: v for k, v in counts.items() if k in declared}
+    assert metrics and all(isinstance(v, int) and v > 0 for v in metrics.values())
