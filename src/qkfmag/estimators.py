@@ -70,15 +70,15 @@ THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotn
 # the exact discrete filter in rank-one information form
 # ---------------------------------------------------------------------------
 
-def _linear_recurrence(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """x with x[0] = 0 and x[k+1] = a[k] x[k] + u[k], one float at a time.
+def _linear_recurrence(a: np.ndarray, u: np.ndarray, x0: float = 0.0) -> np.ndarray:
+    """x with x[0] = x0 and x[k+1] = a[k] x[k] + u[k], one float at a time.
 
     Not a cumprod scan: the product of the a[k] falls to 2e-10 on the fig2
     grid, and a[k] is negative on a grid too coarse for the early collapse.
     The floats pass through Python in blocks of ``SCAN_BLOCK`` steps.
     """
     x = np.empty(len(a) + 1)
-    x[0] = xk = 0.0
+    x[0] = xk = x0
     for s in range(0, len(a), SCAN_BLOCK):
         block = zip(a[s:s + SCAN_BLOCK].tolist(), u[s:s + SCAN_BLOCK].tolist())
         x[s + 1:s + 1 + SCAN_BLOCK] = [xk := ak * xk + uk for ak, uk in block]
@@ -93,6 +93,8 @@ class KalmanSchedule:
     number of trajectories.  Per step: ``phi12`` and ``k1`` = g/d; per
     grid point: ``r`` (V = v22 (r, 1)(r, 1)^T), the data information
     ``data`` and ``v22``; ``d`` is the record noise scale 1/(2 sqrt(M eta)).
+    ``end`` is (r, info) at the last grid point, info = d^2 data the raw
+    information sum: the ``start`` of the schedule over the next slice.
     """
 
     times: np.ndarray
@@ -102,12 +104,19 @@ class KalmanSchedule:
     data: np.ndarray
     v22: np.ndarray
     d: float
+    end: tuple
 
 
-def kalman_schedule(p: PhysicalParams, grid: TimeGrid) -> KalmanSchedule:
-    """Gains and covariance along the grid; raise if r or the information overflows."""
+def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> KalmanSchedule:
+    """Gains and covariance along the grid; raise if r or the information overflows.
+
+    ``grid`` is a ``TimeGrid`` or a slice of its times, and ``start`` is
+    (r, info) at its first point.  Started from the previous slice's
+    ``end``, a slice's schedule is bitwise that slice of the whole grid's:
+    info runs as cumsum([info, ...]), never info + cumsum(...).
+    """
     validate_params(p)
-    times = grid.times
+    times = grid.times if isinstance(grid, TimeGrid) else grid
     dts = np.diff(times)
     phi12, k1 = np.empty(len(dts)), np.empty(len(dts))
     for s in range(0, len(dts), SCAN_BLOCK):  # no grid-length temporaries of step_coefficients
@@ -115,14 +124,20 @@ def kalman_schedule(p: PhysicalParams, grid: TimeGrid) -> KalmanSchedule:
         phi12[s:e], k1[s:e] = step_coefficients(p, times[s:e + 1])
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     k1 /= d
-    r = _linear_recurrence(1.0 - k1 * dts, phi12)
+    r = _linear_recurrence(1.0 - k1 * dts, phi12, start[0])
     p0 = p.prior_b_variance
     with np.errstate(over="ignore", divide="ignore"):  # overflow raises below; 1/0 is inf
-        data = np.concatenate(([0.0], np.cumsum(r[:-1] ** 2 * dts) / (d * d)))
+        data = np.empty(len(times))  # the raw information sum first, in place
+        data[0] = start[1]
+        np.square(r[:-1], out=data[1:])
+        data[1:] *= dts
+        np.cumsum(data, out=data)
+        end = (float(r[-1]), float(data[-1]))
+        data /= d * d
         v22 = 1.0 / data if math.isinf(p0) else p0 / (1.0 + p0 * data)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(data))):
         raise RuntimeError("gain schedule overflowed; reduce dt")
-    return KalmanSchedule(times=times, phi12=phi12, k1=k1, r=r, data=data, v22=v22, d=d)
+    return KalmanSchedule(times=times, phi12=phi12, k1=k1, r=r, data=data, v22=v22, d=d, end=end)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +281,7 @@ def riccati_analytic(p: PhysicalParams, t):
     Both cancel exponentially for small x (~19 digits at M t ~ 1e-3), so
     below x = 2 the denominator is summed from their Taylor series, and
     above it from the direct forms (relative error ~4e-15 near x = 2).
-    Exact for efficiency = 1; for eta < 1 the expression omits an
-    efficiency factor in the noise-floor regime and only approximates the
-    true solution.
+    The whole expression carries 1/sqrt(eta), as the information does.
 
     Raises if the denominator is not positive (outside validity).
     """
@@ -285,7 +298,8 @@ def riccati_analytic(p: PhysicalParams, t):
     if np.any(den <= 0):
         tv = float(ts[np.argmax(den <= 0)])
         raise ValueError(f"threshold expression invalid at t={tv!r}: denominator <= 0")
-    out = (p.meas_strength / (4 * p.gamma * p.j_total)) * np.sqrt((1 + ej * x) / den)
+    out = ((p.meas_strength / (4 * p.gamma * p.j_total)) * np.sqrt((1 + ej * x) / den)
+           / math.sqrt(p.efficiency))
     return float(out[0]) if scalar else out
 
 
@@ -339,8 +353,8 @@ def write_threshold_csv(curves, fobj) -> None:
 # linear-regression baseline
 # ---------------------------------------------------------------------------
 
-def bin_edge_indices(times: np.ndarray, n_end: int) -> np.ndarray:
-    """Greedy grid indices acting as near-uniform bin edges over [0, t(n_end)].
+def bin_edge_split(times: np.ndarray, n_end: int) -> tuple:
+    """``bin_edge_indices`` as (head, tail): the greedy edges, then every point tail..n_end.
 
     The width is the largest step in the window, so a uniform grid keeps
     every point and a log prefix is coalesced to uniform-width bins (raw
@@ -356,7 +370,16 @@ def bin_edge_indices(times: np.ndarray, n_end: int) -> np.ndarray:
     for i in range(1, last + 1):
         if times[i] >= times[idx[-1]] + step or i == n_end:
             idx.append(i)
-    return np.concatenate([np.asarray(idx), np.arange(last + 1, n_end + 1)])
+    return np.asarray(idx), last + 1
+
+
+def bin_edge_indices(times: np.ndarray, n_end: int) -> np.ndarray:
+    """Greedy grid indices acting as near-uniform bin edges over [0, t(n_end)].
+
+    See ``bin_edge_split`` for the rule.
+    """
+    head, tail = bin_edge_split(times, n_end)
+    return np.concatenate([head, np.arange(tail, n_end + 1)])
 
 
 def line_fit_weights(times: np.ndarray, n_end: int, gamma_j: float) -> np.ndarray:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +46,7 @@ from .core import PhysicalParams, TimeGrid, make_grid, validate_params, with_spi
 from .dynamics import step_coefficients
 from .estimators import (
     bin_edge_indices,
+    bin_edge_split,
     kalman_schedule,
     line_fit_weights,
     riccati_integrate,
@@ -137,47 +137,76 @@ def _noise_factor(h_t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.qr(h_t.T, mode="r").T)
 
 
-def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float):
-    """Per-step record weights of the line-fit columns, (n_col, n_steps), and readout (n_cp, n_col).
+def _edge(split: tuple, k: np.ndarray) -> np.ndarray:
+    """The k-th bin edges of a ``bin_edge_split`` (head, tail)."""
+    head, tail = split
+    return np.where(k < len(head), head[np.minimum(k, len(head) - 1)], tail + k - len(head))
 
-    The shared bins are ``bin_edge_indices`` up to the last checkpoint.  A
+
+def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float):
+    """The line-fit columns as rows(s, e), their per-step record weights over steps [s, e), and
+    the readout (n_cp, n_col).
+
+    The shared bins are ``bin_edge_split`` up to the last checkpoint.  A
     checkpoint whose own bins are a prefix of them reads the slope from
     s_r and s_xr; any other gets a column of its ``line_fit_weights``.
     A window's bins depend on its widest step alone: the greedy pass over
     the longest window of one width picks every edge below a shorter
     window's end c, whose bins then end at c.  So one pass per width
-    decides every checkpoint.
+    decides every checkpoint.  Both edge lists are (head, tail) forms:
+    past their heads they are every grid point, so they agree on all
+    their common edges iff they agree on one more than the longer head.
     """
     n = int(checkpoints[-1])
-    edges = bin_edge_indices(times, n)
-    widest = np.maximum.accumulate(np.diff(times[:n + 1]))[checkpoints - 1]  # per window
+    shared = head, tail = bin_edge_split(times, n)
+    widest = np.diff(times[:n + 1])
+    widest = np.maximum.accumulate(widest, out=widest)[checkpoints - 1]  # per window
     n_bins = np.zeros(len(checkpoints), dtype=int)
     prefix = np.zeros(len(checkpoints), dtype=bool)
-    for width in np.unique(widest):
+    for width in sorted(set(widest.tolist())):
         at = widest == width
-        own = bin_edge_indices(times, int(checkpoints[at][-1]))
-        m = min(len(own), len(edges))
-        agree = np.argmin(np.append(own[:m] == edges[:m], False))  # leading edges in common
-        n_bins[at] = np.searchsorted(own, checkpoints[at])
-        prefix[at] = (n_bins[at] <= agree) & (edges[n_bins[at]] == checkpoints[at])
+        cps = checkpoints[at]
+        own = own_head, own_tail = bin_edge_split(times, int(cps[-1]))
+        # the number of edges both lists have
+        m = min(len(own_head) + int(cps[-1]) + 1 - own_tail, len(head) + n + 1 - tail)
+        k = np.arange(min(m, max(len(own_head), len(head)) + 1))
+        same = _edge(own, k) == _edge(shared, k)
+        agree = m if same.all() else int(np.argmin(same))  # leading edges in common
+        n_bins[at] = np.searchsorted(own_head, cps) + np.maximum(cps - own_tail, 0)
+        prefix[at] = (n_bins[at] <= agree) & (_edge(shared, n_bins[at]) == cps)
     for c, nb in zip(checkpoints.tolist(), n_bins.tolist()):
         if nb < 3:
             raise CheckpointError(f"checkpoint t = {times[c]:g} s (grid point {c}) leaves "
                                   f"fewer than 3 regression bins")
-    te = times[edges]
-    mid = 0.5 * (te[:-1] + te[1:])
-    cols = np.zeros((2 + int((~prefix).sum()), n))
-    cols[0] = np.repeat(1.0 / np.diff(te), np.diff(edges))  # row by row: one temporary at a time
-    cols[1] = np.repeat(mid / np.diff(te), np.diff(edges))
-    read = np.zeros((len(checkpoints), len(cols)))
+    own_cols = [line_fit_weights(times, c, gamma_j) for c in checkpoints[~prefix].tolist()]
+    read = np.zeros((len(checkpoints), 2 + len(own_cols)))
+    read[np.flatnonzero(~prefix), np.arange(2, read.shape[1])] = 1.0
+    te = np.concatenate([times[head], times[tail:n + 1]])
+    mid = te[:-1] + te[1:]  # whole: its prefix sums are pairwise, so they do not stream
+    mid *= 0.5
+    del te
     for i, nb in zip(np.flatnonzero(prefix).tolist(), n_bins[prefix].tolist()):
         sx = mid[:nb].sum()
         denom = (mid[:nb] ** 2).sum() - sx * sx / nb
         read[i, :2] = -sx / nb / denom / gamma_j, 1.0 / denom / gamma_j
-    for col, c in enumerate(checkpoints[~prefix].tolist(), start=2):
-        cols[col, :c] = line_fit_weights(times, c, gamma_j)
-        read[np.searchsorted(checkpoints, c), col] = 1.0
-    return cols, read
+    bounds = np.append(head, tail)  # the head's edges and the tail's first
+
+    def rows(s: int, e: int) -> np.ndarray:
+        if s >= tail:  # one bin per step
+            lo, hi = times[s:e], times[s + 1:e + 1]
+        else:
+            k = np.arange(s, e)
+            j = np.minimum(np.searchsorted(bounds, k, "right") - 1, len(head) - 1)
+            lo = times[np.where(k < tail, bounds[j], k)]
+            hi = times[np.where(k < tail, bounds[j + 1], k + 1)]
+        out = np.zeros((read.shape[1], e - s))
+        out[0] = 1.0 / (hi - lo)
+        out[1] = 0.5 * (lo + hi) / (hi - lo)
+        for row, w in zip(out[2:], own_cols):
+            row[:len(w[s:e])] = w[s:e]
+        return out
+
+    return rows, read
 
 
 def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
@@ -204,42 +233,46 @@ def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
 def _build_plan(spec: EnsembleSpec) -> tuple:
     """The ``_Chunk``s from grid point 0 to the last checkpoint, in scan order.
 
-    A chunk that ends at a checkpoint reads every estimator of the spec off
-    the state there, one row each in ``ESTIMATOR_NAMES`` order: the
-    filter's row is v22 on the S column with offset B (1 - w), the line
-    fit's is its ``_line_fit_weights`` readout with offset 0.
+    One pass over the chunks: each takes its slice of the gain schedule
+    from ``kalman_schedule`` over its own times, started from the previous
+    chunk's end, and its line-fit weights from ``_line_fit_weights``'s
+    rows, so no grid-length array of either is formed.  A chunk that ends
+    at a checkpoint reads every estimator of the spec off the state there,
+    one row each in ``ESTIMATOR_NAMES`` order: the filter's row is v22 on
+    the S column with offset B (1 - w), the line fit's is its
+    ``_line_fit_weights`` readout with offset 0.
     """
     p = spec.params
     times = spec.grid.times
     checkpoints = np.asarray(spec.checkpoints, dtype=int)
     n = int(checkpoints[-1])  # the scan ends at the last checkpoint
-    # the line-fit weights first: their temporaries and the schedule's never coexist
-    rec_w, reg_read = (_line_fit_weights(times, checkpoints, p.gamma * p.j_total)
-                       if "regression" in spec.estimators else (np.empty((0, n)), None))
-    schedule = kalman_schedule(p, spec.grid)
     names = [e for e in ESTIMATOR_NAMES if e in spec.estimators]
-    read = np.zeros((len(checkpoints), len(names), 2 + len(rec_w)))
+    rec_w, reg_read = (_line_fit_weights(times, checkpoints, p.gamma * p.j_total)
+                       if "regression" in names else (lambda s, e: np.empty((0, e - s)), None))
+    n_col = 2 + (0 if reg_read is None else reg_read.shape[1])
+    read = np.zeros((len(checkpoints), len(names), n_col))
     offset = np.zeros((len(checkpoints), len(names)))
-    if "qkf" in names:
-        p0 = p.prior_b_variance
-        data = schedule.data[checkpoints]
-        # never B/p0: p0 = 0 is valid input
-        w = np.zeros(len(data)) if math.isinf(p0) else 1.0 / (1.0 + p0 * data)
-        read[:, names.index("qkf"), 1] = schedule.v22[checkpoints]
-        offset[:, names.index("qkf")] = p.b_true * (1.0 - w)
     if reg_read is not None:
         read[:, names.index("regression"), 2:] = reg_read
     cp_pos = {c: i for i, c in enumerate(checkpoints.tolist())}
     bounds = sorted(set(range(0, n, CHUNK_STEPS)) | set(cp_pos))
     chunks = []
-    for s, e in zip(bounds[:-1], bounds[1:]):  # coefficients from this chunk's slices alone
+    carry = (0.0, 0.0)
+    for s, e in zip(bounds[:-1], bounds[1:]):  # everything from this chunk's slices alone
+        sched = kalman_schedule(p, times[s:e + 1], carry)
+        carry = sched.end
         dts = np.diff(times[s:e + 1])
         sq = np.sqrt(dts)
         _, g = step_coefficients(p, times[s:e + 1])
         i = cp_pos.get(e)
-        chunks.append(_Chunk(s, e, *_chunk_map(dts, p.b_true * schedule.phi12[s:e], g * sq,
-                                               schedule.d * sq, schedule.r[s:e] * sq / schedule.d,
-                                               rec_w[:, s:e]),
+        if i is not None and "qkf" in names:
+            p0 = p.prior_b_variance
+            # never B/p0: p0 = 0 is valid input
+            w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * sched.data[-1])
+            read[i, names.index("qkf"), 1] = sched.v22[-1]
+            offset[i, names.index("qkf")] = p.b_true * (1.0 - w)
+        chunks.append(_Chunk(s, e, *_chunk_map(dts, p.b_true * sched.phi12, g * sq, sched.d * sq,
+                                               sched.r[:-1] * sq / sched.d, rec_w(s, e)),
                              *(() if i is None else (read[i], offset[i]))))
     return tuple(chunks)
 
@@ -277,6 +310,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     chunks = _build_plan(spec)
     blocks = [(i, min(i + BLOCK_SIZE, spec.n_traj)) for i in range(0, spec.n_traj, BLOCK_SIZE)]
     if workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~17 ms to import: only for a pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_run_block, [spec] * len(blocks), [chunks] * len(blocks),
                                      *zip(*blocks)))

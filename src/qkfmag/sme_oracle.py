@@ -3,12 +3,14 @@
 Brute-force integration of the conditional master equation on the
 (2J+1)-dimensional space,
 
-    drho = -i gamma B [Jy, rho] dt + M D[Jz] rho dt + sqrt(M eta) H[Jz] rho dW,
+    drho = i gamma B [Jy, rho] dt + M D[Jz] rho dt + sqrt(M eta) H[Jz] rho dW,
 
 with D[r]rho = r rho r+ - (r+ r rho + rho r+ r)/2 and
 H[r]rho = r rho + rho r+ - tr[(r + r+) rho] rho.  The Hamiltonian is
-gamma B Jy: a Jz Hamiltonian would commute with the measured observable
-and produce no precession, so the drift of <Jz> could never appear.
+-gamma B Jy, so d<Jz>/dt = +gamma B <Jx>: the drift B phi12 of the
+Gaussian model.  A Jz Hamiltonian would commute with the measured
+observable and produce no precession, so the drift of <Jz> could never
+appear.
 
 Used to validate the Gaussian model pathwise: both integrators consume
 the *same* stored dW sequence, which is far more sensitive than
@@ -94,7 +96,7 @@ def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
         + math.sqrt(m * p.efficiency) * dW * (ops.msum * r - 2.0 * mz * r)
     gb = p.gamma * p.b_true
     if gb != 0.0:
-        new = new + (-1j * gb * dt) * (ops.jy @ r - r @ ops.jy)
+        new = new + (1j * gb * dt) * (ops.jy @ r - r @ ops.jy)
     new = 0.5 * (new + new.conj().T)
     if renormalize:
         tr = float(new.trace().real)

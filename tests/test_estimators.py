@@ -366,13 +366,22 @@ class TestRiccatiAnalytic:
                        + 4 * mpmath.exp(-x / 2) * (4 * eta * j + 1)
                        + x + 2 * eta * j * (x - 4) - 3)
                 return float(m / (4 * mpmath.mpf(p.gamma) * j)
-                             * mpmath.sqrt((1 + 2 * eta * j * x) / den))
+                             * mpmath.sqrt((1 + 2 * eta * j * x) / den) / mpmath.sqrt(eta))
 
         for j, eta in ((1.0, 1.0), (4e6, 1.0), (1e9, 0.3)):
             p = params(j_total=j, efficiency=eta, prior_b_variance=INFINITE)
             ts = np.concatenate([np.geomspace(1e-11, 3e-3, 40), np.linspace(1e-5, 2.5e-5, 31)])
             want = np.array([closed_form(p, t) for t in ts])
             np.testing.assert_allclose(riccati_analytic(p, ts), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("eta", [0.9, 0.5, 0.1])
+    def test_matches_quadrature_below_unit_efficiency(self, eta):
+        # the efficiency enters the information, 1/v22, as a global factor eta:
+        # criterion 1's tolerance holds at every eta, not only at eta = 1
+        p = params(efficiency=eta, prior_b_variance=INFINITE)
+        ts = np.geomspace(1e-8, 2e-3, 40)
+        np.testing.assert_allclose(riccati_analytic(p, ts), riccati_integrate(p, ts).delta_b,
+                                   rtol=1e-6)
 
     def test_value_at_one_ms(self):
         # frozen by direct evaluation; the Bloch vector is long dead at Mt = 100,

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import qkfmag
-from qkfmag import montecarlo
+from qkfmag import estimators, montecarlo
 from qkfmag.config import load_config, load_preset
 from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid, with_spin
 from qkfmag.dynamics import simulate_trajectory, step_coefficients
@@ -293,7 +294,8 @@ class TestLineFitBins:
         edges = bin_edge_indices(times, spec.checkpoints[-1])
         cps = np.array(sorted(set(spec.checkpoints) | set(edges[1:4].tolist())))
         gamma_j = spec.params.gamma * spec.params.j_total
-        cols, read = montecarlo._line_fit_weights(times, cps, gamma_j)
+        rows, read = montecarlo._line_fit_weights(times, cps, gamma_j)
+        cols = rows(0, int(cps[-1]))
         own = 0
         for i, c in enumerate(cps.tolist()):
             w = line_fit_weights(times, c, gamma_j)
@@ -320,7 +322,8 @@ class TestLineFitBins:
         for grid in sampled[1:]:
             cases.append((grid, np.asarray(checkpoints_for_times(grid, [grid.t_total]))))
         for grid, cps in cases:
-            cols, read = montecarlo._line_fit_weights(grid.times, cps, 3.0)
+            rows, read = montecarlo._line_fit_weights(grid.times, cps, 3.0)
+            cols = rows(0, int(cps[-1]))
             want_cols, want_read = per_checkpoint_line_fit_weights(grid.times, cps, 3.0)
             assert cols.tobytes() == want_cols.tobytes() and read.tobytes() == want_read.tobytes()
 
@@ -481,6 +484,27 @@ class TestChunkScan:
             assert outs[0].count("\n") == 1 + 2 * len(spec.checkpoints)
 
 
+def test_single_worker_run_imports_no_pool_and_no_numpy_ma():
+    # start-up cost: the process pool (~17 ms to import) is for workers > 1
+    # only, and numpy.ma is loaded by np.unique on first use
+    src = str(Path(qkfmag.__file__).resolve().parents[1])
+    code = textwrap.dedent("""\
+        import sys, qkfmag.cli
+        from qkfmag.core import PhysicalParams, make_grid
+        from qkfmag.montecarlo import EnsembleSpec, checkpoints_for_times, run_ensemble
+        p = PhysicalParams(j_total=100.0, gamma=1.5, b_true=0.01, meas_strength=50.0,
+                           efficiency=0.8, prior_b_variance=0.05, t_total=0.05)
+        grid = make_grid(p, dt=1e-3)
+        run_ensemble(EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=1,
+                                  checkpoints=checkpoints_for_times(grid, [0.02, 0.05])))
+        print(sorted({"concurrent.futures.process", "numpy.ma"} & set(sys.modules)))
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    assert run.stdout.strip() == "[]"
+
+
 class TestCovarianceIdentity:
     """No noise drawn: the plan's chunk maps propagate the covariance of the
     state, Sigma <- phi Sigma phi^T + F F^T, and the filter estimate's
@@ -579,8 +603,9 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
     _, g = step_coefficients(p, times[:n + 1])
     drift, gsq = p.b_true * sched.phi12[:n], g * sq
     dsq, ssq = sched.d * sq, sched.r[:n] * sq / sched.d
-    rec_w, _ = montecarlo._line_fit_weights(times, np.asarray(spec.checkpoints),
-                                            p.gamma * p.j_total)
+    rows, _ = montecarlo._line_fit_weights(times, np.asarray(spec.checkpoints),
+                                           p.gamma * p.j_total)
+    rec_w = rows(0, n)
     for ch in chunks:
         s, e = ch.start, ch.end
         phi, factor, d = montecarlo._chunk_map(dts[s:e], drift[s:e], gsq[s:e], dsq[s:e], ssq[s:e],
@@ -589,11 +614,75 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
             ch.phi.tobytes(), ch.factor.tobytes(), ch.d.tobytes())
 
 
+class TestStreamedPlan:
+    """The plan forms the gain schedule and the line-fit columns one chunk at a
+    time; each chunk's slice must be bitwise the whole-grid one."""
+
+    @pytest.mark.parametrize("spec, chunk_steps", [
+        pytest.param(fig2_preset_spec, montecarlo.CHUNK_STEPS, id="fig2"),
+        # a uniform grid without a log prefix: a_0 = 1 - k1 dt < 0, and 7-step
+        # chunks carry r and the information across 72 boundaries
+        pytest.param(lambda: EnsembleSpec(params=toy(), grid=TimeGrid.uniform(1e-3, 500),
+                                          n_traj=2, master_seed=7, checkpoints=(100, 500)),
+                     7, id="coarse")])
+    def test_schedule_slices_match_whole_grid(self, spec, chunk_steps, monkeypatch):
+        spec = spec()
+        slices = []
+        whole = montecarlo.kalman_schedule
+
+        def keep(p, times, start):
+            slices.append(whole(p, times, start))
+            return slices[-1]
+
+        monkeypatch.setattr(montecarlo, "CHUNK_STEPS", chunk_steps)
+        monkeypatch.setattr(montecarlo, "kalman_schedule", keep)
+        chunks = _build_plan(spec)
+        want = kalman_schedule(spec.params, spec.grid)
+        if chunk_steps == 7:  # the coarse grid: the recurrence changes sign
+            assert np.any(want.k1 * np.diff(want.times) > 1.0)
+        assert len(slices) == len(chunks) > 1
+        for ch, got in zip(chunks, slices):
+            s, e = ch.start, ch.end
+            for name, sl in (("phi12", slice(s, e)), ("k1", slice(s, e)), ("r", slice(s, e + 1)),
+                             ("data", slice(s, e + 1)), ("v22", slice(s, e + 1))):
+                assert getattr(got, name).tobytes() == getattr(want, name)[sl].tobytes(), name
+
+    def test_overflow_raises_up_to_the_last_checkpoint(self, monkeypatch):
+        # the guard runs chunk by chunk, over the steps the scan reaches
+        spec = toy_spec(n_traj=2)
+        exact = estimators.step_coefficients
+
+        def huge_gain(p, times):
+            phi12, g = exact(p, times)
+            g[times[:-1] >= 0.3] *= 1e40
+            return phi12, g
+
+        monkeypatch.setattr(estimators, "step_coefficients", huge_gain)
+        with pytest.raises(RuntimeError, match="reduce dt"):
+            run_ensemble(spec)
+        run_ensemble(dataclasses.replace(spec, checkpoints=spec.checkpoints[:1]))  # t = 0.1
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(fig2_preset_spec, id="fig2"),
+        pytest.param(lambda: convergence_spec(n_traj=2), id="convergence")])
+    def test_line_fit_rows_match_whole_grid(self, spec):
+        spec = spec()
+        times, cps = spec.grid.times, np.asarray(spec.checkpoints)
+        rows, read = montecarlo._line_fit_weights(times, cps, 3.0)
+        want_cols, want_read = per_checkpoint_line_fit_weights(times, cps, 3.0)
+        assert read.tobytes() == want_read.tobytes()
+        for ch in _build_plan(spec):
+            got = rows(ch.start, ch.end)
+            assert got.tobytes() == np.ascontiguousarray(want_cols[:, ch.start:ch.end]).tobytes()
+
+
 def test_plan_memory_is_bounded_by_a_chunk():
-    # The plan keeps the schedule's five grid-length arrays and the line fit's
-    # two shared columns; everything else is formed one chunk at a time.  The
-    # bound, 12 grid-length float64 arrays, was fixed before measuring: with
-    # whole-grid temporaries the fig2 plan peaked at 21.
+    # The plan keeps no grid-length array of the schedule or of the line-fit
+    # columns: each chunk forms its own slices.  What is left is the line
+    # fit's bin midpoints, whose prefix sums do not stream bitwise.  The
+    # bound, 4 grid-length float64 arrays, was fixed before measuring: the
+    # fig2 plan peaked at 21 with whole-grid temporaries and at 9 with the
+    # whole schedule and line-fit columns.
     spec = fig2_preset_spec()
     _build_plan(spec)  # lazy set-up outside the measurement
     tracemalloc.start()
@@ -602,7 +691,7 @@ def test_plan_memory_is_bounded_by_a_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 8 * len(spec.grid.times)
+    assert peak < 4 * 8 * len(spec.grid.times)
 
 
 class TestNoiseFactor:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qkfmag.core import PhysicalParams, TimeGrid
+from qkfmag.dynamics import simulate_trajectory
 from qkfmag.rng import substream
 from qkfmag.sme_oracle import (
     MEAN_DEVIATION_FRAC,
@@ -98,6 +99,21 @@ class TestSmeStep:
         rho = coherent_spin_state_x(ops)
         new = sme_step(rho, ops, p, dt=1e-4, dW=0.02, renormalize=False)
         assert abs(np.trace(new).real - 1.0) < 1e-12
+
+    def test_field_precesses_like_the_gaussian_model(self):
+        # no noise, small angle (gamma B T = 0.05): d<Jz>/dt = +gamma B <Jx>, the
+        # Gaussian model's drift B phi12.  The bound, 2e-3 relative, was fixed
+        # before running: it covers the second-order angle term (gamma B T)^2 / 6
+        # ~ 4e-4 and the Euler step's O(M dt)
+        p = small_params(10.0, m=1.0, eta=1e-300, b=0.5, t_total=0.1)
+        grid = oracle_grid(p)
+        ops = build_spin_operators(10.0)
+        rho = coherent_spin_state_x(ops)
+        for dt in np.diff(grid.times).tolist():
+            rho = sme_step(rho, ops, p, dt, 0.0)
+        want = simulate_trajectory(p, grid, substream(0, 0), zero_noise=True).mean_jz[-1]
+        assert want > 0.48
+        assert oracle_moments(rho, ops)[0] == pytest.approx(want, rel=2e-3)
 
     def test_invariants_along_noisy_run(self):
         # Hermiticity/trace to 1e-12 per step; positivity to the scheme's
