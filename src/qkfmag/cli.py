@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, load_preset, override
-from .core import TimeGrid, validate_params, write_csv
+# validate_params is unused here, but perfbench's probe reads cli.validate_params
+from .core import TimeGrid, validate_params, write_csv  # noqa: F401
 from .dynamics import lowpass_filter, reconstruct_noise, simulate_trajectory
 from .estimators import (
     ThresholdCurve,
@@ -134,13 +135,16 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     notes = [str(w.message) for w in caught]
     if "qkf" in stats.estimators:
         lo, hi = cfg.ensemble.mse_ratio_window
-        ratios = stats.mse["qkf"] / stats.predicted_v22
+        # the exact fixed-B MSE B^2 w^2 + v22 (1 - w), w = v22/p0 the prior's pull (see montecarlo)
+        v22 = stats.predicted_v22
+        w = 0.0 if math.isinf(p.prior_b_variance) else v22 / p.prior_b_variance
+        ratios = stats.mse["qkf"] / (p.b_true**2 * w * w + v22 * (1.0 - w))
         # an infinite prior leaves the estimate NaN until the data carry information
         unresolved = np.isnan(ratios) & math.isinf(p.prior_b_variance)
         scored = ratios[~unresolved]
         # only enforce where the ensemble has resolving power
         enough = stats.n_traj >= 1000
-        detail = ((f"mse/v22 in [{scored.min():.3f}, {scored.max():.3f}] " if len(scored) else "")
+        detail = ((f"mse/exact in [{scored.min():.3f}, {scored.max():.3f}] " if len(scored) else "")
                   + f"(window [{lo}, {hi}], n_traj={stats.n_traj})")
         if unresolved.any():
             t_unresolved = [float(t) for t in stats.times[unresolved]]
@@ -192,7 +196,6 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
         cfg.params, j_total=oc.j_small,
         meas_strength=1.0, t_total=oc.mt_max, b_true=0.0,
     )
-    validate_params(p_small)
     dt = recommended_dt(p_small, oc.j_small)
     n = int(math.ceil(p_small.t_total / dt))
     grid = TimeGrid.uniform(p_small.t_total / n, n)

@@ -13,8 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .core import (INFINITE, GridConfig, PhysicalParams, TimeGrid, gamma_from_cycles, make_grid,
-                   validate_params)
+from .core import INFINITE, GridConfig, PhysicalParams, TimeGrid, gamma_from_cycles, make_grid
 from .montecarlo import ESTIMATOR_NAMES, sorted_j_values
 from .sme_oracle import MAX_DENSE_J, MEAN_DEVIATION_FRAC
 
@@ -193,17 +192,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"params.prior_b_variance: expected a positive number or 'infinite', "
                           f"got {prior_raw!r}")
 
-    params = PhysicalParams(
-        j_total=_number(doc, "j_total", "params"),
-        gamma=gamma,
-        b_true=_number(doc, "b_true", "params"),
-        meas_strength=_number(doc, "meas_strength", "params"),
-        efficiency=_number(doc, "efficiency", "params"),
-        prior_b_variance=float(prior),
-        t_total=_number(doc, "t_total", "params"),
-    )
+    numbers = {k: _number(doc, k, "params")
+               for k in ("j_total", "b_true", "meas_strength", "efficiency", "t_total")}
     try:
-        validate_params(params)
+        params = PhysicalParams(gamma=gamma, prior_b_variance=float(prior), **numbers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

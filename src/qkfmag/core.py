@@ -34,6 +34,8 @@ class PhysicalParams:
     efficiency       detector efficiency eta, in (0, 1]
     prior_b_variance prior field variance, G^2 (may be INFINITE)
     t_total          total measurement time, s
+
+    Construction runs ``validate_params``, so ``dataclasses.replace`` does too.
     """
 
     j_total: float
@@ -43,6 +45,9 @@ class PhysicalParams:
     efficiency: float
     prior_b_variance: float
     t_total: float
+
+    def __post_init__(self):
+        validate_params(self)
 
 
 def validate_params(p: PhysicalParams) -> PhysicalParams:
@@ -182,7 +187,6 @@ def make_grid(p: PhysicalParams, dt: float | None = GridConfig.dt,
     ``prefix_safety / collapse_rate`` so every early step stays well
     inside the collapse timescale.
     """
-    validate_params(p)
     if dt is None:
         dt = 1.0e-3 / p.meas_strength
     lam = collapse_rate(p)

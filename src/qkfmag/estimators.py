@@ -1,4 +1,6 @@
-"""Field estimators: quantum Kalman filter, Riccati covariance, baselines.
+"""Field estimators: quantum Kalman filter, Riccati covariance, closed forms.
+
+The line-fit baseline is the ensemble engine's, in ``montecarlo``.
 
 State is x = (Jz_tilde, B_tilde) with covariance V.  The continuous-time
 filter is
@@ -59,8 +61,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
-from .core import (SCAN_BLOCK, PhysicalParams, TimeGrid, collapse_rate, t2_bound, validate_params,
-                   write_csv)
+from .core import SCAN_BLOCK, PhysicalParams, TimeGrid, collapse_rate, t2_bound, write_csv
 from .dynamics import step_coefficients
 
 THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise")
@@ -115,13 +116,9 @@ def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> Kalma
     ``end``, a slice's schedule is bitwise that slice of the whole grid's:
     info runs as cumsum([info, ...]), never info + cumsum(...).
     """
-    validate_params(p)
     times = grid.times if isinstance(grid, TimeGrid) else grid
     dts = np.diff(times)
-    phi12, k1 = np.empty(len(dts)), np.empty(len(dts))
-    for s in range(0, len(dts), SCAN_BLOCK):  # no grid-length temporaries of step_coefficients
-        e = s + SCAN_BLOCK
-        phi12[s:e], k1[s:e] = step_coefficients(p, times[s:e + 1])
+    phi12, k1 = step_coefficients(p, times)
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     k1 /= d
     r = _linear_recurrence(1.0 - k1 * dts, phi12, start[0])
@@ -222,7 +219,6 @@ def riccati_integrate(p: PhysicalParams, times) -> RiccatiSolution:
     Independent of the closed-form threshold expression; the field term
     of the result is B-free by construction.
     """
-    validate_params(p)
     if isinstance(times, TimeGrid):
         times = times.times
     times = np.asarray(times, dtype=float)
@@ -285,7 +281,6 @@ def riccati_analytic(p: PhysicalParams, t):
 
     Raises if the denominator is not positive (outside validity).
     """
-    validate_params(p)
     scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts <= 0):
@@ -310,7 +305,6 @@ def detection_threshold_asymptotic(p: PhysicalParams, t):
     of the closed form for 100/(J M) <= t <= 0.15/M.  Past that the Bloch
     vector decays and the closed form saturates near M/(4 gamma J).
     """
-    validate_params(p)
     scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts <= 0):
@@ -324,7 +318,6 @@ def detection_threshold_asymptotic(p: PhysicalParams, t):
 
 def shotnoise_limit(p: PhysicalParams, t_tot: float) -> float:
     """Conventional projection-noise limit 1/(gamma sqrt(J T2 t_tot)), T2 = 2/M."""
-    validate_params(p)
     if not t_tot > 0:
         raise ValueError("t_tot must be positive")
     return 1.0 / (p.gamma * math.sqrt(p.j_total * t2_bound(p) * t_tot))
@@ -347,53 +340,3 @@ def write_threshold_csv(curves, fobj) -> None:
     write_csv(fobj, ["t", "delta_b", "source"],
               [np.concatenate([c.times for c in curves]), np.concatenate([c.delta_b for c in curves]),
                [c.source for c in curves for _ in c.times]])
-
-
-# ---------------------------------------------------------------------------
-# linear-regression baseline
-# ---------------------------------------------------------------------------
-
-def bin_edge_split(times: np.ndarray, n_end: int) -> tuple:
-    """``bin_edge_indices`` as (head, tail): the greedy edges, then every point tail..n_end.
-
-    The width is the largest step in the window, so a uniform grid keeps
-    every point and a log prefix is coalesced to uniform-width bins (raw
-    per-step rates on a log prefix have noise ~ 1/sqrt(dt) and would
-    poison an unweighted fit).  The greedy pass runs only up to the last
-    step narrower than the width: every later step is at least the width
-    wide, so every later point is an edge.
-    """
-    step = float(np.max(np.diff(times[:n_end + 1]))) * (1.0 - 1e-9)
-    narrow = np.nonzero(times[1:n_end + 1] < times[:n_end] + step)[0]
-    last = int(narrow[-1]) + 1 if len(narrow) else 0
-    idx = [0]
-    for i in range(1, last + 1):
-        if times[i] >= times[idx[-1]] + step or i == n_end:
-            idx.append(i)
-    return np.asarray(idx), last + 1
-
-
-def bin_edge_indices(times: np.ndarray, n_end: int) -> np.ndarray:
-    """Greedy grid indices acting as near-uniform bin edges over [0, t(n_end)].
-
-    See ``bin_edge_split`` for the rule.
-    """
-    head, tail = bin_edge_split(times, n_end)
-    return np.concatenate([head, np.arange(tail, n_end + 1)])
-
-
-def line_fit_weights(times: np.ndarray, n_end: int, gamma_j: float) -> np.ndarray:
-    """Per-step record weights w of the line-fit estimate w @ d_xi[:n_end].
-
-    Ordinary least squares of the binned record rate against the bin
-    midpoints (``bin_edge_indices`` over [0, t(n_end)]), with model
-    alpha + beta t; the estimate is beta / (gamma J).  The intercept
-    absorbs the frozen diffusive offset.
-    """
-    edges = bin_edge_indices(times, n_end)
-    if len(edges) < 4:
-        raise ValueError("regression needs at least 3 points")
-    te = times[edges]
-    xc = 0.5 * (te[:-1] + te[1:])
-    xc = xc - xc.mean()
-    return np.repeat(xc / ((xc * xc).sum() * np.diff(te) * gamma_j), np.diff(edges))

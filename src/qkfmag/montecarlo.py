@@ -42,16 +42,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalParams, TimeGrid, make_grid, validate_params, with_spin, write_csv
+from .core import PhysicalParams, TimeGrid, make_grid, with_spin, write_csv
 from .dynamics import step_coefficients
-from .estimators import (
-    bin_edge_indices,
-    bin_edge_split,
-    kalman_schedule,
-    line_fit_weights,
-    riccati_integrate,
-    shotnoise_limit,
-)
+from .estimators import kalman_schedule, riccati_integrate, shotnoise_limit
 from .rng import substream
 
 BLOCK_SIZE = 1024
@@ -78,7 +71,6 @@ class EnsembleSpec:
     checkpoints: tuple = ()
 
     def __post_init__(self):
-        validate_params(self.params)
         if self.n_traj < 2:
             raise ValueError("n_traj must be >= 2")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
@@ -112,29 +104,37 @@ class EnsembleStats:
                    np.tile(self.predicted_v22, len(names))])
 
 
-CHUNK_STEPS = 2048  # the longest scan chunk: bounds the plan's per-chunk temporaries
+# ---------------------------------------------------------------------------
+# the line fit: one bin rule, one per-step row form, one least-squares readout
+# ---------------------------------------------------------------------------
 
+def bin_edge_split(times: np.ndarray, n_end: int) -> tuple:
+    """``bin_edge_indices`` as (head, tail): the greedy edges, then every point tail..n_end.
 
-@dataclass(frozen=True)
-class _Chunk:
-    """state(end) = phi state(start) + factor u + d over steps [start, end), u the chunk's normals."""
-
-    start: int
-    end: int
-    phi: np.ndarray      # (n_col, n_col)
-    factor: np.ndarray   # (n_col, width), factor factor^T = h_t h_t^T of the per-step noise
-    d: np.ndarray        # (n_col,)
-    read: np.ndarray | None = None    # at a checkpoint, (n_est, n_col): b_hat = read @ state
-    offset: np.ndarray | None = None  # ... + offset, (n_est,)
-
-
-def _noise_factor(h_t: np.ndarray) -> np.ndarray:
-    """F with F F^T = h_t h_t^T and min(L, n_col) columns, for h_t of shape (n_col, L).
-
-    F = R^T from h_t^T = Q R: the chunk's noise h_t z has the law of F u
-    for unit normals u.
+    The width is the largest step in the window, so a uniform grid keeps
+    every point and a log prefix is coalesced to uniform-width bins (raw
+    per-step rates on a log prefix have noise ~ 1/sqrt(dt) and would
+    poison an unweighted fit).  The greedy pass runs only up to the last
+    step narrower than the width: every later step is at least the width
+    wide, so every later point is an edge.
     """
-    return np.ascontiguousarray(np.linalg.qr(h_t.T, mode="r").T)
+    step = float(np.max(np.diff(times[:n_end + 1]))) * (1.0 - 1e-9)
+    narrow = np.nonzero(times[1:n_end + 1] < times[:n_end] + step)[0]
+    last = int(narrow[-1]) + 1 if len(narrow) else 0
+    idx = [0]
+    for i in range(1, last + 1):
+        if times[i] >= times[idx[-1]] + step or i == n_end:
+            idx.append(i)
+    return np.asarray(idx), last + 1
+
+
+def bin_edge_indices(times: np.ndarray, n_end: int) -> np.ndarray:
+    """Greedy grid indices acting as near-uniform bin edges over [0, t(n_end)].
+
+    See ``bin_edge_split`` for the rule.
+    """
+    head, tail = bin_edge_split(times, n_end)
+    return np.concatenate([head, np.arange(tail, n_end + 1)])
 
 
 def _edge(split: tuple, k: np.ndarray) -> np.ndarray:
@@ -207,6 +207,52 @@ def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float
         return out
 
     return rows, read
+
+
+def line_fit_weights(times: np.ndarray, n_end: int, gamma_j: float) -> np.ndarray:
+    """Per-step record weights w of the line-fit estimate w @ d_xi[:n_end].
+
+    Ordinary least squares of the binned record rate against the bin
+    midpoints (``bin_edge_indices`` over [0, t(n_end)]), with model
+    alpha + beta t; the estimate is beta / (gamma J).  The intercept
+    absorbs the frozen diffusive offset.  This is ``_line_fit_weights``
+    at the one checkpoint n_end: its rows read by its readout.
+    """
+    try:
+        rows, read = _line_fit_weights(times, np.array([n_end]), gamma_j)
+    except CheckpointError as exc:
+        raise ValueError("regression needs at least 3 points") from exc
+    r = rows(0, n_end)
+    return read[0, 0] * r[0] + read[0, 1] * r[1]
+
+
+# ---------------------------------------------------------------------------
+# the engine plan and its scan
+# ---------------------------------------------------------------------------
+
+CHUNK_STEPS = 2048  # the longest scan chunk: bounds the plan's per-chunk temporaries
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """state(end) = phi state(start) + factor u + d over steps [start, end), u the chunk's normals."""
+
+    start: int
+    end: int
+    phi: np.ndarray      # (n_col, n_col)
+    factor: np.ndarray   # (n_col, width), factor factor^T = h_t h_t^T of the per-step noise
+    d: np.ndarray        # (n_col,)
+    read: np.ndarray | None = None    # at a checkpoint, (n_est, n_col): b_hat = read @ state
+    offset: np.ndarray | None = None  # ... + offset, (n_est,)
+
+
+def _noise_factor(h_t: np.ndarray) -> np.ndarray:
+    """F with F F^T = h_t h_t^T and min(L, n_col) columns, for h_t of shape (n_col, L).
+
+    F = R^T from h_t^T = Q R: the chunk's noise h_t z has the law of F u
+    for unit normals u.
+    """
+    return np.ascontiguousarray(np.linalg.qr(h_t.T, mode="r").T)
 
 
 def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:

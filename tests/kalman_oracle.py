@@ -5,14 +5,14 @@ the unit and Monte Carlo tests.
 
 Also the schedule's own reference: the recurrence as one grid-length Python
 list and every coefficient over the whole grid at once, which the blocked
-``kalman_schedule`` must match bit for bit."""
+``step_coefficients`` and ``kalman_schedule`` must match bit for bit."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qkfmag.dynamics import step_coefficients
+from qkfmag.dynamics import conditional_variance
 from qkfmag.estimators import KalmanSchedule, _linear_recurrence, kalman_schedule
 
 
@@ -24,11 +24,25 @@ def list_recurrence(a, u):
     return np.array(x)
 
 
+def whole_step_coefficients(p, times):
+    """``step_coefficients``' (phi12, g), each formed over the whole grid in one expression."""
+    t0 = times[:-1]
+    t1 = times[1:]
+    dts = t1 - t0
+    x = p.meas_strength * dts / 2.0
+    ebar = np.exp(-p.meas_strength * t0 / 2.0) * -np.expm1(-x) / x
+    phi12 = p.gamma * p.j_total * ebar * dts
+    v0 = conditional_variance(p, t0)
+    v1 = conditional_variance(p, t1)
+    g = 2.0 * math.sqrt(p.meas_strength * p.efficiency) * np.sqrt(v0 * v1)
+    return phi12, g
+
+
 def reference_schedule(p, grid) -> KalmanSchedule:
     """``kalman_schedule`` over whole-grid arrays and ``list_recurrence``."""
     times = grid.times
     dts = np.diff(times)
-    phi12, g = step_coefficients(p, times)
+    phi12, g = whole_step_coefficients(p, times)
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     k1 = g / d
     r = list_recurrence(1.0 - k1 * dts, phi12)

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from qkfmag.estimators import bin_edge_indices, line_fit_weights
+from qkfmag.montecarlo import bin_edge_indices, line_fit_weights
 
 
 def greedy_bin_edges(times: np.ndarray, n_end: int) -> np.ndarray:

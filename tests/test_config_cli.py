@@ -289,6 +289,18 @@ class TestCliEnsemble:
             t = np.array([float(row[0]) for row in list(csv.reader(f))[1:]])
         assert t.min() == pytest.approx(5e-14, rel=1e-12) and t.max() == 5e-9
 
+    def test_qkf_check_scores_the_exact_fixed_b_mse(self, tmp_path):
+        # at 5 ns the prior still dominates (w = v22/p0 near 1): the fixed-B MSE
+        # B^2 w^2 + v22 (1 - w) is ~0.002 v22, which a check against v22 failed
+        doc = dict(TOY_DOC, meas_strength=1e9, t_total=5e-9)
+        del doc["grid"]
+        doc["ensemble"] = {"n_traj": 1000}
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        (check,) = json.loads((out / "summary.json").read_text())["checks"]
+        assert check["name"] == "qkf_mse_matches_riccati" and check["passed"] is True
+        assert "skipped" not in check["detail"]
+
     def test_unresolved_prior_checkpoints_recorded(self, tmp_path):
         # infinite prior: grid point 1 carries no data information, so the
         # filter is scored NaN at its checkpoint
@@ -434,7 +446,7 @@ class TestCliEarlyCheckpoint:
         assert main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--out", str(out)]) == 0
         (check,) = json.loads((out / "summary.json").read_text())["checks"]
         assert check["passed"] is True
-        assert check["detail"].startswith("mse/v22 in [")
+        assert check["detail"].startswith("mse/exact in [")
         assert "not scored at t = [1e-05]" in check["detail"]
         assert "nan" not in check["detail"] and "skipped" not in check["detail"]
 

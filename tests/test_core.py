@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,12 @@ class TestValidateParams:
     def test_negative_prior_rejected(self):
         with pytest.raises(ValueError, match="prior_b_variance"):
             validate_params(params(prior_b_variance=-1e-9))
+
+    @pytest.mark.parametrize("field, value", [("efficiency", 0.0), ("t_total", -1.0)])
+    def test_replace_validates(self, field, value):
+        # construction validates, so no changed copy escapes the invariants
+        with pytest.raises(ValueError, match=f"invalid parameters: {field}: "):
+            dataclasses.replace(params(), **{field: value})
 
 
 class TestGammaConversion:

@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkfmag.config import load_preset
 from qkfmag.core import SCAN_BLOCK, PhysicalParams, TimeGrid, make_grid
 from qkfmag.dynamics import (
     bloch_length,
@@ -16,6 +18,8 @@ from qkfmag.dynamics import (
     step_coefficients,
 )
 from qkfmag.rng import substream
+
+from kalman_oracle import whole_step_coefficients
 
 
 def params(**kw):
@@ -291,6 +295,27 @@ class TestStepCoefficients:
             want = np.array([float(w) for w in want])
         rtol = 4e-15 * (1.0 + m * times[1:] / 2.0)
         assert np.all(np.abs(phi12 - want) <= rtol * want)
+
+    @pytest.mark.parametrize("n_steps", [1, SCAN_BLOCK - 1, SCAN_BLOCK, 2 * SCAN_BLOCK + 5])
+    def test_blocks_match_whole_grid_formula(self, n_steps):
+        p = params()
+        times = p.t_total * (np.arange(n_steps + 1) / n_steps) ** 2  # non-uniform steps
+        got, want = step_coefficients(p, times), whole_step_coefficients(p, times)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_fig1_grid_matches_whole_grid_formula_in_bounded_memory(self):
+        cfg = load_preset("fig1")
+        times = cfg.make_grid().times
+        want = whole_step_coefficients(cfg.params, times)
+        tracemalloc.start()
+        try:
+            got = step_coefficients(cfg.params, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        # the two outputs and one block's temporaries, not the whole-grid ones
+        assert peak < 3 * 8 * len(times)
 
 
 class TestLowpass:

@@ -17,16 +17,13 @@ from qkfmag import estimators, montecarlo
 from qkfmag.config import load_config, load_preset
 from qkfmag.core import INFINITE, PhysicalParams, TimeGrid, make_grid, with_spin
 from qkfmag.dynamics import simulate_trajectory, step_coefficients
-from qkfmag.estimators import (
-    bin_edge_indices,
-    kalman_schedule,
-    line_fit_weights,
-    riccati_integrate,
-)
+from qkfmag.estimators import kalman_schedule, riccati_integrate
 from qkfmag.montecarlo import (
     EnsembleSpec,
     _build_plan,
+    bin_edge_indices,
     checkpoints_for_times,
+    line_fit_weights,
     log_checkpoints,
     run_ensemble,
     scaling_study,
