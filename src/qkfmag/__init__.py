@@ -40,9 +40,8 @@ from .montecarlo import (
     EnsembleStats,
     run_ensemble,
     scaling_study,
-    substream,
 )
-from .rng import SeedSpec
+from .rng import SeedSpec, substream
 from .sme_oracle import (
     SpinOperators,
     build_spin_operators,

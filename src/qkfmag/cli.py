@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default="out", help="output directory")
         sp.add_argument("--gamma-convention", type=str, choices=["angular", "cycles"],
                         default=None, help="reinterpret the config's gamma value")
-        sp.add_argument("--workers", type=int, default=1, help="worker processes")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="forked worker processes (read by ensemble and scaling)")
         if name == "simulate":
             sp.add_argument("--zero-noise", action="store_true",
                             help="debug mode: force dW = 0")

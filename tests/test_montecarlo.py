@@ -3,9 +3,11 @@ import io
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -27,8 +29,8 @@ from qkfmag.montecarlo import (
     log_checkpoints,
     run_ensemble,
     scaling_study,
-    substream,
 )
+from qkfmag.rng import substream
 
 from kalman_oracle import run_kalman
 from line_fit_oracle import (
@@ -482,24 +484,89 @@ class TestChunkScan:
 
 
 def test_single_worker_run_imports_no_pool_and_no_numpy_ma():
-    # start-up cost: the process pool (~17 ms to import) is for workers > 1
-    # only, and numpy.ma is loaded by np.unique on first use
+    # start-up cost: no run imports a process pool (~17 ms), the workers are
+    # forked, and numpy.ma is loaded by np.unique on first use; a two-worker
+    # run reaps every child it forked
     src = str(Path(qkfmag.__file__).resolve().parents[1])
     code = textwrap.dedent("""\
-        import sys, qkfmag.cli
+        import os, sys, qkfmag.cli
         from qkfmag.core import PhysicalParams, make_grid
-        from qkfmag.montecarlo import EnsembleSpec, checkpoints_for_times, run_ensemble
+        from qkfmag.montecarlo import (BLOCK_SIZE, EnsembleSpec, checkpoints_for_times,
+                                       run_ensemble)
         p = PhysicalParams(j_total=100.0, gamma=1.5, b_true=0.01, meas_strength=50.0,
                            efficiency=0.8, prior_b_variance=0.05, t_total=0.05)
         grid = make_grid(p, dt=1e-3)
-        run_ensemble(EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=1,
-                                  checkpoints=checkpoints_for_times(grid, [0.02, 0.05])))
-        print(sorted({"concurrent.futures.process", "numpy.ma"} & set(sys.modules)))
+        cps = checkpoints_for_times(grid, [0.02, 0.05])
+        for n_traj, workers in ((4, 1), (BLOCK_SIZE + 4, 2)):
+            run_ensemble(EnsembleSpec(params=p, grid=grid, n_traj=n_traj, master_seed=1,
+                                      checkpoints=cps), workers=workers)
+            print(sorted({"concurrent.futures.process", "multiprocessing", "numpy.ma"}
+                         & set(sys.modules)))
+        try:
+            print(os.waitpid(-1, os.WNOHANG))
+        except ChildProcessError:
+            print("no child")
         """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=300, check=True)
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.split("\n") == ["[]", "[]", "no child", ""]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+class TestForkedWorkers:
+    """Workers forked after the plan: failures, interrupts and payloads past a pipe's buffer."""
+
+    def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch, capfd):
+        run_block = montecarlo._run_block
+
+        def failing(spec, chunks, i0, i1):
+            if i0 == montecarlo.BLOCK_SIZE:  # block 1 of 3: worker 1 of 2
+                raise FloatingPointError("injected")
+            return run_block(spec, chunks, i0, i1)
+
+        monkeypatch.setattr(montecarlo, "_run_block", failing)
+        with pytest.raises(RuntimeError, match="worker 1 of 2"):
+            run_ensemble(toy_spec(n_traj=2 * montecarlo.BLOCK_SIZE + 1), workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert "FloatingPointError: injected" in capfd.readouterr().err
+
+    def test_interrupted_parent_kills_and_reaps_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_run_block", lambda *args: time.sleep(60))
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        t0 = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_ensemble(toy_spec(n_traj=montecarlo.BLOCK_SIZE + 1), workers=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_payload_larger_than_a_pipe_buffer(self, monkeypatch):
+        # 105 blocks of 4: each worker's payload is over 64 KiB, at 2 and at 3 workers
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4)
+        p = toy()
+        grid = make_grid(p, dt=1e-3)
+        spec = EnsembleSpec(params=p, grid=grid, n_traj=420, master_seed=3,
+                            checkpoints=checkpoints_for_times(grid, np.linspace(0.1, 0.5, 41)))
+        assert len(spec.checkpoints) == 41
+        assert (420 // 4) // 3 * len(spec.checkpoints) * 3 * 2 * 8 > 64 * 1024
+        one = run_ensemble(spec, workers=1)
+        for workers in (2, 3):
+            many = run_ensemble(spec, workers=workers)
+            assert csv_text(many) == csv_text(one)
+            for k in one.estimators:
+                for field in ("mse", "stderr", "mean_b"):
+                    assert getattr(many, field)[k].tobytes() == getattr(one, field)[k].tobytes()
 
 
 class TestCovarianceIdentity:
@@ -727,18 +794,12 @@ class TestNoiseFactor:
         want = sum(min(ch.end - ch.start, n_col) for ch in chunks)
         assert want == sum(ch.factor.shape[1] for ch in chunks) < len(spec.grid.times) - 1
         drawn = []
+        fill = montecarlo.fill_normals
 
-        class Counting:
-            def __init__(self, seed, i):
-                self.gen = substream(seed, i).generator()
+        def counting(seed, i0, out):  # each row is its stream's first normals (test_rng)
+            drawn.extend(row.size for row in out)
+            return fill(seed, i0, out)
 
-            def generator(self):
-                return self
-
-            def standard_normal(self, out):
-                drawn.append(out.size)
-                return self.gen.standard_normal(out=out)
-
-        monkeypatch.setattr(montecarlo, "substream", Counting)
+        monkeypatch.setattr(montecarlo, "fill_normals", counting)
         montecarlo._run_block(spec, chunks, 0, spec.n_traj)
         assert drawn == [want] * spec.n_traj

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from qkfmag.rng import SeedSpec, substream
+from qkfmag.rng import SeedSpec, fill_normals, substream
 
 
 class TestSubstream:
@@ -35,6 +35,30 @@ class TestSubstream:
             SeedSpec(master_seed=-1, stream_index=0)
         with pytest.raises(ValueError):
             SeedSpec(master_seed=0, stream_index=2**63)
+
+
+class TestFillNormals:
+    """The block fill and ``SeedSpec.generator()`` read one stream address."""
+
+    @pytest.mark.parametrize("width", [0, 1, 792])
+    @pytest.mark.parametrize("i0", [0, 1024, 2**63 - 3])
+    def test_rows_are_substreams(self, i0, width):
+        seed = 20260810
+        out = fill_normals(seed, i0, np.full((3, width), np.nan))
+        for k, row in enumerate(out):
+            want = substream(seed, i0 + k).generator().standard_normal(width)
+            assert row.tobytes() == want.tobytes()
+            # the address itself: the stream index in the counter's high word
+            philox = np.random.Philox(key=seed, counter=(i0 + k) << 192)
+            assert row.tobytes() == np.random.Generator(philox).standard_normal(width).tobytes()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            fill_normals(0, 2**63 - 2, np.empty((3, 4)))
+        with pytest.raises(ValueError):
+            fill_normals(0, -1, np.empty((1, 4)))
+        with pytest.raises(ValueError):
+            fill_normals(2**64, 0, np.empty((1, 4)))
 
 
 class TestEquidistribution:
