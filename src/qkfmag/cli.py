@@ -2,8 +2,9 @@
 
 Every command writes CSV artifacts plus a ``summary.json`` sidecar that
 echoes the fully resolved configuration and master seed.  Exit code is
-0 iff all checks requested by the command pass; failures are listed
-machine-readably in the summary.
+0 iff all checks requested by the command pass (1 if one fails; failures
+are listed machine-readably in the summary), 2 for bad input or an
+unwritable output, and 3 when a forked worker fails.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, load_preset, override
 # validate_params is unused here, but perfbench's probe reads cli.validate_params
-from .core import TimeGrid, validate_params, write_csv  # noqa: F401
+from .core import TimeGrid, WorkerError, usable_cpus, validate_params  # noqa: F401
 from .dynamics import lowpass_filter, reconstruct_noise, simulate_trajectory
 from .estimators import (
     ThresholdCurve,
@@ -64,20 +65,24 @@ def _write_summary(out_dir: Path, command: str, cfg: RunConfig, checks: list, ex
     return 0 if not failures else 1
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, zero_noise: bool = False) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: Path, zero_noise: bool = False,
+                 workers: int = 1) -> int:
     """One trajectory: raw record CSV plus low-pass filtered photocurrent CSV."""
     grid = cfg.make_grid()
     record = simulate_trajectory(cfg.params, grid, substream(cfg.seed, 0), zero_noise=zero_noise)
-    with open(out_dir / "trajectory.csv", "w", encoding="utf-8", newline="") as f:
-        record.to_csv(f)
-
     # filtered photocurrent on the uniform tail of the grid
     n_pref = len(record.times) - 1 - grid.n_steps
-    y_uniform = record.y[n_pref:]
-    filtered = lowpass_filter(y_uniform, grid.dt, cutoff_hz=cfg.lowpass_cutoff_hz,
+    filtered = lowpass_filter(record.y[n_pref:], grid.dt, cutoff_hz=cfg.lowpass_cutoff_hz,
                               params=cfg.params)
-    with open(out_dir / "photocurrent_filtered.csv", "w", encoding="utf-8", newline="") as f:
-        write_csv(f, ["t", "y", "y_filtered"], [record.times[n_pref:-1], y_uniform, filtered])
+    paths = [out_dir / "trajectory.csv", out_dir / "photocurrent_filtered.csv"]
+    try:
+        with (open(paths[0], "w", encoding="utf-8", newline="") as f,
+              open(paths[1], "w", encoding="utf-8", newline="") as pc):
+            record.to_csv(f, photocurrent=(pc, filtered), workers=workers)
+    except WorkerError:  # leave no truncated record behind
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
 
     dw = reconstruct_noise(record, cfg.params)
     err = float(np.max(np.abs(dw - record.noise))) if len(dw) else 0.0
@@ -243,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default="out", help="output directory")
         sp.add_argument("--gamma-convention", type=str, choices=["angular", "cycles"],
                         default=None, help="reinterpret the config's gamma value")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="forked worker processes (read by ensemble and scaling)")
+        sp.add_argument("--workers", type=int, default=usable_cpus(),
+                        help="forked worker processes, read by simulate, ensemble and scaling; "
+                             "outputs do not depend on it (default: the CPUs this process "
+                             "may use, %(default)s here)")
         if name == "simulate":
             sp.add_argument("--zero-noise", action="store_true",
                             help="debug mode: force dW = 0")
@@ -265,20 +272,24 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
             if args.command == "simulate":
-                return cmd_simulate(cfg, out_dir, zero_noise=args.zero_noise)
+                return cmd_simulate(cfg, out_dir, zero_noise=args.zero_noise,
+                                    workers=args.workers)
             if args.command == "ensemble":
                 return cmd_ensemble(cfg, out_dir, workers=args.workers)
             if args.command == "scaling":
                 return cmd_scaling(cfg, out_dir, workers=args.workers)
             if args.command == "oracle-check":
                 return cmd_oracle_check(cfg, out_dir)
-        except ConfigError:  # found by the running command: leave no empty directory behind
+        except (ConfigError, WorkerError):  # found by the running command: no empty directory
             if created and not any(out_dir.iterdir()):
                 out_dir.rmdir()
             raise
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerError as exc:
+        print(f"error: {args.command} {exc}", file=sys.stderr)
+        return 3
     raise AssertionError("unreachable")
 
 

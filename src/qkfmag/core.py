@@ -1,4 +1,4 @@
-"""Physical parameters, unit conventions, time grids.
+"""Physical parameters, unit conventions, time grids, the CSV writer, forked workers.
 
 Internal units are SI seconds and gauss throughout.  The gyromagnetic
 ratio is stored *angular* (rad s^-1 G^-1); lab-style inputs quoted in
@@ -8,11 +8,17 @@ kHz/mG are cycle frequencies and must be converted with
 ``prior_b_variance`` may be ``math.inf``, a distinguished value meaning
 "no prior knowledge of the field"; estimators handle it in information
 form rather than as a large float.
+
+``forked_map`` is the one home of process parallelism: the ensemble's
+blocks and the simulated record's CSV rows both run through it, in
+children forked from the calling process, and come back in task order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,6 +213,18 @@ CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the writer's string tem
 SCAN_BLOCK = 4096  # steps per tolist() block of a scalar recurrence: bounds its Python floats
 
 
+def csv_fields(column, a: int, b: int) -> list:
+    """Rows [a, b) of a ``write_csv`` column as fields: the shortest round-trip repr of
+    each float, a str as is, and an empty field past the column's end."""
+    part = column[a:b] if isinstance(column, list) else list(map(repr, column[a:b].tolist()))
+    return part + [""] * (b - a - len(part))
+
+
+def csv_rows(fields: list) -> str:
+    """Comma-separated rows, each ending in "\\r\\n", from equally long per-column fields."""
+    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
+
+
 def write_csv(fobj, header, columns) -> None:
     """Write ``columns`` under ``header`` as comma-separated rows ending in "\\r\\n".
 
@@ -220,8 +238,109 @@ def write_csv(fobj, header, columns) -> None:
     fobj.write(",".join(header) + "\r\n")
     for a in range(0, n, CSV_BLOCK_ROWS):
         b = min(a + CSV_BLOCK_ROWS, n)
-        fields = []
-        for c in cols:
-            part = c[a:b] if isinstance(c, list) else list(map(repr, c[a:b].tolist()))
-            fields.append(part + [""] * (b - a - len(part)))
-        fobj.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+        fobj.write(csv_rows([csv_fields(c, a, b) for c in cols]))
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+# ---------------------------------------------------------------------------
+
+class WorkerError(RuntimeError):
+    """A worker forked by ``forked_map`` failed; the message names it and its exit status."""
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_FRAME_HEAD = 8  # bytes of a frame's length prefix
+
+
+def forked_map(fn, n_tasks: int, workers: int):
+    """Yield ``fn(i)``, a bytes object, for i = 0 .. n_tasks - 1 in task order.
+
+    n = min(workers, n_tasks) children are forked: they inherit everything
+    ``fn`` reads, so nothing is pickled.  Child k runs tasks k, k + n, ...
+    and writes each result to its own pipe as one length-prefixed frame; the
+    parent reads the frames round-robin, in task order.  A child waits only
+    for the parent to drain its own pipe, never another child's, and the
+    parent holds one frame at a time.  A child that fails prints its traceback
+    and exits 1, and the parent raises ``WorkerError`` naming it.  Whatever
+    stops the parent, a consumer closing this generator early included, it
+    kills and reaps every child it has not reaped.  With one worker or one
+    task, or without ``os.fork``, the tasks run in this process.
+    """
+    n = min(workers, n_tasks)
+    if n < 2 or not hasattr(os, "fork"):
+        yield from map(fn, range(n_tasks))
+        return
+    kids = {}  # pid -> the read end of its pipe, for each child not yet reaped, in fork order
+    sys.stdout.flush()  # nothing buffered is inherited, so nothing is written twice
+    sys.stderr.flush()
+    try:
+        for k in range(n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _worker(fn, range(k, n_tasks, n), w, [r, *(f.fileno() for f in kids.values())])
+            os.close(w)
+            kids[pid] = os.fdopen(r, "rb")
+        pids = list(kids)
+        for i in range(n_tasks):
+            f = kids[pids[i % n]]
+            head = f.read(_FRAME_HEAD)
+            size = int.from_bytes(head, "little")
+            frame = f.read(size)
+            if len(head) < _FRAME_HEAD or len(frame) < size:  # the child stopped short
+                _reap(kids, pids, i % n, failed=True)
+            yield frame
+        for k in range(n):
+            _reap(kids, pids, k)
+    finally:
+        import signal  # ~1 ms to import: only where workers are forked
+
+        for pid, f in kids.items():
+            os.kill(pid, signal.SIGKILL)  # before the close: a child never sees a broken pipe
+            f.close()
+            os.waitpid(pid, 0)
+
+
+def _reap(kids: dict, pids: list, k: int, failed: bool = False) -> None:
+    """Close worker k's pipe and reap it; ``WorkerError`` if it exited non-zero or ``failed``."""
+    pid = pids[k]
+    kids.pop(pid).close()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or failed:
+        raise WorkerError(f"worker {k} of {len(pids)} (pid {pid}) failed with exit status {code}")
+
+
+def _worker(fn, tasks: range, w: int, inherited: list):
+    """A forked child: close the ``inherited`` read ends, write a frame of ``fn(i)`` per task
+    to ``w``, and exit: 0, or 1 after printing the traceback."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(w, "wb") as f:
+            for i in tasks:
+                frame = fn(i)
+                f.write(len(frame).to_bytes(_FRAME_HEAD, "little"))
+                f.write(frame)
+                f.flush()  # the parent may be waiting for this frame
+        code = 0
+    except Exception:
+        import traceback  # ~4 ms to import: only for a failed task
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)

@@ -22,11 +22,22 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SCAN_BLOCK, PhysicalParams, TimeGrid, collapse_rate, larmor_frequency, write_csv
+from .core import (
+    CSV_BLOCK_ROWS,
+    SCAN_BLOCK,
+    PhysicalParams,
+    TimeGrid,
+    collapse_rate,
+    csv_fields,
+    csv_rows,
+    forked_map,
+    larmor_frequency,
+)
 from .rng import SeedSpec
 
 
@@ -94,10 +105,55 @@ class TrajectoryRecord:
     def times(self) -> np.ndarray:
         return self.grid.times
 
-    def to_csv(self, fobj) -> None:
-        """Columns: t, mean_jz, var_jz, bloch_length, y, d_xi (step columns blank on the last row)."""
-        write_csv(fobj, ["t", "mean_jz", "var_jz", "bloch_length", "y", "d_xi"],
-                  [self.times, self.mean_jz, self.var_jz, self.bloch, self.y, self.d_xi])
+    def to_csv(self, fobj, photocurrent=None, workers: int = 1) -> None:
+        """Columns: t, mean_jz, var_jz, bloch_length, y, d_xi (step columns blank on the last row).
+
+        ``photocurrent`` = (fobj2, y_filtered) also writes t, y, y_filtered over
+        the last len(y_filtered) steps to fobj2, from the same formatted t and y
+        fields.  The rows are formatted in tasks of ``RECORD_TASK_ROWS`` by
+        ``forked_map`` on ``workers``; the bytes do not depend on either.
+        """
+        pc, y_filtered = photocurrent or (None, np.empty(0))
+        fobj.write("t,mean_jz,var_jz,bloch_length,y,d_xi\r\n")
+        if pc is not None:
+            pc.write("t,y,y_filtered\r\n")
+        n_tasks = -(-len(self.times) // RECORD_TASK_ROWS)
+        # closed on any error here (a full disk, say): that kills and reaps the workers
+        with closing(forked_map(lambda j: _record_task(self, y_filtered, j), n_tasks,
+                                workers)) as frames:
+            for frame in frames:
+                view = memoryview(frame)
+                split = 8 + int.from_bytes(view[:8], "little")
+                fobj.write(str(view[8:split], "ascii"))
+                if pc is not None:
+                    pc.write(str(view[split:], "ascii"))
+
+
+RECORD_TASK_ROWS = 8 * CSV_BLOCK_ROWS  # rows of the record per forked task
+
+
+def _record_task(rec: TrajectoryRecord, y_filtered: np.ndarray, j: int) -> bytes:
+    """Rows [j R, (j + 1) R) of ``to_csv``'s files, R = ``RECORD_TASK_ROWS``.
+
+    The trajectory's rows, after their length as 8 bytes, then the
+    photocurrent's: its t and y fields are the trajectory's own strings, so
+    each float is formatted once.
+    """
+    n = len(rec.y)
+    n_pref = n - len(y_filtered)
+    traj, photo = [], []
+    end = min((j + 1) * RECORD_TASK_ROWS, n + 1)
+    for a in range(j * RECORD_TASK_ROWS, end, CSV_BLOCK_ROWS):
+        b = min(a + CSV_BLOCK_ROWS, end)
+        t, y = csv_fields(rec.times, a, b), csv_fields(rec.y, a, b)
+        traj.append(csv_rows([t, csv_fields(rec.mean_jz, a, b), csv_fields(rec.var_jz, a, b),
+                              csv_fields(rec.bloch, a, b), y, csv_fields(rec.d_xi, a, b)]))
+        s, e = max(a, n_pref), min(b, n)
+        if s < e:
+            photo.append(csv_rows([t[s - a:e - a], y[s - a:e - a],
+                                   csv_fields(y_filtered, s - n_pref, e - n_pref)]))
+    head = "".join(traj).encode()
+    return len(head).to_bytes(8, "little") + head + "".join(photo).encode()
 
 
 def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,

@@ -4,10 +4,12 @@ Trajectories are processed in fixed blocks of 1024, vectorized across
 the block; per-block partial sums are reduced in block order with
 ``math.fsum``.  Block boundaries depend only on the trajectory index,
 so results are byte-identical for any worker count or scheduling.
-With several workers, the blocks run in children forked after the plan
-is built: they inherit it, so nothing is pickled, and each sends its
-partials back through a pipe.  Without ``os.fork`` the blocks run in
-the calling process.
+With several workers, the blocks run through ``core.forked_map`` in
+children forked after the plan is built: they inherit it, so nothing is
+pickled, and each block's partials come back through a pipe, in block
+order.  The children call no BLAS or LAPACK routine, so a BLAS thread
+pool in the parent at fork does not reach them.  Without ``os.fork`` the
+blocks run in the calling process.
 
 Both estimators consume the identical record per trajectory (paired
 design), and the per-trajectory noise comes from counter-based
@@ -41,14 +43,12 @@ infinite prior: the filter's row is v22 on S, with offset B (1 - w).
 from __future__ import annotations
 
 import math
-import os
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalParams, TimeGrid, make_grid, with_spin, write_csv
+from .core import PhysicalParams, TimeGrid, forked_map, make_grid, with_spin, write_csv
 from .dynamics import step_coefficients
 from .estimators import kalman_schedule, riccati_integrate, shotnoise_limit
 from .rng import fill_normals
@@ -351,91 +351,20 @@ def _run_block(spec: EnsembleSpec, chunks: tuple, i0: int, i1: int) -> np.ndarra
     return np.array(out)
 
 
-def _forked_blocks(spec: EnsembleSpec, chunks: tuple, blocks: list, n: int) -> list:
-    """``_run_block`` of every block, in block order, from n forked children.
-
-    Child k runs blocks k::n and writes all its partials to its own pipe
-    at the end, as one payload: a child that wrote after each block could
-    wait on a full pipe while the parent drains an earlier child's, and
-    the children would run one at a time.  The parent reads each pipe to
-    EOF and reaps its child.  A failed child raises ``RuntimeError``
-    naming it; whatever stops the parent, it kills and reaps every child
-    it has not reaped.  The children call no BLAS or LAPACK routine, so a
-    BLAS thread pool in the parent at fork does not reach them.
-    """
-    shape = (len(spec.checkpoints), 3, chunks[-1].read.shape[0])  # one block's partials
-    partials = [None] * len(blocks)
-    kids = {}  # pid -> the read end of its pipe, for each child not yet reaped, in fork order
-    sys.stdout.flush()  # nothing buffered is inherited, so nothing is written twice
-    sys.stderr.flush()
-    try:
-        for k in range(n):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _child(spec, chunks, blocks[k::n], w, [r, *(f.fileno() for f in kids.values())])
-            os.close(w)
-            kids[pid] = os.fdopen(r, "rb")
-        for k, (pid, f) in enumerate(list(kids.items())):
-            with f:
-                payload = f.read()
-            status = os.waitpid(pid, 0)[1]
-            del kids[pid]
-            if status:
-                raise RuntimeError(f"ensemble worker {k} of {n} (pid {pid}) failed with exit "
-                                   f"status {os.waitstatus_to_exitcode(status)}")
-            partials[k::n] = np.frombuffer(payload).reshape(len(blocks[k::n]), *shape)
-    finally:
-        import signal  # ~1 ms to import: only where workers are forked
-
-        for pid, f in kids.items():
-            f.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return partials
-
-
-def _child(spec: EnsembleSpec, chunks: tuple, blocks: list, w: int, inherited: list):
-    """A forked worker: close the ``inherited`` read ends, run ``blocks``, write their partials
-    to ``w`` in one payload, and exit: 0, or 1 after printing the traceback."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        payload = np.array([_run_block(spec, chunks, a, b) for a, b in blocks]).tobytes()
-        with open(w, "wb") as f:
-            f.write(payload)
-        code = 0
-    except Exception:
-        import traceback  # ~4 ms to import: only for a failed block
-
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     """Paired-estimator ensemble statistics at the spec's checkpoints.
 
-    Deterministic in ``spec``; independent of ``workers``.  With workers > 1
-    and more than one block, the blocks run in min(workers, blocks)
-    children forked after the plan is built (``_forked_blocks``); else, or
-    without ``os.fork``, in this process.
+    Deterministic in ``spec``; independent of ``workers``.  The blocks run
+    through ``forked_map``: in children forked after the plan is built, or
+    in this process with one worker or block, or without ``os.fork``.
     """
     if len(spec.checkpoints) == 0:
         raise ValueError("spec.checkpoints must be non-empty")
     chunks = _build_plan(spec)
     blocks = [(i, min(i + BLOCK_SIZE, spec.n_traj)) for i in range(0, spec.n_traj, BLOCK_SIZE)]
-    if workers > 1 and len(blocks) > 1 and hasattr(os, "fork"):
-        partials = _forked_blocks(spec, chunks, blocks, min(workers, len(blocks)))
-    else:
-        partials = [_run_block(spec, chunks, a, b) for a, b in blocks]
+    shape = (len(spec.checkpoints), 3, chunks[-1].read.shape[0])  # one block's partials
+    partials = [np.frombuffer(frame).reshape(shape) for frame in forked_map(
+        lambda k: _run_block(spec, chunks, *blocks[k]).tobytes(), len(blocks), workers)]
 
     n = spec.n_traj
     stacked = np.stack(partials).reshape(len(partials), -1)

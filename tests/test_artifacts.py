@@ -1,15 +1,19 @@
 """``core.write_csv`` against the per-row ``csv.writer`` loops it replaced."""
 
 import io
+import json
 import math
+import os
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qkfmag.cli import main
+from qkfmag.config import load_config
 from qkfmag.core import CSV_BLOCK_ROWS, PhysicalParams, TimeGrid, make_grid, write_csv
-from qkfmag.dynamics import simulate_trajectory
+from qkfmag.dynamics import RECORD_TASK_ROWS, lowpass_filter, simulate_trajectory
 from qkfmag.estimators import (
     ThresholdCurve,
     detection_threshold_asymptotic,
@@ -161,3 +165,59 @@ class TestArtifactBytes:
         dev = compare_to_gaussian(p, TimeGrid.uniform(p.t_total / n, n), substream(3, 3))
         assert n > B
         assert first_difference(written(dev.to_csv), written(deviation_rows, dev)) is None
+
+
+class TestRecordFiles:
+    """``simulate``'s trajectory.csv and photocurrent_filtered.csv, formatted once per float
+    in forked tasks, against the row loops, at every worker count."""
+
+    DOC = {"j_total": 100.0, "gamma": 1.5, "gamma_convention": "angular", "b_true": 0.01,
+           "meas_strength": 50.0, "efficiency": 0.8, "prior_b_variance": 0.05,
+           "t_total": 0.5, "seed": 77}
+
+    @pytest.mark.parametrize("log_prefix, flags", [(True, []), (False, []),
+                                                   (True, ["--zero-noise"])],
+                             ids=["log-prefix", "uniform", "zero-noise"])
+    def test_every_worker_count_writes_the_row_loops_bytes(self, tmp_path, log_prefix, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(self.DOC, grid={"dt": 5e-5, "log_prefix": log_prefix})))
+        cfg = load_config(str(path))
+        grid = cfg.make_grid()
+        rec = simulate_trajectory(cfg.params, grid, substream(cfg.seed, 0),
+                                  zero_noise=bool(flags))
+        n_pref = len(rec.times) - 1 - grid.n_steps
+        assert (n_pref > 0) == log_prefix
+        assert len(rec.times) > 2 * RECORD_TASK_ROWS and len(rec.times) % RECORD_TASK_ROWS
+        filtered = lowpass_filter(rec.y[n_pref:], grid.dt, params=cfg.params)
+        photocurrent = io.StringIO()
+        write_csv_rows(photocurrent, ["t", "y", "y_filtered"],
+                       [rec.times[n_pref:-1], rec.y[n_pref:], filtered])
+        want = {"trajectory.csv": written(trajectory_rows, rec),
+                "photocurrent_filtered.csv": photocurrent.getvalue()}
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            assert main(["simulate", "--config", str(path), "--workers", workers,
+                         "--out", str(out), *flags]) == 0
+            for name, text in want.items():
+                with open(out / name, newline="", encoding="utf-8") as f:
+                    assert first_difference(f.read(), text) is None, (workers, name)
+        if hasattr(os, "fork"):
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+    def test_failed_write_leaves_no_child(self, toy_params):
+        class Full(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        n = 3 * RECORD_TASK_ROWS
+        rec = simulate_trajectory(toy_params, TimeGrid.uniform(toy_params.t_total / n, n),
+                                  substream(5, 0))
+        with pytest.raises(OSError, match="No space") as held:  # its traceback holds to_csv
+            rec.to_csv(Full(), workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        del held

@@ -6,6 +6,7 @@ import importlib.resources
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkfmag import dynamics, montecarlo
 from qkfmag.cli import main
 from qkfmag.config import (
     ConfigError,
@@ -229,6 +231,67 @@ class TestCliSimulate:
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+class TestCliWorkerFailure:
+    """A failed forked worker: exit 3, one error line naming it, no partial CSV, no child."""
+
+    @staticmethod
+    def check(rc, out, capfd, command):
+        assert rc == 3
+        err = capfd.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {command} worker 1 of 2 (pid ")
+        assert "FloatingPointError: injected" in err  # the child's own traceback
+        assert not out.exists()  # made by the command, then emptied: removed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_simulate(self, tmp_path, monkeypatch, capfd):
+        task = dynamics._record_task
+
+        def failing(rec, y_filtered, j):
+            if j == 1:  # task 1 of 3: worker 1 of 2
+                raise FloatingPointError("injected")
+            return task(rec, y_filtered, j)
+
+        monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", 100)
+        monkeypatch.setattr(dynamics, "_record_task", failing)
+        cfg = _write_cfg(tmp_path, dict(TOY_DOC, grid={"dt": 2e-3, "log_prefix": False}))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", cfg, "--workers", "2", "--out", str(out)])
+        self.check(rc, out, capfd, "simulate")
+
+    def test_simulate_into_existing_directory(self, tmp_path, monkeypatch, capfd):
+        def failing(rec, y_filtered, j):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", 100)
+        monkeypatch.setattr(dynamics, "_record_task", failing)
+        cfg = _write_cfg(tmp_path, dict(TOY_DOC, grid={"dt": 2e-3, "log_prefix": False}))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        rc = main(["simulate", "--config", cfg, "--workers", "2", "--out", str(out)])
+        assert rc == 3
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
+    def test_ensemble(self, tmp_path, monkeypatch, capfd):
+        run_block = montecarlo._run_block
+
+        def failing(spec, chunks, i0, i1):
+            if i0 == montecarlo.BLOCK_SIZE:  # block 1 of 3: worker 1 of 2
+                raise FloatingPointError("injected")
+            return run_block(spec, chunks, i0, i1)
+
+        monkeypatch.setattr(montecarlo, "_run_block", failing)
+        doc = dict(TOY_DOC, ensemble={"n_traj": 2 * montecarlo.BLOCK_SIZE + 1,
+                                      "checkpoint_times": [0.5]})
+        out = tmp_path / "out"
+        rc = main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--workers", "2",
+                   "--out", str(out)])
+        self.check(rc, out, capfd, "ensemble")
 
 
 class TestCliEnsemble:

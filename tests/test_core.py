@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from qkfmag.core import (
     INFINITE,
     PhysicalParams,
     TimeGrid,
+    WorkerError,
     collapse_rate,
+    forked_map,
     gamma_from_cycles,
     larmor_frequency,
     make_grid,
@@ -133,3 +137,58 @@ class TestTimeGrid:
         assert len(t) == n + 1
         assert np.all(np.diff(t) > 0)
         assert t[-1] == pytest.approx(n * dt, rel=1e-9)
+
+
+class TestForkedMap:
+    """``forked_map``: task order at any worker count, frames past a pipe's buffer, and no
+    child left behind however the parent stops."""
+
+    @staticmethod
+    def frame(i: int) -> bytes:
+        return bytes([i % 251]) * (100_000 * (i % 3))  # 0, 100 kB and 200 kB frames
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_in_task_order(self, workers):
+        assert list(forked_map(self.frame, 7, workers)) == [self.frame(i) for i in range(7)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_task_or_no_fork_runs_in_process(self, monkeypatch):
+        def pid(i):
+            return str(os.getpid()).encode()
+
+        here = str(os.getpid()).encode()
+        assert list(forked_map(pid, 1, 4)) == [here]
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert list(forked_map(pid, 3, 4)) == [here] * 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+    def test_failed_task_names_its_worker(self, capfd):
+        def task(i):
+            if i == 4:  # worker 1 of 3
+                raise FloatingPointError("injected")
+            return b"ok"
+
+        got = []
+        with pytest.raises(WorkerError, match="worker 1 of 3 .* exit status 1"):
+            got.extend(forked_map(task, 6, 3))
+        assert got == [b"ok"] * 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert "FloatingPointError: injected" in capfd.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+    def test_closing_after_the_first_item_kills_and_reaps(self):
+        def task(i):
+            if i:
+                time.sleep(60)
+            return b"first"
+
+        t0 = time.monotonic()
+        results = forked_map(task, 4, 2)
+        assert next(results) == b"first"
+        results.close()
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -515,7 +515,8 @@ def test_single_worker_run_imports_no_pool_and_no_numpy_ma():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
 class TestForkedWorkers:
-    """Workers forked after the plan: failures, interrupts and payloads past a pipe's buffer."""
+    """``run_ensemble``'s blocks on the workers of ``core.forked_map``, forked after the plan:
+    failures, interrupts and payloads past a pipe's buffer."""
 
     def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch, capfd):
         run_block = montecarlo._run_block
@@ -552,7 +553,7 @@ class TestForkedWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     def test_payload_larger_than_a_pipe_buffer(self, monkeypatch):
-        # 105 blocks of 4: each worker's payload is over 64 KiB, at 2 and at 3 workers
+        # 105 blocks of 4: each worker's frames add up to over 64 KiB, at 2 and at 3 workers
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4)
         p = toy()
         grid = make_grid(p, dt=1e-3)
