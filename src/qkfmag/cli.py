@@ -113,6 +113,8 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     except CheckpointError as exc:
         key = "checkpoint_times" if cfg.ensemble.checkpoint_times else "first_checkpoint"
         raise ConfigError(f"ensemble.{key}: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"params.gamma, params.j_total, grid.dt: {exc}") from exc
     with open(out_dir / "ensemble.csv", "w", encoding="utf-8", newline="") as f:
         stats.to_csv(f)
 
@@ -175,6 +177,8 @@ def cmd_scaling(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
                                workers=workers)
     except CheckpointError as exc:
         raise ConfigError(f"scaling.t_check: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"params.gamma, scaling.j_values, grid.dt: {exc}") from exc
     with open(out_dir / "scaling.csv", "w", encoding="utf-8", newline="") as f:
         result.to_csv(f)
 

@@ -130,10 +130,15 @@ class TimeGrid:
         self.dt = float(dt)
         self.n_steps = int(n_steps)
         self.prefix = np.asarray(prefix, dtype=float)
-        start = self.prefix[-1] if self.prefix.size else 0.0
-        uniform = start + self.dt * np.arange(1, self.n_steps + 1)
-        self._times = np.concatenate([[0.0], self.prefix, uniform])
-        if not np.all(np.diff(self._times) > 0):
+        k = self.prefix.size
+        # one array filled in place: freed grid-length float temporaries stay on the heap
+        self._times = t = np.arange(-k, self.n_steps + 1, dtype=float)
+        t[0] = 0.0
+        t[1:k + 1] = self.prefix
+        uniform = t[k + 1:]  # 1, 2, ..., n_steps, then start + dt * that
+        uniform *= self.dt
+        uniform += self.prefix[-1] if k else 0.0
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("grid points must be strictly increasing")
 
     @property

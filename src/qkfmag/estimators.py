@@ -109,7 +109,7 @@ class KalmanSchedule:
 
 
 def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> KalmanSchedule:
-    """Gains and covariance along the grid; raise if r or the information overflows.
+    """Gains and covariance along the grid; ``OverflowError`` if r or the information overflows.
 
     ``grid`` is a ``TimeGrid`` or a slice of its times, and ``start`` is
     (r, info) at its first point.  Started from the previous slice's
@@ -118,12 +118,13 @@ def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> Kalma
     """
     times = grid.times if isinstance(grid, TimeGrid) else grid
     dts = np.diff(times)
-    phi12, k1 = step_coefficients(p, times)
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
-    k1 /= d
-    r = _linear_recurrence(1.0 - k1 * dts, phi12, start[0])
     p0 = p.prior_b_variance
-    with np.errstate(over="ignore", divide="ignore"):  # overflow raises below; 1/0 is inf
+    # overflow raises below, and 1/0 is inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi12, k1 = step_coefficients(p, times)
+        k1 /= d
+        r = _linear_recurrence(1.0 - k1 * dts, phi12, start[0])
         data = np.empty(len(times))  # the raw information sum first, in place
         data[0] = start[1]
         np.square(r[:-1], out=data[1:])
@@ -133,7 +134,8 @@ def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> Kalma
         data /= d * d
         v22 = 1.0 / data if math.isinf(p0) else p0 / (1.0 + p0 * data)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(data))):
-        raise RuntimeError("gain schedule overflowed; reduce dt")
+        raise OverflowError("gain schedule overflowed: j_total or gamma is too large, "
+                            "or the grid too coarse for the variance collapse")
     return KalmanSchedule(times=times, phi12=phi12, k1=k1, r=r, data=data, v22=v22, d=d, end=end)
 
 
@@ -301,16 +303,17 @@ def riccati_analytic(p: PhysicalParams, t):
 def detection_threshold_asymptotic(p: PhysicalParams, t):
     """Threshold law (1/gamma J) sqrt(3/(M eta t^3)).
 
-    It is the J M t >> 1, M t << 1 limit of ``riccati_analytic``: within 5%
-    of the closed form for 100/(J M) <= t <= 0.15/M.  Past that the Bloch
+    It is the 2 eta J M t >> 1, M t << 1 limit of ``riccati_analytic``:
+    within 5% of the closed form for 100/(eta J M) <= t <= 0.15/M (3.7% at
+    most, at the upper end, for eta from 0.02 to 1).  Past that the Bloch
     vector decays and the closed form saturates near M/(4 gamma J).
     """
     scalar = np.isscalar(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
-    if np.any(ts <= 10.0 / (p.j_total * p.meas_strength)):
-        warnings.warn("asymptotic threshold evaluated at t <= 10/(J M); outside validity",
+    if np.any(ts <= 10.0 / (p.efficiency * p.j_total * p.meas_strength)):
+        warnings.warn("asymptotic threshold evaluated at t <= 10/(eta J M); outside validity",
                       stacklevel=2)
     out = (1.0 / (p.gamma * p.j_total)) * np.sqrt(3.0 / (p.meas_strength * p.efficiency * ts**3))
     return float(out[0]) if scalar else out

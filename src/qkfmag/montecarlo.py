@@ -30,14 +30,23 @@ exactly that of the per-step scan.  The maps are applied with
 and results must not depend on it.
 
 The state columns are the true mean m, the filter's one weighted sum of
-normals S = sum_k r_k sqrt(dt_k) z_k / d, and the line fit's linear
-functionals of the record.  Both estimators are linear in the record, so
-each is one affine readout of the state at its checkpoint:
+normals S = sum_k r_k sqrt(dt_k) z_k / d, and the line fit's two record
+sums sum d_xi_k and sum x_k d_xi_k.  Both estimators are linear in the
+record, so each is one affine readout of the state at its checkpoint:
 b_hat = read @ state + offset.  Putting the innovations
 d_xi_k - c_k dt_k = r_k dt_k B + d sqrt(dt_k) z_k into the filter's
 estimate (see ``estimators``) gives b = v22 (B data + S) =
 B (1 - w) + v22 S, with w = 1/(1 + p0 data) the prior's pull, 0 for an
 infinite prior: the filter's row is v22 on S, with offset B (1 - w).
+
+The line fit is the paper's linear regression: a least-squares line
+alpha + beta t through the record rate, read as b = beta / (gamma J) (the
+intercept absorbs the frozen diffusive offset).  Step k gives the rate
+d_xi_k / dt_k at its midpoint x_k with weight dt_k, the inverse variance
+of that rate: a uniform grid gets the plain fit, and a log prefix's short,
+noisy steps count for little.  With Sw, Sx and Sxx the sums of dt_k,
+dt_k x_k and dt_k x_k^2 before the checkpoint,
+beta = (Sw sum x_k d_xi_k - Sx sum d_xi_k) / (Sw Sxx - Sx^2).
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ ESTIMATOR_NAMES = ("qkf", "regression")
 
 
 class CheckpointError(ValueError):
-    """A checkpoint too early for the line fit: fewer than 3 bins before it."""
+    """A checkpoint too early for the line fit: fewer than 3 steps before it."""
 
 
 @dataclass(frozen=True)
@@ -111,128 +120,6 @@ class EnsembleStats:
 
 
 # ---------------------------------------------------------------------------
-# the line fit: one bin rule, one per-step row form, one least-squares readout
-# ---------------------------------------------------------------------------
-
-def bin_edge_split(times: np.ndarray, n_end: int) -> tuple:
-    """``bin_edge_indices`` as (head, tail): the greedy edges, then every point tail..n_end.
-
-    The width is the largest step in the window, so a uniform grid keeps
-    every point and a log prefix is coalesced to uniform-width bins (raw
-    per-step rates on a log prefix have noise ~ 1/sqrt(dt) and would
-    poison an unweighted fit).  The greedy pass runs only up to the last
-    step narrower than the width: every later step is at least the width
-    wide, so every later point is an edge.
-    """
-    step = float(np.max(np.diff(times[:n_end + 1]))) * (1.0 - 1e-9)
-    narrow = np.nonzero(times[1:n_end + 1] < times[:n_end] + step)[0]
-    last = int(narrow[-1]) + 1 if len(narrow) else 0
-    idx = [0]
-    for i in range(1, last + 1):
-        if times[i] >= times[idx[-1]] + step or i == n_end:
-            idx.append(i)
-    return np.asarray(idx), last + 1
-
-
-def bin_edge_indices(times: np.ndarray, n_end: int) -> np.ndarray:
-    """Greedy grid indices acting as near-uniform bin edges over [0, t(n_end)].
-
-    See ``bin_edge_split`` for the rule.
-    """
-    head, tail = bin_edge_split(times, n_end)
-    return np.concatenate([head, np.arange(tail, n_end + 1)])
-
-
-def _edge(split: tuple, k: np.ndarray) -> np.ndarray:
-    """The k-th bin edges of a ``bin_edge_split`` (head, tail)."""
-    head, tail = split
-    return np.where(k < len(head), head[np.minimum(k, len(head) - 1)], tail + k - len(head))
-
-
-def _line_fit_weights(times: np.ndarray, checkpoints: np.ndarray, gamma_j: float):
-    """The line-fit columns as rows(s, e), their per-step record weights over steps [s, e), and
-    the readout (n_cp, n_col).
-
-    The shared bins are ``bin_edge_split`` up to the last checkpoint.  A
-    checkpoint whose own bins are a prefix of them reads the slope from
-    s_r and s_xr; any other gets a column of its ``line_fit_weights``.
-    A window's bins depend on its widest step alone: the greedy pass over
-    the longest window of one width picks every edge below a shorter
-    window's end c, whose bins then end at c.  So one pass per width
-    decides every checkpoint.  Both edge lists are (head, tail) forms:
-    past their heads they are every grid point, so they agree on all
-    their common edges iff they agree on one more than the longer head.
-    """
-    n = int(checkpoints[-1])
-    shared = head, tail = bin_edge_split(times, n)
-    widest = np.diff(times[:n + 1])
-    widest = np.maximum.accumulate(widest, out=widest)[checkpoints - 1]  # per window
-    n_bins = np.zeros(len(checkpoints), dtype=int)
-    prefix = np.zeros(len(checkpoints), dtype=bool)
-    for width in sorted(set(widest.tolist())):
-        at = widest == width
-        cps = checkpoints[at]
-        own = own_head, own_tail = bin_edge_split(times, int(cps[-1]))
-        # the number of edges both lists have
-        m = min(len(own_head) + int(cps[-1]) + 1 - own_tail, len(head) + n + 1 - tail)
-        k = np.arange(min(m, max(len(own_head), len(head)) + 1))
-        same = _edge(own, k) == _edge(shared, k)
-        agree = m if same.all() else int(np.argmin(same))  # leading edges in common
-        n_bins[at] = np.searchsorted(own_head, cps) + np.maximum(cps - own_tail, 0)
-        prefix[at] = (n_bins[at] <= agree) & (_edge(shared, n_bins[at]) == cps)
-    for c, nb in zip(checkpoints.tolist(), n_bins.tolist()):
-        if nb < 3:
-            raise CheckpointError(f"checkpoint t = {times[c]:g} s (grid point {c}) leaves "
-                                  f"fewer than 3 regression bins")
-    own_cols = [line_fit_weights(times, c, gamma_j) for c in checkpoints[~prefix].tolist()]
-    read = np.zeros((len(checkpoints), 2 + len(own_cols)))
-    read[np.flatnonzero(~prefix), np.arange(2, read.shape[1])] = 1.0
-    te = np.concatenate([times[head], times[tail:n + 1]])
-    mid = te[:-1] + te[1:]  # whole: its prefix sums are pairwise, so they do not stream
-    mid *= 0.5
-    del te
-    for i, nb in zip(np.flatnonzero(prefix).tolist(), n_bins[prefix].tolist()):
-        sx = mid[:nb].sum()
-        denom = (mid[:nb] ** 2).sum() - sx * sx / nb
-        read[i, :2] = -sx / nb / denom / gamma_j, 1.0 / denom / gamma_j
-    bounds = np.append(head, tail)  # the head's edges and the tail's first
-
-    def rows(s: int, e: int) -> np.ndarray:
-        if s >= tail:  # one bin per step
-            lo, hi = times[s:e], times[s + 1:e + 1]
-        else:
-            k = np.arange(s, e)
-            j = np.minimum(np.searchsorted(bounds, k, "right") - 1, len(head) - 1)
-            lo = times[np.where(k < tail, bounds[j], k)]
-            hi = times[np.where(k < tail, bounds[j + 1], k + 1)]
-        out = np.zeros((read.shape[1], e - s))
-        out[0] = 1.0 / (hi - lo)
-        out[1] = 0.5 * (lo + hi) / (hi - lo)
-        for row, w in zip(out[2:], own_cols):
-            row[:len(w[s:e])] = w[s:e]
-        return out
-
-    return rows, read
-
-
-def line_fit_weights(times: np.ndarray, n_end: int, gamma_j: float) -> np.ndarray:
-    """Per-step record weights w of the line-fit estimate w @ d_xi[:n_end].
-
-    Ordinary least squares of the binned record rate against the bin
-    midpoints (``bin_edge_indices`` over [0, t(n_end)]), with model
-    alpha + beta t; the estimate is beta / (gamma J).  The intercept
-    absorbs the frozen diffusive offset.  This is ``_line_fit_weights``
-    at the one checkpoint n_end: its rows read by its readout.
-    """
-    try:
-        rows, read = _line_fit_weights(times, np.array([n_end]), gamma_j)
-    except CheckpointError as exc:
-        raise ValueError("regression needs at least 3 points") from exc
-    r = rows(0, n_end)
-    return read[0, 0] * r[0] + read[0, 1] * r[1]
-
-
-# ---------------------------------------------------------------------------
 # the engine plan and its scan
 # ---------------------------------------------------------------------------
 
@@ -266,10 +153,10 @@ def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
 
     Per step, d_xi = m dt + dsq z, m' = m + drift + gsq z with
     drift = B phi12, and S' = S + ssq z: the filter's column has the
-    identity map and no drift.  The line-fit columns weigh d_xi by
-    ``rec_w``; suffix sums carry their weight on m_k onto the normals of the
-    chunk's earlier steps.  The factor is the ``_noise_factor`` of the
-    per-step noise weights h_t.
+    identity map and no drift.  The line fit's columns, if any, weigh d_xi
+    by the rows of ``rec_w``; suffix sums carry their weight on m_k onto the
+    normals of the chunk's earlier steps.  The factor is the
+    ``_noise_factor`` of the per-step noise weights h_t.
     """
     wm = rec_w * dts  # weight of m_k, since d_xi_k = m_k dt_k + dsq_k z_k
     later = np.zeros_like(wm)  # z_k moves every later m_j: sum of wm[j] over j > k
@@ -285,47 +172,53 @@ def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
 def _build_plan(spec: EnsembleSpec) -> tuple:
     """The ``_Chunk``s from grid point 0 to the last checkpoint, in scan order.
 
-    One pass over the chunks: each takes its slice of the gain schedule
-    from ``kalman_schedule`` over its own times, started from the previous
-    chunk's end, and its line-fit weights from ``_line_fit_weights``'s
-    rows, so no grid-length array of either is formed.  A chunk that ends
-    at a checkpoint reads every estimator of the spec off the state there,
-    one row each in ``ESTIMATOR_NAMES`` order: the filter's row is v22 on
-    the S column with offset B (1 - w), the line fit's is its
-    ``_line_fit_weights`` readout with offset 0.
+    One pass over the chunks, each formed from its own slice of the grid:
+    its gain schedule from ``kalman_schedule``, started from the previous
+    chunk's end, and its line-fit rows (1, x_k).  The line fit's Sw, Sx and
+    Sxx run on over the chunks, so no grid-length array is formed.  A chunk
+    that ends at a checkpoint reads every estimator of the spec off the
+    state there, one row each in ``ESTIMATOR_NAMES`` order: the filter's
+    row is v22 on S with offset B (1 - w), the line fit's is
+    (-Sx, Sw) / ((Sw Sxx - Sx^2) gamma J) on its columns with offset 0.
     """
     p = spec.params
     times = spec.grid.times
-    checkpoints = np.asarray(spec.checkpoints, dtype=int)
-    n = int(checkpoints[-1])  # the scan ends at the last checkpoint
+    checkpoints = spec.checkpoints
     names = [e for e in ESTIMATOR_NAMES if e in spec.estimators]
-    rec_w, reg_read = (_line_fit_weights(times, checkpoints, p.gamma * p.j_total)
-                       if "regression" in names else (lambda s, e: np.empty((0, e - s)), None))
-    n_col = 2 + (0 if reg_read is None else reg_read.shape[1])
-    read = np.zeros((len(checkpoints), len(names), n_col))
-    offset = np.zeros((len(checkpoints), len(names)))
-    if reg_read is not None:
-        read[:, names.index("regression"), 2:] = reg_read
-    cp_pos = {c: i for i, c in enumerate(checkpoints.tolist())}
-    bounds = sorted(set(range(0, n, CHUNK_STEPS)) | set(cp_pos))
+    n_fit = 2 if "regression" in names else 0  # the line fit's state columns
+    if n_fit and checkpoints[0] < 3:
+        c = checkpoints[0]
+        raise CheckpointError(f"checkpoint t = {times[c]:g} s (grid point {c}) leaves the "
+                              f"line fit fewer than 3 steps")
+    bounds = sorted(set(range(0, checkpoints[-1], CHUNK_STEPS)) | set(checkpoints))
     chunks = []
     carry = (0.0, 0.0)
+    sw = sx = sxx = 0.0  # sums over the steps so far of dt, dt x and dt x^2
     for s, e in zip(bounds[:-1], bounds[1:]):  # everything from this chunk's slices alone
         sched = kalman_schedule(p, times[s:e + 1], carry)
         carry = sched.end
         dts = np.diff(times[s:e + 1])
         sq = np.sqrt(dts)
         _, g = step_coefficients(p, times[s:e + 1])
-        i = cp_pos.get(e)
-        if i is not None and "qkf" in names:
-            p0 = p.prior_b_variance
-            # never B/p0: p0 = 0 is valid input
-            w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * sched.data[-1])
-            read[i, names.index("qkf"), 1] = sched.v22[-1]
-            offset[i, names.index("qkf")] = p.b_true * (1.0 - w)
+        x = 0.5 * (times[s:e] + times[s + 1:e + 1])  # the step midpoints
+        wx = dts * x
+        sw, sx, sxx = sw + dts.sum(), sx + wx.sum(), sxx + (wx * x).sum()  # no BLAS dot
+        read = offset = None
+        if e in checkpoints:
+            read, offset = np.zeros((len(names), 2 + n_fit)), np.zeros(len(names))
+            if "qkf" in names:
+                p0 = p.prior_b_variance
+                # never B/p0: p0 = 0 is valid input
+                w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * sched.data[-1])
+                read[names.index("qkf"), 1] = sched.v22[-1]
+                offset[names.index("qkf")] = p.b_true * (1.0 - w)
+            if n_fit:
+                read[names.index("regression"), 2:] = (
+                    np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total))
         chunks.append(_Chunk(s, e, *_chunk_map(dts, p.b_true * sched.phi12, g * sq, sched.d * sq,
-                                               sched.r[:-1] * sq / sched.d, rec_w(s, e)),
-                             *(() if i is None else (read[i], offset[i]))))
+                                               sched.r[:-1] * sq / sched.d,
+                                               np.vstack([np.ones(e - s), x])[:n_fit]),
+                             read, offset))
     return tuple(chunks)
 
 
@@ -381,17 +274,16 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
 
 
 def checkpoints_for_times(grid: TimeGrid, wanted_times):
-    """Grid indices nearest to the wanted times, snapped to regression bin edges.
+    """The sorted distinct grid indices in (0, n] nearest to the wanted times.
 
-    On an exact tie the lower edge wins.
+    On an exact tie the lower index wins.
     """
-    times = grid.times
-    edges = bin_edge_indices(times, len(times) - 1)[1:]
-    te = times[edges]
+    pts = grid.times[1:]
     t = np.asarray(wanted_times, dtype=float)
-    k = np.clip(np.searchsorted(te, t), 1, len(te) - 1)
-    lower = np.abs(te[k - 1] - t) <= np.abs(te[k] - t)
-    return tuple(sorted(set(edges[k - lower].tolist())))
+    hi = np.minimum(np.searchsorted(pts, t), len(pts) - 1)  # pts[hi - 1] < t <= pts[hi] inside
+    lo = np.maximum(hi - 1, 0)
+    k = np.where(np.abs(pts[lo] - t) <= np.abs(pts[hi] - t), lo, hi)
+    return tuple(sorted(set((k + 1).tolist())))
 
 
 def log_times(t_first: float, t_last: float, per_decade: int) -> np.ndarray:

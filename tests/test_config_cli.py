@@ -475,14 +475,14 @@ class TestCliBadInput:
 
 
 class TestCliEarlyCheckpoint:
-    """A checkpoint too early for 3 regression bins is a config error found at run time."""
+    """A checkpoint too early for a 3-step line fit is a config error found at run time."""
 
     def _run(self, tmp_path, capsys, command, doc):
         rc = main([command, "--config", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
         assert "Traceback" not in err
-        assert "fewer than 3 regression bins" in err
+        assert "leaves the line fit fewer than 3 steps" in err
         assert not (tmp_path / "out").exists()
         return err
 
@@ -520,10 +520,27 @@ class TestCliEarlyCheckpoint:
         assert check["detail"].endswith("not scored at t = [1e-05]; skipped: no checkpoint scored")
 
     def test_scaling_t_check_named(self, tmp_path, capsys):
-        doc = dict(TOY_DOC, b_true=0.0, prior_b_variance="infinite")
+        # two uniform steps up to t_check at every J
+        doc = dict(TOY_DOC, b_true=0.0, prior_b_variance="infinite",
+                   grid={"dt": 5e-4, "log_prefix": False})
         doc["scaling"] = {"j_values": [10, 100, 1000, 10000], "t_check": 1e-3, "n_traj": 8}
         err = self._run(tmp_path, capsys, "scaling", doc)
         assert err.startswith("error: scaling.t_check: ")
+
+
+class TestCliScheduleOverflow:
+    """A gain schedule past the float range is bad input found at run time: exit 2, not 1."""
+
+    @pytest.mark.parametrize("command", ["ensemble", "scaling"])
+    def test_huge_j_exits_2(self, tmp_path, capsys, command):
+        doc = dict(TOY_DOC, j_total=1e200)
+        doc["scaling"] = {"j_values": [1e197, 1e198, 1e199, 1e200], "t_check": 0.05, "n_traj": 4}
+        rc = main([command, "--config", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: params.gamma, ") and err.count("\n") == 1
+        assert "gain schedule overflowed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliScaling:

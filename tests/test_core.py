@@ -99,6 +99,15 @@ class TestTimeGrid:
         assert g.t_total == 1.0
         assert g.n_intervals == 4
 
+    def test_times_match_concatenated_formula(self):
+        # the in-place fill is bitwise [0, prefix, start + dt * (1..n)]
+        for g in (TimeGrid.uniform(0.1, 1000), TimeGrid.uniform(1e-8, 3),
+                  TimeGrid.with_prefix(dt=1e-3, t_total=1.0, t_first=1e-7, ratio=1.3),
+                  make_grid(params())):
+            start = g.prefix[-1] if g.prefix.size else 0.0
+            want = np.concatenate([[0.0], g.prefix, start + g.dt * np.arange(1, g.n_steps + 1)])
+            assert g.times.tobytes() == want.tobytes()
+
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 5)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qkfmag.rng import substream
 
 from joseph_oracle import joseph_covariance, kalman_step
 from kalman_oracle import list_recurrence, reference_schedule, run_kalman
-from line_fit_oracle import binned_rate_estimate, regression_estimate
+from line_fit_oracle import regression_estimate
 
 
 def params(**kw):
@@ -200,10 +201,16 @@ class TestKalmanStep:
             return phi12, g
 
         monkeypatch.setattr(est, "step_coefficients", huge_gain)
-        with pytest.raises(RuntimeError, match="reduce dt"):
+        with pytest.raises(OverflowError, match="gain schedule overflowed"):
             kalman_schedule(p, grid)
         monkeypatch.setattr(est, "step_coefficients", exact)
         kalman_schedule(p, grid)
+
+    def test_schedule_overflow_at_huge_j(self):
+        # r^2 leaves the float range at any step once J is this large
+        p = toy(j_total=1e200)
+        with pytest.raises(OverflowError, match="j_total or gamma is too large"):
+            kalman_schedule(p, TimeGrid.uniform(1e-3, 10))
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "scaling", "oracle"])
     @pytest.mark.parametrize("prior", ["preset", "infinite"])
@@ -400,6 +407,21 @@ class TestRiccatiAnalytic:
             r = detection_threshold_asymptotic(p, t) / riccati_analytic(p, t)
             assert abs(r - 1.0) <= 0.05, t
 
+    @pytest.mark.parametrize("eta", [1.0, 0.5, 0.1, 0.02])
+    def test_asymptotic_window_below_unit_efficiency(self, eta):
+        # the limit needs 2 eta J M t >> 1: the window starts at 100/(eta J M)
+        checked = 0
+        for j in (4e6, 1e5, 1e3):
+            p = params(j_total=j, efficiency=eta, prior_b_variance=INFINITE)
+            lo, hi = 100.0 / (eta * j * p.meas_strength), 0.15 / p.meas_strength
+            if lo > hi:  # no window at this eta J
+                continue
+            ts = np.geomspace(lo, hi, 25)
+            r = detection_threshold_asymptotic(p, ts) / riccati_analytic(p, ts)
+            assert np.all(np.abs(r - 1.0) <= 0.05), (j, ts[np.argmax(np.abs(r - 1.0))])
+            checked += 1
+        assert checked >= 2
+
     def test_ratio_approaches_one_at_100_over_jm(self):
         p = params()
         t = 100.0 / (p.j_total * p.meas_strength)
@@ -409,7 +431,6 @@ class TestRiccatiAnalytic:
 
 class TestAsymptoticThreshold:
     def test_plug_in_value(self):
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             v = detection_threshold_asymptotic(params(), 1e-3)
@@ -429,6 +450,14 @@ class TestAsymptoticThreshold:
         p = params()
         with pytest.warns(UserWarning, match="outside validity"):
             detection_threshold_asymptotic(p, 1.0 / (p.j_total * p.meas_strength))
+        # at eta < 1 the limit needs 2 eta J M t >> 1: the warning reaches 10/(eta J M)
+        p = params(efficiency=0.1)
+        jm = p.j_total * p.meas_strength
+        with pytest.warns(UserWarning, match="outside validity"):
+            detection_threshold_asymptotic(p, 50.0 / jm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            detection_threshold_asymptotic(p, 101.0 / jm)
 
 
 class TestShotnoise:
@@ -480,18 +509,22 @@ class TestRegression:
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
     def test_matches_binned_rate_slope(self):
-        # the per-step weights read the binned-rate slope up to rounding
-        # (measured 3.7e-13), on a uniform grid and on two log-prefix grids
-        for p, dt in ((toy(), 1e-3), (toy(j_total=5000.0), 1e-3),
-                      (params(t_total=2e-5), None)):
-            grid = make_grid(p, dt=dt)
-            times = grid.times
-            for seed in range(3):
-                rec = simulate_trajectory(p, grid, substream(5, seed))
-                for t_end in np.geomspace(times[grid.prefix.size + 5], p.t_total, 6):
-                    n_end = int(np.searchsorted(times, t_end * (1 + 1e-12), side="right") - 1)
-                    want = binned_rate_estimate(times, rec.d_xi, n_end, p.gamma * p.j_total)
-                    assert regression_estimate(rec, p, t_end) == pytest.approx(want, rel=1e-12)
+        # on a uniform grid every step is one bin of the plain rate fit: the
+        # dt weights are all equal, and the fit is the unweighted slope of the
+        # per-step rates against the step midpoints
+        p = toy()
+        grid = make_grid(p, dt=1e-3)
+        assert grid.prefix.size == 0
+        times = grid.times
+        for seed in range(3):
+            rec = simulate_trajectory(p, grid, substream(5, seed))
+            for t_end in np.geomspace(times[5], p.t_total, 6):
+                n_end = int(np.searchsorted(times, t_end * (1 + 1e-12), side="right") - 1)
+                rates = rec.d_xi[:n_end] / np.diff(times[:n_end + 1])
+                x = 0.5 * (times[:n_end] + times[1:n_end + 1])
+                xc = x - x.mean()
+                want = float(np.dot(xc, rates) / np.dot(xc, xc)) / (p.gamma * p.j_total)
+                assert regression_estimate(rec, p, t_end) == pytest.approx(want, rel=1e-12)
 
     def test_too_few_points(self):
         p = toy(t_total=3.0)

@@ -23,9 +23,7 @@ from qkfmag.estimators import kalman_schedule, riccati_integrate
 from qkfmag.montecarlo import (
     EnsembleSpec,
     _build_plan,
-    bin_edge_indices,
     checkpoints_for_times,
-    line_fit_weights,
     log_checkpoints,
     run_ensemble,
     scaling_study,
@@ -33,13 +31,7 @@ from qkfmag.montecarlo import (
 from qkfmag.rng import substream
 
 from kalman_oracle import run_kalman
-from line_fit_oracle import (
-    greedy_bin_edges,
-    nearest_grid_indices,
-    nearest_indices,
-    per_checkpoint_line_fit_weights,
-    regression_estimate,
-)
+from line_fit_oracle import nearest_grid_indices, regression_estimate
 
 FIG2 = dict(j_total=4e6, gamma=2 * math.pi * 1e6, b_true=1e-6, meas_strength=1e5,
             efficiency=1.0, prior_b_variance=1e-8, t_total=2e-3)
@@ -63,8 +55,8 @@ def toy_spec(n_traj=64, seed=7, dt=1e-3, **kw):
 
 def convergence_spec(n_traj):
     """Fig-2 physics over [0, 0.5/M] at B = 0 with no prior: a log-prefix grid
-    of 563 steps, the information form, and checkpoints off the shared bin
-    edges (the acceptance ``convergence_run`` shape)."""
+    of 563 steps, the information form, and checkpoints inside the log
+    prefix (the acceptance ``convergence_run`` shape)."""
     p = PhysicalParams(**dict(FIG2, b_true=0.0, prior_b_variance=INFINITE, t_total=0.5e-5))
     grid = make_grid(p)
     jm = p.j_total * p.meas_strength
@@ -242,89 +234,27 @@ class TestCheckpointHelpers:
         assert cps[-1] == 1000
 
 
-def line_fit_grids():
-    """Prefix grids with every n_end checked, and long grids with sampled n_end."""
-    every = [toy_spec().grid, convergence_spec(2).grid,
-             load_config(PERFBENCH / "fig2-identity.json").make_grid()]
-    sampled = [fig2_preset_spec().grid] + [scaling_preset_spec(j).grid
-                                            for j in load_preset("scaling").scaling.j_values]
-    return every, sampled
-
-
 class TestLineFitBins:
-    """The fast bin rule, checkpoint search and weights against their plain forms."""
-
-    def test_bin_edges_match_greedy_loop(self):
-        every, sampled = line_fit_grids()
-        for grid in every:
-            assert grid.prefix.size > 0
-            for n_end in range(1, len(grid.times)):
-                np.testing.assert_array_equal(bin_edge_indices(grid.times, n_end),
-                                              greedy_bin_edges(grid.times, n_end))
-        for grid in sampled:
-            n, k = len(grid.times) - 1, grid.prefix.size
-            for n_end in (1, 2, 3, k - 1, k, k + 1, k + 2, 2 * k, n // 3, n - 1, n):
-                np.testing.assert_array_equal(bin_edge_indices(grid.times, n_end),
-                                              greedy_bin_edges(grid.times, n_end))
+    """The checkpoint search against its plain form: every grid point is a candidate."""
 
     def test_checkpoints_match_argmin(self):
-        every, sampled = line_fit_grids()
         rng = np.random.default_rng(11)
-        for grid in every + sampled[:1]:
+        for grid in (toy_spec().grid, convergence_spec(2).grid,
+                     load_config(PERFBENCH / "fig2-identity.json").make_grid(),
+                     fig2_preset_spec().grid):
             times = grid.times
-            edges = greedy_bin_edges(times, len(times) - 1)[1:]
-            te = times[edges]
+            mid = 0.5 * (times[1:] + times[:-1])
             wanted = np.concatenate([rng.uniform(-0.1, 1.2, 40) * grid.t_total,
-                                     0.5 * (te[:-1] + te[1:])[:40], te[:10], [0.0]])
-            assert checkpoints_for_times(grid, wanted) == nearest_indices(times, edges, wanted)
+                                     mid[:40], mid[-5:], times[:10], times[-3:], [0.0]])
+            assert checkpoints_for_times(grid, wanted) == nearest_grid_indices(grid, wanted)
             for t in wanted[:10]:
-                assert checkpoints_for_times(grid, [t]) == nearest_indices(times, edges, [t])
+                assert checkpoints_for_times(grid, [t]) == nearest_grid_indices(grid, [t])
 
     def test_checkpoint_tie_takes_lower_edge(self):
         grid = TimeGrid.uniform(0.25, 8)
         assert checkpoints_for_times(grid, [0.375]) == (1,)
         assert checkpoints_for_times(grid, [0.375, 1.875, 9.0, -1.0]) == (1, 7, 8)
         assert checkpoints_for_times(TimeGrid.uniform(0.25, 1), [0.1, 3.0]) == (1,)
-
-    def test_own_columns_are_line_fit_weights(self):
-        spec = convergence_spec(2)
-        times = spec.grid.times
-        # with shared edges inside the log prefix, whose own bins are finer
-        edges = bin_edge_indices(times, spec.checkpoints[-1])
-        cps = np.array(sorted(set(spec.checkpoints) | set(edges[1:4].tolist())))
-        gamma_j = spec.params.gamma * spec.params.j_total
-        rows, read = montecarlo._line_fit_weights(times, cps, gamma_j)
-        cols = rows(0, int(cps[-1]))
-        own = 0
-        for i, c in enumerate(cps.tolist()):
-            w = line_fit_weights(times, c, gamma_j)
-            if read[i, :2].any():
-                # the shared s_r/s_xr fold reads the same estimate
-                folded = read[i, 0] * cols[0][:c] + read[i, 1] * cols[1][:c]
-                np.testing.assert_allclose(folded, w, rtol=0, atol=1e-9 * np.abs(w).max())
-                continue
-            col = cols[np.argmax(read[i])]
-            assert col[:c].tobytes() == w.tobytes()
-            assert not col[c:].any()
-            own += 1
-        assert 0 < own < len(cps)
-
-    def test_shared_bin_test_matches_per_checkpoint_edges(self):
-        # one greedy pass per window width decides which checkpoints read the shared sums
-        every, sampled = line_fit_grids()
-        cases = [(spec.grid, np.asarray(spec.checkpoints))
-                 for spec in (fig2_preset_spec(), convergence_spec(2), toy_spec())]
-        for grid in every:  # every grid point with 3 bins before it, log prefix included
-            first = next(c for c in range(1, len(grid.times))
-                         if len(bin_edge_indices(grid.times, c)) > 3)
-            cases.append((grid, np.arange(first, len(grid.times))))
-        for grid in sampled[1:]:
-            cases.append((grid, np.asarray(checkpoints_for_times(grid, [grid.t_total]))))
-        for grid, cps in cases:
-            rows, read = montecarlo._line_fit_weights(grid.times, cps, 3.0)
-            cols = rows(0, int(cps[-1]))
-            want_cols, want_read = per_checkpoint_line_fit_weights(grid.times, cps, 3.0)
-            assert cols.tobytes() == want_cols.tobytes() and read.tobytes() == want_read.tobytes()
 
 
 class TestScalingStudy:
@@ -369,9 +299,9 @@ class TestScalingStudy:
 
 
 class TestStoredRecordRegression:
-    """Checkpoints whose bins differ from the shared ones (inside a log
-    prefix) get their own line-fit weights, binned as regression_estimate
-    bins them."""
+    """Checkpoints inside a log prefix, where the dt weights differ from step
+    to step: the engine's line fit against ``regression_estimate``'s
+    weighted fit of the same record."""
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
     @pytest.mark.usefixtures("per_step_noise")
@@ -395,8 +325,7 @@ class TestStoredRecordRegression:
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
     @pytest.mark.usefixtures("per_step_noise")
     def test_long_grid_off_edge_checkpoint(self):
-        # fig-2 grid, 200,063 steps; checkpoint 3 lies inside the log prefix,
-        # off the shared bin edges
+        # fig-2 grid, 200,063 steps; checkpoints 2 and 3 lie inside the log prefix
         p = PhysicalParams(**FIG2)
         grid = make_grid(p)
         last = len(grid.times) - 1
@@ -413,13 +342,13 @@ class TestStoredRecordRegression:
         # after 200k steps the stepwise oracle's own rounding is ~1e-9 of the
         # filter error (measured against a long-double replay)
         np.testing.assert_allclose(stats.mse["qkf"], ref_both["qkf"], rtol=1e-8)
-        # checkpoint 3 leaves two line-fit bins: the engine, like the oracle, refuses the fit
+        # checkpoint 2 leaves the line fit two steps: the engine, like the oracle, refuses it
         rec = simulate_trajectory(p, grid, substream(0, 0))
         with pytest.raises(ValueError, match="at least 3 points"):
-            regression_estimate(rec, p, grid.times[3])
-        with pytest.raises(ValueError, match="fewer than 3 regression bins"):
+            regression_estimate(rec, p, grid.times[2])
+        with pytest.raises(ValueError, match="fewer than 3 steps"):
             run_ensemble(EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0,
-                                      checkpoints=(3,)))
+                                      checkpoints=(2,)))
 
 
 class TestChunkScan:
@@ -601,12 +530,13 @@ class TestCovarianceIdentity:
         self.check(scaling_preset_spec(j))
 
 
+@pytest.mark.filterwarnings("ignore:M \\* t_end")
 class TestMeanIdentity:
     """No noise drawn: the chunk maps propagate the mean of the state,
     mu <- phi mu + d, and every estimator's readout of it, read @ mu + offset,
     must equal that estimator's per-record oracle on the zero-noise record:
-    ``run_kalman`` for the filter, ``line_fit_weights`` @ d_xi for the line
-    fit.  The line fit's mean is its Bloch-decay bias, a deterministic curve."""
+    ``run_kalman`` for the filter, ``regression_estimate`` for the line fit.
+    The line fit's mean is its Bloch-decay bias, a deterministic curve."""
 
     @staticmethod
     def check(spec):
@@ -621,7 +551,7 @@ class TestMeanIdentity:
                 got.append(ch.read @ mu + ch.offset)
         qkf, line_fit = np.array(got).T
         np.testing.assert_allclose(qkf, run_kalman(p, rec).b_tilde[cps], rtol=1e-9)
-        want = [line_fit_weights(times, c, p.gamma * p.j_total) @ rec.d_xi[:c] for c in cps]
+        want = [regression_estimate(rec, p, times[c]) for c in cps]
         np.testing.assert_allclose(line_fit, want, rtol=1e-9)
         return line_fit / p.b_true
 
@@ -631,7 +561,7 @@ class TestMeanIdentity:
         assert -0.05 < bias[0] < 0.0 and bias[-1] < -0.99
 
     def test_own_line_fit_columns(self):
-        # off-edge checkpoints inside the log prefix: each reads its own column
+        # checkpoints inside the log prefix, where the dt weights vary step by step
         spec = convergence_spec(n_traj=2)
         self.check(dataclasses.replace(
             spec, params=dataclasses.replace(spec.params, b_true=FIG2["b_true"])))
@@ -668,9 +598,7 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
     _, g = step_coefficients(p, times[:n + 1])
     drift, gsq = p.b_true * sched.phi12[:n], g * sq
     dsq, ssq = sched.d * sq, sched.r[:n] * sq / sched.d
-    rows, _ = montecarlo._line_fit_weights(times, np.asarray(spec.checkpoints),
-                                           p.gamma * p.j_total)
-    rec_w = rows(0, n)
+    rec_w = np.vstack([np.ones(n), 0.5 * (times[:n] + times[1:n + 1])])  # (1, x_k)
     for ch in chunks:
         s, e = ch.start, ch.end
         phi, factor, d = montecarlo._chunk_map(dts[s:e], drift[s:e], gsq[s:e], dsq[s:e], ssq[s:e],
@@ -723,31 +651,48 @@ class TestStreamedPlan:
             return phi12, g
 
         monkeypatch.setattr(estimators, "step_coefficients", huge_gain)
-        with pytest.raises(RuntimeError, match="reduce dt"):
+        with pytest.raises(OverflowError, match="gain schedule overflowed"):
             run_ensemble(spec)
         run_ensemble(dataclasses.replace(spec, checkpoints=spec.checkpoints[:1]))  # t = 0.1
 
     @pytest.mark.parametrize("spec", [
         pytest.param(fig2_preset_spec, id="fig2"),
         pytest.param(lambda: convergence_spec(n_traj=2), id="convergence")])
-    def test_line_fit_rows_match_whole_grid(self, spec):
+    def test_line_fit_rows_match_whole_grid(self, spec, monkeypatch):
+        # each chunk's rows (1, x_k) are bitwise the whole grid's; each readout,
+        # from sums run over the chunks, is the whole-grid sums' to rounding
         spec = spec()
-        times, cps = spec.grid.times, np.asarray(spec.checkpoints)
-        rows, read = montecarlo._line_fit_weights(times, cps, 3.0)
-        want_cols, want_read = per_checkpoint_line_fit_weights(times, cps, 3.0)
-        assert read.tobytes() == want_read.tobytes()
-        for ch in _build_plan(spec):
-            got = rows(ch.start, ch.end)
-            assert got.tobytes() == np.ascontiguousarray(want_cols[:, ch.start:ch.end]).tobytes()
+        p, times = spec.params, spec.grid.times
+        n = spec.checkpoints[-1]
+        x = 0.5 * (times[:n] + times[1:n + 1])
+        dts = np.diff(times[:n + 1])
+        rows = []
+        chunk_map = montecarlo._chunk_map
+
+        def keep(*args):
+            rows.append(args[-1])
+            return chunk_map(*args)
+
+        monkeypatch.setattr(montecarlo, "_chunk_map", keep)
+        chunks = _build_plan(spec)
+        assert len(rows) == len(chunks)
+        for ch, got in zip(chunks, rows):
+            want = np.vstack([np.ones(ch.end - ch.start), x[ch.start:ch.end]])
+            assert got.tobytes() == want.tobytes()
+            if ch.read is not None:
+                c = ch.end
+                sw, sx, sxx = dts[:c].sum(), (dts * x)[:c].sum(), (dts * x * x)[:c].sum()
+                want = np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total)
+                np.testing.assert_allclose(ch.read[1, 2:], want, rtol=1e-12)
 
 
 def test_plan_memory_is_bounded_by_a_chunk():
-    # The plan keeps no grid-length array of the schedule or of the line-fit
-    # columns: each chunk forms its own slices.  What is left is the line
-    # fit's bin midpoints, whose prefix sums do not stream bitwise.  The
-    # bound, 4 grid-length float64 arrays, was fixed before measuring: the
-    # fig2 plan peaked at 21 with whole-grid temporaries and at 9 with the
-    # whole schedule and line-fit columns.
+    # The plan keeps no grid-length array of the schedule or of the line
+    # fit: each chunk forms its own slices, and the line fit's grid sums run
+    # over the chunks.  The bound, one grid-length float64 array, was fixed
+    # before measuring: the fig2 plan peaked at 21 with whole-grid
+    # temporaries, at 9 with the whole schedule and line-fit columns, and
+    # at 2 with the whole bin midpoints.
     spec = fig2_preset_spec()
     _build_plan(spec)  # lazy set-up outside the measurement
     tracemalloc.start()
@@ -756,7 +701,7 @@ def test_plan_memory_is_bounded_by_a_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * len(spec.grid.times)
+    assert peak < 8 * len(spec.grid.times)
 
 
 class TestNoiseFactor:
