@@ -13,9 +13,15 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
+
+# Before numpy loads: the commands call no threaded BLAS routine, and an
+# OpenBLAS thread pool would only spin at start-up and make the process
+# multi-threaded when it forks.  A value set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

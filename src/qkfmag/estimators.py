@@ -91,8 +91,9 @@ class KalmanSchedule:
     """Deterministic per-step gains and covariance path for a (params, grid) pair.
 
     The gains do not depend on the data, so one schedule drives any
-    number of trajectories.  Per step: ``phi12`` and ``k1`` = g/d; per
-    grid point: ``r`` (V = v22 (r, 1)(r, 1)^T), the data information
+    number of trajectories.  Per step: ``phi12`` and ``g``, as
+    ``step_coefficients`` returns them, and ``k1`` = g/d; per grid point:
+    ``r`` (V = v22 (r, 1)(r, 1)^T), the data information
     ``data`` and ``v22``; ``d`` is the record noise scale 1/(2 sqrt(M eta)).
     ``end`` is (r, info) at the last grid point, info = d^2 data the raw
     information sum: the ``start`` of the schedule over the next slice.
@@ -100,6 +101,7 @@ class KalmanSchedule:
 
     times: np.ndarray
     phi12: np.ndarray
+    g: np.ndarray
     k1: np.ndarray
     r: np.ndarray
     data: np.ndarray
@@ -122,8 +124,8 @@ def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> Kalma
     p0 = p.prior_b_variance
     # overflow raises below, and 1/0 is inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        phi12, k1 = step_coefficients(p, times)
-        k1 /= d
+        phi12, g = step_coefficients(p, times)
+        k1 = g / d
         r = _linear_recurrence(1.0 - k1 * dts, phi12, start[0])
         data = np.empty(len(times))  # the raw information sum first, in place
         data[0] = start[1]
@@ -136,7 +138,8 @@ def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> Kalma
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(data))):
         raise OverflowError("gain schedule overflowed: j_total or gamma is too large, "
                             "or the grid too coarse for the variance collapse")
-    return KalmanSchedule(times=times, phi12=phi12, k1=k1, r=r, data=data, v22=v22, d=d, end=end)
+    return KalmanSchedule(times=times, phi12=phi12, g=g, k1=k1, r=r, data=data, v22=v22, d=d,
+                          end=end)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ so results are byte-identical for any worker count or scheduling.
 With several workers, the blocks run through ``core.forked_map`` in
 children forked after the plan is built: they inherit it, so nothing is
 pickled, and each block's partials come back through a pipe, in block
-order.  The children call no BLAS or LAPACK routine, so a BLAS thread
-pool in the parent at fork does not reach them.  Without ``os.fork`` the
-blocks run in the calling process.
+order.  The children call no BLAS or LAPACK routine, and the CLI keeps
+OpenBLAS single-threaded, so its processes fork with one thread.  Without
+``os.fork`` the blocks run in the calling process.
 
 Both estimators consume the identical record per trajectory (paired
 design), and the per-trajectory noise comes from counter-based
@@ -52,13 +52,16 @@ beta = (Sw sum x_k d_xi_k - Sx sum d_xi_k) / (Sw Sxx - Sx^2).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalParams, TimeGrid, forked_map, make_grid, with_spin, write_csv
-from .dynamics import step_coefficients
+from .core import (SCAN_BLOCK, PhysicalParams, TimeGrid, forked_map, make_grid, with_spin,
+                   write_csv)
+# step_coefficients is unused here, but perfbench's probe wraps montecarlo.step_coefficients
+from .dynamics import step_coefficients  # noqa: F401
 from .estimators import kalman_schedule, riccati_integrate, shotnoise_limit
 from .rng import fill_normals
 
@@ -123,7 +126,9 @@ class EnsembleStats:
 # the engine plan and its scan
 # ---------------------------------------------------------------------------
 
-CHUNK_STEPS = 2048  # the longest scan chunk: bounds the plan's per-chunk temporaries
+# the longest scan chunk: bounds the plan's per-chunk temporaries.  At most
+# SCAN_BLOCK, the longest span of whole chunks that one schedule call covers.
+CHUNK_STEPS = 2048
 
 
 @dataclass(frozen=True)
@@ -172,13 +177,15 @@ def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
 def _build_plan(spec: EnsembleSpec) -> tuple:
     """The ``_Chunk``s from grid point 0 to the last checkpoint, in scan order.
 
-    One pass over the chunks, each formed from its own slice of the grid:
-    its gain schedule from ``kalman_schedule``, started from the previous
-    chunk's end, and its line-fit rows (1, x_k).  The line fit's Sw, Sx and
-    Sxx run on over the chunks, so no grid-length array is formed.  A chunk
-    that ends at a checkpoint reads every estimator of the spec off the
-    state there, one row each in ``ESTIMATOR_NAMES`` order: the filter's
-    row is v22 on S with offset B (1 - w), the line fit's is
+    One pass over the chunks.  The gain schedule comes from one
+    ``kalman_schedule`` call per span, the whole chunks in at most
+    ``SCAN_BLOCK`` steps, started from the previous span's end; each chunk
+    slices its phi12, g, r, data and v22 out of its span's arrays, and forms
+    its line-fit rows (1, x_k) from its own slice of the grid.  The line
+    fit's Sw, Sx and Sxx run on over the chunks, so no grid-length array is
+    formed.  A chunk that ends at a checkpoint reads every estimator of the
+    spec off the state there, one row each in ``ESTIMATOR_NAMES`` order: the
+    filter's row is v22 on S with offset B (1 - w), the line fit's is
     (-Sx, Sw) / ((Sw Sxx - Sx^2) gamma J) on its columns with offset 0.
     """
     p = spec.params
@@ -192,14 +199,16 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
                               f"line fit fewer than 3 steps")
     bounds = sorted(set(range(0, checkpoints[-1], CHUNK_STEPS)) | set(checkpoints))
     chunks = []
-    carry = (0.0, 0.0)
+    span_end, start = 0, (0.0, 0.0)
     sw = sx = sxx = 0.0  # sums over the steps so far of dt, dt x and dt x^2
-    for s, e in zip(bounds[:-1], bounds[1:]):  # everything from this chunk's slices alone
-        sched = kalman_schedule(p, times[s:e + 1], carry)
-        carry = sched.end
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if e > span_end:  # the next span: the whole chunks in at most SCAN_BLOCK steps from s
+            span_end = bounds[bisect_right(bounds, s + SCAN_BLOCK) - 1]
+            span, span_start = kalman_schedule(p, times[s:span_end + 1], start), s
+            start = span.end
+        lo, hi = s - span_start, e - span_start  # the chunk's steps within its span
         dts = np.diff(times[s:e + 1])
         sq = np.sqrt(dts)
-        _, g = step_coefficients(p, times[s:e + 1])
         x = 0.5 * (times[s:e] + times[s + 1:e + 1])  # the step midpoints
         wx = dts * x
         sw, sx, sxx = sw + dts.sum(), sx + wx.sum(), sxx + (wx * x).sum()  # no BLAS dot
@@ -209,14 +218,15 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
             if "qkf" in names:
                 p0 = p.prior_b_variance
                 # never B/p0: p0 = 0 is valid input
-                w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * sched.data[-1])
-                read[names.index("qkf"), 1] = sched.v22[-1]
+                w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * span.data[hi])
+                read[names.index("qkf"), 1] = span.v22[hi]
                 offset[names.index("qkf")] = p.b_true * (1.0 - w)
             if n_fit:
                 read[names.index("regression"), 2:] = (
                     np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total))
-        chunks.append(_Chunk(s, e, *_chunk_map(dts, p.b_true * sched.phi12, g * sq, sched.d * sq,
-                                               sched.r[:-1] * sq / sched.d,
+        chunks.append(_Chunk(s, e, *_chunk_map(dts, p.b_true * span.phi12[lo:hi],
+                                               span.g[lo:hi] * sq, span.d * sq,
+                                               span.r[lo:hi] * sq / span.d,
                                                np.vstack([np.ones(e - s), x])[:n_fit]),
                              read, offset))
     return tuple(chunks)

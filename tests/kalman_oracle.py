@@ -51,7 +51,7 @@ def reference_schedule(p, grid) -> KalmanSchedule:
         info = np.concatenate(([0.0], np.cumsum(r[:-1] ** 2 * dts)))
         data = info / (d * d)
         v22 = 1.0 / data if math.isinf(p0) else p0 / (1.0 + p0 * data)
-    return KalmanSchedule(times=times, phi12=phi12, k1=k1, r=r, data=data, v22=v22, d=d,
+    return KalmanSchedule(times=times, phi12=phi12, g=g, k1=k1, r=r, data=data, v22=v22, d=d,
                           end=(float(r[-1]), float(info[-1])))
 
 

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -292,6 +294,49 @@ class TestCliWorkerFailure:
         rc = main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--workers", "2",
                    "--out", str(out)])
         self.check(rc, out, capfd, "ensemble")
+
+
+def _cli_env(**kw) -> dict:
+    """The environment of a fresh CLI process: this source tree, and no BLAS thread setting
+    but ``kw``'s (importing ``qkfmag.cli`` here set one in this process)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return {**env, **kw}
+
+
+class TestCliBlasThreads:
+    """The CLI keeps OpenBLAS single-threaded unless the environment says otherwise: the
+    commands call no threaded BLAS routine, and a thread pool would make every fork
+    multi-threaded."""
+
+    CODE = ("import os, qkfmag.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
+
+    def test_import_sets_one_thread(self):
+        run = subprocess.run([sys.executable, "-c", self.CODE], env=_cli_env(),
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert run.stdout.split() == ["1", "1"]
+
+    def test_value_from_the_environment_wins(self):
+        run = subprocess.run([sys.executable, "-c", self.CODE],
+                             env=_cli_env(OPENBLAS_NUM_THREADS="2"),
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert run.stdout.split()[0] == "2"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+    def test_forked_ensemble_is_single_threaded(self, tmp_path):
+        # Python 3.12+ warns at a fork of a multi-threaded process.  The warning
+        # is shown, not turned into an error: os.fork drops an error raised
+        # from it, and the run would still exit 0.
+        doc = dict(TOY_DOC, ensemble={"n_traj": montecarlo.BLOCK_SIZE + 1,
+                                      "checkpoint_times": [0.5]})
+        run = subprocess.run([sys.executable, "-W", "always:This process:DeprecationWarning",
+                              "-m", "qkfmag.cli", "ensemble", "--config", _write_cfg(tmp_path, doc),
+                              "--workers", "2", "--out", str(tmp_path / "out")],
+                             env=_cli_env(), capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert "multi-threaded" not in run.stderr
 
 
 class TestCliEnsemble:

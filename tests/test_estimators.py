@@ -276,7 +276,7 @@ class TestBlockedSchedule:
     @staticmethod
     def check(p, grid):
         got, want = kalman_schedule(p, grid), reference_schedule(p, grid)
-        for name in ("phi12", "k1", "r", "data", "v22"):
+        for name in ("phi12", "g", "k1", "r", "data", "v22"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.d == want.d
 
@@ -299,6 +299,15 @@ class TestBlockedSchedule:
     def test_block_boundaries(self, n_steps):
         p = toy()
         self.check(p, TimeGrid.uniform(p.t_total / n_steps, n_steps))
+
+    def test_g_is_step_coefficients_g(self):
+        # the plan reads g off the schedule instead of calling step_coefficients again
+        cfg = load_preset("fig2")
+        grid = cfg.make_grid()
+        got = kalman_schedule(cfg.params, grid)
+        phi12, g = step_coefficients(cfg.params, grid.times)
+        assert got.g.tobytes() == g.tobytes() and got.phi12.tobytes() == phi12.tobytes()
+        assert got.k1.tobytes() == (g / got.d).tobytes()
 
     def test_recurrence_with_sign_changes(self):
         rng = np.random.default_rng(3)

@@ -234,7 +234,7 @@ class TestCheckpointHelpers:
         assert cps[-1] == 1000
 
 
-class TestLineFitBins:
+class TestCheckpointSearch:
     """The checkpoint search against its plain form: every grid point is a candidate."""
 
     def test_checkpoints_match_argmin(self):
@@ -324,17 +324,17 @@ class TestStoredRecordRegression:
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
     @pytest.mark.usefixtures("per_step_noise")
-    def test_long_grid_off_edge_checkpoint(self):
+    def test_long_grid_log_prefix_checkpoint(self):
         # fig-2 grid, 200,063 steps; checkpoints 2 and 3 lie inside the log prefix
         p = PhysicalParams(**FIG2)
         grid = make_grid(p)
         last = len(grid.times) - 1
         lam = 2 * p.efficiency * p.meas_strength * p.j_total
-        off_edge = nearest_grid_indices(grid, [20.0 / lam])[0]
+        early = nearest_grid_indices(grid, [20.0 / lam])[0]
         qkf = EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0, estimators=("qkf",),
-                           checkpoints=(3, off_edge))
+                           checkpoints=(3, early))
         both = EnsembleSpec(params=p, grid=grid, n_traj=4, master_seed=0,
-                            checkpoints=(off_edge, last))
+                            checkpoints=(early, last))
         ref_qkf, ref_both = oracle_mse(qkf), oracle_mse(both)
         np.testing.assert_allclose(run_ensemble(qkf).mse["qkf"], ref_qkf["qkf"], rtol=1e-10)
         stats = run_ensemble(both)
@@ -560,7 +560,7 @@ class TestMeanIdentity:
         # Bloch decay: a few percent low at the first checkpoint, almost all of B lost at 2 ms
         assert -0.05 < bias[0] < 0.0 and bias[-1] < -0.99
 
-    def test_own_line_fit_columns(self):
+    def test_log_prefix_checkpoints(self):
         # checkpoints inside the log prefix, where the dt weights vary step by step
         spec = convergence_spec(n_traj=2)
         self.check(dataclasses.replace(
@@ -608,40 +608,53 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
 
 
 class TestStreamedPlan:
-    """The plan forms the gain schedule and the line-fit columns one chunk at a
-    time; each chunk's slice must be bitwise the whole-grid one."""
+    """The plan forms the gain schedule one span of whole chunks at a time, and
+    the line-fit columns one chunk at a time; each slice must be bitwise the
+    whole-grid one."""
 
-    @pytest.mark.parametrize("spec, chunk_steps", [
-        pytest.param(fig2_preset_spec, montecarlo.CHUNK_STEPS, id="fig2"),
+    @pytest.mark.parametrize("spec, chunk_steps, span_steps", [
+        pytest.param(fig2_preset_spec, montecarlo.CHUNK_STEPS, montecarlo.SCAN_BLOCK, id="fig2"),
         # a uniform grid without a log prefix: a_0 = 1 - k1 dt < 0, and 7-step
-        # chunks carry r and the information across 72 boundaries
+        # chunks in spans of at most 20 steps carry r and the information
+        # across 34 span boundaries
         pytest.param(lambda: EnsembleSpec(params=toy(), grid=TimeGrid.uniform(1e-3, 500),
                                           n_traj=2, master_seed=7, checkpoints=(100, 500)),
-                     7, id="coarse")])
-    def test_schedule_slices_match_whole_grid(self, spec, chunk_steps, monkeypatch):
+                     7, 20, id="coarse")])
+    def test_schedule_slices_match_whole_grid(self, spec, chunk_steps, span_steps, monkeypatch):
         spec = spec()
-        slices = []
+        spans = []
         whole = montecarlo.kalman_schedule
 
         def keep(p, times, start):
-            slices.append(whole(p, times, start))
-            return slices[-1]
+            spans.append(whole(p, times, start))
+            return spans[-1]
 
         monkeypatch.setattr(montecarlo, "CHUNK_STEPS", chunk_steps)
+        monkeypatch.setattr(montecarlo, "SCAN_BLOCK", span_steps)
         monkeypatch.setattr(montecarlo, "kalman_schedule", keep)
         chunks = _build_plan(spec)
         want = kalman_schedule(spec.params, spec.grid)
         if chunk_steps == 7:  # the coarse grid: the recurrence changes sign
             assert np.any(want.k1 * np.diff(want.times) > 1.0)
-        assert len(slices) == len(chunks) > 1
-        for ch, got in zip(chunks, slices):
-            s, e = ch.start, ch.end
-            for name, sl in (("phi12", slice(s, e)), ("k1", slice(s, e)), ("r", slice(s, e + 1)),
-                             ("data", slice(s, e + 1)), ("v22", slice(s, e + 1))):
+            assert len(spans) == 35
+        ends = [ch.end for ch in chunks]
+        assert len(chunks) > len(spans) > 1
+        s = 0
+        for got in spans:  # one call per span, the spans in scan order
+            e = s + len(got.phi12)
+            # whole chunks, as many as fit in span_steps
+            assert e in ends and e - s <= span_steps
+            assert e == ends[-1] or ends[ends.index(e) + 1] - s > span_steps
+            assert got.times.tobytes() == want.times[s:e + 1].tobytes()
+            for name, sl in (("phi12", slice(s, e)), ("g", slice(s, e)), ("k1", slice(s, e)),
+                             ("r", slice(s, e + 1)), ("data", slice(s, e + 1)),
+                             ("v22", slice(s, e + 1))):
                 assert getattr(got, name).tobytes() == getattr(want, name)[sl].tobytes(), name
+            s = e
+        assert s == spec.checkpoints[-1]
 
     def test_overflow_raises_up_to_the_last_checkpoint(self, monkeypatch):
-        # the guard runs chunk by chunk, over the steps the scan reaches
+        # the guard runs span by span, over the steps the scan reaches
         spec = toy_spec(n_traj=2)
         exact = estimators.step_coefficients
 
