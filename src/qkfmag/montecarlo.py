@@ -17,17 +17,20 @@ substreams of the master seed (``rng.fill_normals``), making
 ``run_ensemble`` a pure function of its spec.
 
 Engine.  The model is linear-Gaussian with data-independent gains, so a
-trajectory's state obeys an affine recurrence in its unit normals.  The
-plan folds each chunk of at most ``CHUNK_STEPS`` steps (every checkpoint
-ends one; the scan stops at the last) into one affine map.  A chunk's
-noise term h_t z is a Gaussian vector with n_col components and
-covariance h_t h_t^T, and the terms of disjoint chunks are independent;
-so the plan keeps a factor F with F F^T = h_t h_t^T and at most n_col
-columns, and a trajectory draws one normal per column, not per step.
-The law of the state at every chunk end, and so at every checkpoint, is
-exactly that of the per-step scan.  The maps are applied with
-``np.einsum``: a threaded BLAS would split the sums by its thread count,
-and results must not depend on it.
+trajectory's state obeys an affine recurrence in its unit normals, and it
+is read only at the checkpoints.  The plan cuts the grid into chunks of
+at most ``CHUNK_STEPS`` steps (every checkpoint ends one; the scan stops
+at the last), which bound its temporaries, and folds the chunks between
+consecutive checkpoints into one affine map per segment.  A segment's
+noise term is a Gaussian vector with n_col components and covariance
+H H^T, H the per-step noise weights propagated to the segment's end, and
+the terms of disjoint segments are independent; so the plan keeps a
+factor F with F F^T = H H^T and at most n_col columns, refolded by one QR
+per chunk, and a trajectory draws one normal per column, not per step.
+The law of the state at every checkpoint is exactly that of the per-step
+scan.  The maps are formed and applied with ``np.einsum``: a threaded
+BLAS would split the sums by its thread count, and results must not
+depend on it.
 
 The state columns are the true mean m, the filter's one weighted sum of
 normals S = sum_k r_k sqrt(dt_k) z_k / d, and the line fit's two record
@@ -133,35 +136,39 @@ CHUNK_STEPS = 2048
 
 @dataclass(frozen=True)
 class _Chunk:
-    """state(end) = phi state(start) + factor u + d over steps [start, end), u the chunk's normals."""
+    """state(end) = phi state(start) + factor u + d over the checkpoint segment [start, end).
+
+    ``start`` is the previous checkpoint (or 0) and ``end`` a checkpoint; u
+    is the segment's normals.
+    """
 
     start: int
     end: int
     phi: np.ndarray      # (n_col, n_col)
-    factor: np.ndarray   # (n_col, width), factor factor^T = h_t h_t^T of the per-step noise
+    factor: np.ndarray   # (n_col, width), factor factor^T = H H^T of the propagated per-step noise
     d: np.ndarray        # (n_col,)
-    read: np.ndarray | None = None    # at a checkpoint, (n_est, n_col): b_hat = read @ state
-    offset: np.ndarray | None = None  # ... + offset, (n_est,)
+    read: np.ndarray     # (n_est, n_col): b_hat = read @ state(end) + offset
+    offset: np.ndarray   # (n_est,)
 
 
 def _noise_factor(h_t: np.ndarray) -> np.ndarray:
     """F with F F^T = h_t h_t^T and min(L, n_col) columns, for h_t of shape (n_col, L).
 
-    F = R^T from h_t^T = Q R: the chunk's noise h_t z has the law of F u
-    for unit normals u.
+    F = R^T from h_t^T = Q R: the noise h_t z has the law of F u for unit
+    normals u.
     """
     return np.ascontiguousarray(np.linalg.qr(h_t.T, mode="r").T)
 
 
 def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
-    """(phi, factor, d) of the affine map over one chunk, from its per-step coefficients.
+    """(phi, h_t, d) of the affine map over one chunk, from its per-step coefficients.
 
     Per step, d_xi = m dt + dsq z, m' = m + drift + gsq z with
     drift = B phi12, and S' = S + ssq z: the filter's column has the
     identity map and no drift.  The line fit's columns, if any, weigh d_xi
     by the rows of ``rec_w``; suffix sums carry their weight on m_k onto the
-    normals of the chunk's earlier steps.  The factor is the
-    ``_noise_factor`` of the per-step noise weights h_t.
+    normals of the chunk's earlier steps.  The chunk's noise is h_t z, with
+    h_t the (n_col, steps) per-step noise weights.
     """
     wm = rec_w * dts  # weight of m_k, since d_xi_k = m_k dt_k + dsq_k z_k
     later = np.zeros_like(wm)  # z_k moves every later m_j: sum of wm[j] over j > k
@@ -170,12 +177,11 @@ def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
     phi = np.eye(2 + len(rec_w))
     phi[2:, 0] = wm.sum(axis=1)
     drift_before = np.concatenate(([0.0], np.cumsum(drift[:-1])))
-    return phi, _noise_factor(h_t), np.concatenate(([drift.sum(), 0.0],
-                                                     (wm * drift_before).sum(axis=1)))
+    return phi, h_t, np.concatenate(([drift.sum(), 0.0], (wm * drift_before).sum(axis=1)))
 
 
 def _build_plan(spec: EnsembleSpec) -> tuple:
-    """The ``_Chunk``s from grid point 0 to the last checkpoint, in scan order.
+    """The ``_Chunk``s from grid point 0 to the last checkpoint, one per checkpoint, in scan order.
 
     One pass over the chunks.  The gain schedule comes from one
     ``kalman_schedule`` call per span, the whole chunks in at most
@@ -183,10 +189,14 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
     slices its phi12, g, r, data and v22 out of its span's arrays, and forms
     its line-fit rows (1, x_k) from its own slice of the grid.  The line
     fit's Sw, Sx and Sxx run on over the chunks, so no grid-length array is
-    formed.  A chunk that ends at a checkpoint reads every estimator of the
-    spec off the state there, one row each in ``ESTIMATOR_NAMES`` order: the
-    filter's row is v22 on S with offset B (1 - w), the line fit's is
-    (-Sx, Sw) / ((Sw Sxx - Sx^2) gamma J) on its columns with offset 0.
+    formed.  Each chunk's map (phi_c, h_t, d_c) folds into its segment's,
+    started from (I, no columns, 0): phi <- phi_c phi, d <- phi_c d + d_c,
+    and factor <- ``_noise_factor`` of [phi_c factor, h_t], whose columns
+    run in step order.  At a checkpoint the segment becomes a ``_Chunk``
+    that reads every estimator of the spec off the state there, one row
+    each in ``ESTIMATOR_NAMES`` order: the filter's row is v22 on S with
+    offset B (1 - w), the line fit's is (-Sx, Sw) / ((Sw Sxx - Sx^2) gamma J)
+    on its columns with offset 0.
     """
     p = spec.params
     times = spec.grid.times
@@ -201,6 +211,8 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
     chunks = []
     span_end, start = 0, (0.0, 0.0)
     sw = sx = sxx = 0.0  # sums over the steps so far of dt, dt x and dt x^2
+    empty = np.eye(2 + n_fit), np.zeros((2 + n_fit, 0)), np.zeros(2 + n_fit)
+    seg_start, (phi, factor, d) = 0, empty
     for s, e in zip(bounds[:-1], bounds[1:]):
         if e > span_end:  # the next span: the whole chunks in at most SCAN_BLOCK steps from s
             span_end = bounds[bisect_right(bounds, s + SCAN_BLOCK) - 1]
@@ -212,30 +224,33 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
         x = 0.5 * (times[s:e] + times[s + 1:e + 1])  # the step midpoints
         wx = dts * x
         sw, sx, sxx = sw + dts.sum(), sx + wx.sum(), sxx + (wx * x).sum()  # no BLAS dot
-        read = offset = None
-        if e in checkpoints:
-            read, offset = np.zeros((len(names), 2 + n_fit)), np.zeros(len(names))
-            if "qkf" in names:
-                p0 = p.prior_b_variance
-                # never B/p0: p0 = 0 is valid input
-                w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * span.data[hi])
-                read[names.index("qkf"), 1] = span.v22[hi]
-                offset[names.index("qkf")] = p.b_true * (1.0 - w)
-            if n_fit:
-                read[names.index("regression"), 2:] = (
-                    np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total))
-        chunks.append(_Chunk(s, e, *_chunk_map(dts, p.b_true * span.phi12[lo:hi],
-                                               span.g[lo:hi] * sq, span.d * sq,
-                                               span.r[lo:hi] * sq / span.d,
-                                               np.vstack([np.ones(e - s), x])[:n_fit]),
-                             read, offset))
+        phi_c, h_t, d_c = _chunk_map(dts, p.b_true * span.phi12[lo:hi], span.g[lo:hi] * sq,
+                                     span.d * sq, span.r[lo:hi] * sq / span.d,
+                                     np.vstack([np.ones(e - s), x])[:n_fit])
+        phi = np.einsum("ij,jk->ik", phi_c, phi)
+        factor = _noise_factor(np.hstack([np.einsum("ij,jk->ik", phi_c, factor), h_t]))
+        d = np.einsum("ij,j->i", phi_c, d) + d_c
+        if e not in checkpoints:
+            continue
+        read, offset = np.zeros((len(names), 2 + n_fit)), np.zeros(len(names))
+        if "qkf" in names:
+            p0 = p.prior_b_variance
+            # never B/p0: p0 = 0 is valid input
+            w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * span.data[hi])
+            read[names.index("qkf"), 1] = span.v22[hi]
+            offset[names.index("qkf")] = p.b_true * (1.0 - w)
+        if n_fit:
+            read[names.index("regression"), 2:] = (
+                np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total))
+        chunks.append(_Chunk(seg_start, e, phi, factor, d, read, offset))
+        seg_start, (phi, factor, d) = e, empty
     return tuple(chunks)
 
 
 def _run_block(spec: EnsembleSpec, chunks: tuple, i0: int, i1: int) -> np.ndarray:
     """Scan trajectories [i0, i1); (n_cp, 3, n_est): per checkpoint, sums of e^2, e^4 and b_hat."""
     state = np.zeros((i1 - i0, chunks[0].phi.shape[0]))
-    # each trajectory's normals for every chunk, in chunk order, in one row
+    # each trajectory's normals for every segment, in scan order, in one row
     u = fill_normals(spec.master_seed, i0,
                      np.empty((i1 - i0, sum(ch.factor.shape[1] for ch in chunks))))
     out = []
@@ -245,8 +260,6 @@ def _run_block(spec: EnsembleSpec, chunks: tuple, i0: int, i1: int) -> np.ndarra
         state = (np.einsum("ij,kj->ik", state, ch.phi)
                  + np.einsum("ij,kj->ik", u[:, off:off + width], ch.factor) + ch.d)
         off += width
-        if ch.read is None:
-            continue
         with np.errstate(invalid="ignore"):  # inf * 0 where an infinite prior is unresolved
             b_hat = np.einsum("ej,ij->ei", ch.read, state) + ch.offset[:, None]
         e2 = (b_hat - spec.params.b_true) ** 2
@@ -367,7 +380,7 @@ def scaling_study(params: PhysicalParams, j_values, n_traj: int, master_seed: in
     on the grid ``grid_for(p)``, with one checkpoint at t_check; the
     ``scaling`` command passes its config's grid section in ``grid_for``.
     Every J uses the same master seed, so its trajectories draw the same
-    unit normals, but each J applies them through its own chunk factors:
+    unit normals, but each J applies them through its own segment factor:
     the noise is paired across J only as far as those factors agree.
     """
     j_values = sorted_j_values(j_values)

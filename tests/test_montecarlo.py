@@ -86,10 +86,10 @@ def scaling_preset_spec(j):
 
 @pytest.fixture
 def per_step_noise(monkeypatch):
-    """Each chunk's factor is its per-step noise weights h_t itself: the engine
-    then draws one normal per step in stream order, as the stepwise oracles
-    (simulate_trajectory + run_kalman / regression_estimate) do, and must
-    agree with them trajectory by trajectory."""
+    """Each segment's factor is its per-step noise weights H itself, earlier
+    steps first: the engine then draws one normal per step in stream order, as
+    the stepwise oracles (simulate_trajectory + run_kalman / regression_estimate)
+    do, and must agree with them trajectory by trajectory."""
     monkeypatch.setattr(montecarlo, "_noise_factor", lambda h_t: h_t)
 
 
@@ -352,11 +352,11 @@ class TestStoredRecordRegression:
 
 
 class TestChunkScan:
-    """The chunked affine scan against the stepwise oracles and its own invariances."""
+    """The segment scan against the stepwise oracles and its own invariances."""
 
     @pytest.mark.filterwarnings("ignore:M \\* t_end")
     @pytest.mark.usefixtures("per_step_noise")
-    def test_prefix_infinite_prior_off_edge_matches_oracles(self):
+    def test_prefix_infinite_prior_matches_oracles(self):
         spec = convergence_spec(n_traj=6)
         assert spec.grid.prefix.size > 0
         stats = run_ensemble(spec)
@@ -389,11 +389,12 @@ class TestChunkScan:
                 assert getattr(s1, field)[k].tobytes() == getattr(s3, field)[k].tobytes()
 
     def test_blas_thread_count_byte_identical(self, tmp_path):
-        # a 401-step chunk over a 1024-trajectory block: OpenBLAS would split that
-        # product between two threads; full 2048-step chunks: each chunk's noise
-        # factor is a LAPACK QR of a 2048 x n_col matrix
+        # a 401-step segment over a 1024-trajectory block: OpenBLAS would split
+        # that product between two threads; a 4000-step segment of three chunks,
+        # two of them full: each chunk refolds the segment's noise factor by a
+        # LAPACK QR of an (L + n_col) x n_col matrix
         src = str(Path(qkfmag.__file__).resolve().parents[1])
-        for dt, longest in ((1e-3, 401), (1e-4, montecarlo.CHUNK_STEPS)):
+        for dt, longest in ((1e-3, 401), (1e-4, 4000)):
             spec = toy_spec(n_traj=1100, dt=dt)
             assert max(ch.end - ch.start for ch in _build_plan(spec)) == longest
             path = tmp_path / f"spec-{dt:g}.pkl"
@@ -500,7 +501,7 @@ class TestForkedWorkers:
 
 
 class TestCovarianceIdentity:
-    """No noise drawn: the plan's chunk maps propagate the covariance of the
+    """No noise drawn: the plan's segment maps propagate the covariance of the
     state, Sigma <- phi Sigma phi^T + F F^T, and the filter estimate's
     variance over the noise, v22^2 Sigma_SS, must equal the schedule's
     prediction v22 (1 - v22/p0) (v22 for an infinite prior p0).  This
@@ -513,8 +514,7 @@ class TestCovarianceIdentity:
         var_b = []
         for ch in chunks:
             sigma = ch.phi @ sigma @ ch.phi.T + ch.factor @ ch.factor.T
-            if ch.read is not None:
-                var_b.append(ch.read[0] @ sigma @ ch.read[0])  # the filter's row
+            var_b.append(ch.read[0] @ sigma @ ch.read[0])  # the filter's row
         v22 = kalman_schedule(spec.params, spec.grid).v22[list(spec.checkpoints)]
         np.testing.assert_allclose(var_b, v22 * (1.0 - v22 / spec.params.prior_b_variance),
                                    rtol=1e-6)
@@ -532,7 +532,7 @@ class TestCovarianceIdentity:
 
 @pytest.mark.filterwarnings("ignore:M \\* t_end")
 class TestMeanIdentity:
-    """No noise drawn: the chunk maps propagate the mean of the state,
+    """No noise drawn: the segment maps propagate the mean of the state,
     mu <- phi mu + d, and every estimator's readout of it, read @ mu + offset,
     must equal that estimator's per-record oracle on the zero-noise record:
     ``run_kalman`` for the filter, ``regression_estimate`` for the line fit.
@@ -547,8 +547,7 @@ class TestMeanIdentity:
         got = []
         for ch in chunks:
             mu = ch.phi @ mu + ch.d
-            if ch.read is not None:
-                got.append(ch.read @ mu + ch.offset)
+            got.append(ch.read @ mu + ch.offset)
         qkf, line_fit = np.array(got).T
         np.testing.assert_allclose(qkf, run_kalman(p, rec).b_tilde[cps], rtol=1e-9)
         want = [regression_estimate(rec, p, times[c]) for c in cps]
@@ -581,17 +580,12 @@ def test_schedule_matches_riccati_at_checkpoints(spec):
     np.testing.assert_allclose(v22, want, rtol=1e-3)
 
 
-@pytest.mark.parametrize("spec", [
-    pytest.param(fig2_preset_spec, id="fig2"),
-    pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
-    pytest.param(lambda: scaling_preset_spec(1e4), id="scaling-J1e4")])
-def test_chunk_maps_match_whole_grid_coefficients(spec):
-    # each chunk's coefficients, formed from its own slice of the grid, against
-    # slices of whole-grid arrays: the same maps bit for bit
-    spec = spec()
-    p, times = spec.params, spec.grid.times
-    chunks = _build_plan(spec)
-    n = int(spec.checkpoints[-1])
+def whole_grid_chunk_maps(spec):
+    """(start, end, phi_c, h_t, d_c) of each chunk up to the last checkpoint, from
+    slices of whole-grid coefficient arrays; a chunk ends at every checkpoint
+    and every multiple of CHUNK_STEPS."""
+    p, times, cps = spec.params, spec.grid.times, spec.checkpoints
+    n = int(cps[-1])
     sched = kalman_schedule(p, spec.grid)
     dts = np.diff(times[:n + 1])
     sq = np.sqrt(dts)
@@ -599,12 +593,68 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
     drift, gsq = p.b_true * sched.phi12[:n], g * sq
     dsq, ssq = sched.d * sq, sched.r[:n] * sq / sched.d
     rec_w = np.vstack([np.ones(n), 0.5 * (times[:n] + times[1:n + 1])])  # (1, x_k)
-    for ch in chunks:
-        s, e = ch.start, ch.end
-        phi, factor, d = montecarlo._chunk_map(dts[s:e], drift[s:e], gsq[s:e], dsq[s:e], ssq[s:e],
-                                               rec_w[:, s:e])
-        assert (phi.tobytes(), factor.tobytes(), d.tobytes()) == (
-            ch.phi.tobytes(), ch.factor.tobytes(), ch.d.tobytes())
+    bounds = sorted(set(range(0, n, montecarlo.CHUNK_STEPS)) | set(cps))
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        yield (s, e, *montecarlo._chunk_map(dts[s:e], drift[s:e], gsq[s:e], dsq[s:e], ssq[s:e],
+                                            rec_w[:, s:e]))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(fig2_preset_spec, id="fig2"),
+    pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
+    pytest.param(lambda: scaling_preset_spec(1e4), id="scaling-J1e4")])
+def test_chunk_maps_match_whole_grid_coefficients(spec):
+    # each chunk's coefficients, formed from its own slice of the grid, against
+    # slices of whole-grid arrays, folded into one map per checkpoint segment
+    # from (I, no columns, 0): the same maps bit for bit
+    spec = spec()
+    plan = _build_plan(spec)
+    chunks, n_col = iter(plan), plan[0].phi.shape[0]
+    empty = np.eye(n_col), np.zeros((n_col, 0)), np.zeros(n_col)
+    phi, factor, d = empty
+    for s, e, phi_c, h_t, d_c in whole_grid_chunk_maps(spec):
+        phi = np.einsum("ij,jk->ik", phi_c, phi)
+        factor = montecarlo._noise_factor(np.hstack([np.einsum("ij,jk->ik", phi_c, factor), h_t]))
+        d = np.einsum("ij,j->i", phi_c, d) + d_c
+        if e in spec.checkpoints:
+            ch = next(chunks)
+            assert ch.end == e
+            assert (phi.tobytes(), factor.tobytes(), d.tobytes()) == (
+                ch.phi.tobytes(), ch.factor.tobytes(), ch.d.tobytes())
+            phi, factor, d = empty
+    assert next(chunks, None) is None
+
+
+@pytest.mark.parametrize("spec, n_one", [
+    # fig2: the first 40 checkpoints, all inside the first chunk, and 22 later ones
+    pytest.param(fig2_preset_spec, 62, id="fig2"),
+    pytest.param(lambda: convergence_spec(n_traj=2), 13, id="convergence")])
+def test_one_chunk_segments_keep_the_chunk_map(spec, n_one):
+    # a segment of one chunk is that chunk's own map bit for bit: phi_c, the QR
+    # factor of its h_t alone and d_c, as when the plan kept one map per chunk
+    spec = spec()
+    chunks = {(ch.start, ch.end): ch for ch in _build_plan(spec)}
+    one = 0
+    for s, e, phi_c, h_t, d_c in whole_grid_chunk_maps(spec):
+        if (s, e) in chunks:
+            ch = chunks[s, e]
+            assert (ch.phi.tobytes(), ch.factor.tobytes(), ch.d.tobytes()) == (
+                phi_c.tobytes(), montecarlo._noise_factor(h_t).tobytes(), d_c.tobytes())
+            one += 1
+    assert one == n_one
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(lambda: toy_spec(n_traj=2, dt=1e-4), id="toy"),
+    pytest.param(fig2_preset_spec, id="fig2"),
+    pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
+    pytest.param(lambda: scaling_preset_spec(1e6), id="scaling-J1e6")])
+def test_every_entry_ends_at_a_checkpoint(spec):
+    # one plan entry per checkpoint segment, from the previous checkpoint (or 0)
+    spec = spec()
+    chunks = _build_plan(spec)
+    assert [ch.end for ch in chunks] == list(spec.checkpoints)
+    assert [ch.start for ch in chunks] == [0, *spec.checkpoints[:-1]]
 
 
 class TestStreamedPlan:
@@ -629,16 +679,24 @@ class TestStreamedPlan:
             spans.append(whole(p, times, start))
             return spans[-1]
 
+        lengths = []
+        chunk_map = montecarlo._chunk_map
+
+        def keep_chunk(dts, *args):
+            lengths.append(len(dts))
+            return chunk_map(dts, *args)
+
         monkeypatch.setattr(montecarlo, "CHUNK_STEPS", chunk_steps)
         monkeypatch.setattr(montecarlo, "SCAN_BLOCK", span_steps)
         monkeypatch.setattr(montecarlo, "kalman_schedule", keep)
-        chunks = _build_plan(spec)
+        monkeypatch.setattr(montecarlo, "_chunk_map", keep_chunk)
+        _build_plan(spec)
         want = kalman_schedule(spec.params, spec.grid)
         if chunk_steps == 7:  # the coarse grid: the recurrence changes sign
             assert np.any(want.k1 * np.diff(want.times) > 1.0)
             assert len(spans) == 35
-        ends = [ch.end for ch in chunks]
-        assert len(chunks) > len(spans) > 1
+        ends = np.cumsum(lengths).tolist()  # the chunk bounds, not the plan's entries
+        assert len(ends) > len(spans) > 1
         s = 0
         for got in spans:  # one call per span, the spans in scan order
             e = s + len(got.phi12)
@@ -672,8 +730,9 @@ class TestStreamedPlan:
         pytest.param(fig2_preset_spec, id="fig2"),
         pytest.param(lambda: convergence_spec(n_traj=2), id="convergence")])
     def test_line_fit_rows_match_whole_grid(self, spec, monkeypatch):
-        # each chunk's rows (1, x_k) are bitwise the whole grid's; each readout,
-        # from sums run over the chunks, is the whole-grid sums' to rounding
+        # each chunk's rows (1, x_k) are bitwise the whole grid's; each
+        # checkpoint's readout, from sums run over the chunks, is the whole-grid
+        # sums' to rounding
         spec = spec()
         p, times = spec.params, spec.grid.times
         n = spec.checkpoints[-1]
@@ -688,15 +747,18 @@ class TestStreamedPlan:
 
         monkeypatch.setattr(montecarlo, "_chunk_map", keep)
         chunks = _build_plan(spec)
-        assert len(rows) == len(chunks)
-        for ch, got in zip(chunks, rows):
-            want = np.vstack([np.ones(ch.end - ch.start), x[ch.start:ch.end]])
+        s = 0
+        for got in rows:  # one per chunk, in scan order
+            e = s + got.shape[1]
+            want = np.vstack([np.ones(e - s), x[s:e]])
             assert got.tobytes() == want.tobytes()
-            if ch.read is not None:
-                c = ch.end
-                sw, sx, sxx = dts[:c].sum(), (dts * x)[:c].sum(), (dts * x * x)[:c].sum()
-                want = np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total)
-                np.testing.assert_allclose(ch.read[1, 2:], want, rtol=1e-12)
+            s = e
+        assert s == n and len(rows) >= len(chunks)
+        for ch in chunks:
+            c = ch.end
+            sw, sx, sxx = dts[:c].sum(), (dts * x)[:c].sum(), (dts * x * x)[:c].sum()
+            want = np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total)
+            np.testing.assert_allclose(ch.read[1, 2:], want, rtol=1e-12)
 
 
 def test_plan_memory_is_bounded_by_a_chunk():
@@ -717,34 +779,83 @@ def test_plan_memory_is_bounded_by_a_chunk():
     assert peak < 8 * len(spec.grid.times)
 
 
+FACTOR_SPECS = [
+    pytest.param(fig2_preset_spec, id="fig2"),
+    # chunks of a few steps: the factor is narrower than n_col at first
+    pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
+    *(pytest.param(lambda j=j: scaling_preset_spec(j), id=f"scaling-J{j:g}")
+      for j in load_preset("scaling").scaling.j_values)]
+
+
+def assert_same_covariance(f, h):
+    # entry (i, j) of F F^T against H H^T to rounding of |h_i| |h_j|: QR is
+    # backward stable per column
+    cov = h @ h.T
+    scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    assert np.all(np.abs(f @ f.T - cov) <= 1e-12 * scale)
+
+
 class TestNoiseFactor:
-    """Each chunk draws one normal per column of its factor F, not one per
-    step: F u has the law of the per-step noise h_t z iff F F^T = h_t h_t^T."""
+    """Each checkpoint segment draws one normal per column of its factor F, not
+    one per step: F u has the law of the segment's per-step noise H z iff
+    F F^T = H H^T."""
 
-    @pytest.mark.parametrize("spec", [
-        pytest.param(fig2_preset_spec, id="fig2"),
-        # 13 state columns and chunks of 6 steps: F is as wide as h_t
-        pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
-        *(pytest.param(lambda j=j: scaling_preset_spec(j), id=f"scaling-J{j:g}")
-          for j in load_preset("scaling").scaling.j_values)])
+    @pytest.mark.parametrize("spec", FACTOR_SPECS)
     def test_factor_covariance_per_chunk(self, spec, monkeypatch):
-        pairs = []
-        factor = montecarlo._noise_factor
+        # one QR per chunk, of the segment's factor so far propagated over the
+        # chunk, then the chunk's own h_t; a segment's last QR is its factor
+        pairs, maps = [], []
+        factor, chunk_map = montecarlo._noise_factor, montecarlo._chunk_map
 
-        def keep(h_t):
-            pairs.append((h_t, factor(h_t)))
+        def keep(a):
+            pairs.append((a, factor(a)))
             return pairs[-1][1]
 
+        def keep_map(*args):
+            maps.append(chunk_map(*args))
+            return maps[-1]
+
         monkeypatch.setattr(montecarlo, "_noise_factor", keep)
+        monkeypatch.setattr(montecarlo, "_chunk_map", keep_map)
+        chunks = iter(_build_plan(spec()))
+        assert len(pairs) == len(maps)
+        ch, s, width = next(chunks), 0, 0  # the chunk's start; the factor's width before it
+        for (a, f), (_, h_t, _) in zip(pairs, maps):
+            n_col, steps = h_t.shape
+            assert a.shape == (n_col, width + steps)
+            assert a[:, width:].tobytes() == h_t.tobytes()
+            assert f.shape == (n_col, min(a.shape))
+            assert_same_covariance(f, a)
+            s, width = s + steps, f.shape[1]
+            if s == ch.end:
+                assert f.tobytes() == ch.factor.tobytes()
+                ch, width = next(chunks, None), 0
+        assert ch is None
+
+    @pytest.mark.parametrize("spec", FACTOR_SPECS)
+    def test_segment_factor_covariance(self, spec, monkeypatch):
+        # H: the segment's per-step noise weights, propagated to its end, read
+        # off the plan with the identity factor
+        spec = spec()
+        chunks = _build_plan(spec)
+        monkeypatch.setattr(montecarlo, "_noise_factor", lambda h_t: h_t)
+        for ch, weights in zip(chunks, _build_plan(spec)):
+            h = weights.factor
+            assert h.shape == (ch.phi.shape[0], ch.end - ch.start)
+            assert ch.factor.shape == (h.shape[0], min(h.shape))
+            assert_same_covariance(ch.factor, h)
+
+    @pytest.mark.parametrize("spec, want", [
+        # the fig2 preset's grid and checkpoints, as in perfbench's fig2-2048
+        pytest.param(fig2_preset_spec, 404, id="fig2"),
+        *(pytest.param(lambda j=j: scaling_preset_spec(j), 4, id=f"scaling-J{j:g}")
+          for j in load_preset("scaling").scaling.j_values)])
+    def test_normals_per_segment(self, spec, want):
+        # sum over the segments of min(steps, n_col): n_col per checkpoint here
         chunks = _build_plan(spec())
-        assert len(pairs) == len(chunks)
-        for ch, (h_t, f) in zip(chunks, pairs):
-            assert h_t.shape[1] == ch.end - ch.start
-            assert f.shape == (h_t.shape[0], min(h_t.shape))
-            cov = h_t @ h_t.T
-            # entry (i, j) to rounding of |h_i| |h_j|: QR is backward stable per column
-            scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
-            assert np.all(np.abs(f @ f.T - cov) <= 1e-12 * scale)
+        n_col = chunks[0].phi.shape[0]
+        assert sum(ch.factor.shape[1] for ch in chunks) == want == sum(
+            min(ch.end - ch.start, n_col) for ch in chunks)
 
     def test_normals_per_trajectory(self, monkeypatch):
         spec = toy_spec(n_traj=3, dt=1e-4)
