@@ -215,7 +215,7 @@ def with_spin(p: PhysicalParams, j_total: float) -> PhysicalParams:
 
 
 CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the writer's string temporaries
-SCAN_BLOCK = 4096  # steps per tolist() block of a scalar recurrence: bounds its Python floats
+SCAN_BLOCK = 2048  # steps per tolist() block of a scalar recurrence and per plan chunk: bounds temporaries
 
 
 def csv_fields(column, a: int, b: int) -> list:

@@ -19,9 +19,10 @@ substreams of the master seed (``rng.fill_normals``), making
 Engine.  The model is linear-Gaussian with data-independent gains, so a
 trajectory's state obeys an affine recurrence in its unit normals, and it
 is read only at the checkpoints.  The plan cuts the grid into chunks of
-at most ``CHUNK_STEPS`` steps (every checkpoint ends one; the scan stops
-at the last), which bound its temporaries, and folds the chunks between
-consecutive checkpoints into one affine map per segment.  A segment's
+at most ``SCAN_BLOCK`` steps (every checkpoint ends one; the scan stops
+at the last), which bound its temporaries; each chunk runs its own gain
+schedule, and the plan folds the chunks between consecutive checkpoints
+into one affine map per checkpoint segment.  A segment's
 noise term is a Gaussian vector with n_col components and covariance
 H H^T, H the per-step noise weights propagated to the segment's end, and
 the terms of disjoint segments are independent; so the plan keeps a
@@ -55,7 +56,6 @@ beta = (Sw sum x_k d_xi_k - Sx sum d_xi_k) / (Sw Sxx - Sx^2).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -129,13 +129,8 @@ class EnsembleStats:
 # the engine plan and its scan
 # ---------------------------------------------------------------------------
 
-# the longest scan chunk: bounds the plan's per-chunk temporaries.  At most
-# SCAN_BLOCK, the longest span of whole chunks that one schedule call covers.
-CHUNK_STEPS = 2048
-
-
 @dataclass(frozen=True)
-class _Chunk:
+class _Segment:
     """state(end) = phi state(start) + factor u + d over the checkpoint segment [start, end).
 
     ``start`` is the previous checkpoint (or 0) and ``end`` a checkpoint; u
@@ -181,22 +176,20 @@ def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
 
 
 def _build_plan(spec: EnsembleSpec) -> tuple:
-    """The ``_Chunk``s from grid point 0 to the last checkpoint, one per checkpoint, in scan order.
+    """One ``_Segment`` per checkpoint, from grid point 0 to the last, in scan order.
 
-    One pass over the chunks.  The gain schedule comes from one
-    ``kalman_schedule`` call per span, the whole chunks in at most
-    ``SCAN_BLOCK`` steps, started from the previous span's end; each chunk
-    slices its phi12, g, r, data and v22 out of its span's arrays, and forms
-    its line-fit rows (1, x_k) from its own slice of the grid.  The line
-    fit's Sw, Sx and Sxx run on over the chunks, so no grid-length array is
-    formed.  Each chunk's map (phi_c, h_t, d_c) folds into its segment's,
-    started from (I, no columns, 0): phi <- phi_c phi, d <- phi_c d + d_c,
-    and factor <- ``_noise_factor`` of [phi_c factor, h_t], whose columns
-    run in step order.  At a checkpoint the segment becomes a ``_Chunk``
-    that reads every estimator of the spec off the state there, one row
-    each in ``ESTIMATOR_NAMES`` order: the filter's row is v22 on S with
-    offset B (1 - w), the line fit's is (-Sx, Sw) / ((Sw Sxx - Sx^2) gamma J)
-    on its columns with offset 0.
+    One pass over the chunks.  Each chunk runs ``kalman_schedule`` over its
+    own steps, started from the previous chunk's end, and forms its line-fit
+    rows (1, x_k) from its own slice of the grid.  The line fit's Sw, Sx and
+    Sxx run on over the chunks, so no grid-length array is formed.  Each
+    chunk's map (phi_c, h_t, d_c) folds into its segment's, started from
+    (I, no columns, 0): phi <- phi_c phi, d <- phi_c d + d_c, and factor <-
+    ``_noise_factor`` of [phi_c factor, h_t], whose columns run in step
+    order.  At a checkpoint the segment becomes a ``_Segment`` that reads
+    every estimator of the spec off the state there, one row each in
+    ``ESTIMATOR_NAMES`` order: the filter's row is v22 on S with offset
+    B (1 - w), the line fit's is (-Sx, Sw) / ((Sw Sxx - Sx^2) gamma J) on
+    its columns with offset 0.
     """
     p = spec.params
     times = spec.grid.times
@@ -207,25 +200,22 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
         c = checkpoints[0]
         raise CheckpointError(f"checkpoint t = {times[c]:g} s (grid point {c}) leaves the "
                               f"line fit fewer than 3 steps")
-    bounds = sorted(set(range(0, checkpoints[-1], CHUNK_STEPS)) | set(checkpoints))
-    chunks = []
-    span_end, start = 0, (0.0, 0.0)
+    bounds = sorted(set(range(0, checkpoints[-1], SCAN_BLOCK)) | set(checkpoints))
+    segments = []
+    start = (0.0, 0.0)
     sw = sx = sxx = 0.0  # sums over the steps so far of dt, dt x and dt x^2
     empty = np.eye(2 + n_fit), np.zeros((2 + n_fit, 0)), np.zeros(2 + n_fit)
     seg_start, (phi, factor, d) = 0, empty
     for s, e in zip(bounds[:-1], bounds[1:]):
-        if e > span_end:  # the next span: the whole chunks in at most SCAN_BLOCK steps from s
-            span_end = bounds[bisect_right(bounds, s + SCAN_BLOCK) - 1]
-            span, span_start = kalman_schedule(p, times[s:span_end + 1], start), s
-            start = span.end
-        lo, hi = s - span_start, e - span_start  # the chunk's steps within its span
+        sched = kalman_schedule(p, times[s:e + 1], start)
+        start = sched.end
         dts = np.diff(times[s:e + 1])
         sq = np.sqrt(dts)
         x = 0.5 * (times[s:e] + times[s + 1:e + 1])  # the step midpoints
         wx = dts * x
         sw, sx, sxx = sw + dts.sum(), sx + wx.sum(), sxx + (wx * x).sum()  # no BLAS dot
-        phi_c, h_t, d_c = _chunk_map(dts, p.b_true * span.phi12[lo:hi], span.g[lo:hi] * sq,
-                                     span.d * sq, span.r[lo:hi] * sq / span.d,
+        phi_c, h_t, d_c = _chunk_map(dts, p.b_true * sched.phi12, sched.g * sq, sched.d * sq,
+                                     sched.r[:-1] * sq / sched.d,
                                      np.vstack([np.ones(e - s), x])[:n_fit])
         phi = np.einsum("ij,jk->ik", phi_c, phi)
         factor = _noise_factor(np.hstack([np.einsum("ij,jk->ik", phi_c, factor), h_t]))
@@ -236,32 +226,32 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
         if "qkf" in names:
             p0 = p.prior_b_variance
             # never B/p0: p0 = 0 is valid input
-            w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * span.data[hi])
-            read[names.index("qkf"), 1] = span.v22[hi]
+            w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * sched.data[-1])
+            read[names.index("qkf"), 1] = sched.v22[-1]
             offset[names.index("qkf")] = p.b_true * (1.0 - w)
         if n_fit:
             read[names.index("regression"), 2:] = (
                 np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total))
-        chunks.append(_Chunk(seg_start, e, phi, factor, d, read, offset))
+        segments.append(_Segment(seg_start, e, phi, factor, d, read, offset))
         seg_start, (phi, factor, d) = e, empty
-    return tuple(chunks)
+    return tuple(segments)
 
 
-def _run_block(spec: EnsembleSpec, chunks: tuple, i0: int, i1: int) -> np.ndarray:
+def _run_block(spec: EnsembleSpec, segments: tuple, i0: int, i1: int) -> np.ndarray:
     """Scan trajectories [i0, i1); (n_cp, 3, n_est): per checkpoint, sums of e^2, e^4 and b_hat."""
-    state = np.zeros((i1 - i0, chunks[0].phi.shape[0]))
+    state = np.zeros((i1 - i0, segments[0].phi.shape[0]))
     # each trajectory's normals for every segment, in scan order, in one row
     u = fill_normals(spec.master_seed, i0,
-                     np.empty((i1 - i0, sum(ch.factor.shape[1] for ch in chunks))))
+                     np.empty((i1 - i0, sum(seg.factor.shape[1] for seg in segments))))
     out = []
     off = 0
-    for ch in chunks:
-        width = ch.factor.shape[1]
-        state = (np.einsum("ij,kj->ik", state, ch.phi)
-                 + np.einsum("ij,kj->ik", u[:, off:off + width], ch.factor) + ch.d)
+    for seg in segments:
+        width = seg.factor.shape[1]
+        state = (np.einsum("ij,kj->ik", state, seg.phi)
+                 + np.einsum("ij,kj->ik", u[:, off:off + width], seg.factor) + seg.d)
         off += width
         with np.errstate(invalid="ignore"):  # inf * 0 where an infinite prior is unresolved
-            b_hat = np.einsum("ej,ij->ei", ch.read, state) + ch.offset[:, None]
+            b_hat = np.einsum("ej,ij->ei", seg.read, state) + seg.offset[:, None]
         e2 = (b_hat - spec.params.b_true) ** 2
         out.append((e2.sum(axis=1), (e2 * e2).sum(axis=1), b_hat.sum(axis=1)))
     return np.array(out)
@@ -276,11 +266,11 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     """
     if len(spec.checkpoints) == 0:
         raise ValueError("spec.checkpoints must be non-empty")
-    chunks = _build_plan(spec)
+    segments = _build_plan(spec)
     blocks = [(i, min(i + BLOCK_SIZE, spec.n_traj)) for i in range(0, spec.n_traj, BLOCK_SIZE)]
-    shape = (len(spec.checkpoints), 3, chunks[-1].read.shape[0])  # one block's partials
+    shape = (len(spec.checkpoints), 3, segments[-1].read.shape[0])  # one block's partials
     partials = [np.frombuffer(frame).reshape(shape) for frame in forked_map(
-        lambda k: _run_block(spec, chunks, *blocks[k]).tobytes(), len(blocks), workers)]
+        lambda k: _run_block(spec, segments, *blocks[k]).tobytes(), len(blocks), workers)]
 
     n = spec.n_traj
     stacked = np.stack(partials).reshape(len(partials), -1)

@@ -282,10 +282,10 @@ class TestCliWorkerFailure:
     def test_ensemble(self, tmp_path, monkeypatch, capfd):
         run_block = montecarlo._run_block
 
-        def failing(spec, chunks, i0, i1):
+        def failing(spec, segments, i0, i1):
             if i0 == montecarlo.BLOCK_SIZE:  # block 1 of 3: worker 1 of 2
                 raise FloatingPointError("injected")
-            return run_block(spec, chunks, i0, i1)
+            return run_block(spec, segments, i0, i1)
 
         monkeypatch.setattr(montecarlo, "_run_block", failing)
         doc = dict(TOY_DOC, ensemble={"n_traj": 2 * montecarlo.BLOCK_SIZE + 1,

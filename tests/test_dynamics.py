@@ -165,7 +165,7 @@ class TestBlockedLoops:
     """The mean and low-pass recurrences run in blocks of SCAN_BLOCK steps; they
     must equal their per-element loops bit for bit."""
 
-    N_STEPS = 2 * SCAN_BLOCK + 5
+    N_STEPS = 4 * SCAN_BLOCK + 5
 
     def test_mean_matches_per_step_loop(self):
         p = params()
@@ -182,7 +182,7 @@ class TestBlockedLoops:
             mean[k + 1] = m
         assert rec.mean_jz.tobytes() == mean.tobytes()
 
-    @pytest.mark.parametrize("n", [0, 1, SCAN_BLOCK, N_STEPS])
+    @pytest.mark.parametrize("n", [0, 1, 2 * SCAN_BLOCK, N_STEPS])
     def test_lowpass_matches_per_sample_loop(self, n):
         y = np.random.default_rng(5).normal(size=n)
         alpha = 1.0 - math.exp(-2.0 * math.pi * 30.0 * 1e-3)
@@ -296,7 +296,9 @@ class TestStepCoefficients:
         rtol = 4e-15 * (1.0 + m * times[1:] / 2.0)
         assert np.all(np.abs(phi12 - want) <= rtol * want)
 
-    @pytest.mark.parametrize("n_steps", [1, SCAN_BLOCK - 1, SCAN_BLOCK, 2 * SCAN_BLOCK + 5])
+    # under one block, just under and at two, and four and a tail
+    @pytest.mark.parametrize("n_steps", [1, 2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK,
+                                         4 * SCAN_BLOCK + 5])
     def test_blocks_match_whole_grid_formula(self, n_steps):
         p = params()
         times = p.t_total * (np.arange(n_steps + 1) / n_steps) ** 2  # non-uniform steps

@@ -295,7 +295,9 @@ class TestBlockedSchedule:
         p = dataclasses.replace(with_spin(cfg.params, j), t_total=cfg.scaling.t_check)
         self.check(p, make_grid(p))
 
-    @pytest.mark.parametrize("n_steps", [1, SCAN_BLOCK - 1, SCAN_BLOCK, 2 * SCAN_BLOCK + 5])
+    # under one block, just under and at two, and four and a tail
+    @pytest.mark.parametrize("n_steps", [1, 2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK,
+                                         4 * SCAN_BLOCK + 5])
     def test_block_boundaries(self, n_steps):
         p = toy()
         self.check(p, TimeGrid.uniform(p.t_total / n_steps, n_steps))

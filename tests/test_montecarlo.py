@@ -396,7 +396,7 @@ class TestChunkScan:
         src = str(Path(qkfmag.__file__).resolve().parents[1])
         for dt, longest in ((1e-3, 401), (1e-4, 4000)):
             spec = toy_spec(n_traj=1100, dt=dt)
-            assert max(ch.end - ch.start for ch in _build_plan(spec)) == longest
+            assert max(seg.end - seg.start for seg in _build_plan(spec)) == longest
             path = tmp_path / f"spec-{dt:g}.pkl"
             path.write_bytes(pickle.dumps(spec))
             code = ("import pickle, sys; from qkfmag.montecarlo import run_ensemble; "
@@ -451,10 +451,10 @@ class TestForkedWorkers:
     def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch, capfd):
         run_block = montecarlo._run_block
 
-        def failing(spec, chunks, i0, i1):
+        def failing(spec, segments, i0, i1):
             if i0 == montecarlo.BLOCK_SIZE:  # block 1 of 3: worker 1 of 2
                 raise FloatingPointError("injected")
-            return run_block(spec, chunks, i0, i1)
+            return run_block(spec, segments, i0, i1)
 
         monkeypatch.setattr(montecarlo, "_run_block", failing)
         with pytest.raises(RuntimeError, match="worker 1 of 2"):
@@ -509,12 +509,12 @@ class TestCovarianceIdentity:
 
     @staticmethod
     def check(spec):
-        chunks = _build_plan(spec)
-        sigma = np.zeros(chunks[0].phi.shape)
+        segments = _build_plan(spec)
+        sigma = np.zeros(segments[0].phi.shape)
         var_b = []
-        for ch in chunks:
-            sigma = ch.phi @ sigma @ ch.phi.T + ch.factor @ ch.factor.T
-            var_b.append(ch.read[0] @ sigma @ ch.read[0])  # the filter's row
+        for seg in segments:
+            sigma = seg.phi @ sigma @ seg.phi.T + seg.factor @ seg.factor.T
+            var_b.append(seg.read[0] @ sigma @ seg.read[0])  # the filter's row
         v22 = kalman_schedule(spec.params, spec.grid).v22[list(spec.checkpoints)]
         np.testing.assert_allclose(var_b, v22 * (1.0 - v22 / spec.params.prior_b_variance),
                                    rtol=1e-6)
@@ -542,12 +542,12 @@ class TestMeanIdentity:
     def check(spec):
         p, times, cps = spec.params, spec.grid.times, list(spec.checkpoints)
         rec = simulate_trajectory(p, spec.grid, substream(spec.master_seed, 0), zero_noise=True)
-        chunks = _build_plan(spec)
-        mu = np.zeros(chunks[0].phi.shape[0])
+        segments = _build_plan(spec)
+        mu = np.zeros(segments[0].phi.shape[0])
         got = []
-        for ch in chunks:
-            mu = ch.phi @ mu + ch.d
-            got.append(ch.read @ mu + ch.offset)
+        for seg in segments:
+            mu = seg.phi @ mu + seg.d
+            got.append(seg.read @ mu + seg.offset)
         qkf, line_fit = np.array(got).T
         np.testing.assert_allclose(qkf, run_kalman(p, rec).b_tilde[cps], rtol=1e-9)
         want = [regression_estimate(rec, p, times[c]) for c in cps]
@@ -583,7 +583,7 @@ def test_schedule_matches_riccati_at_checkpoints(spec):
 def whole_grid_chunk_maps(spec):
     """(start, end, phi_c, h_t, d_c) of each chunk up to the last checkpoint, from
     slices of whole-grid coefficient arrays; a chunk ends at every checkpoint
-    and every multiple of CHUNK_STEPS."""
+    and every multiple of SCAN_BLOCK."""
     p, times, cps = spec.params, spec.grid.times, spec.checkpoints
     n = int(cps[-1])
     sched = kalman_schedule(p, spec.grid)
@@ -593,7 +593,7 @@ def whole_grid_chunk_maps(spec):
     drift, gsq = p.b_true * sched.phi12[:n], g * sq
     dsq, ssq = sched.d * sq, sched.r[:n] * sq / sched.d
     rec_w = np.vstack([np.ones(n), 0.5 * (times[:n] + times[1:n + 1])])  # (1, x_k)
-    bounds = sorted(set(range(0, n, montecarlo.CHUNK_STEPS)) | set(cps))
+    bounds = sorted(set(range(0, n, montecarlo.SCAN_BLOCK)) | set(cps))
     for s, e in zip(bounds[:-1], bounds[1:]):
         yield (s, e, *montecarlo._chunk_map(dts[s:e], drift[s:e], gsq[s:e], dsq[s:e], ssq[s:e],
                                             rec_w[:, s:e]))
@@ -609,7 +609,7 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
     # from (I, no columns, 0): the same maps bit for bit
     spec = spec()
     plan = _build_plan(spec)
-    chunks, n_col = iter(plan), plan[0].phi.shape[0]
+    segments, n_col = iter(plan), plan[0].phi.shape[0]
     empty = np.eye(n_col), np.zeros((n_col, 0)), np.zeros(n_col)
     phi, factor, d = empty
     for s, e, phi_c, h_t, d_c in whole_grid_chunk_maps(spec):
@@ -617,12 +617,12 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
         factor = montecarlo._noise_factor(np.hstack([np.einsum("ij,jk->ik", phi_c, factor), h_t]))
         d = np.einsum("ij,j->i", phi_c, d) + d_c
         if e in spec.checkpoints:
-            ch = next(chunks)
-            assert ch.end == e
+            seg = next(segments)
+            assert seg.end == e
             assert (phi.tobytes(), factor.tobytes(), d.tobytes()) == (
-                ch.phi.tobytes(), ch.factor.tobytes(), ch.d.tobytes())
+                seg.phi.tobytes(), seg.factor.tobytes(), seg.d.tobytes())
             phi, factor, d = empty
-    assert next(chunks, None) is None
+    assert next(segments, None) is None
 
 
 @pytest.mark.parametrize("spec, n_one", [
@@ -633,12 +633,12 @@ def test_one_chunk_segments_keep_the_chunk_map(spec, n_one):
     # a segment of one chunk is that chunk's own map bit for bit: phi_c, the QR
     # factor of its h_t alone and d_c, as when the plan kept one map per chunk
     spec = spec()
-    chunks = {(ch.start, ch.end): ch for ch in _build_plan(spec)}
+    segments = {(seg.start, seg.end): seg for seg in _build_plan(spec)}
     one = 0
     for s, e, phi_c, h_t, d_c in whole_grid_chunk_maps(spec):
-        if (s, e) in chunks:
-            ch = chunks[s, e]
-            assert (ch.phi.tobytes(), ch.factor.tobytes(), ch.d.tobytes()) == (
+        if (s, e) in segments:
+            seg = segments[s, e]
+            assert (seg.phi.tobytes(), seg.factor.tobytes(), seg.d.tobytes()) == (
                 phi_c.tobytes(), montecarlo._noise_factor(h_t).tobytes(), d_c.tobytes())
             one += 1
     assert one == n_one
@@ -652,32 +652,30 @@ def test_one_chunk_segments_keep_the_chunk_map(spec, n_one):
 def test_every_entry_ends_at_a_checkpoint(spec):
     # one plan entry per checkpoint segment, from the previous checkpoint (or 0)
     spec = spec()
-    chunks = _build_plan(spec)
-    assert [ch.end for ch in chunks] == list(spec.checkpoints)
-    assert [ch.start for ch in chunks] == [0, *spec.checkpoints[:-1]]
+    segments = _build_plan(spec)
+    assert [seg.end for seg in segments] == list(spec.checkpoints)
+    assert [seg.start for seg in segments] == [0, *spec.checkpoints[:-1]]
 
 
 class TestStreamedPlan:
-    """The plan forms the gain schedule one span of whole chunks at a time, and
-    the line-fit columns one chunk at a time; each slice must be bitwise the
-    whole-grid one."""
+    """The plan forms the gain schedule and the line-fit columns one chunk at a
+    time; each chunk's slice must be bitwise the whole-grid one."""
 
-    @pytest.mark.parametrize("spec, chunk_steps, span_steps", [
-        pytest.param(fig2_preset_spec, montecarlo.CHUNK_STEPS, montecarlo.SCAN_BLOCK, id="fig2"),
+    @pytest.mark.parametrize("spec, block, n_chunks", [
+        pytest.param(fig2_preset_spec, montecarlo.SCAN_BLOCK, 198, id="fig2"),
         # a uniform grid without a log prefix: a_0 = 1 - k1 dt < 0, and 7-step
-        # chunks in spans of at most 20 steps carry r and the information
-        # across 34 span boundaries
+        # chunks carry r and the information across 72 chunk boundaries
         pytest.param(lambda: EnsembleSpec(params=toy(), grid=TimeGrid.uniform(1e-3, 500),
                                           n_traj=2, master_seed=7, checkpoints=(100, 500)),
-                     7, 20, id="coarse")])
-    def test_schedule_slices_match_whole_grid(self, spec, chunk_steps, span_steps, monkeypatch):
+                     7, 73, id="coarse")])
+    def test_schedule_slices_match_whole_grid(self, spec, block, n_chunks, monkeypatch):
         spec = spec()
-        spans = []
+        scheds = []
         whole = montecarlo.kalman_schedule
 
         def keep(p, times, start):
-            spans.append(whole(p, times, start))
-            return spans[-1]
+            scheds.append(whole(p, times, start))
+            return scheds[-1]
 
         lengths = []
         chunk_map = montecarlo._chunk_map
@@ -686,33 +684,28 @@ class TestStreamedPlan:
             lengths.append(len(dts))
             return chunk_map(dts, *args)
 
-        monkeypatch.setattr(montecarlo, "CHUNK_STEPS", chunk_steps)
-        monkeypatch.setattr(montecarlo, "SCAN_BLOCK", span_steps)
+        monkeypatch.setattr(montecarlo, "SCAN_BLOCK", block)
         monkeypatch.setattr(montecarlo, "kalman_schedule", keep)
         monkeypatch.setattr(montecarlo, "_chunk_map", keep_chunk)
         _build_plan(spec)
         want = kalman_schedule(spec.params, spec.grid)
-        if chunk_steps == 7:  # the coarse grid: the recurrence changes sign
+        if block == 7:  # the coarse grid: the recurrence changes sign
             assert np.any(want.k1 * np.diff(want.times) > 1.0)
-            assert len(spans) == 35
-        ends = np.cumsum(lengths).tolist()  # the chunk bounds, not the plan's entries
-        assert len(ends) > len(spans) > 1
+        # the chunks end at the multiples of the block and at the checkpoints
+        ends = sorted(set(range(block, spec.checkpoints[-1], block)) | set(spec.checkpoints))
+        assert len(scheds) == len(lengths) == len(ends) == n_chunks
         s = 0
-        for got in spans:  # one call per span, the spans in scan order
-            e = s + len(got.phi12)
-            # whole chunks, as many as fit in span_steps
-            assert e in ends and e - s <= span_steps
-            assert e == ends[-1] or ends[ends.index(e) + 1] - s > span_steps
+        for got, steps, e in zip(scheds, lengths, ends):  # one call per chunk, in scan order
+            assert len(got.phi12) == steps == e - s <= block
             assert got.times.tobytes() == want.times[s:e + 1].tobytes()
             for name, sl in (("phi12", slice(s, e)), ("g", slice(s, e)), ("k1", slice(s, e)),
                              ("r", slice(s, e + 1)), ("data", slice(s, e + 1)),
                              ("v22", slice(s, e + 1))):
                 assert getattr(got, name).tobytes() == getattr(want, name)[sl].tobytes(), name
             s = e
-        assert s == spec.checkpoints[-1]
 
     def test_overflow_raises_up_to_the_last_checkpoint(self, monkeypatch):
-        # the guard runs span by span, over the steps the scan reaches
+        # the guard runs chunk by chunk, over the steps the scan reaches
         spec = toy_spec(n_traj=2)
         exact = estimators.step_coefficients
 
@@ -746,19 +739,19 @@ class TestStreamedPlan:
             return chunk_map(*args)
 
         monkeypatch.setattr(montecarlo, "_chunk_map", keep)
-        chunks = _build_plan(spec)
+        segments = _build_plan(spec)
         s = 0
         for got in rows:  # one per chunk, in scan order
             e = s + got.shape[1]
             want = np.vstack([np.ones(e - s), x[s:e]])
             assert got.tobytes() == want.tobytes()
             s = e
-        assert s == n and len(rows) >= len(chunks)
-        for ch in chunks:
-            c = ch.end
+        assert s == n and len(rows) >= len(segments)
+        for seg in segments:
+            c = seg.end
             sw, sx, sxx = dts[:c].sum(), (dts * x)[:c].sum(), (dts * x * x)[:c].sum()
             want = np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total)
-            np.testing.assert_allclose(ch.read[1, 2:], want, rtol=1e-12)
+            np.testing.assert_allclose(seg.read[1, 2:], want, rtol=1e-12)
 
 
 def test_plan_memory_is_bounded_by_a_chunk():
@@ -817,9 +810,9 @@ class TestNoiseFactor:
 
         monkeypatch.setattr(montecarlo, "_noise_factor", keep)
         monkeypatch.setattr(montecarlo, "_chunk_map", keep_map)
-        chunks = iter(_build_plan(spec()))
+        segments = iter(_build_plan(spec()))
         assert len(pairs) == len(maps)
-        ch, s, width = next(chunks), 0, 0  # the chunk's start; the factor's width before it
+        seg, s, width = next(segments), 0, 0  # the chunk's start; the factor's width before it
         for (a, f), (_, h_t, _) in zip(pairs, maps):
             n_col, steps = h_t.shape
             assert a.shape == (n_col, width + steps)
@@ -827,23 +820,23 @@ class TestNoiseFactor:
             assert f.shape == (n_col, min(a.shape))
             assert_same_covariance(f, a)
             s, width = s + steps, f.shape[1]
-            if s == ch.end:
-                assert f.tobytes() == ch.factor.tobytes()
-                ch, width = next(chunks, None), 0
-        assert ch is None
+            if s == seg.end:
+                assert f.tobytes() == seg.factor.tobytes()
+                seg, width = next(segments, None), 0
+        assert seg is None
 
     @pytest.mark.parametrize("spec", FACTOR_SPECS)
     def test_segment_factor_covariance(self, spec, monkeypatch):
         # H: the segment's per-step noise weights, propagated to its end, read
         # off the plan with the identity factor
         spec = spec()
-        chunks = _build_plan(spec)
+        segments = _build_plan(spec)
         monkeypatch.setattr(montecarlo, "_noise_factor", lambda h_t: h_t)
-        for ch, weights in zip(chunks, _build_plan(spec)):
+        for seg, weights in zip(segments, _build_plan(spec)):
             h = weights.factor
-            assert h.shape == (ch.phi.shape[0], ch.end - ch.start)
-            assert ch.factor.shape == (h.shape[0], min(h.shape))
-            assert_same_covariance(ch.factor, h)
+            assert h.shape == (seg.phi.shape[0], seg.end - seg.start)
+            assert seg.factor.shape == (h.shape[0], min(h.shape))
+            assert_same_covariance(seg.factor, h)
 
     @pytest.mark.parametrize("spec, want", [
         # the fig2 preset's grid and checkpoints, as in perfbench's fig2-2048
@@ -852,17 +845,17 @@ class TestNoiseFactor:
           for j in load_preset("scaling").scaling.j_values)])
     def test_normals_per_segment(self, spec, want):
         # sum over the segments of min(steps, n_col): n_col per checkpoint here
-        chunks = _build_plan(spec())
-        n_col = chunks[0].phi.shape[0]
-        assert sum(ch.factor.shape[1] for ch in chunks) == want == sum(
-            min(ch.end - ch.start, n_col) for ch in chunks)
+        segments = _build_plan(spec())
+        n_col = segments[0].phi.shape[0]
+        assert sum(seg.factor.shape[1] for seg in segments) == want == sum(
+            min(seg.end - seg.start, n_col) for seg in segments)
 
     def test_normals_per_trajectory(self, monkeypatch):
         spec = toy_spec(n_traj=3, dt=1e-4)
-        chunks = _build_plan(spec)
-        n_col = chunks[0].phi.shape[0]
-        want = sum(min(ch.end - ch.start, n_col) for ch in chunks)
-        assert want == sum(ch.factor.shape[1] for ch in chunks) < len(spec.grid.times) - 1
+        segments = _build_plan(spec)
+        n_col = segments[0].phi.shape[0]
+        want = sum(min(seg.end - seg.start, n_col) for seg in segments)
+        assert want == sum(seg.factor.shape[1] for seg in segments) < len(spec.grid.times) - 1
         drawn = []
         fill = montecarlo.fill_normals
 
@@ -871,5 +864,5 @@ class TestNoiseFactor:
             return fill(seed, i0, out)
 
         monkeypatch.setattr(montecarlo, "fill_normals", counting)
-        montecarlo._run_block(spec, chunks, 0, spec.n_traj)
+        montecarlo._run_block(spec, segments, 0, spec.n_traj)
         assert drawn == [want] * spec.n_traj
