@@ -77,9 +77,8 @@ def step_coefficients(p: PhysicalParams, times: np.ndarray):
         # avg of exp(-M s/2) over the step, (e0 - e1) / x, without cancelling e0 - e1
         ebar = np.exp(-p.meas_strength * t0 / 2.0) * -np.expm1(-x) / x
         phi12[s:e] = p.gamma * p.j_total * ebar * dts
-        v0 = conditional_variance(p, t0)
-        v1 = conditional_variance(p, t1)
-        g[s:e] = 2.0 * math.sqrt(p.meas_strength * p.efficiency) * np.sqrt(v0 * v1)
+        v = conditional_variance(p, times[s:e + 1])
+        g[s:e] = 2.0 * math.sqrt(p.meas_strength * p.efficiency) * np.sqrt(v[:-1] * v[1:])
     return phi12, g
 
 
@@ -161,7 +160,10 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     """Generate one conditional trajectory and its measurement record.
 
     Deterministic in (p, grid, seed).  ``zero_noise`` forces dW = 0
-    (debug mode: pure drift).
+    (debug mode: pure drift).  One pass over blocks of ``SCAN_BLOCK`` steps
+    fills the record's arrays in place: no grid-length temporaries.  Each
+    block draws its normals from the record's one generator, the stream of
+    one whole-grid draw.
     """
     wl_t = abs(larmor_frequency(p)) * grid.t_total
     if wl_t > 0.1:
@@ -169,37 +171,39 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
                       stacklevel=2)
     times = grid.times
     n = len(times) - 1
-    dts = np.diff(times)
-    drift, g = step_coefficients(p, times)
-    drift *= p.b_true  # B phi12, in place: one grid-length array fewer at peak
-    z = np.zeros(n) if zero_noise else seed.generator().standard_normal(n)
-    sq = np.sqrt(dts)
-    g_sqdt = np.multiply(g, sq, out=g)  # in place: one grid-length array fewer at peak
+    gen = None if zero_noise else seed.generator()
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
-    d_sqdt = d * sq
-
-    mean = np.empty(n + 1)
+    y_gain = 2.0 * p.efficiency * math.sqrt(p.meas_strength)
+    mean, var_jz, bloch = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    y, d_xi, noise = np.empty(n), np.empty(n), np.empty(n)
     mean[0] = m = 0.0
-    for s in range(0, n, SCAN_BLOCK):  # Python floats, one block of steps at a time
-        block = zip(*(c[s:s + SCAN_BLOCK].tolist() for c in (drift, g_sqdt, z)))
-        mean[s + 1:s + 1 + SCAN_BLOCK] = [m := m + dk + gk * zk for dk, gk, zk in block]
-    d_xi = mean[:-1] * dts + d_sqdt * z  # record uses the pre-step mean
-    y = d_xi * (2.0 * p.efficiency * math.sqrt(p.meas_strength)) / dts
-    return TrajectoryRecord(
-        grid=grid,
-        mean_jz=mean,
-        var_jz=np.asarray(conditional_variance(p, times)),
-        bloch=np.asarray(bloch_length(p, times)),
-        y=y,
-        d_xi=d_xi,
-        noise=sq * z,
-    )
+    for s in range(0, n, SCAN_BLOCK):
+        e = min(s + SCAN_BLOCK, n)
+        t = times[s:e + 1]
+        dts = np.diff(t)
+        drift, g_sqdt = step_coefficients(p, t)
+        drift *= p.b_true
+        z = np.zeros(e - s) if gen is None else gen.standard_normal(e - s)
+        sq = np.sqrt(dts)
+        g_sqdt *= sq
+        block = zip(drift.tolist(), g_sqdt.tolist(), z.tolist())  # Python floats
+        mean[s + 1:e + 1] = [m := m + dk + gk * zk for dk, gk, zk in block]
+        d_xi[s:e] = mean[s:e] * dts + d * sq * z  # the record uses the pre-step mean
+        y[s:e] = d_xi[s:e] * y_gain / dts
+        noise[s:e] = sq * z
+        var_jz[s:e + 1] = conditional_variance(p, t)
+        bloch[s:e + 1] = bloch_length(p, t)
+    return TrajectoryRecord(grid=grid, mean_jz=mean, var_jz=var_jz, bloch=bloch, y=y,
+                            d_xi=d_xi, noise=noise)
 
 
 def reconstruct_noise(record: TrajectoryRecord, p: PhysicalParams) -> np.ndarray:
-    """Invert the record: dW = 2 sqrt(M eta) (d_xi - mean_jz dt)."""
-    dts = np.diff(record.times)
-    return (record.d_xi - record.mean_jz[:-1] * dts) * (2.0 * math.sqrt(p.meas_strength * p.efficiency))
+    """Invert the record: dW = 2 sqrt(M eta) (d_xi - mean_jz dt), formed in one array."""
+    dw = np.diff(record.times)
+    np.multiply(record.mean_jz[:-1], dw, out=dw)
+    np.subtract(record.d_xi, dw, out=dw)
+    dw *= 2.0 * math.sqrt(p.meas_strength * p.efficiency)
+    return dw
 
 
 def lowpass_filter(y: np.ndarray, dt: float, cutoff_hz: float | None = None,

@@ -84,11 +84,14 @@ def recommended_dt(p: PhysicalParams, j: float) -> float:
 
 def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
              dW: float, renormalize: bool = True) -> np.ndarray:
-    """One Euler-Maruyama step of the density matrix ``r``, then Hermitize and renormalize.
+    """One Euler-Maruyama step of the density matrix ``r``, then renormalize.
 
     Both superoperators are trace-free, so the raw increment preserves
     the trace to rounding; renormalization only corrects accumulated
-    O(dt^2) drift.
+    O(dt^2) drift.  At B = 0 the step scales ``r`` elementwise by real,
+    exactly symmetric matrices (``dephase``, ``msum``), so an exactly
+    Hermitian ``r`` stays exactly Hermitian.  Only a field's commutator,
+    a matrix product, rounds asymmetrically: then the state is Hermitized.
     """
     mz = float((ops.m * r.diagonal().real).sum())
     m = p.meas_strength
@@ -97,7 +100,7 @@ def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
     gb = p.gamma * p.b_true
     if gb != 0.0:
         new = new + (1j * gb * dt) * (ops.jy @ r - r @ ops.jy)
-    new = 0.5 * (new + new.conj().T)
+        new = 0.5 * (new + new.conj().T)
     if renormalize:
         tr = float(new.trace().real)
         if not (tr > 0.0 and np.isfinite(tr)):

@@ -182,6 +182,29 @@ class TestBlockedLoops:
             mean[k + 1] = m
         assert rec.mean_jz.tobytes() == mean.tobytes()
 
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_record_matches_whole_grid_expressions(self, zero_noise):
+        # the record's other arrays, filled block by block, against one
+        # expression each over the whole grid; a log prefix varies the steps
+        p = params()
+        grid = TimeGrid(p.t_total / self.N_STEPS, self.N_STEPS - 20,
+                        prefix=np.geomspace(1e-7, 1e-5, 20))
+        rec = simulate_trajectory(p, grid, substream(4, 1), zero_noise=zero_noise)
+        times = grid.times
+        dts = np.diff(times)
+        sq = np.sqrt(dts)
+        z = (np.zeros(self.N_STEPS) if zero_noise
+             else substream(4, 1).generator().standard_normal(self.N_STEPS))
+        d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
+        d_xi = rec.mean_jz[:-1] * dts + d * sq * z
+        want = {"d_xi": d_xi,
+                "y": d_xi * (2.0 * p.efficiency * math.sqrt(p.meas_strength)) / dts,
+                "noise": sq * z,
+                "var_jz": conditional_variance(p, times),
+                "bloch": bloch_length(p, times)}
+        for name, w in want.items():
+            assert getattr(rec, name).tobytes() == w.tobytes(), name
+
     @pytest.mark.parametrize("n", [0, 1, 2 * SCAN_BLOCK, N_STEPS])
     def test_lowpass_matches_per_sample_loop(self, n):
         y = np.random.default_rng(5).normal(size=n)
@@ -217,6 +240,28 @@ class TestSimulateTrajectory:
         rec = simulate_trajectory(p, grid, substream(123, 5))
         np.testing.assert_allclose(reconstruct_noise(rec, p), rec.noise,
                                    rtol=1e-10, atol=1e-16)
+
+    def test_fig1_record_in_bounded_memory(self):
+        # the six record arrays and one block's temporaries: the whole-grid
+        # expressions peaked at 12.06 grid-length float64 arrays
+        cfg = load_preset("fig1")
+        p, grid = cfg.params, cfg.make_grid()
+        simulate_trajectory(p, TimeGrid.uniform(p.t_total / 10, 10), substream(5, 0))  # lazy set-up
+        tracemalloc.start()
+        try:
+            rec = simulate_trajectory(p, grid, substream(5, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 8 * len(grid.times)
+        # inverting the record forms its one result array in place (3 arrays before)
+        tracemalloc.start()
+        try:
+            dw = reconstruct_noise(rec, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dw.nbytes <= peak < 1.1 * 8 * len(grid.times)
 
     def test_late_time_offset_variance_is_projection_noise(self):
         # B=0: the localized offsets are distributed with variance J/2

@@ -84,6 +84,34 @@ def scaling_preset_spec(j):
                         checkpoints=checkpoints_for_times(grid, [t]))
 
 
+def planned(spec):
+    return spec, _build_plan(spec)
+
+
+@pytest.fixture(scope="module")
+def fig2_plan():
+    """The fig2 preset's spec and plan, built once for the tests that patch
+    nothing; its arrays are read-only, so no test can change another's data."""
+    spec, plan = planned(fig2_preset_spec())
+    spec.grid.times.flags.writeable = False
+    for seg in plan:
+        for field in dataclasses.fields(seg):
+            value = getattr(seg, field.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return spec, plan
+
+
+@pytest.fixture
+def spec_and_plan(request):
+    """(spec, plan) of a spec factory; ``fig2_preset_spec`` gives the shared ``fig2_plan``."""
+    def build(make_spec):
+        if make_spec is fig2_preset_spec:
+            return request.getfixturevalue("fig2_plan")
+        return planned(make_spec())
+    return build
+
+
 @pytest.fixture
 def per_step_noise(monkeypatch):
     """Each segment's factor is its per-step noise weights H itself, earlier
@@ -508,8 +536,7 @@ class TestCovarianceIdentity:
     separates discretization error from Monte Carlo noise."""
 
     @staticmethod
-    def check(spec):
-        segments = _build_plan(spec)
+    def check(spec, segments):
         sigma = np.zeros(segments[0].phi.shape)
         var_b = []
         for seg in segments:
@@ -519,15 +546,15 @@ class TestCovarianceIdentity:
         np.testing.assert_allclose(var_b, v22 * (1.0 - v22 / spec.params.prior_b_variance),
                                    rtol=1e-6)
 
-    def test_fig2_preset(self):
-        self.check(fig2_preset_spec())
+    def test_fig2_preset(self, fig2_plan):
+        self.check(*fig2_plan)
 
     def test_infinite_prior(self):
-        self.check(convergence_spec(n_traj=2))
+        self.check(*planned(convergence_spec(n_traj=2)))
 
     @pytest.mark.parametrize("j", load_preset("scaling").scaling.j_values)
     def test_scaling_preset(self, j):
-        self.check(scaling_preset_spec(j))
+        self.check(*planned(scaling_preset_spec(j)))
 
 
 @pytest.mark.filterwarnings("ignore:M \\* t_end")
@@ -539,10 +566,9 @@ class TestMeanIdentity:
     The line fit's mean is its Bloch-decay bias, a deterministic curve."""
 
     @staticmethod
-    def check(spec):
+    def check(spec, segments):
         p, times, cps = spec.params, spec.grid.times, list(spec.checkpoints)
         rec = simulate_trajectory(p, spec.grid, substream(spec.master_seed, 0), zero_noise=True)
-        segments = _build_plan(spec)
         mu = np.zeros(segments[0].phi.shape[0])
         got = []
         for seg in segments:
@@ -554,16 +580,16 @@ class TestMeanIdentity:
         np.testing.assert_allclose(line_fit, want, rtol=1e-9)
         return line_fit / p.b_true
 
-    def test_fig2_preset(self):
-        bias = self.check(fig2_preset_spec()) - 1.0
+    def test_fig2_preset(self, fig2_plan):
+        bias = self.check(*fig2_plan) - 1.0
         # Bloch decay: a few percent low at the first checkpoint, almost all of B lost at 2 ms
         assert -0.05 < bias[0] < 0.0 and bias[-1] < -0.99
 
     def test_log_prefix_checkpoints(self):
         # checkpoints inside the log prefix, where the dt weights vary step by step
         spec = convergence_spec(n_traj=2)
-        self.check(dataclasses.replace(
-            spec, params=dataclasses.replace(spec.params, b_true=FIG2["b_true"])))
+        self.check(*planned(dataclasses.replace(
+            spec, params=dataclasses.replace(spec.params, b_true=FIG2["b_true"]))))
 
 
 @pytest.mark.parametrize("spec", [
@@ -603,12 +629,11 @@ def whole_grid_chunk_maps(spec):
     pytest.param(fig2_preset_spec, id="fig2"),
     pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
     pytest.param(lambda: scaling_preset_spec(1e4), id="scaling-J1e4")])
-def test_chunk_maps_match_whole_grid_coefficients(spec):
+def test_chunk_maps_match_whole_grid_coefficients(spec, spec_and_plan):
     # each chunk's coefficients, formed from its own slice of the grid, against
     # slices of whole-grid arrays, folded into one map per checkpoint segment
     # from (I, no columns, 0): the same maps bit for bit
-    spec = spec()
-    plan = _build_plan(spec)
+    spec, plan = spec_and_plan(spec)
     segments, n_col = iter(plan), plan[0].phi.shape[0]
     empty = np.eye(n_col), np.zeros((n_col, 0)), np.zeros(n_col)
     phi, factor, d = empty
@@ -629,11 +654,11 @@ def test_chunk_maps_match_whole_grid_coefficients(spec):
     # fig2: the first 40 checkpoints, all inside the first chunk, and 22 later ones
     pytest.param(fig2_preset_spec, 62, id="fig2"),
     pytest.param(lambda: convergence_spec(n_traj=2), 13, id="convergence")])
-def test_one_chunk_segments_keep_the_chunk_map(spec, n_one):
+def test_one_chunk_segments_keep_the_chunk_map(spec, n_one, spec_and_plan):
     # a segment of one chunk is that chunk's own map bit for bit: phi_c, the QR
     # factor of its h_t alone and d_c, as when the plan kept one map per chunk
-    spec = spec()
-    segments = {(seg.start, seg.end): seg for seg in _build_plan(spec)}
+    spec, plan = spec_and_plan(spec)
+    segments = {(seg.start, seg.end): seg for seg in plan}
     one = 0
     for s, e, phi_c, h_t, d_c in whole_grid_chunk_maps(spec):
         if (s, e) in segments:
@@ -649,10 +674,9 @@ def test_one_chunk_segments_keep_the_chunk_map(spec, n_one):
     pytest.param(fig2_preset_spec, id="fig2"),
     pytest.param(lambda: convergence_spec(n_traj=2), id="convergence"),
     pytest.param(lambda: scaling_preset_spec(1e6), id="scaling-J1e6")])
-def test_every_entry_ends_at_a_checkpoint(spec):
+def test_every_entry_ends_at_a_checkpoint(spec, spec_and_plan):
     # one plan entry per checkpoint segment, from the previous checkpoint (or 0)
-    spec = spec()
-    segments = _build_plan(spec)
+    spec, segments = spec_and_plan(spec)
     assert [seg.end for seg in segments] == list(spec.checkpoints)
     assert [seg.start for seg in segments] == [0, *spec.checkpoints[:-1]]
 
@@ -826,11 +850,10 @@ class TestNoiseFactor:
         assert seg is None
 
     @pytest.mark.parametrize("spec", FACTOR_SPECS)
-    def test_segment_factor_covariance(self, spec, monkeypatch):
+    def test_segment_factor_covariance(self, spec, monkeypatch, spec_and_plan):
         # H: the segment's per-step noise weights, propagated to its end, read
         # off the plan with the identity factor
-        spec = spec()
-        segments = _build_plan(spec)
+        spec, segments = spec_and_plan(spec)
         monkeypatch.setattr(montecarlo, "_noise_factor", lambda h_t: h_t)
         for seg, weights in zip(segments, _build_plan(spec)):
             h = weights.factor
@@ -843,9 +866,9 @@ class TestNoiseFactor:
         pytest.param(fig2_preset_spec, 404, id="fig2"),
         *(pytest.param(lambda j=j: scaling_preset_spec(j), 4, id=f"scaling-J{j:g}")
           for j in load_preset("scaling").scaling.j_values)])
-    def test_normals_per_segment(self, spec, want):
+    def test_normals_per_segment(self, spec, want, spec_and_plan):
         # sum over the segments of min(steps, n_col): n_col per checkpoint here
-        segments = _build_plan(spec())
+        _, segments = spec_and_plan(spec)
         n_col = segments[0].phi.shape[0]
         assert sum(seg.factor.shape[1] for seg in segments) == want == sum(
             min(seg.end - seg.start, n_col) for seg in segments)

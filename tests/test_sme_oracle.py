@@ -130,6 +130,25 @@ class TestSmeStep:
                 check_density(rho, positivity_tol=tol)
         check_density(rho, positivity_tol=tol)
 
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_field_free_step_keeps_a_hermitian_state_exactly(self, renormalize):
+        # at B = 0 the step scales r elementwise by exactly symmetric real
+        # matrices and is not Hermitized: from an exactly Hermitian state with
+        # complex coherences, each output equals its conjugate transpose
+        # entry for entry (a zero's sign aside)
+        p = small_params(4.0, m=1.0, eta=0.9)
+        ops = build_spin_operators(4.0)
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
+        rho = a @ a.conj().T
+        rho = rho / np.trace(rho).real
+        rho = 0.5 * (rho + rho.conj().T)
+        assert np.array_equal(rho, rho.conj().T) and np.abs(rho.imag).max() > 0.01
+        dt = recommended_dt(p, 4.0)
+        for dW in rng.normal(0.0, math.sqrt(dt), 50).tolist():
+            rho = sme_step(rho, ops, p, dt, dW, renormalize=renormalize)
+            assert np.array_equal(rho, rho.conj().T)
+
     def test_dephasing_law_exact_solution(self):
         # eta = 0, B = 0: |rho_mm'(t)| = |rho_mm'(0)| exp(-M (m-m')^2 t / 2)
         errs = dephasing_rate_errors(small_params(2.0, m=1.5))
