@@ -1,4 +1,4 @@
-"""Field estimators: quantum Kalman filter, Riccati covariance, closed forms.
+"""Field estimators: quantum Kalman filter, the closed-form Riccati covariance, thresholds.
 
 The line-fit baseline is the ensemble engine's, in ``montecarlo``.
 
@@ -58,10 +58,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
-from .core import SCAN_BLOCK, PhysicalParams, TimeGrid, collapse_rate, t2_bound, write_csv
+from .core import SCAN_BLOCK, PhysicalParams, TimeGrid, t2_bound, write_csv
 from .dynamics import step_coefficients
 
 THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise")
@@ -143,65 +141,31 @@ def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> Kalma
 
 
 # ---------------------------------------------------------------------------
-# Riccati covariance: numerical quadrature route
+# closed forms: the continuous Riccati solution and the thresholds
 # ---------------------------------------------------------------------------
 
-def _g1(p: PhysicalParams, t):
-    """int_0^t (1 + lam u) e^{-M u / 2} du, elementary."""
-    lam = collapse_rate(p)
-    m = p.meas_strength
-    e = np.exp(-m * t / 2.0)
-    return (2.0 / m) * (1.0 - e) + lam * (4.0 / m**2) * (1.0 - (1.0 + m * t / 2.0) * e)
+# Taylor coefficients of the closed form's denominator parts f1 and f2 (see
+# ``riccati_analytic``), highest power first as ``np.polyval`` takes them;
+# through x^25 they reach float64 round-off for x < 2
+_F1_TAYLOR = np.array([0.0] * 4 + [(-1) ** n * (n - 4 + 8 / 2**n) / math.factorial(n)
+                                   for n in range(4, 26)])[::-1]
+_F2_TAYLOR = np.array([0.0] * 3 + [(-1) ** n * (4 / 2**n - 1) / math.factorial(n)
+                                   for n in range(3, 26)])[::-1]
 
 
-def _info_integrand(p: PhysicalParams, s):
-    lam = collapse_rate(p)
-    r = _g1(p, s) / (1.0 + lam * s)
-    return r * r
-
-
-_GL_NODES, _GL_WEIGHTS = leggauss(32)
-
-
-def _panel_integrals(p: PhysicalParams, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    s = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return half * (_info_integrand(p, s) @ _GL_WEIGHTS)
-
-
-def _cumulative_info(p: PhysicalParams, times: np.ndarray) -> np.ndarray:
-    """Cumulative int_0^t [G1/(1+lam s)]^2 ds at strictly increasing times > 0."""
-    t1 = times[0]
-    # startup: integrand ~ s^2 near 0; seed analytically, refine in log space
-    t0 = t1 * 1e-14
-    seed = t0**3 / 3.0
-    edges = np.geomspace(t0, t1, 480)
-    first = seed + _panel_integrals(p, edges[:-1], edges[1:]).sum()
-    vals = np.empty(len(times))
-    vals[0] = first
-    if len(times) > 1:
-        lo = times[:-1].copy()
-        hi = times[1:].copy()
-        ratio = hi / lo
-        wide = ratio > 1.05
-        incs = np.empty(len(lo))
-        if np.any(~wide):
-            incs[~wide] = _panel_integrals(p, lo[~wide], hi[~wide])
-        for i in np.nonzero(wide)[0]:
-            sub = np.geomspace(lo[i], hi[i], 2 + int(24 * math.log10(ratio[i])) + 8)
-            incs[i] = _panel_integrals(p, sub[:-1], sub[1:]).sum()
-        vals[1:] = first + np.cumsum(incs)
-    return vals
+def _denominator(p: PhysicalParams, x: np.ndarray) -> np.ndarray:
+    """2 eta J f1(x) + f2(x) at x = M t, the closed form's denominator."""
+    ej = 2 * p.efficiency * p.j_total
+    e1, e2 = np.exp(-x), np.exp(-x / 2)
+    return np.where(x < 2.0, np.polyval(ej * _F1_TAYLOR + _F2_TAYLOR, np.minimum(x, 2.0)),
+                    ej * ((x - 4) - (x + 4) * e1 + 8 * e2) + (x - 3 - e1 + 4 * e2))
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Deterministic covariance path V(t) of the corrected Riccati flow."""
+    """Deterministic field variance v22(t) of the corrected Riccati flow."""
 
     times: np.ndarray
-    v11: np.ndarray
-    v12: np.ndarray
     v22: np.ndarray
 
     @property
@@ -213,62 +177,37 @@ class RiccatiSolution:
 
 
 def riccati_integrate(p: PhysicalParams, times) -> RiccatiSolution:
-    """Integrate the covariance flow on ``times`` (grid or array).
+    """Field variance of the covariance flow at ``times``, an array.
 
-    Uses the exact linearization of the Riccati equation: with perfectly
-    correlated noise the flow preserves V = v22 * (phi, 1)(phi, 1)^T and
-    the field information accumulates as the positive quadrature
+    With perfectly correlated noise the flow preserves
+    V = v22 (phi, 1)(phi, 1)^T, and the field information accumulates as
 
-        1/v22(t) = 1/prior + 4 M eta gamma^2 J^2 int_0^t [G1/(1+lam s)]^2 ds.
+        1/v22(t) = 1/prior + I(t),
+        I(t) = 4 M eta gamma^2 J^2 int_0^t [G1/(1+lam s)]^2 ds
+             = (4 gamma J / M)^2 eta den / (1 + 2 eta J M t),
 
-    Independent of the closed-form threshold expression; the field term
-    of the result is B-free by construction.
+    G1 = int_0^s (1 + lam u) e^{-M u / 2} du and den the closed form's
+    denominator (``riccati_analytic`` is 1/sqrt(I)).  I is B-free, and
+    where M t underflows den, and so I, is 0.
     """
-    if isinstance(times, TimeGrid):
-        times = times.times
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
-    has_zero = times[0] == 0.0
-    pos = times[1:] if has_zero else times
-    lam = collapse_rate(p)
-    k = 4.0 * p.meas_strength * p.efficiency
-    if len(pos):
-        if p.prior_b_variance == 0.0:
-            v22p = np.zeros(len(pos))  # fixed point: nothing to learn about B
-        else:
-            info = k * p.gamma**2 * p.j_total**2 * _cumulative_info(p, pos)
-            if math.isinf(p.prior_b_variance):
-                v22p = 1.0 / info
-            else:
-                v22p = 1.0 / (1.0 / p.prior_b_variance + info)
-        phi = p.gamma * p.j_total * _g1(p, pos) / (1.0 + lam * pos)
-        v12p = phi * v22p
-        v11p = phi * v12p
+    pos = times[1:] if times[0] == 0.0 else times
+    if p.prior_b_variance == 0.0:
+        v22 = np.zeros(len(pos))  # fixed point: nothing to learn about B
     else:
-        v22p = v12p = v11p = np.empty(0)
-    if has_zero:
-        v0 = p.prior_b_variance
-        v22 = np.concatenate([[v0], v22p])
-        v12 = np.concatenate([[0.0], v12p])
-        v11 = np.concatenate([[0.0], v11p])
-    else:
-        v22, v12, v11 = v22p, v12p, v11p
-    return RiccatiSolution(times=times, v11=v11, v12=v12, v22=v22)
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-# Taylor coefficients of the closed form's denominator parts f1 and f2 (see
-# ``riccati_analytic``); through x^25 they reach float64 round-off for x < 2
-_F1_TAYLOR = np.array([0.0] * 4 + [(-1) ** n * (n - 4 + 8 / 2**n) / math.factorial(n)
-                                   for n in range(4, 26)])
-_F2_TAYLOR = np.array([0.0] * 3 + [(-1) ** n * (4 / 2**n - 1) / math.factorial(n)
-                                   for n in range(3, 26)])
+        x = p.meas_strength * pos
+        # den / M / M: at tiny M, 1/M^2 overflows (and M^2 underflows) where den is 0
+        info = ((4.0 * p.gamma * p.j_total) ** 2 * p.efficiency * _denominator(p, x)
+                / p.meas_strength / p.meas_strength
+                / (1.0 + 2.0 * p.efficiency * p.j_total * x))
+        v22 = 1.0 / (1.0 / p.prior_b_variance + info)  # 1/inf is 0
+    if len(pos) < len(times):
+        v22 = np.concatenate([[p.prior_b_variance], v22])
+    return RiccatiSolution(times=times, v22=v22)
 
 
 def riccati_analytic(p: PhysicalParams, t):
@@ -291,13 +230,11 @@ def riccati_analytic(p: PhysicalParams, t):
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
     x = p.meas_strength * ts
-    ej = 2 * p.efficiency * p.j_total
-    e1, e2 = np.exp(-x), np.exp(-x / 2)
-    den = np.where(x < 2.0, polyval(np.minimum(x, 2.0), ej * _F1_TAYLOR + _F2_TAYLOR),
-                   ej * ((x - 4) - (x + 4) * e1 + 8 * e2) + (x - 3 - e1 + 4 * e2))
+    den = _denominator(p, x)
     if np.any(den <= 0):
         tv = float(ts[np.argmax(den <= 0)])
         raise ValueError(f"threshold expression invalid at t={tv!r}: denominator <= 0")
+    ej = 2 * p.efficiency * p.j_total
     out = ((p.meas_strength / (4 * p.gamma * p.j_total)) * np.sqrt((1 + ej * x) / den)
            / math.sqrt(p.efficiency))
     return float(out[0]) if scalar else out

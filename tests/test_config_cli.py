@@ -441,6 +441,25 @@ class TestCliEnsemble:
                 if not ln.endswith(",riccati_analytic")]
         assert (tmp_path / "out" / "thresholds.csv").read_text().splitlines() == kept
 
+    def test_underflowing_m_t_keeps_the_prior(self, tmp_path):
+        # M t ~ 1e-300: the information underflows to 0, so v22 stays at the prior,
+        # and the closed-form threshold's denominator is 0, so that curve is left out
+        doc = dict(TOY_DOC, meas_strength=1e-150, t_total=1e-150, grid={"dt": 1e-153})
+        doc["ensemble"] = {"n_traj": 16, "first_checkpoint": 1e-151}
+        cfg = _write_cfg(tmp_path, doc)
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "ensemble.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and {float(r["predicted_v22"]) for r in rows} == {doc["prior_b_variance"]}
+        with open(tmp_path / "out" / "thresholds.csv", newline="", encoding="utf-8") as f:
+            curves = list(csv.DictReader(f))
+        numeric = {float(r["delta_b"]) for r in curves if r["source"] == "riccati_numeric"}
+        assert numeric == {math.sqrt(doc["prior_b_variance"])}
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        [skipped] = summary["skipped_curves"]
+        assert skipped["source"] == "riccati_analytic"
+        assert skipped["reason"].endswith("denominator <= 0")
+
 
 BAD_CONFIGS = {
     "first_checkpoint": ("ensemble", {"ensemble": {"first_checkpoint": -1e-6}},

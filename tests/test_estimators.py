@@ -23,6 +23,7 @@ from qkfmag.estimators import (
 )
 from qkfmag.rng import substream
 
+from information_oracle import information
 from joseph_oracle import joseph_covariance, kalman_step
 from kalman_oracle import list_recurrence, reference_schedule, run_kalman
 from line_fit_oracle import regression_estimate
@@ -322,11 +323,22 @@ class TestRiccatiIntegrate:
     def test_matches_direct_ode_at_tame_parameters(self):
         p = toy(b_true=0.0)
         ts = np.geomspace(1e-3, 3.0, 24)
-        sol = riccati_integrate(p, ts)
-        v11o, v12o, v22o = riccati_ode_oracle(p, ts)
-        np.testing.assert_allclose(sol.v22, v22o, rtol=1e-7)
-        np.testing.assert_allclose(sol.v12, v12o, rtol=1e-6)
-        np.testing.assert_allclose(sol.v11, v11o, rtol=1e-5, atol=1e-18)
+        _, _, v22o = riccati_ode_oracle(p, ts)
+        np.testing.assert_allclose(riccati_integrate(p, ts).v22, v22o, rtol=1e-7)
+
+    @pytest.mark.parametrize("kw", [{}, {"efficiency": 0.5}, {"efficiency": 0.1},
+                                    {"j_total": 1e4, "meas_strength": 50.0, "t_total": 0.5}],
+                             ids=["fig2", "fig2-eta0.5", "fig2-eta0.1", "J1e4-M50"])
+    def test_matches_information_integral(self, kw):
+        # the closed-form information against a 40-digit quadrature of its integral,
+        # with and without a prior
+        pytest.importorskip("mpmath")
+        p = params(**kw)
+        ts = np.geomspace(1e-6 * p.t_total, p.t_total, 25)
+        info = information(p, ts)
+        for prior in (p.prior_b_variance, INFINITE):
+            got = riccati_integrate(dataclasses.replace(p, prior_b_variance=prior), ts).v22
+            np.testing.assert_allclose(got, 1.0 / (1.0 / prior + info), rtol=1e-13)
 
     def test_field_independent(self):
         ts = np.geomspace(1e-6, 2e-3, 12)
@@ -338,6 +350,15 @@ class TestRiccatiIntegrate:
         ts = np.geomspace(1e-6, 2e-3, 8)
         sol = riccati_integrate(params(prior_b_variance=0.0), ts)
         np.testing.assert_array_equal(sol.v22, np.zeros(len(ts)))
+
+    @pytest.mark.parametrize("m", [1e-150, 1e-200])
+    def test_underflowing_m_t_keeps_the_prior(self, m):
+        # M t ~ 1e-300 and below: the information is 0, not NaN, and nothing warns
+        p = toy(meas_strength=m, t_total=m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = riccati_integrate(p, np.array([0.0, 1e-3 * m, m]))
+        assert sol.v22.tolist() == [p.prior_b_variance] * 3
 
     def test_information_additivity(self):
         # 1/v22(t) - 1/prior is the same for any prior (exact for this model)
@@ -354,10 +375,9 @@ class TestRiccatiIntegrate:
     def test_grid_input_and_t0(self):
         p = toy()
         grid = make_grid(p, dt=0.1)
-        sol = riccati_integrate(p, grid)
+        sol = riccati_integrate(p, grid.times)
         assert sol.times[0] == 0.0
         assert sol.v22[0] == p.prior_b_variance
-        assert sol.v11[0] == 0.0
 
 
 class TestRiccatiAnalytic:
@@ -396,9 +416,10 @@ class TestRiccatiAnalytic:
     def test_matches_quadrature_below_unit_efficiency(self, eta):
         # the efficiency enters the information, 1/v22, as a global factor eta:
         # criterion 1's tolerance holds at every eta, not only at eta = 1
+        pytest.importorskip("mpmath")
         p = params(efficiency=eta, prior_b_variance=INFINITE)
         ts = np.geomspace(1e-8, 2e-3, 40)
-        np.testing.assert_allclose(riccati_analytic(p, ts), riccati_integrate(p, ts).delta_b,
+        np.testing.assert_allclose(riccati_analytic(p, ts), 1.0 / np.sqrt(information(p, ts)),
                                    rtol=1e-6)
 
     def test_value_at_one_ms(self):

@@ -443,8 +443,8 @@ class TestChunkScan:
 
 def test_single_worker_run_imports_no_pool_and_no_numpy_ma():
     # start-up cost: no run imports a process pool (~17 ms), the workers are
-    # forked, and numpy.ma is loaded by np.unique on first use; a two-worker
-    # run reaps every child it forked
+    # forked, numpy.ma is loaded by np.unique on first use and numpy.polynomial
+    # (~5 ms) not at all; a two-worker run reaps every child it forked
     src = str(Path(qkfmag.__file__).resolve().parents[1])
     code = textwrap.dedent("""\
         import os, sys, qkfmag.cli
@@ -458,8 +458,8 @@ def test_single_worker_run_imports_no_pool_and_no_numpy_ma():
         for n_traj, workers in ((4, 1), (BLOCK_SIZE + 4, 2)):
             run_ensemble(EnsembleSpec(params=p, grid=grid, n_traj=n_traj, master_seed=1,
                                       checkpoints=cps), workers=workers)
-            print(sorted({"concurrent.futures.process", "multiprocessing", "numpy.ma"}
-                         & set(sys.modules)))
+            print(sorted({"concurrent.futures.process", "multiprocessing", "numpy.ma",
+                          "numpy.polynomial"} & set(sys.modules)))
         try:
             print(os.waitpid(-1, os.WNOHANG))
         except ChildProcessError:
