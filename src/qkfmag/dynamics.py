@@ -24,6 +24,7 @@ import math
 import warnings
 from contextlib import closing
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,55 +105,77 @@ class TrajectoryRecord:
     def times(self) -> np.ndarray:
         return self.grid.times
 
-    def to_csv(self, fobj, photocurrent=None, workers: int = 1) -> None:
+    def to_csv(self, fobj, workers: int = 1) -> None:
         """Columns: t, mean_jz, var_jz, bloch_length, y, d_xi (step columns blank on the last row).
 
-        ``photocurrent`` = (fobj2, y_filtered) also writes t, y, y_filtered over
-        the last len(y_filtered) steps to fobj2, from the same formatted t and y
-        fields.  The rows are formatted in tasks of ``RECORD_TASK_ROWS`` by
-        ``forked_map`` on ``workers``; the bytes do not depend on either.
+        ``fobj`` is binary.  The rows are formatted in tasks of ``RECORD_TASK_ROWS``
+        by ``forked_map`` on ``workers``; the bytes do not depend on either.
         """
-        pc, y_filtered = photocurrent or (None, np.empty(0))
-        fobj.write("t,mean_jz,var_jz,bloch_length,y,d_xi\r\n")
-        if pc is not None:
-            pc.write("t,y,y_filtered\r\n")
-        n_tasks = -(-len(self.times) // RECORD_TASK_ROWS)
-        # closed on any error here (a full disk, say): that kills and reaps the workers
-        with closing(forked_map(lambda j: _record_task(self, y_filtered, j), n_tasks,
-                                workers)) as frames:
-            for frame in frames:
-                view = memoryview(frame)
-                split = 8 + int.from_bytes(view[:8], "little")
-                fobj.write(str(view[8:split], "ascii"))
-                if pc is not None:
-                    pc.write(str(view[split:], "ascii"))
+        def rows(a, b):
+            return (self.times[a:b], self.mean_jz[a:b], self.var_jz[a:b], self.bloch[a:b],
+                    self.y[a:b], self.d_xi[a:b], np.empty(0))
+
+        _write_record(fobj, None, rows, len(self.y), len(self.y), workers)
 
 
-RECORD_TASK_ROWS = 8 * CSV_BLOCK_ROWS  # rows of the record per forked task
+class RecordBlock(NamedTuple):
+    """Steps [s, e) of a record: ``times``, ``mean_jz``, ``var_jz`` and ``bloch``
+    at points s..e, ``y``, ``d_xi`` and ``noise`` at the steps."""
+
+    times: np.ndarray
+    mean_jz: np.ndarray
+    var_jz: np.ndarray
+    bloch: np.ndarray
+    y: np.ndarray
+    d_xi: np.ndarray
+    noise: np.ndarray
 
 
-def _record_task(rec: TrajectoryRecord, y_filtered: np.ndarray, j: int) -> bytes:
-    """Rows [j R, (j + 1) R) of ``to_csv``'s files, R = ``RECORD_TASK_ROWS``.
+def _record_block(p: PhysicalParams, times: np.ndarray, s: int, m: float, gen) -> RecordBlock:
+    """The record over steps [s, min(s + ``SCAN_BLOCK``, n)) of the grid ``times``,
+    from the mean ``m`` at point s: the one block step of every record.
 
-    The trajectory's rows, after their length as 8 bytes, then the
-    photocurrent's: its t and y fields are the trajectory's own strings, so
-    each float is formatted once.
+    ``gen`` draws the block's normals (None: dW = 0), so successive blocks
+    from one generator draw the stream of one whole-grid draw.
     """
-    n = len(rec.y)
-    n_pref = n - len(y_filtered)
-    traj, photo = [], []
-    end = min((j + 1) * RECORD_TASK_ROWS, n + 1)
-    for a in range(j * RECORD_TASK_ROWS, end, CSV_BLOCK_ROWS):
-        b = min(a + CSV_BLOCK_ROWS, end)
-        t, y = csv_fields(rec.times, a, b), csv_fields(rec.y, a, b)
-        traj.append(csv_rows([t, csv_fields(rec.mean_jz, a, b), csv_fields(rec.var_jz, a, b),
-                              csv_fields(rec.bloch, a, b), y, csv_fields(rec.d_xi, a, b)]))
-        s, e = max(a, n_pref), min(b, n)
-        if s < e:
-            photo.append(csv_rows([t[s - a:e - a], y[s - a:e - a],
-                                   csv_fields(y_filtered, s - n_pref, e - n_pref)]))
-    head = "".join(traj).encode()
-    return len(head).to_bytes(8, "little") + head + "".join(photo).encode()
+    e = min(s + SCAN_BLOCK, len(times) - 1)
+    t = times[s:e + 1]
+    dts = np.diff(t)
+    drift, g_sqdt = step_coefficients(p, t)
+    drift *= p.b_true
+    z = np.zeros(e - s) if gen is None else gen.standard_normal(e - s)
+    sq = np.sqrt(dts)
+    g_sqdt *= sq
+    mean = np.empty(e - s + 1)
+    mean[0] = m
+    steps = zip(drift.tolist(), g_sqdt.tolist(), z.tolist())  # Python floats
+    mean[1:] = [m := m + dk + gk * zk for dk, gk, zk in steps]
+    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
+    d_xi = mean[:-1] * dts + d * sq * z  # the record uses the pre-step mean
+    y = d_xi * (2.0 * p.efficiency * math.sqrt(p.meas_strength)) / dts
+    return RecordBlock(t, mean, conditional_variance(p, t), bloch_length(p, t), y, d_xi, sq * z)
+
+
+def _record_span(p: PhysicalParams, times: np.ndarray, s0: int, stop: int, m: float,
+                 gen) -> RecordBlock:
+    """``_record_block``s from step s0, a multiple of ``SCAN_BLOCK``, and the mean m there,
+    until the block that holds step stop - 1, filled into one ``RecordBlock``."""
+    e = min(-(-stop // SCAN_BLOCK) * SCAN_BLOCK, len(times) - 1)
+    span = RecordBlock(times[s0:e + 1], *(np.empty(e - s0 + 1) for _ in range(3)),
+                       *(np.empty(e - s0) for _ in range(3)))
+    for s in range(s0, stop, SCAN_BLOCK):
+        block = _record_block(p, times, s, m, gen)
+        for col, part in zip(span[1:], block[1:]):
+            col[s - s0:s - s0 + len(part)] = part
+        m = float(block.mean_jz[-1])
+    return span
+
+
+def _warn_small_angle(p: PhysicalParams, grid: TimeGrid) -> None:
+    wl_t = abs(larmor_frequency(p)) * grid.t_total
+    if wl_t > 0.1:
+        warnings.warn(f"omega_L * t_total = {wl_t:.3g} > 0.1: small-angle model is marginal",
+                      stacklevel=3)
 
 
 def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
@@ -160,45 +183,134 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     """Generate one conditional trajectory and its measurement record.
 
     Deterministic in (p, grid, seed).  ``zero_noise`` forces dW = 0
-    (debug mode: pure drift).  One pass over blocks of ``SCAN_BLOCK`` steps
-    fills the record's arrays in place: no grid-length temporaries.  Each
-    block draws its normals from the record's one generator, the stream of
-    one whole-grid draw.
+    (debug mode: pure drift).  One pass of ``_record_block`` over blocks of
+    ``SCAN_BLOCK`` steps fills the record's arrays: no grid-length
+    temporaries.
     """
-    wl_t = abs(larmor_frequency(p)) * grid.t_total
-    if wl_t > 0.1:
-        warnings.warn(f"omega_L * t_total = {wl_t:.3g} > 0.1: small-angle model is marginal",
-                      stacklevel=2)
-    times = grid.times
-    n = len(times) - 1
-    gen = None if zero_noise else seed.generator()
-    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
-    y_gain = 2.0 * p.efficiency * math.sqrt(p.meas_strength)
-    mean, var_jz, bloch = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    y, d_xi, noise = np.empty(n), np.empty(n), np.empty(n)
-    mean[0] = m = 0.0
-    for s in range(0, n, SCAN_BLOCK):
-        e = min(s + SCAN_BLOCK, n)
-        t = times[s:e + 1]
-        dts = np.diff(t)
-        drift, g_sqdt = step_coefficients(p, t)
-        drift *= p.b_true
-        z = np.zeros(e - s) if gen is None else gen.standard_normal(e - s)
-        sq = np.sqrt(dts)
-        g_sqdt *= sq
-        block = zip(drift.tolist(), g_sqdt.tolist(), z.tolist())  # Python floats
-        mean[s + 1:e + 1] = [m := m + dk + gk * zk for dk, gk, zk in block]
-        d_xi[s:e] = mean[s:e] * dts + d * sq * z  # the record uses the pre-step mean
-        y[s:e] = d_xi[s:e] * y_gain / dts
-        noise[s:e] = sq * z
-        var_jz[s:e + 1] = conditional_variance(p, t)
-        bloch[s:e + 1] = bloch_length(p, t)
-    return TrajectoryRecord(grid=grid, mean_jz=mean, var_jz=var_jz, bloch=bloch, y=y,
-                            d_xi=d_xi, noise=noise)
+    _warn_small_angle(p, grid)
+    rec = _record_span(p, grid.times, 0, grid.n_intervals, 0.0,
+                       None if zero_noise else seed.generator())
+    return TrajectoryRecord(grid, *rec[1:])
 
 
-def reconstruct_noise(record: TrajectoryRecord, p: PhysicalParams) -> np.ndarray:
-    """Invert the record: dW = 2 sqrt(M eta) (d_xi - mean_jz dt), formed in one array."""
+class RecordStream:
+    """One trajectory's record, held as the start of each ``SCAN_BLOCK`` block.
+
+    ``blocks`` runs the record once and keeps each block's start: the
+    generator's state, the mean and the low-pass accumulator.  ``to_csv``
+    then writes what ``TrajectoryRecord.to_csv`` writes for the whole record,
+    and its low-passed photocurrent, each forked task regenerating its rows
+    from the starts of their blocks with ``_record_block``.  So no array
+    longer than a task is formed but ``grid.times``.
+    """
+
+    def __init__(self, p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
+                 zero_noise: bool = False, cutoff_hz: float | None = None):
+        self.params, self.grid, self.seed = p, grid, seed
+        self.zero_noise, self.cutoff_hz = zero_noise, cutoff_hz
+        self.n = grid.n_intervals
+        self.n_pref = self.n - grid.n_steps  # the photocurrent's first step
+        self.starts = []  # (generator state, mean, low-pass accumulator) per block
+
+    def _generator(self, state=None):
+        if self.zero_noise:
+            return None
+        gen = self.seed.generator()
+        if state is not None:
+            gen.bit_generator.state = state
+        return gen
+
+    def _lowpass(self, y: np.ndarray, start: float) -> np.ndarray:
+        return lowpass_filter(y, self.grid.dt, self.cutoff_hz, self.params, start=start)
+
+    def blocks(self):
+        """Yield the record's ``RecordBlock``s in order, keeping the start of each."""
+        _warn_small_angle(self.params, self.grid)
+        gen = self._generator()
+        m = acc = 0.0
+        self.starts = []
+        for s in range(0, self.n, SCAN_BLOCK):
+            self.starts.append((None if gen is None else gen.bit_generator.state, m, acc))
+            b = _record_block(self.params, self.grid.times, s, m, gen)
+            m = float(b.mean_jz[-1])
+            tail = b.y[max(self.n_pref - s, 0):]  # the steps the photocurrent reads
+            if len(tail):
+                acc = float(self._lowpass(tail, acc)[-1])
+            yield b
+
+    def rows(self, a: int, b: int) -> tuple:
+        """Rows [a, b) of the columns, as ``_record_task`` reads them, regenerated
+        from the start of the block that holds row a."""
+        n = self.n
+        first = min(a, n - 1) // SCAN_BLOCK
+        state, m, acc = self.starts[first]
+        s0 = first * SCAN_BLOCK
+        span = _record_span(self.params, self.grid.times, s0, min(b, n), m,
+                            self._generator(state))
+        f0 = max(s0, self.n_pref)  # the low-pass runs on from acc at step f0
+        y_filtered = self._lowpass(span.y[f0 - s0:min(b, n) - s0], acc)[max(a, f0) - f0:]
+        return *(col[a - s0:b - s0] for col in span[:-1]), y_filtered
+
+    def to_csv(self, fobj, pc, workers: int = 1) -> None:
+        """Once ``blocks`` has run to the end: ``TrajectoryRecord.to_csv``'s bytes to
+        ``fobj`` and to ``pc`` the photocurrent's t, y and y_filtered over the
+        grid's uniform tail, from the same formatted t and y fields."""
+        _write_record(fobj, pc, self.rows, self.n, self.n_pref, workers)
+
+
+RECORD_TASK_ROWS = 8 * CSV_BLOCK_ROWS  # rows of the record per forked task
+
+
+def _write_record(fobj, pc, rows, n: int, n_pref: int, workers: int) -> None:
+    """Write a record of n steps to ``fobj`` and, unless ``pc`` is None, its photocurrent
+    from step ``n_pref`` on to ``pc``: ``_record_task``'s frames, in task order."""
+    fobj.write(b"t,mean_jz,var_jz,bloch_length,y,d_xi\r\n")
+    if pc is not None:
+        pc.write(b"t,y,y_filtered\r\n")
+    n_tasks = -(-(n + 1) // RECORD_TASK_ROWS)
+    # closed on any error here (a full disk, say): that kills and reaps the workers
+    with closing(forked_map(lambda j: _record_task(rows, n, n_pref, j), n_tasks,
+                            workers)) as frames:
+        for frame in frames:
+            view = memoryview(frame)
+            split = 8 + int.from_bytes(view[:8], "little")
+            fobj.write(view[8:split])
+            if pc is not None:
+                pc.write(view[split:])
+
+
+def _record_task(rows, n: int, n_pref: int, j: int) -> bytes:
+    """Rows [j R, (j + 1) R) of a record's files, R = ``RECORD_TASK_ROWS``.
+
+    ``rows(a, b)`` gives rows [a, b) of the columns t, mean_jz, var_jz, bloch
+    and of the step columns y and d_xi (n steps), and y_filtered from step
+    max(a, n_pref) to b.  The trajectory's rows come first, after their
+    length as 8 bytes, then the photocurrent's: its t and y fields are the
+    trajectory's own strings, so each float is formatted once.
+    """
+    a0, end = j * RECORD_TASK_ROWS, min((j + 1) * RECORD_TASK_ROWS, n + 1)
+    t_col, mean, var, bloch, y_col, d_xi, y_filtered = rows(a0, end)
+    f0 = max(a0, n_pref)  # the step of y_filtered[0]
+    traj, photo = [], []
+    for a in range(0, end - a0, CSV_BLOCK_ROWS):
+        b = min(a + CSV_BLOCK_ROWS, end - a0)
+        t, y = csv_fields(t_col, a, b), csv_fields(y_col, a, b)
+        traj.append(csv_rows([t, csv_fields(mean, a, b), csv_fields(var, a, b),
+                              csv_fields(bloch, a, b), y, csv_fields(d_xi, a, b)]))
+        s, e = max(a0 + a, n_pref), min(a0 + b, n)
+        if s < e:
+            k = s - a0 - a
+            photo.append(csv_rows([t[k:k + e - s], y[k:k + e - s],
+                                   csv_fields(y_filtered, s - f0, e - f0)]))
+    head = "".join(traj).encode()
+    return len(head).to_bytes(8, "little") + head + "".join(photo).encode()
+
+
+def reconstruct_noise(record, p: PhysicalParams) -> np.ndarray:
+    """Invert the record: dW = 2 sqrt(M eta) (d_xi - mean_jz dt), formed in one array.
+
+    ``record`` is a ``TrajectoryRecord`` or a ``RecordBlock``.
+    """
     dw = np.diff(record.times)
     np.multiply(record.mean_jz[:-1], dw, out=dw)
     np.subtract(record.d_xi, dw, out=dw)
@@ -206,13 +318,34 @@ def reconstruct_noise(record: TrajectoryRecord, p: PhysicalParams) -> np.ndarray
     return dw
 
 
+def noise_mismatch(record, p: PhysicalParams) -> tuple:
+    """The record_consistency terms of ``record``, a ``TrajectoryRecord`` or a ``RecordBlock``:
+    (max |reconstructed dW - stored dW|, the most it exceeds the reconstruction's
+    float64 rounding at a step, max |stored dW|).
+
+    The rounding bound per step is 2 eps c (|m dt| + |d_xi|), with c = 2 sqrt(M eta)
+    and eps = 2^-52 = 2u: twice what the arithmetic can reach.  The stored
+    d_xi = fl(fl(m dt) + dW / c) is off by up to u |d_xi|, the reconstruction's
+    d_xi - fl(m dt) rounds by up to u (|d_xi| + |m dt|) more, and c scales both.
+    Where m dt swamps dW / c (large J) the subtraction cancels, and this
+    rounding is the whole error.  The rest, a few u |dW|, stays relative to dW.
+    """
+    c = 2.0 * math.sqrt(p.meas_strength * p.efficiency)
+    dw = np.abs(reconstruct_noise(record, p) - record.noise)
+    m_dt = np.abs(record.mean_jz[:-1] * np.diff(record.times))
+    bound = 2.0 * np.finfo(float).eps * c * (m_dt + np.abs(record.d_xi))
+    return float(dw.max()), float((dw - bound).max()), float(np.abs(record.noise).max())
+
+
 def lowpass_filter(y: np.ndarray, dt: float, cutoff_hz: float | None = None,
-                   params: PhysicalParams | None = None) -> np.ndarray:
+                   params: PhysicalParams | None = None, start: float = 0.0) -> np.ndarray:
     """Causal single-pole IIR low-pass with -3 dB point at ``cutoff_hz``.
 
     Default cutoff is sqrt(J)/t_total Hz (the display convention
     2*pi*sqrt(J)/t_total, read as rad/s and converted).  Requires a
-    uniform sample spacing ``dt``.
+    uniform sample spacing ``dt``.  ``start`` is the output before y[0]:
+    a filter run on from where an earlier run over the samples before y
+    ended gives that whole run's output, bit for bit.
     """
     if cutoff_hz is None:
         if params is None:
@@ -224,7 +357,7 @@ def lowpass_filter(y: np.ndarray, dt: float, cutoff_hz: float | None = None,
     alpha = 1.0 - math.exp(-omega * dt)
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
-    acc = 0.0
+    acc = start
     for s in range(0, len(y), SCAN_BLOCK):  # Python floats, one block of samples at a time
         out[s:s + SCAN_BLOCK] = [acc := acc + alpha * (v - acc) for v in y[s:s + SCAN_BLOCK].tolist()]
     return out

@@ -50,7 +50,11 @@ d_xi_k / dt_k at its midpoint x_k with weight dt_k, the inverse variance
 of that rate: a uniform grid gets the plain fit, and a log prefix's short,
 noisy steps count for little.  With Sw, Sx and Sxx the sums of dt_k,
 dt_k x_k and dt_k x_k^2 before the checkpoint,
-beta = (Sw sum x_k d_xi_k - Sx sum d_xi_k) / (Sw Sxx - Sx^2).
+beta = (Sw sum x_k d_xi_k - Sx sum d_xi_k) / (Sw Sxx - Sx^2).  The sums
+and the row are formed in units of 2^k s, the power of two just above the
+checkpoint's time, and the row reads sum x_k d_xi_k in that unit: every
+scaling is exact, and the determinant, ~t^4, does not underflow on a
+short grid.
 """
 
 from __future__ import annotations
@@ -142,8 +146,9 @@ class _Segment:
     phi: np.ndarray      # (n_col, n_col)
     factor: np.ndarray   # (n_col, width), factor factor^T = H H^T of the propagated per-step noise
     d: np.ndarray        # (n_col,)
-    read: np.ndarray     # (n_est, n_col): b_hat = read @ state(end) + offset
+    read: np.ndarray     # (n_est, n_col): b_hat = read @ (unit * state(end)) + offset
     offset: np.ndarray   # (n_est,)
+    unit: np.ndarray     # (n_col,): 1, but 2^-k on the line fit's x column (x in 2^k s)
 
 
 def _noise_factor(h_t: np.ndarray) -> np.ndarray:
@@ -189,7 +194,8 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
     every estimator of the spec off the state there, one row each in
     ``ESTIMATOR_NAMES`` order: the filter's row is v22 on S with offset
     B (1 - w), the line fit's is (-Sx, Sw) / ((Sw Sxx - Sx^2) gamma J) on
-    its columns with offset 0.
+    its columns with offset 0, all in the checkpoint's unit of time.  A row
+    that float64 cannot hold even so raises ``CheckpointError``.
     """
     p = spec.params
     times = spec.grid.times
@@ -203,7 +209,10 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
     bounds = sorted(set(range(0, checkpoints[-1], SCAN_BLOCK)) | set(checkpoints))
     segments = []
     start = (0.0, 0.0)
-    sw = sx = sxx = 0.0  # sums over the steps so far of dt, dt x and dt x^2
+    # sums over the steps so far of dt, dt x and dt x^2 in units of 2^k s, 2^k the power of
+    # two just above the next checkpoint's time: each scaling is exact, and none underflows
+    sw = sx = sxx = 0.0
+    k = math.frexp(times[checkpoints[0]])[1]
     empty = np.eye(2 + n_fit), np.zeros((2 + n_fit, 0)), np.zeros(2 + n_fit)
     seg_start, (phi, factor, d) = 0, empty
     for s, e in zip(bounds[:-1], bounds[1:]):
@@ -212,8 +221,9 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
         dts = np.diff(times[s:e + 1])
         sq = np.sqrt(dts)
         x = 0.5 * (times[s:e] + times[s + 1:e + 1])  # the step midpoints
-        wx = dts * x
-        sw, sx, sxx = sw + dts.sum(), sx + wx.sum(), sxx + (wx * x).sum()  # no BLAS dot
+        dts_k, x_k = dts * math.ldexp(1.0, -k), x * math.ldexp(1.0, -k)
+        wx = dts_k * x_k
+        sw, sx, sxx = sw + dts_k.sum(), sx + wx.sum(), sxx + (wx * x_k).sum()  # no BLAS dot
         phi_c, h_t, d_c = _chunk_map(dts, p.b_true * sched.phi12, sched.g * sq, sched.d * sq,
                                      sched.r[:-1] * sq / sched.d,
                                      np.vstack([np.ones(e - s), x])[:n_fit])
@@ -223,16 +233,28 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
         if e not in checkpoints:
             continue
         read, offset = np.zeros((len(names), 2 + n_fit)), np.zeros(len(names))
+        unit = np.ones(2 + n_fit)
         if "qkf" in names:
             p0 = p.prior_b_variance
             # never B/p0: p0 = 0 is valid input
             w = 0.0 if math.isinf(p0) else 1.0 / (1.0 + p0 * sched.data[-1])
             read[names.index("qkf"), 1] = sched.v22[-1]
             offset[names.index("qkf")] = p.b_true * (1.0 - w)
-        if n_fit:
-            read[names.index("regression"), 2:] = (
-                np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total))
-        segments.append(_Segment(seg_start, e, phi, factor, d, read, offset))
+        if n_fit:  # it reads sum x d_xi with x in units of 2^k s
+            unit[3] = math.ldexp(1.0, -k)
+            with np.errstate(all="ignore"):  # a row that is not finite is refused below
+                row = np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total
+                                             * math.ldexp(1.0, 2 * k))
+            if not np.all(np.isfinite(row)):
+                raise CheckpointError(f"checkpoint t = {times[e]:g} s (grid point {e}): the "
+                                      f"line fit's readout is not finite in float64")
+            read[names.index("regression"), 2:] = row
+        segments.append(_Segment(seg_start, e, phi, factor, d, read, offset, unit))
+        if len(segments) < len(checkpoints):  # the sums in the next checkpoint's unit
+            shift = k - math.frexp(times[checkpoints[len(segments)]])[1]
+            k -= shift
+            sw, sx, sxx = (math.ldexp(sw, shift), math.ldexp(sx, 2 * shift),
+                           math.ldexp(sxx, 3 * shift))
         seg_start, (phi, factor, d) = e, empty
     return tuple(segments)
 
@@ -251,7 +273,7 @@ def _run_block(spec: EnsembleSpec, segments: tuple, i0: int, i1: int) -> np.ndar
                  + np.einsum("ij,kj->ik", u[:, off:off + width], seg.factor) + seg.d)
         off += width
         with np.errstate(invalid="ignore"):  # inf * 0 where an infinite prior is unresolved
-            b_hat = np.einsum("ej,ij->ei", seg.read, state) + seg.offset[:, None]
+            b_hat = np.einsum("ej,ij->ei", seg.read, state * seg.unit) + seg.offset[:, None]
         e2 = (b_hat - spec.params.b_true) ** 2
         out.append((e2.sum(axis=1), (e2 * e2).sum(axis=1), b_hat.sum(axis=1)))
     return np.array(out)

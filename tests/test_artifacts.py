@@ -12,7 +12,9 @@ import pytest
 
 from qkfmag.cli import main
 from qkfmag.config import load_config
-from qkfmag.core import CSV_BLOCK_ROWS, PhysicalParams, TimeGrid, make_grid, write_csv
+from qkfmag import dynamics
+from qkfmag.core import (CSV_BLOCK_ROWS, SCAN_BLOCK, PhysicalParams, TimeGrid, make_grid,
+                         write_csv)
 from qkfmag.dynamics import RECORD_TASK_ROWS, lowpass_filter, simulate_trajectory
 from qkfmag.estimators import (
     ThresholdCurve,
@@ -45,6 +47,13 @@ def written(write, *args) -> str:
     buf = io.StringIO()
     write(*args, buf)
     return buf.getvalue()
+
+
+def record_text(rec) -> str:
+    """What ``rec.to_csv`` writes to a binary file, as text."""
+    buf = io.BytesIO()
+    rec.to_csv(buf)
+    return buf.getvalue().decode("ascii")
 
 
 def both(header, columns):
@@ -120,9 +129,9 @@ class TestArtifactBytes:
         p = toy_params
         for n in (B - 2, B - 1, 2 * B + 7):
             rec = simulate_trajectory(p, TimeGrid.uniform(p.t_total / n, n), substream(5, n))
-            assert first_difference(written(rec.to_csv), written(trajectory_rows, rec)) is None
+            assert first_difference(record_text(rec), written(trajectory_rows, rec)) is None
         rec = simulate_trajectory(p, make_grid(p, dt=1e-4, prefix=True), substream(5, 0))
-        assert first_difference(written(rec.to_csv), written(trajectory_rows, rec)) is None
+        assert first_difference(record_text(rec), written(trajectory_rows, rec)) is None
 
     @pytest.mark.parametrize("estimators, prior", [(("qkf", "regression"), 0.05),
                                                    (("regression", "qkf"), 0.05),
@@ -179,6 +188,18 @@ class TestRecordFiles:
                                                    (True, ["--zero-noise"])],
                              ids=["log-prefix", "uniform", "zero-noise"])
     def test_every_worker_count_writes_the_row_loops_bytes(self, tmp_path, log_prefix, flags):
+        self.check_worker_counts(tmp_path, log_prefix, flags)
+
+    @pytest.mark.parametrize("flags", [[], ["--zero-noise"]], ids=["noise", "zero-noise"])
+    @pytest.mark.parametrize("task_rows", [100, 3000])
+    def test_tasks_that_start_mid_block(self, tmp_path, monkeypatch, task_rows, flags):
+        # each task regenerates its rows from the start of the block that holds its
+        # first row, here mostly inside a block, and runs the low-pass on from there
+        assert SCAN_BLOCK % task_rows and task_rows % SCAN_BLOCK
+        monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", task_rows)
+        self.check_worker_counts(tmp_path, True, flags)
+
+    def check_worker_counts(self, tmp_path, log_prefix, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(self.DOC, grid={"dt": 5e-5, "log_prefix": log_prefix})))
         cfg = load_config(str(path))
@@ -187,7 +208,8 @@ class TestRecordFiles:
                                   zero_noise=bool(flags))
         n_pref = len(rec.times) - 1 - grid.n_steps
         assert (n_pref > 0) == log_prefix
-        assert len(rec.times) > 2 * RECORD_TASK_ROWS and len(rec.times) % RECORD_TASK_ROWS
+        rows = dynamics.RECORD_TASK_ROWS
+        assert len(rec.times) > 2 * rows and len(rec.times) % rows
         filtered = lowpass_filter(rec.y[n_pref:], grid.dt, params=cfg.params)
         photocurrent = io.StringIO()
         write_csv_rows(photocurrent, ["t", "y", "y_filtered"],
@@ -207,11 +229,11 @@ class TestRecordFiles:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
     def test_failed_write_leaves_no_child(self, toy_params):
-        class Full(io.StringIO):
-            def write(self, text):
+        class Full(io.BytesIO):
+            def write(self, data):
                 if self.tell():
                     raise OSError(28, "No space left on device")
-                return super().write(text)
+                return super().write(data)
 
         n = 3 * RECORD_TASK_ROWS
         rec = simulate_trajectory(toy_params, TimeGrid.uniform(toy_params.t_total / n, n),

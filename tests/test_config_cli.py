@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,61 @@ class TestCliSimulate:
         expected = p["gamma"] * p["b_true"] * p["j_total"] * t
         np.testing.assert_allclose(mean[1:], expected[1:], rtol=2e-3)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writers are forked")
+    def test_parent_holds_no_record(self, tmp_path, monkeypatch):
+        # the parent keeps the grid's times and one block at a time, ~1 array
+        # here, and the forked writers regenerate their rows: the whole record
+        # would be 7 arrays more
+        main(["simulate", "--config", _write_cfg(tmp_path, TOY_DOC), "--workers", "1",
+              "--out", str(tmp_path / "warm")])  # lazy set-up, untraced
+        doc = dict(TOY_DOC, grid={"dt": 7.8125e-6, "log_prefix": False})
+        n_points = 64_001
+        task = dynamics._record_task
+
+        def untraced(*args):  # in a forked child, whose allocations are not the parent's
+            tracemalloc.stop()
+            return task(*args)
+
+        monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", 1000)  # two frames: ~0.6 arrays
+        monkeypatch.setattr(dynamics, "_record_task", untraced)
+        argv = ["simulate", "--config", _write_cfg(tmp_path, doc), "--workers", "3",
+                "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["n_grid_points"] == n_points
+        assert peak < 8 * n_points * (1 + 1.5)  # grid.times and 1.5 arrays
+
+    BIG_J_DOC = dict(TOY_DOC, t_total=0.05, grid={"dt": 1e-3, "log_prefix": False})
+
+    @pytest.mark.parametrize("j_total", [1e12, 1e16])
+    def test_large_j_record_is_consistent(self, tmp_path, capsys, j_total):
+        # m dt swamps dW / (2 sqrt(M eta)) in d_xi: the reconstruction's subtraction
+        # loses ~3.5e-10 (J = 1e12) and ~3e-6 (1e16) to rounding, past 1e-9 max |dW|
+        doc = dict(self.BIG_J_DOC, j_total=j_total)
+        assert main(["simulate", "--config", _write_cfg(tmp_path, doc), "--workers", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "[PASS] record_consistency" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("j_total", [100.0, 1e12])
+    def test_perturbed_record_fails(self, tmp_path, monkeypatch, capsys, j_total):
+        block = dynamics._record_block
+
+        def perturbed(p, times, s, m, gen):
+            b = block(p, times, s, m, gen)
+            b.noise[17] += 1e-6 * 0.07  # max |dW| is ~0.07 here
+            return b
+
+        monkeypatch.setattr(dynamics, "_record_block", perturbed)
+        doc = dict(self.BIG_J_DOC, j_total=j_total)
+        assert main(["simulate", "--config", _write_cfg(tmp_path, doc), "--workers", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "[FAIL] record_consistency" in capsys.readouterr().out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"j_total\": -1}")
@@ -253,10 +309,10 @@ class TestCliWorkerFailure:
     def test_simulate(self, tmp_path, monkeypatch, capfd):
         task = dynamics._record_task
 
-        def failing(rec, y_filtered, j):
+        def failing(rows, n, n_pref, j):
             if j == 1:  # task 1 of 3: worker 1 of 2
                 raise FloatingPointError("injected")
-            return task(rec, y_filtered, j)
+            return task(rows, n, n_pref, j)
 
         monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", 100)
         monkeypatch.setattr(dynamics, "_record_task", failing)
@@ -266,7 +322,7 @@ class TestCliWorkerFailure:
         self.check(rc, out, capfd, "simulate")
 
     def test_simulate_into_existing_directory(self, tmp_path, monkeypatch, capfd):
-        def failing(rec, y_filtered, j):
+        def failing(rows, n, n_pref, j):
             raise FloatingPointError("injected")
 
         monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", 100)
@@ -459,6 +515,56 @@ class TestCliEnsemble:
         [skipped] = summary["skipped_curves"]
         assert skipped["source"] == "riccati_analytic"
         assert skipped["reason"].endswith("denominator <= 0")
+
+    @staticmethod
+    def _rows(out: Path) -> list:
+        with open(out / "ensemble.csv", newline="", encoding="utf-8") as f:
+            return list(csv.DictReader(f))
+
+    def test_line_fit_is_independent_of_the_time_unit(self, tmp_path):
+        # time scaled by 2^-300 (M and gamma by 2^300): the same experiment, and every
+        # step of it scales exactly.  The line fit's determinant, ~t^4 in seconds,
+        # underflowed to 0 here, so its rows were NaN; in units of a power of two
+        # near each checkpoint they are the unscaled run's, bit for bit
+        s = math.ldexp(1.0, -300)
+        scaled = dict(TOY_DOC, meas_strength=TOY_DOC["meas_strength"] / s,
+                      gamma=TOY_DOC["gamma"] / s, t_total=TOY_DOC["t_total"] * s,
+                      grid={"dt": TOY_DOC["grid"]["dt"] * s},
+                      ensemble=dict(TOY_DOC["ensemble"], checkpoint_times=[
+                          t * s for t in TOY_DOC["ensemble"]["checkpoint_times"]]))
+        rows = {}
+        for name, doc in (("toy", TOY_DOC), ("scaled", scaled)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["ensemble", "--config", str(path), "--workers", "1",
+                         "--out", str(tmp_path / name)]) == 0
+            rows[name] = [{k: v for k, v in r.items() if k != "t"}
+                          for r in self._rows(tmp_path / name)]
+        assert [r["estimator"] for r in rows["toy"]].count("regression") == 2
+        assert rows["scaled"] == rows["toy"]
+
+    def test_underflowing_line_fit_gives_finite_estimates(self, tmp_path):
+        # M t ~ 1e-300 on a ~1e-151 s grid: the estimates are finite (NaN before), though
+        # their mean square, ~1e596 G^2 for the line fit here, overflows float64
+        doc = dict(TOY_DOC, meas_strength=1e-150, t_total=1e-150, grid={"dt": 1e-153})
+        doc["ensemble"] = {"n_traj": 64, "first_checkpoint": 1e-151}
+        assert main(["ensemble", "--config", _write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 0
+        fit = [r for r in self._rows(tmp_path / "out") if r["estimator"] == "regression"]
+        assert fit and all(math.isfinite(float(r["mean_b"])) for r in fit)
+        assert all(float(r["mse"]) > 0 for r in fit)  # inf, not NaN
+
+    def test_line_fit_readout_past_float64_exits_2(self, tmp_path, capsys):
+        # a 1e-160 s grid: even in units of the checkpoint's time the readout
+        # overflows, so the run stops with the field to change
+        doc = dict(TOY_DOC, meas_strength=1e-160, t_total=1e-160, grid={"dt": 1e-163})
+        doc["ensemble"] = {"n_traj": 16, "first_checkpoint": 1e-161}
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ensemble.first_checkpoint: ")
+        assert "line fit's readout is not finite" in err
+        assert not out.exists()
 
 
 BAD_CONFIGS = {

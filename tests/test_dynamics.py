@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qkfmag.config import load_preset
 from qkfmag.core import SCAN_BLOCK, PhysicalParams, TimeGrid, make_grid
 from qkfmag.dynamics import (
+    RecordStream,
     bloch_length,
     conditional_variance,
     lowpass_filter,
@@ -30,9 +31,9 @@ def params(**kw):
 
 
 def csv_text(record) -> str:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     record.to_csv(buf)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")
 
 
 param_strategy = st.builds(
@@ -215,6 +216,49 @@ class TestBlockedLoops:
             acc += alpha * (v - acc)
             want[k] = acc
         assert lowpass_filter(y, dt=1e-3, cutoff_hz=30.0).tobytes() == want.tobytes()
+
+
+class TestRecordStream:
+    """The record kept as each block's start: its blocks and the rows regenerated
+    from those starts are the whole record's, bit for bit."""
+
+    N_STEPS = 2 * SCAN_BLOCK + 5
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_rows_match_the_whole_record(self, zero_noise):
+        p = params()
+        grid = TimeGrid(p.t_total / self.N_STEPS, self.N_STEPS - 20,
+                        prefix=np.geomspace(1e-7, 1e-5, 20))
+        rec = simulate_trajectory(p, grid, substream(4, 1), zero_noise=zero_noise)
+        n, n_pref = grid.n_intervals, 20
+        filtered = lowpass_filter(rec.y[n_pref:], grid.dt, params=p)
+        stream = RecordStream(p, grid, substream(4, 1), zero_noise=zero_noise)
+        blocks = list(stream.blocks())
+        assert len(stream.starts) == len(blocks) == 3
+        for name in ("mean_jz", "var_jz", "bloch"):
+            joined = np.concatenate([getattr(blocks[0], name)]
+                                    + [getattr(b, name)[1:] for b in blocks[1:]])
+            assert joined.tobytes() == getattr(rec, name).tobytes(), name
+        for name in ("y", "d_xi", "noise"):
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert joined.tobytes() == getattr(rec, name).tobytes(), name
+        cols = ("times", "mean_jz", "var_jz", "bloch", "y", "d_xi")
+        B = SCAN_BLOCK
+        for a, b in [(0, 1), (0, n + 1), (5, 30), (15, 25), (B - 1, B + 2), (B, 2 * B),
+                     (2 * B + 1, n), (n, n + 1)]:
+            got = stream.rows(a, b)
+            want = [getattr(rec, c)[a:b] for c in cols]
+            want.append(filtered[max(a - n_pref, 0):max(b - n_pref, 0)])
+            for c, g, w in zip(cols + ("y_filtered",), got, want):
+                assert g.tobytes() == w.tobytes(), (a, b, c)
+
+    @pytest.mark.parametrize("split", [1, SCAN_BLOCK - 1, SCAN_BLOCK + 3])
+    def test_lowpass_runs_on_from_its_start_value(self, split):
+        y = np.random.default_rng(3).normal(size=2 * SCAN_BLOCK + 7)
+        whole = lowpass_filter(y, dt=1e-3, cutoff_hz=30.0)
+        head = lowpass_filter(y[:split], dt=1e-3, cutoff_hz=30.0)
+        tail = lowpass_filter(y[split:], dt=1e-3, cutoff_hz=30.0, start=float(head[-1]))
+        assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
 
 
 class TestSimulateTrajectory:

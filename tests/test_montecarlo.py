@@ -560,7 +560,8 @@ class TestCovarianceIdentity:
 @pytest.mark.filterwarnings("ignore:M \\* t_end")
 class TestMeanIdentity:
     """No noise drawn: the segment maps propagate the mean of the state,
-    mu <- phi mu + d, and every estimator's readout of it, read @ mu + offset,
+    mu <- phi mu + d, and every estimator's readout of it,
+    read @ (unit * mu) + offset,
     must equal that estimator's per-record oracle on the zero-noise record:
     ``run_kalman`` for the filter, ``regression_estimate`` for the line fit.
     The line fit's mean is its Bloch-decay bias, a deterministic curve."""
@@ -573,7 +574,7 @@ class TestMeanIdentity:
         got = []
         for seg in segments:
             mu = seg.phi @ mu + seg.d
-            got.append(seg.read @ mu + seg.offset)
+            got.append(seg.read @ (seg.unit * mu) + seg.offset)
         qkf, line_fit = np.array(got).T
         np.testing.assert_allclose(qkf, run_kalman(p, rec).b_tilde[cps], rtol=1e-9)
         want = [regression_estimate(rec, p, times[c]) for c in cps]
@@ -775,7 +776,7 @@ class TestStreamedPlan:
             c = seg.end
             sw, sx, sxx = dts[:c].sum(), (dts * x)[:c].sum(), (dts * x * x)[:c].sum()
             want = np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total)
-            np.testing.assert_allclose(seg.read[1, 2:], want, rtol=1e-12)
+            np.testing.assert_allclose(seg.read[1, 2:] * seg.unit[2:], want, rtol=1e-12)
 
 
 def test_plan_memory_is_bounded_by_a_chunk():
