@@ -152,7 +152,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
         write_threshold_csv(curves, f)
 
     checks = []
-    notes = [str(w.message) for w in caught]
+    notes = [str(w.message) for w in caught] + [
+        f"{name} mse overflows float64 at t = {stats.times[np.isinf(mse)].tolist()}: its stderr "
+        "is inf there" for name, mse in stats.mse.items() if np.isinf(mse).any()]
     if "qkf" in stats.estimators:
         lo, hi = cfg.ensemble.mse_ratio_window
         # the exact fixed-B MSE B^2 w^2 + v22 (1 - w), w = v22/p0 the prior's pull (see montecarlo)

@@ -277,7 +277,9 @@ def forked_map(fn, n_tasks: int, workers: int):
     and exits 1, and the parent raises ``WorkerError`` naming it.  Whatever
     stops the parent, a consumer closing this generator early included, it
     kills and reaps every child it has not reaped.  With one worker or one
-    task, or without ``os.fork``, the tasks run in this process.
+    task, or without ``os.fork``, the tasks run in this process.  Fork only with
+    a single-threaded BLAS: only ``qkfmag.cli`` sets ``OPENBLAS_NUM_THREADS``, so a library
+    caller of ``run_ensemble`` or a record's ``to_csv`` keeps BLAS single-threaded itself.
     """
     n = min(workers, n_tasks)
     if n < 2 or not hasattr(os, "fork"):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import closing
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -83,44 +82,15 @@ def step_coefficients(p: PhysicalParams, times: np.ndarray):
     return phi12, g
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One simulated measurement run.
+class TrajectoryRecord(NamedTuple):
+    """A measurement record over steps [s, e) of a grid: the whole grid's from
+    ``simulate_trajectory``, one block's from ``_record_block``.
 
-    ``mean_jz``/``var_jz``/``bloch`` are sampled at the n+1 grid points;
-    ``y``, ``d_xi`` and ``noise`` (the dW draws, retained for oracle
-    replay) belong to the n intervals.  At every step
+    ``times``, ``mean_jz``, ``var_jz`` and ``bloch`` are sampled at points
+    s..e; ``y``, ``d_xi`` and ``noise`` (the dW draws, retained for oracle
+    replay) belong to the steps.  At every step
     d_xi[k] = mean_jz[k] * dt[k] + dW[k] / (2 sqrt(M eta)).
     """
-
-    grid: TimeGrid
-    mean_jz: np.ndarray
-    var_jz: np.ndarray
-    bloch: np.ndarray
-    y: np.ndarray
-    d_xi: np.ndarray
-    noise: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
-
-    def to_csv(self, fobj, workers: int = 1) -> None:
-        """Columns: t, mean_jz, var_jz, bloch_length, y, d_xi (step columns blank on the last row).
-
-        ``fobj`` is binary.  The rows are formatted in tasks of ``RECORD_TASK_ROWS``
-        by ``forked_map`` on ``workers``; the bytes do not depend on either.
-        """
-        def rows(a, b):
-            return (self.times[a:b], self.mean_jz[a:b], self.var_jz[a:b], self.bloch[a:b],
-                    self.y[a:b], self.d_xi[a:b], np.empty(0))
-
-        _write_record(fobj, None, rows, len(self.y), len(self.y), workers)
-
-
-class RecordBlock(NamedTuple):
-    """Steps [s, e) of a record: ``times``, ``mean_jz``, ``var_jz`` and ``bloch``
-    at points s..e, ``y``, ``d_xi`` and ``noise`` at the steps."""
 
     times: np.ndarray
     mean_jz: np.ndarray
@@ -130,8 +100,21 @@ class RecordBlock(NamedTuple):
     d_xi: np.ndarray
     noise: np.ndarray
 
+    def to_csv(self, fobj, workers: int = 1) -> None:
+        """Columns: t, mean_jz, var_jz, bloch_length, y, d_xi (step columns blank on the last row).
 
-def _record_block(p: PhysicalParams, times: np.ndarray, s: int, m: float, gen) -> RecordBlock:
+        ``fobj`` is binary.  Each ``SCAN_BLOCK`` block of rows is one task of
+        ``forked_map`` on ``workers``; the bytes do not depend on either.
+        """
+        def block(j):
+            s = j * SCAN_BLOCK  # the slices stop at the record's end
+            return TrajectoryRecord(*(c[s:s + SCAN_BLOCK + 1] for c in self[:4]),
+                                    *(c[s:s + SCAN_BLOCK] for c in self[4:])), None
+
+        _write_record(fobj, None, block, len(self.y), len(self.y), workers)
+
+
+def _record_block(p: PhysicalParams, times: np.ndarray, s: int, m: float, gen) -> TrajectoryRecord:
     """The record over steps [s, min(s + ``SCAN_BLOCK``, n)) of the grid ``times``,
     from the mean ``m`` at point s: the one block step of every record.
 
@@ -153,22 +136,7 @@ def _record_block(p: PhysicalParams, times: np.ndarray, s: int, m: float, gen) -
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     d_xi = mean[:-1] * dts + d * sq * z  # the record uses the pre-step mean
     y = d_xi * (2.0 * p.efficiency * math.sqrt(p.meas_strength)) / dts
-    return RecordBlock(t, mean, conditional_variance(p, t), bloch_length(p, t), y, d_xi, sq * z)
-
-
-def _record_span(p: PhysicalParams, times: np.ndarray, s0: int, stop: int, m: float,
-                 gen) -> RecordBlock:
-    """``_record_block``s from step s0, a multiple of ``SCAN_BLOCK``, and the mean m there,
-    until the block that holds step stop - 1, filled into one ``RecordBlock``."""
-    e = min(-(-stop // SCAN_BLOCK) * SCAN_BLOCK, len(times) - 1)
-    span = RecordBlock(times[s0:e + 1], *(np.empty(e - s0 + 1) for _ in range(3)),
-                       *(np.empty(e - s0) for _ in range(3)))
-    for s in range(s0, stop, SCAN_BLOCK):
-        block = _record_block(p, times, s, m, gen)
-        for col, part in zip(span[1:], block[1:]):
-            col[s - s0:s - s0 + len(part)] = part
-        m = float(block.mean_jz[-1])
-    return span
+    return TrajectoryRecord(t, mean, conditional_variance(p, t), bloch_length(p, t), y, d_xi, sq * z)
 
 
 def _warn_small_angle(p: PhysicalParams, grid: TimeGrid) -> None:
@@ -188,9 +156,17 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     temporaries.
     """
     _warn_small_angle(p, grid)
-    rec = _record_span(p, grid.times, 0, grid.n_intervals, 0.0,
-                       None if zero_noise else seed.generator())
-    return TrajectoryRecord(grid, *rec[1:])
+    gen = None if zero_noise else seed.generator()
+    n = grid.n_intervals
+    rec = TrajectoryRecord(grid.times, *(np.empty(n + 1) for _ in range(3)),
+                           *(np.empty(n) for _ in range(3)))
+    m = 0.0
+    for s in range(0, n, SCAN_BLOCK):
+        block = _record_block(p, grid.times, s, m, gen)
+        for col, part in zip(rec[1:], block[1:]):
+            col[s:s + len(part)] = part
+        m = float(block.mean_jz[-1])
+    return rec
 
 
 class RecordStream:
@@ -199,9 +175,9 @@ class RecordStream:
     ``blocks`` runs the record once and keeps each block's start: the
     generator's state, the mean and the low-pass accumulator.  ``to_csv``
     then writes what ``TrajectoryRecord.to_csv`` writes for the whole record,
-    and its low-passed photocurrent, each forked task regenerating its rows
-    from the starts of their blocks with ``_record_block``.  So no array
-    longer than a task is formed but ``grid.times``.
+    and its low-passed photocurrent, each forked task regenerating one block
+    from its start with ``block``.  So no array longer than a block is
+    formed but ``grid.times``.
     """
 
     def __init__(self, p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
@@ -213,10 +189,8 @@ class RecordStream:
         self.starts = []  # (generator state, mean, low-pass accumulator) per block
 
     def _generator(self, state=None):
-        if self.zero_noise:
-            return None
-        gen = self.seed.generator()
-        if state is not None:
+        gen = None if self.zero_noise else self.seed.generator()
+        if state is not None:  # only a noise generator has one
             gen.bit_generator.state = state
         return gen
 
@@ -224,7 +198,7 @@ class RecordStream:
         return lowpass_filter(y, self.grid.dt, self.cutoff_hz, self.params, start=start)
 
     def blocks(self):
-        """Yield the record's ``RecordBlock``s in order, keeping the start of each."""
+        """Yield the record's ``TrajectoryRecord`` blocks in order, keeping the start of each."""
         _warn_small_angle(self.params, self.grid)
         gen = self._generator()
         m = acc = 0.0
@@ -238,38 +212,29 @@ class RecordStream:
                 acc = float(self._lowpass(tail, acc)[-1])
             yield b
 
-    def rows(self, a: int, b: int) -> tuple:
-        """Rows [a, b) of the columns, as ``_record_task`` reads them, regenerated
-        from the start of the block that holds row a."""
-        n = self.n
-        first = min(a, n - 1) // SCAN_BLOCK
-        state, m, acc = self.starts[first]
-        s0 = first * SCAN_BLOCK
-        span = _record_span(self.params, self.grid.times, s0, min(b, n), m,
-                            self._generator(state))
-        f0 = max(s0, self.n_pref)  # the low-pass runs on from acc at step f0
-        y_filtered = self._lowpass(span.y[f0 - s0:min(b, n) - s0], acc)[max(a, f0) - f0:]
-        return *(col[a - s0:b - s0] for col in span[:-1]), y_filtered
+    def block(self, j: int) -> tuple:
+        """Block j, regenerated from its start, and its low-passed photocurrent:
+        y_filtered over its steps from ``n_pref`` on."""
+        state, m, acc = self.starts[j]
+        s = j * SCAN_BLOCK
+        b = _record_block(self.params, self.grid.times, s, m, self._generator(state))
+        return b, self._lowpass(b.y[max(self.n_pref - s, 0):], acc)
 
     def to_csv(self, fobj, pc, workers: int = 1) -> None:
         """Once ``blocks`` has run to the end: ``TrajectoryRecord.to_csv``'s bytes to
         ``fobj`` and to ``pc`` the photocurrent's t, y and y_filtered over the
         grid's uniform tail, from the same formatted t and y fields."""
-        _write_record(fobj, pc, self.rows, self.n, self.n_pref, workers)
+        _write_record(fobj, pc, self.block, self.n, self.n_pref, workers)
 
 
-RECORD_TASK_ROWS = 8 * CSV_BLOCK_ROWS  # rows of the record per forked task
-
-
-def _write_record(fobj, pc, rows, n: int, n_pref: int, workers: int) -> None:
+def _write_record(fobj, pc, block, n: int, n_pref: int, workers: int) -> None:
     """Write a record of n steps to ``fobj`` and, unless ``pc`` is None, its photocurrent
-    from step ``n_pref`` on to ``pc``: ``_record_task``'s frames, in task order."""
+    from step ``n_pref`` on to ``pc``: ``_record_task``'s frames, in block order."""
     fobj.write(b"t,mean_jz,var_jz,bloch_length,y,d_xi\r\n")
     if pc is not None:
         pc.write(b"t,y,y_filtered\r\n")
-    n_tasks = -(-(n + 1) // RECORD_TASK_ROWS)
     # closed on any error here (a full disk, say): that kills and reaps the workers
-    with closing(forked_map(lambda j: _record_task(rows, n, n_pref, j), n_tasks,
+    with closing(forked_map(lambda j: _record_task(block, n, n_pref, j), -(-n // SCAN_BLOCK),
                             workers)) as frames:
         for frame in frames:
             view = memoryview(frame)
@@ -279,27 +244,28 @@ def _write_record(fobj, pc, rows, n: int, n_pref: int, workers: int) -> None:
                 pc.write(view[split:])
 
 
-def _record_task(rows, n: int, n_pref: int, j: int) -> bytes:
-    """Rows [j R, (j + 1) R) of a record's files, R = ``RECORD_TASK_ROWS``.
+def _record_task(block, n: int, n_pref: int, j: int) -> bytes:
+    """The rows of ``SCAN_BLOCK`` block j [s, e) of a record's files: points s..e - 1,
+    and point n too if e = n.
 
-    ``rows(a, b)`` gives rows [a, b) of the columns t, mean_jz, var_jz, bloch
-    and of the step columns y and d_xi (n steps), and y_filtered from step
-    max(a, n_pref) to b.  The trajectory's rows come first, after their
+    ``block(j)`` gives the block's ``TrajectoryRecord`` and y_filtered over its
+    steps from ``n_pref`` on.  The trajectory's rows come first, after their
     length as 8 bytes, then the photocurrent's: its t and y fields are the
     trajectory's own strings, so each float is formatted once.
     """
-    a0, end = j * RECORD_TASK_ROWS, min((j + 1) * RECORD_TASK_ROWS, n + 1)
-    t_col, mean, var, bloch, y_col, d_xi, y_filtered = rows(a0, end)
-    f0 = max(a0, n_pref)  # the step of y_filtered[0]
+    rec, y_filtered = block(j)
+    s0 = j * SCAN_BLOCK
+    end = len(rec.y) + (s0 + len(rec.y) == n)  # rows; point n's step fields are blank
+    f0 = max(s0, n_pref)  # the step of y_filtered[0]
     traj, photo = [], []
-    for a in range(0, end - a0, CSV_BLOCK_ROWS):
-        b = min(a + CSV_BLOCK_ROWS, end - a0)
-        t, y = csv_fields(t_col, a, b), csv_fields(y_col, a, b)
-        traj.append(csv_rows([t, csv_fields(mean, a, b), csv_fields(var, a, b),
-                              csv_fields(bloch, a, b), y, csv_fields(d_xi, a, b)]))
-        s, e = max(a0 + a, n_pref), min(a0 + b, n)
+    for a in range(0, end, CSV_BLOCK_ROWS):
+        b = min(a + CSV_BLOCK_ROWS, end)
+        t, y = csv_fields(rec.times, a, b), csv_fields(rec.y, a, b)
+        traj.append(csv_rows([t, csv_fields(rec.mean_jz, a, b), csv_fields(rec.var_jz, a, b),
+                              csv_fields(rec.bloch, a, b), y, csv_fields(rec.d_xi, a, b)]))
+        s, e = max(s0 + a, n_pref), min(s0 + b, n)
         if s < e:
-            k = s - a0 - a
+            k = s - s0 - a
             photo.append(csv_rows([t[k:k + e - s], y[k:k + e - s],
                                    csv_fields(y_filtered, s - f0, e - f0)]))
     head = "".join(traj).encode()
@@ -307,10 +273,7 @@ def _record_task(rows, n: int, n_pref: int, j: int) -> bytes:
 
 
 def reconstruct_noise(record, p: PhysicalParams) -> np.ndarray:
-    """Invert the record: dW = 2 sqrt(M eta) (d_xi - mean_jz dt), formed in one array.
-
-    ``record`` is a ``TrajectoryRecord`` or a ``RecordBlock``.
-    """
+    """Invert the record: dW = 2 sqrt(M eta) (d_xi - mean_jz dt), formed in one array."""
     dw = np.diff(record.times)
     np.multiply(record.mean_jz[:-1], dw, out=dw)
     np.subtract(record.d_xi, dw, out=dw)
@@ -319,7 +282,7 @@ def reconstruct_noise(record, p: PhysicalParams) -> np.ndarray:
 
 
 def noise_mismatch(record, p: PhysicalParams) -> tuple:
-    """The record_consistency terms of ``record``, a ``TrajectoryRecord`` or a ``RecordBlock``:
+    """The record_consistency terms of ``record``, a whole ``TrajectoryRecord`` or a block:
     (max |reconstructed dW - stored dW|, the most it exceeds the reconstruction's
     float64 rounding at a step, max |stored dW|).
 

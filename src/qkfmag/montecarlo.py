@@ -274,8 +274,9 @@ def _run_block(spec: EnsembleSpec, segments: tuple, i0: int, i1: int) -> np.ndar
         off += width
         with np.errstate(invalid="ignore"):  # inf * 0 where an infinite prior is unresolved
             b_hat = np.einsum("ej,ij->ei", seg.read, state * seg.unit) + seg.offset[:, None]
-        e2 = (b_hat - spec.params.b_true) ** 2
-        out.append((e2.sum(axis=1), (e2 * e2).sum(axis=1), b_hat.sum(axis=1)))
+        with np.errstate(over="ignore"):  # a mean square past float64 is inf, and named
+            e2 = (b_hat - spec.params.b_true) ** 2
+            out.append((e2.sum(axis=1), (e2 * e2).sum(axis=1), b_hat.sum(axis=1)))
     return np.array(out)
 
 
@@ -299,7 +300,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     e2, e4, bs = np.array([math.fsum(col) for col in stacked.T]).reshape(
         partials[0].shape).transpose(1, 2, 0)  # each (n_est, n_cp)
     names = [e for e in ESTIMATOR_NAMES if e in spec.estimators]
-    var_e2 = np.maximum(e4 / n - (e2 / n) ** 2, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where e^4 overflowed
+        var_e2 = np.where(np.isinf(e4), np.inf, np.maximum(e4 / n - (e2 / n) ** 2, 0.0))
     times = spec.grid.times[list(spec.checkpoints)]
     predicted = riccati_integrate(spec.params, times).v22
     return EnsembleStats(times=times, estimators=tuple(spec.estimators),

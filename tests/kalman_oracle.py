@@ -68,7 +68,7 @@ class KalmanTrace:
 def run_kalman(p, record, schedule: KalmanSchedule | None = None) -> KalmanTrace:
     """Filter one record with the precomputed schedule."""
     if schedule is None:
-        schedule = kalman_schedule(p, record.grid)
+        schedule = kalman_schedule(p, record.times)
     times = schedule.times
     if len(times) != len(record.times) or not np.array_equal(times, record.times):
         raise ValueError("schedule grid does not match record grid")

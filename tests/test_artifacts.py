@@ -15,7 +15,7 @@ from qkfmag.config import load_config
 from qkfmag import dynamics
 from qkfmag.core import (CSV_BLOCK_ROWS, SCAN_BLOCK, PhysicalParams, TimeGrid, make_grid,
                          write_csv)
-from qkfmag.dynamics import RECORD_TASK_ROWS, lowpass_filter, simulate_trajectory
+from qkfmag.dynamics import RecordStream, lowpass_filter, simulate_trajectory
 from qkfmag.estimators import (
     ThresholdCurve,
     detection_threshold_asymptotic,
@@ -127,7 +127,7 @@ class TestArtifactBytes:
 
     def test_trajectory(self, toy_params):
         p = toy_params
-        for n in (B - 2, B - 1, 2 * B + 7):
+        for n in (1, B - 2, B - 1, 2 * B + 7, 2 * SCAN_BLOCK):  # 2 SCAN_BLOCK: whole blocks
             rec = simulate_trajectory(p, TimeGrid.uniform(p.t_total / n, n), substream(5, n))
             assert first_difference(record_text(rec), written(trajectory_rows, rec)) is None
         rec = simulate_trajectory(p, make_grid(p, dt=1e-4, prefix=True), substream(5, 0))
@@ -191,13 +191,34 @@ class TestRecordFiles:
         self.check_worker_counts(tmp_path, log_prefix, flags)
 
     @pytest.mark.parametrize("flags", [[], ["--zero-noise"]], ids=["noise", "zero-noise"])
-    @pytest.mark.parametrize("task_rows", [100, 3000])
-    def test_tasks_that_start_mid_block(self, tmp_path, monkeypatch, task_rows, flags):
-        # each task regenerates its rows from the start of the block that holds its
-        # first row, here mostly inside a block, and runs the low-pass on from there
-        assert SCAN_BLOCK % task_rows and task_rows % SCAN_BLOCK
-        monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", task_rows)
+    @pytest.mark.parametrize("block", [100, 3000])
+    def test_every_block_size_writes_the_row_loops_bytes(self, tmp_path, monkeypatch, block,
+                                                         flags):
+        # each task regenerates one block from its start and runs the low-pass on
+        # from there: the bytes do not depend on where the blocks end
+        assert SCAN_BLOCK % block and block % SCAN_BLOCK  # not the default's bounds
+        monkeypatch.setattr(dynamics, "SCAN_BLOCK", block)
         self.check_worker_counts(tmp_path, True, flags)
+
+    @pytest.mark.parametrize("n, n_pref", [(1, 0), (2 * SCAN_BLOCK, 0), (2 * SCAN_BLOCK, 20)])
+    def test_stream_of_one_step_or_whole_blocks(self, toy_params, n, n_pref):
+        # one block of one step, or whole blocks: either way the last block also
+        # writes point n, whose step fields are blank
+        p = toy_params
+        grid = TimeGrid(p.t_total / n, n - n_pref, prefix=np.geomspace(1e-7, 1e-5, n_pref))
+        rec = simulate_trajectory(p, grid, substream(5, n))
+        photocurrent = io.StringIO()
+        write_csv_rows(photocurrent, ["t", "y", "y_filtered"],
+                       [rec.times[n_pref:-1], rec.y[n_pref:],
+                        lowpass_filter(rec.y[n_pref:], grid.dt, params=p)])
+        want = [written(trajectory_rows, rec), photocurrent.getvalue()]
+        stream = RecordStream(p, grid, substream(5, n))
+        assert len(list(stream.blocks())) == -(-n // SCAN_BLOCK)
+        for workers in (1, 2, 3):
+            files = [io.BytesIO(), io.BytesIO()]
+            stream.to_csv(*files, workers=workers)
+            for got, text in zip(files, want):
+                assert first_difference(got.getvalue().decode("ascii"), text) is None, workers
 
     def check_worker_counts(self, tmp_path, log_prefix, flags):
         path = tmp_path / "cfg.json"
@@ -208,8 +229,8 @@ class TestRecordFiles:
                                   zero_noise=bool(flags))
         n_pref = len(rec.times) - 1 - grid.n_steps
         assert (n_pref > 0) == log_prefix
-        rows = dynamics.RECORD_TASK_ROWS
-        assert len(rec.times) > 2 * rows and len(rec.times) % rows
+        block = dynamics.SCAN_BLOCK
+        assert grid.n_intervals > 2 * block and grid.n_intervals % block  # a short last block
         filtered = lowpass_filter(rec.y[n_pref:], grid.dt, params=cfg.params)
         photocurrent = io.StringIO()
         write_csv_rows(photocurrent, ["t", "y", "y_filtered"],
@@ -235,7 +256,7 @@ class TestRecordFiles:
                     raise OSError(28, "No space left on device")
                 return super().write(data)
 
-        n = 3 * RECORD_TASK_ROWS
+        n = 3 * SCAN_BLOCK
         rec = simulate_trajectory(toy_params, TimeGrid.uniform(toy_params.t_total / n, n),
                                   substream(5, 0))
         with pytest.raises(OSError, match="No space") as held:  # its traceback holds to_csv

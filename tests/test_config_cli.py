@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +244,7 @@ class TestCliSimulate:
             tracemalloc.stop()
             return task(*args)
 
-        monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", 1000)  # two frames: ~0.6 arrays
+        monkeypatch.setattr(dynamics, "SCAN_BLOCK", 1000)  # two frames: ~0.6 arrays
         monkeypatch.setattr(dynamics, "_record_task", untraced)
         argv = ["simulate", "--config", _write_cfg(tmp_path, doc), "--workers", "3",
                 "--out", str(tmp_path / "out")]
@@ -309,12 +310,12 @@ class TestCliWorkerFailure:
     def test_simulate(self, tmp_path, monkeypatch, capfd):
         task = dynamics._record_task
 
-        def failing(rows, n, n_pref, j):
+        def failing(block, n, n_pref, j):
             if j == 1:  # task 1 of 3: worker 1 of 2
                 raise FloatingPointError("injected")
-            return task(rows, n, n_pref, j)
+            return task(block, n, n_pref, j)
 
-        monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", 100)
+        monkeypatch.setattr(dynamics, "SCAN_BLOCK", 100)
         monkeypatch.setattr(dynamics, "_record_task", failing)
         cfg = _write_cfg(tmp_path, dict(TOY_DOC, grid={"dt": 2e-3, "log_prefix": False}))
         out = tmp_path / "out"
@@ -322,10 +323,10 @@ class TestCliWorkerFailure:
         self.check(rc, out, capfd, "simulate")
 
     def test_simulate_into_existing_directory(self, tmp_path, monkeypatch, capfd):
-        def failing(rows, n, n_pref, j):
+        def failing(block, n, n_pref, j):
             raise FloatingPointError("injected")
 
-        monkeypatch.setattr(dynamics, "RECORD_TASK_ROWS", 100)
+        monkeypatch.setattr(dynamics, "SCAN_BLOCK", 100)
         monkeypatch.setattr(dynamics, "_record_task", failing)
         cfg = _write_cfg(tmp_path, dict(TOY_DOC, grid={"dt": 2e-3, "log_prefix": False}))
         out = tmp_path / "out"
@@ -545,14 +546,22 @@ class TestCliEnsemble:
 
     def test_underflowing_line_fit_gives_finite_estimates(self, tmp_path):
         # M t ~ 1e-300 on a ~1e-151 s grid: the estimates are finite (NaN before), though
-        # their mean square, ~1e596 G^2 for the line fit here, overflows float64
+        # their mean square, ~1e596 G^2 for the line fit here, overflows float64: its
+        # stderr is inf too (NaN before), and the summary names where, with no warning
         doc = dict(TOY_DOC, meas_strength=1e-150, t_total=1e-150, grid={"dt": 1e-153})
         doc["ensemble"] = {"n_traj": 64, "first_checkpoint": 1e-151}
-        assert main(["ensemble", "--config", _write_cfg(tmp_path, doc),
-                     "--out", str(tmp_path / "out")]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ensemble", "--config", _write_cfg(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == 0
         fit = [r for r in self._rows(tmp_path / "out") if r["estimator"] == "regression"]
         assert fit and all(math.isfinite(float(r["mean_b"])) for r in fit)
-        assert all(float(r["mse"]) > 0 for r in fit)  # inf, not NaN
+        assert all(float(r["mse"]) == float(r["stderr"]) == math.inf for r in fit)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        t = [float(r["t"]) for r in fit]
+        assert (f"regression mse overflows float64 at t = {t}: its stderr is inf there"
+                in summary["warnings"])
+        assert not any(w.startswith("qkf mse overflows") for w in summary["warnings"])
 
     def test_line_fit_readout_past_float64_exits_2(self, tmp_path, capsys):
         # a 1e-160 s grid: even in units of the checkpoint's time the readout

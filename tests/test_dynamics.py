@@ -11,6 +11,7 @@ from qkfmag.config import load_preset
 from qkfmag.core import SCAN_BLOCK, PhysicalParams, TimeGrid, make_grid
 from qkfmag.dynamics import (
     RecordStream,
+    TrajectoryRecord,
     bloch_length,
     conditional_variance,
     lowpass_filter,
@@ -219,8 +220,8 @@ class TestBlockedLoops:
 
 
 class TestRecordStream:
-    """The record kept as each block's start: its blocks and the rows regenerated
-    from those starts are the whole record's, bit for bit."""
+    """The record kept as each block's start: its blocks and each block regenerated
+    from its start are the whole record's, bit for bit."""
 
     N_STEPS = 2 * SCAN_BLOCK + 5
 
@@ -235,22 +236,14 @@ class TestRecordStream:
         stream = RecordStream(p, grid, substream(4, 1), zero_noise=zero_noise)
         blocks = list(stream.blocks())
         assert len(stream.starts) == len(blocks) == 3
-        for name in ("mean_jz", "var_jz", "bloch"):
-            joined = np.concatenate([getattr(blocks[0], name)]
-                                    + [getattr(b, name)[1:] for b in blocks[1:]])
-            assert joined.tobytes() == getattr(rec, name).tobytes(), name
-        for name in ("y", "d_xi", "noise"):
-            joined = np.concatenate([getattr(b, name) for b in blocks])
-            assert joined.tobytes() == getattr(rec, name).tobytes(), name
-        cols = ("times", "mean_jz", "var_jz", "bloch", "y", "d_xi")
-        B = SCAN_BLOCK
-        for a, b in [(0, 1), (0, n + 1), (5, 30), (15, 25), (B - 1, B + 2), (B, 2 * B),
-                     (2 * B + 1, n), (n, n + 1)]:
-            got = stream.rows(a, b)
-            want = [getattr(rec, c)[a:b] for c in cols]
-            want.append(filtered[max(a - n_pref, 0):max(b - n_pref, 0)])
-            for c, g, w in zip(cols + ("y_filtered",), got, want):
-                assert g.tobytes() == w.tobytes(), (a, b, c)
+        for j, block in enumerate(blocks):
+            s, e = j * SCAN_BLOCK, min((j + 1) * SCAN_BLOCK, n)
+            again, y_filtered = stream.block(j)
+            for name, whole in zip(TrajectoryRecord._fields, rec):
+                want = whole[s:e + 1] if len(whole) == n + 1 else whole[s:e]
+                assert getattr(block, name).tobytes() == want.tobytes(), (j, name)
+                assert getattr(again, name).tobytes() == want.tobytes(), (j, name)
+            assert y_filtered.tobytes() == filtered[max(s - n_pref, 0):e - n_pref].tobytes(), j
 
     @pytest.mark.parametrize("split", [1, SCAN_BLOCK - 1, SCAN_BLOCK + 3])
     def test_lowpass_runs_on_from_its_start_value(self, split):

@@ -157,9 +157,9 @@ class TestKalmanStep:
         d_xi = np.zeros(len(dts))
         d_xi[:2] = 0.05
         for k in range(2, len(d_xi)):
-            jz = run_kalman(p, dataclasses.replace(rec, d_xi=d_xi), sched).jz_tilde[k]
+            jz = run_kalman(p, rec._replace(d_xi=d_xi), sched).jz_tilde[k]
             d_xi[k] = jz * dts[k]
-        trace = run_kalman(p, dataclasses.replace(rec, d_xi=d_xi), sched)
+        trace = run_kalman(p, rec._replace(d_xi=d_xi), sched)
         b = trace.b_tilde[2]
         assert b != 0.0
         # b = v22 * (a fixed sum): it holds to rounding
@@ -522,7 +522,7 @@ class TestRegression:
         dts = np.diff(times)
         mids = 0.5 * (times[:-1] + times[1:])
         rec = simulate_trajectory(p, grid, substream(0, 0), zero_noise=True)
-        return dataclasses.replace(rec, d_xi=rate_fn(mids) * dts)
+        return rec._replace(d_xi=rate_fn(mids) * dts)
 
     @pytest.mark.filterwarnings("ignore:omega_L")
     def test_exact_linear_rate_recovers_field(self):
