@@ -79,7 +79,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, zero_noise: bool = False,
 
     One pass over the record's blocks checks it and keeps each block's start;
     the forked writers regenerate their rows from those starts, so no
-    grid-length array is held here but the grid's times.
+    grid-length array is held here, not even the grid's times.
     """
     p = cfg.params
     grid = cfg.make_grid()
@@ -106,7 +106,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, zero_noise: bool = False,
                    f"its float64 rounding (bound 1e-9 max |dW| = {limit:.3e})"),
     }]
     return _write_summary(out_dir, "simulate", cfg, checks,
-                          {"zero_noise": zero_noise, "n_grid_points": len(grid.times)})
+                          {"zero_noise": zero_noise, "n_grid_points": grid.n_intervals + 1})
 
 
 def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
@@ -152,9 +152,14 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
         write_threshold_csv(curves, f)
 
     checks = []
-    notes = [str(w.message) for w in caught] + [
-        f"{name} mse overflows float64 at t = {stats.times[np.isinf(mse)].tolist()}: its stderr "
-        "is inf there" for name, mse in stats.mse.items() if np.isinf(mse).any()]
+    notes = [str(w.message) for w in caught]
+    for name, mse in stats.mse.items():
+        if np.isinf(mse).any():
+            notes.append(f"{name} mse overflows float64 at t = "
+                         f"{stats.times[np.isinf(mse)].tolist()}: its stderr is inf there")
+        over = np.isinf(stats.stderr[name]) & ~np.isinf(mse)
+        if over.any():
+            notes.append(f"{name} stderr overflows float64 at t = {stats.times[over].tolist()}")
     if "qkf" in stats.estimators:
         lo, hi = cfg.ensemble.mse_ratio_window
         # the exact fixed-B MSE B^2 w^2 + v22 (1 - w), w = v22/p0 the prior's pull (see montecarlo)

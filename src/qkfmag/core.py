@@ -118,6 +118,10 @@ class TimeGrid:
     at large J no affordable uniform step can follow the first instants
     of the squeezing transient, while geometric spacing tracks its 1/t
     slowdown with a constant per-step cost.
+
+    The grid stores ``dt``, ``n_steps`` and the prefix, and ``points`` forms
+    any of its points from them.  ``times``, the whole grid, is formed on
+    first use and kept: no command asks for it on a large grid.
     """
 
     __slots__ = ("dt", "n_steps", "prefix", "_times")
@@ -130,31 +134,72 @@ class TimeGrid:
         self.dt = float(dt)
         self.n_steps = int(n_steps)
         self.prefix = np.asarray(prefix, dtype=float)
+        self._times = None
+        n = self.n_intervals
+        for s in range(0, n, SCAN_BLOCK):  # each block's points and the next block's first
+            t = self.points(np.arange(s, min(s + SCAN_BLOCK, n) + 1))
+            if not np.all(t[1:] > t[:-1]):
+                raise ValueError("grid points must be strictly increasing")
+
+    def points(self, index) -> np.ndarray:
+        """``times[index]`` for integer indices in [0, n], formed here (a range is
+        ``points(np.arange(a, b))``).
+
+        With k prefix points: 0.0 at point 0, the prefix at points 1..k, and
+        float(i - k) * dt + start at point i >= k, start the prefix's last point
+        (0.0 without a prefix).
+        """
+        i = np.asarray(index)
         k = self.prefix.size
-        # one array filled in place: freed grid-length float temporaries stay on the heap
-        self._times = t = np.arange(-k, self.n_steps + 1, dtype=float)
-        t[0] = 0.0
-        t[1:k + 1] = self.prefix
-        uniform = t[k + 1:]  # 1, 2, ..., n_steps, then start + dt * that
-        uniform *= self.dt
-        uniform += self.prefix[-1] if k else 0.0
-        if not np.all(t[1:] > t[:-1]):
-            raise ValueError("grid points must be strictly increasing")
+        t = np.array(i, dtype=float)
+        t -= k  # exact: float(i - k)
+        t *= self.dt
+        t += self.prefix[-1] if k else 0.0
+        if k and (below := i < k).any():
+            t[below] = self.prefix[i[below] - 1]
+            t[i == 0] = 0.0
+        return t
+
+    def searchsorted(self, t) -> np.ndarray:
+        """``np.searchsorted(times, t)``, without forming ``times``.
+
+        Points 0..k are searched as they are.  On the uniform tail the
+        formula's inverse gives a first guess, stepped until exact: the first
+        point at or after t (n + 1 if none, or if t is NaN).
+        """
+        t = np.asarray(t, dtype=float)
+        k, n = self.prefix.size, self.n_intervals
+        start = self.prefix[-1] if k else 0.0
+        with np.errstate(invalid="ignore"):
+            guess = np.ceil((t - start) / self.dt)
+        guess = np.clip(np.nan_to_num(guess, nan=self.n_steps + 1), 1, self.n_steps + 1)
+        i = k + guess.astype(np.int64)
+        while True:  # k + 1 <= i <= n + 1
+            down = (i > k + 1) & (self.points(i - 1) >= t)
+            up = (i <= n) & (self.points(i) < t)
+            if not (down.any() or up.any()):
+                break
+            i += up
+            i -= down
+        return np.where(t <= start, np.searchsorted(self.points(np.arange(k + 1)), t), i)
 
     @property
     def times(self) -> np.ndarray:
+        if self._times is None:
+            self._times = self.points(np.arange(self.n_intervals + 1))
         return self._times
 
     @property
     def t_total(self) -> float:
-        return float(self._times[-1])
+        return float(self.points(self.n_intervals))
 
     @property
     def n_intervals(self) -> int:
-        return len(self._times) - 1
+        return self.prefix.size + self.n_steps
 
     def __eq__(self, other):
-        return isinstance(other, TimeGrid) and np.array_equal(self._times, other._times)
+        return (isinstance(other, TimeGrid) and self.dt == other.dt
+                and self.n_steps == other.n_steps and np.array_equal(self.prefix, other.prefix))
 
     def __repr__(self):
         return (f"TimeGrid(dt={self.dt:g}, n_steps={self.n_steps}, "

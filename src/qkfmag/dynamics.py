@@ -114,15 +114,16 @@ class TrajectoryRecord(NamedTuple):
         _write_record(fobj, None, block, len(self.y), len(self.y), workers)
 
 
-def _record_block(p: PhysicalParams, times: np.ndarray, s: int, m: float, gen) -> TrajectoryRecord:
-    """The record over steps [s, min(s + ``SCAN_BLOCK``, n)) of the grid ``times``,
-    from the mean ``m`` at point s: the one block step of every record.
+def _record_block(p: PhysicalParams, grid: TimeGrid, s: int, m: float, gen) -> TrajectoryRecord:
+    """The record over steps [s, min(s + ``SCAN_BLOCK``, n)) of ``grid``, from the
+    mean ``m`` at point s: the one block step of every record.
 
-    ``gen`` draws the block's normals (None: dW = 0), so successive blocks
-    from one generator draw the stream of one whole-grid draw.
+    The block forms its own points of the grid.  ``gen`` draws the block's
+    normals (None: dW = 0), so successive blocks from one generator draw the
+    stream of one whole-grid draw.
     """
-    e = min(s + SCAN_BLOCK, len(times) - 1)
-    t = times[s:e + 1]
+    e = min(s + SCAN_BLOCK, grid.n_intervals)
+    t = grid.points(np.arange(s, e + 1))
     dts = np.diff(t)
     drift, g_sqdt = step_coefficients(p, t)
     drift *= p.b_true
@@ -162,7 +163,7 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
                            *(np.empty(n) for _ in range(3)))
     m = 0.0
     for s in range(0, n, SCAN_BLOCK):
-        block = _record_block(p, grid.times, s, m, gen)
+        block = _record_block(p, grid, s, m, gen)
         for col, part in zip(rec[1:], block[1:]):
             col[s:s + len(part)] = part
         m = float(block.mean_jz[-1])
@@ -177,7 +178,7 @@ class RecordStream:
     then writes what ``TrajectoryRecord.to_csv`` writes for the whole record,
     and its low-passed photocurrent, each forked task regenerating one block
     from its start with ``block``.  So no array longer than a block is
-    formed but ``grid.times``.
+    formed, not even the grid's times: each block forms its own points.
     """
 
     def __init__(self, p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
@@ -205,7 +206,7 @@ class RecordStream:
         self.starts = []
         for s in range(0, self.n, SCAN_BLOCK):
             self.starts.append((None if gen is None else gen.bit_generator.state, m, acc))
-            b = _record_block(self.params, self.grid.times, s, m, gen)
+            b = _record_block(self.params, self.grid, s, m, gen)
             m = float(b.mean_jz[-1])
             tail = b.y[max(self.n_pref - s, 0):]  # the steps the photocurrent reads
             if len(tail):
@@ -217,7 +218,7 @@ class RecordStream:
         y_filtered over its steps from ``n_pref`` on."""
         state, m, acc = self.starts[j]
         s = j * SCAN_BLOCK
-        b = _record_block(self.params, self.grid.times, s, m, self._generator(state))
+        b = _record_block(self.params, self.grid, s, m, self._generator(state))
         return b, self._lowpass(b.y[max(self.n_pref - s, 0):], acc)
 
     def to_csv(self, fobj, pc, workers: int = 1) -> None:

@@ -111,8 +111,8 @@ class KalmanSchedule:
 def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> KalmanSchedule:
     """Gains and covariance along the grid; ``OverflowError`` if r or the information overflows.
 
-    ``grid`` is a ``TimeGrid`` or a slice of its times, and ``start`` is
-    (r, info) at its first point.  Started from the previous slice's
+    ``grid`` is a ``TimeGrid`` or an array of consecutive points of one, and
+    ``start`` is (r, info) at its first point.  Started from the previous slice's
     ``end``, a slice's schedule is bitwise that slice of the whole grid's:
     info runs as cumsum([info, ...]), never info + cumsum(...).
     """

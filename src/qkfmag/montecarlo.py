@@ -2,8 +2,9 @@
 
 Trajectories are processed in fixed blocks of 1024, vectorized across
 the block; per-block partial sums are reduced in block order with
-``math.fsum``.  Block boundaries depend only on the trajectory index,
-so results are byte-identical for any worker count or scheduling.
+``math.fsum`` (a sum past float64 reads inf).  Block boundaries depend
+only on the trajectory index, so results are byte-identical for any
+worker count or scheduling.
 With several workers, the blocks run through ``core.forked_map`` in
 children forked after the plan is built: they inherit it, so nothing is
 pickled, and each block's partials come back through a pipe, in block
@@ -101,7 +102,7 @@ class EnsembleSpec:
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        n_pts = len(self.grid.times)
+        n_pts = self.grid.n_intervals + 1
         if any(not (0 < c < n_pts) for c in self.checkpoints):
             raise ValueError("checkpoints must be grid indices in (0, n_points)")
         if list(self.checkpoints) != sorted(set(self.checkpoints)):
@@ -183,44 +184,44 @@ def _chunk_map(dts, drift, gsq, dsq, ssq, rec_w: np.ndarray) -> tuple:
 def _build_plan(spec: EnsembleSpec) -> tuple:
     """One ``_Segment`` per checkpoint, from grid point 0 to the last, in scan order.
 
-    One pass over the chunks.  Each chunk runs ``kalman_schedule`` over its
-    own steps, started from the previous chunk's end, and forms its line-fit
-    rows (1, x_k) from its own slice of the grid.  The line fit's Sw, Sx and
-    Sxx run on over the chunks, so no grid-length array is formed.  Each
-    chunk's map (phi_c, h_t, d_c) folds into its segment's, started from
-    (I, no columns, 0): phi <- phi_c phi, d <- phi_c d + d_c, and factor <-
-    ``_noise_factor`` of [phi_c factor, h_t], whose columns run in step
-    order.  At a checkpoint the segment becomes a ``_Segment`` that reads
-    every estimator of the spec off the state there, one row each in
-    ``ESTIMATOR_NAMES`` order: the filter's row is v22 on S with offset
-    B (1 - w), the line fit's is (-Sx, Sw) / ((Sw Sxx - Sx^2) gamma J) on
-    its columns with offset 0, all in the checkpoint's unit of time.  A row
-    that float64 cannot hold even so raises ``CheckpointError``.
+    One pass over the chunks.  Each chunk forms its own points of the grid,
+    runs ``kalman_schedule`` over its steps, started from the previous
+    chunk's end, and forms its line-fit rows (1, x_k) from those points.
+    The line fit's Sw, Sx and Sxx run on over the chunks, so no grid-length
+    array is formed.  Each chunk's map (phi_c, h_t, d_c) folds into its
+    segment's, started from (I, no columns, 0): phi <- phi_c phi,
+    d <- phi_c d + d_c, and factor <- ``_noise_factor`` of [phi_c factor, h_t],
+    whose columns run in step order.  At a checkpoint the segment becomes a
+    ``_Segment`` that reads every estimator of the spec off the state there,
+    one row each in ``ESTIMATOR_NAMES`` order: the filter's row is v22 on S
+    with offset B (1 - w), the line fit's is (-Sx, Sw) / ((Sw Sxx - Sx^2)
+    gamma J) on its columns with offset 0, all in the checkpoint's unit of
+    time.  A row that float64 cannot hold even so raises ``CheckpointError``.
     """
-    p = spec.params
-    times = spec.grid.times
+    p, grid = spec.params, spec.grid
     checkpoints = spec.checkpoints
     names = [e for e in ESTIMATOR_NAMES if e in spec.estimators]
     n_fit = 2 if "regression" in names else 0  # the line fit's state columns
     if n_fit and checkpoints[0] < 3:
         c = checkpoints[0]
-        raise CheckpointError(f"checkpoint t = {times[c]:g} s (grid point {c}) leaves the "
-                              f"line fit fewer than 3 steps")
+        raise CheckpointError(f"checkpoint t = {float(grid.points(c)):g} s (grid point {c}) "
+                              f"leaves the line fit fewer than 3 steps")
     bounds = sorted(set(range(0, checkpoints[-1], SCAN_BLOCK)) | set(checkpoints))
     segments = []
     start = (0.0, 0.0)
     # sums over the steps so far of dt, dt x and dt x^2 in units of 2^k s, 2^k the power of
     # two just above the next checkpoint's time: each scaling is exact, and none underflows
     sw = sx = sxx = 0.0
-    k = math.frexp(times[checkpoints[0]])[1]
+    k = math.frexp(grid.points(checkpoints[0]))[1]
     empty = np.eye(2 + n_fit), np.zeros((2 + n_fit, 0)), np.zeros(2 + n_fit)
     seg_start, (phi, factor, d) = 0, empty
     for s, e in zip(bounds[:-1], bounds[1:]):
-        sched = kalman_schedule(p, times[s:e + 1], start)
+        times = grid.points(np.arange(s, e + 1))
+        sched = kalman_schedule(p, times, start)
         start = sched.end
-        dts = np.diff(times[s:e + 1])
+        dts = np.diff(times)
         sq = np.sqrt(dts)
-        x = 0.5 * (times[s:e] + times[s + 1:e + 1])  # the step midpoints
+        x = 0.5 * (times[:-1] + times[1:])  # the step midpoints
         dts_k, x_k = dts * math.ldexp(1.0, -k), x * math.ldexp(1.0, -k)
         wx = dts_k * x_k
         sw, sx, sxx = sw + dts_k.sum(), sx + wx.sum(), sxx + (wx * x_k).sum()  # no BLAS dot
@@ -246,12 +247,12 @@ def _build_plan(spec: EnsembleSpec) -> tuple:
                 row = np.array([-sx, sw]) / ((sw * sxx - sx * sx) * p.gamma * p.j_total
                                              * math.ldexp(1.0, 2 * k))
             if not np.all(np.isfinite(row)):
-                raise CheckpointError(f"checkpoint t = {times[e]:g} s (grid point {e}): the "
+                raise CheckpointError(f"checkpoint t = {times[-1]:g} s (grid point {e}): the "
                                       f"line fit's readout is not finite in float64")
             read[names.index("regression"), 2:] = row
         segments.append(_Segment(seg_start, e, phi, factor, d, read, offset, unit))
         if len(segments) < len(checkpoints):  # the sums in the next checkpoint's unit
-            shift = k - math.frexp(times[checkpoints[len(segments)]])[1]
+            shift = k - math.frexp(grid.points(checkpoints[len(segments)]))[1]
             k -= shift
             sw, sx, sxx = (math.ldexp(sw, shift), math.ldexp(sx, 2 * shift),
                            math.ldexp(sxx, 3 * shift))
@@ -280,6 +281,16 @@ def _run_block(spec: EnsembleSpec, segments: tuple, i0: int, i1: int) -> np.ndar
     return np.array(out)
 
 
+def _fsum(col: np.ndarray) -> float:
+    """``math.fsum`` of ``col``; inf, of the sign of its float sum, where a partial sum
+    overflows float64."""
+    try:
+        return math.fsum(col)
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return math.copysign(math.inf, col.sum())
+
+
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     """Paired-estimator ensemble statistics at the spec's checkpoints.
 
@@ -297,12 +308,12 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
 
     n = spec.n_traj
     stacked = np.stack(partials).reshape(len(partials), -1)
-    e2, e4, bs = np.array([math.fsum(col) for col in stacked.T]).reshape(
+    e2, e4, bs = np.array([_fsum(col) for col in stacked.T]).reshape(
         partials[0].shape).transpose(1, 2, 0)  # each (n_est, n_cp)
     names = [e for e in ESTIMATOR_NAMES if e in spec.estimators]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where e^4 overflowed
         var_e2 = np.where(np.isinf(e4), np.inf, np.maximum(e4 / n - (e2 / n) ** 2, 0.0))
-    times = spec.grid.times[list(spec.checkpoints)]
+    times = spec.grid.points(list(spec.checkpoints))
     predicted = riccati_integrate(spec.params, times).v22
     return EnsembleStats(times=times, estimators=tuple(spec.estimators),
                          mse=dict(zip(names, e2 / n)),
@@ -313,14 +324,14 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
 def checkpoints_for_times(grid: TimeGrid, wanted_times):
     """The sorted distinct grid indices in (0, n] nearest to the wanted times.
 
-    On an exact tie the lower index wins.
+    On an exact tie the lower index wins.  The search reads only the points
+    it needs from the grid: no grid-length array is formed.
     """
-    pts = grid.times[1:]
     t = np.asarray(wanted_times, dtype=float)
-    hi = np.minimum(np.searchsorted(pts, t), len(pts) - 1)  # pts[hi - 1] < t <= pts[hi] inside
-    lo = np.maximum(hi - 1, 0)
-    k = np.where(np.abs(pts[lo] - t) <= np.abs(pts[hi] - t), lo, hi)
-    return tuple(sorted(set((k + 1).tolist())))
+    hi = np.clip(grid.searchsorted(t), 1, grid.n_intervals)  # p[hi - 1] < t <= p[hi] inside
+    lo = np.maximum(hi - 1, 1)
+    k = np.where(np.abs(grid.points(lo) - t) <= np.abs(grid.points(hi) - t), lo, hi)
+    return tuple(sorted(set(k.tolist())))
 
 
 def log_times(t_first: float, t_last: float, per_decade: int) -> np.ndarray:

@@ -33,6 +33,7 @@ from qkfmag.config import (
     override,
     parse_config,
 )
+from qkfmag.core import TimeGrid
 from qkfmag.dynamics import lowpass_filter, simulate_trajectory
 from qkfmag.rng import substream
 
@@ -231,9 +232,9 @@ class TestCliSimulate:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writers are forked")
     def test_parent_holds_no_record(self, tmp_path, monkeypatch):
-        # the parent keeps the grid's times and one block at a time, ~1 array
-        # here, and the forked writers regenerate their rows: the whole record
-        # would be 7 arrays more
+        # the parent keeps one block at a time and forms no grid-length array, not
+        # even the grid's times (one array more when the grid stored them); the
+        # forked writers regenerate their rows: the whole record would be 7 arrays
         main(["simulate", "--config", _write_cfg(tmp_path, TOY_DOC), "--workers", "1",
               "--out", str(tmp_path / "warm")])  # lazy set-up, untraced
         doc = dict(TOY_DOC, grid={"dt": 7.8125e-6, "log_prefix": False})
@@ -256,7 +257,7 @@ class TestCliSimulate:
             tracemalloc.stop()
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["n_grid_points"] == n_points
-        assert peak < 8 * n_points * (1 + 1.5)  # grid.times and 1.5 arrays
+        assert peak < 8 * n_points * 1.5
 
     BIG_J_DOC = dict(TOY_DOC, t_total=0.05, grid={"dt": 1e-3, "log_prefix": False})
 
@@ -273,8 +274,8 @@ class TestCliSimulate:
     def test_perturbed_record_fails(self, tmp_path, monkeypatch, capsys, j_total):
         block = dynamics._record_block
 
-        def perturbed(p, times, s, m, gen):
-            b = block(p, times, s, m, gen)
+        def perturbed(p, grid, s, m, gen):
+            b = block(p, grid, s, m, gen)
             b.noise[17] += 1e-6 * 0.07  # max |dW| is ~0.07 here
             return b
 
@@ -563,6 +564,22 @@ class TestCliEnsemble:
                 in summary["warnings"])
         assert not any(w.startswith("qkf mse overflows") for w in summary["warnings"])
 
+    def test_overflowing_sum_of_fourth_powers_reads_inf(self, tmp_path):
+        # each block's sum of e^4 is finite, their sum is not: math.fsum raised, and the
+        # run exited 2 as if the schedule had overflowed.  That stderr is inf now, and
+        # named in the summary, and the run goes on
+        doc = dict(TOY_DOC, meas_strength=3e-39, t_total=3e-39, grid={"dt": 3e-42})
+        doc["ensemble"] = {"n_traj": 8192, "first_checkpoint": 3e-40}
+        assert main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--workers", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        rows = self._rows(tmp_path / "out")
+        over = [r for r in rows if float(r["stderr"]) == math.inf]
+        assert over and {r["estimator"] for r in over} == {"regression"}
+        assert all(math.isfinite(float(r[c])) for r in rows for c in ("mse", "mean_b"))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        t = [float(r["t"]) for r in over]
+        assert f"regression stderr overflows float64 at t = {t}" in summary["warnings"]
+
     def test_line_fit_readout_past_float64_exits_2(self, tmp_path, capsys):
         # a 1e-160 s grid: even in units of the checkpoint's time the readout
         # overflows, so the run stops with the field to change
@@ -720,6 +737,27 @@ class TestCliScheduleOverflow:
         assert err.startswith("error: params.gamma, ") and err.count("\n") == 1
         assert "gain schedule overflowed" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestCliGridPoints:
+    """Every command but oracle-check (4,411 points on its preset) reads the points it
+    needs through ``TimeGrid.points``: none forms the grid's whole ``times`` array."""
+
+    @pytest.mark.parametrize("command, workers", [("simulate", "1"), ("simulate", "3"),
+                                                  ("ensemble", "1"), ("ensemble", "2"),
+                                                  ("scaling", "1")])
+    def test_no_command_forms_the_grid_times(self, tmp_path, monkeypatch, command, workers):
+        def formed(grid):
+            raise AssertionError("the grid's times were formed")
+
+        doc = dict(TOY_DOC, ensemble={"n_traj": montecarlo.BLOCK_SIZE + 1,
+                                      "checkpoint_times": [0.1, 0.5]},
+                   scaling={"j_values": [10, 100, 1000, 10000], "t_check": 0.05, "n_traj": 8,
+                            "slope_window": [-5.0, 5.0]})
+        assert load_config(_write_cfg(tmp_path, doc)).make_grid().prefix.size  # a log prefix
+        monkeypatch.setattr(TimeGrid, "times", property(formed))
+        assert main([command, "--config", _write_cfg(tmp_path, doc), "--workers", workers,
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 class TestCliScaling:

@@ -21,6 +21,7 @@ from qkfmag.core import (
     t2_bound,
     validate_params,
 )
+from qkfmag.montecarlo import checkpoints_for_times
 
 
 def params(**kw):
@@ -146,6 +147,104 @@ class TestTimeGrid:
         assert len(t) == n + 1
         assert np.all(np.diff(t) > 0)
         assert t[-1] == pytest.approx(n * dt, rel=1e-9)
+
+
+def whole_times(dt: float, n_steps: int, prefix) -> np.ndarray:
+    """The grid's points as one array, filled in place as ``TimeGrid`` once did
+    when it stored them: the reference form of ``TimeGrid.points``."""
+    prefix = np.asarray(prefix, dtype=float)
+    k = prefix.size
+    t = np.arange(-k, n_steps + 1, dtype=float)
+    t[0] = 0.0
+    t[1:k + 1] = prefix
+    uniform = t[k + 1:]
+    uniform *= dt
+    uniform += prefix[-1] if k else 0.0
+    return t
+
+
+def searchsorted_checkpoints(times: np.ndarray, wanted) -> tuple:
+    """``checkpoints_for_times`` as it once ran, by ``searchsorted`` over the whole grid."""
+    pts = times[1:]
+    t = np.asarray(wanted, dtype=float)
+    hi = np.minimum(np.searchsorted(pts, t), len(pts) - 1)
+    lo = np.maximum(hi - 1, 0)
+    k = np.where(np.abs(pts[lo] - t) <= np.abs(pts[hi] - t), lo, hi)
+    return tuple(sorted(set((k + 1).tolist())))
+
+
+@st.composite
+def grids(draw):
+    """(dt, n_steps, prefix): a uniform tail of 1-5000 steps, with or without a
+    prefix.  The prefix may decrease, and may end so far from 0 that the tail's
+    points round unevenly (1e15 dt) or onto each other (1e20 dt)."""
+    dt = draw(st.floats(min_value=1e-300, max_value=1e3))
+    n_steps = draw(st.integers(min_value=1, max_value=5000))
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=2.0), max_size=40))
+    prefix = dt * (draw(st.sampled_from([0.0, 1e15, 1e20])) + np.cumsum(steps))
+    if draw(st.booleans()):
+        prefix = prefix[::-1]
+    return dt, n_steps, prefix
+
+
+class TestGridFormula:
+    """``TimeGrid.points`` against the whole array that the grid once stored, and the
+    checkpoint search, which reads only points, against ``searchsorted`` over it."""
+
+    @given(grids(), st.data())
+    def test_points_match_the_whole_array(self, grid, data):
+        dt, n_steps, prefix = grid
+        want = whole_times(dt, n_steps, prefix)
+        if not np.all(want[1:] > want[:-1]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                TimeGrid(dt, n_steps, prefix)
+            return
+        g = TimeGrid(dt, n_steps, prefix)
+        assert g._times is None  # nothing beyond the prefix is stored until times is read
+        n = g.n_intervals
+        assert n + 1 == len(want) and g.t_total == want[-1]
+        for _ in range(5):
+            a = data.draw(st.integers(min_value=0, max_value=n))
+            b = data.draw(st.integers(min_value=a, max_value=n + 1))
+            assert g.points(np.arange(a, b)).tobytes() == want[a:b].tobytes()
+        index = data.draw(st.lists(st.integers(min_value=0, max_value=n), max_size=20))
+        assert g.points(np.array(index, dtype=int)).tobytes() == want[index].tobytes()
+        i = data.draw(st.integers(min_value=0, max_value=n))
+        assert float(g.points(i)) == want[i]
+        assert g.times.tobytes() == want.tobytes()
+
+    @given(grids(), st.data())
+    def test_searches_match_searchsorted(self, grid, data):
+        # wanted times at points, between them, at their midpoints (ties), and
+        # below the first and past the last
+        times = whole_times(*grid)
+        if not np.all(times[1:] > times[:-1]):
+            return
+        g = TimeGrid(*grid)
+        n = len(times) - 1
+        at = data.draw(st.lists(st.integers(min_value=0, max_value=n), min_size=1, max_size=8))
+        exact = times[at]
+        near = np.concatenate([np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)])
+        ties = 0.5 * (times[:-1] + times[1:])[np.minimum(at, n - 1)]
+        outside = np.array([-times[-1], -1e-300, times[-1] * 2, np.inf, -np.inf, np.nan])
+        inside = data.draw(st.lists(st.floats(min_value=0.0, max_value=times[-1]), max_size=5))
+        for wanted in (exact, near, ties, outside, inside,
+                       np.concatenate([exact, near, ties, outside, inside])):
+            assert np.array_equal(g.searchsorted(wanted), np.searchsorted(times, wanted))
+            assert checkpoints_for_times(g, wanted) == searchsorted_checkpoints(times, wanted)
+        assert g._times is None
+
+    @pytest.mark.parametrize("grid", [
+        TimeGrid.with_prefix(dt=1e-3, t_total=1.0, t_first=1e-7, ratio=1.3),
+        TimeGrid(0.1, 1000), TimeGrid(0.3, 3000, 0.3 * (1e15 + np.arange(1, 4)))])
+    def test_searches_at_every_point(self, grid):
+        # the tail formula's inverse is one step off at ~5-10% of these points
+        times = whole_times(grid.dt, grid.n_steps, grid.prefix)
+        g = TimeGrid(grid.dt, grid.n_steps, grid.prefix)
+        mid = 0.5 * (times[1:] + times[:-1])
+        for wanted in (times, mid, np.nextafter(times, np.inf), np.nextafter(times, -np.inf)):
+            assert np.array_equal(g.searchsorted(wanted), np.searchsorted(times, wanted))
+            assert checkpoints_for_times(g, wanted) == searchsorted_checkpoints(times, wanted)
 
 
 class TestForkedMap:

@@ -280,10 +280,12 @@ class TestSimulateTrajectory:
 
     def test_fig1_record_in_bounded_memory(self):
         # the six record arrays and one block's temporaries: the whole-grid
-        # expressions peaked at 12.06 grid-length float64 arrays
+        # expressions peaked at 12.06 grid-length float64 arrays.  The record's
+        # times column is the grid's times, formed on first use: in the lazy set-up
         cfg = load_preset("fig1")
         p, grid = cfg.params, cfg.make_grid()
         simulate_trajectory(p, TimeGrid.uniform(p.t_total / 10, 10), substream(5, 0))  # lazy set-up
+        assert len(grid.times) == grid.n_intervals + 1
         tracemalloc.start()
         try:
             rec = simulate_trajectory(p, grid, substream(5, 0))

@@ -781,20 +781,23 @@ class TestStreamedPlan:
 
 def test_plan_memory_is_bounded_by_a_chunk():
     # The plan keeps no grid-length array of the schedule or of the line
-    # fit: each chunk forms its own slices, and the line fit's grid sums run
-    # over the chunks.  The bound, one grid-length float64 array, was fixed
-    # before measuring: the fig2 plan peaked at 21 with whole-grid
-    # temporaries, at 9 with the whole schedule and line-fit columns, and
-    # at 2 with the whole bin midpoints.
-    spec = fig2_preset_spec()
-    _build_plan(spec)  # lazy set-up outside the measurement
+    # fit: each chunk forms its own points of the grid, and the line fit's
+    # grid sums run over the chunks.  The bound, one grid-length float64
+    # array, was fixed before measuring: the fig2 plan peaked at 21 with
+    # whole-grid temporaries, at 9 with the whole schedule and line-fit
+    # columns, and at 2 with the whole bin midpoints.  The window also
+    # builds the grid and its checkpoints, as ``ensemble`` does: the grid
+    # alone was one array when it stored its points.
+    _build_plan(fig2_preset_spec())  # lazy set-up outside the measurement
     tracemalloc.start()
     try:
+        spec = fig2_preset_spec()
         _build_plan(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * len(spec.grid.times)
+    assert peak < 8 * (spec.grid.n_intervals + 1)
+    assert spec.grid._times is None  # the grid's times were never formed
 
 
 FACTOR_SPECS = [
