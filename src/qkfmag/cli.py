@@ -93,7 +93,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, zero_noise: bool = False,
     try:
         with open(paths[0], "wb") as f, open(paths[1], "wb") as pc:
             record.to_csv(f, pc, workers=workers)
-    except WorkerError:  # leave no truncated record behind
+    except BaseException:  # a failed worker, a full disk, an interrupt: no truncated record
         for path in paths:
             path.unlink(missing_ok=True)
         raise
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
                 return cmd_scaling(cfg, out_dir, workers=args.workers)
             if args.command == "oracle-check":
                 return cmd_oracle_check(cfg, out_dir)
-        except (ConfigError, WorkerError):  # found by the running command: no empty directory
+        except (ConfigError, OSError, WorkerError):  # the command failed: no empty directory left
             if created and not any(out_dir.iterdir()):
                 out_dir.rmdir()
             raise

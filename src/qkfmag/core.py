@@ -1,4 +1,5 @@
-"""Physical parameters, unit conventions, time grids, the CSV writer, forked workers.
+"""Physical parameters, unit conventions, time grids, the float formatter and the CSV
+writer, forked workers.
 
 Internal units are SI seconds and gauss throughout.  The gyromagnetic
 ratio is stored *angular* (rad s^-1 G^-1); lab-style inputs quoted in
@@ -16,10 +17,12 @@ children forked from the calling process, and come back in task order.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -259,14 +262,280 @@ def with_spin(p: PhysicalParams, j_total: float) -> PhysicalParams:
     return replace(p, j_total=j_total)
 
 
-CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the writer's string temporaries
+CSV_BLOCK_ROWS = 512  # rows per format_floats pass and per write: small, cache-resident temporaries
 SCAN_BLOCK = 2048  # steps per tolist() block of a scalar recurrence and per plan chunk: bounds temporaries
+
+
+# ---------------------------------------------------------------------------
+# shortest round-trip floats, as repr writes them
+# ---------------------------------------------------------------------------
+#
+# A normal double x = m 2^e (m a 53-bit integer) rounds back from any decimal
+# inside [x - 2^e / 2, x + 2^e / 2]: its shortest repr is the decimal there with
+# the fewest digits, and of those the one nearest x.  Scaled by 10^-k, with k
+# the largest such that 10^k <= 2^e, the interval is X -+ U/2, with
+# X = m U and U = 2^e 10^-k in [1, 10): it holds at least one integer and at
+# most one multiple of 10.  The shortest digits are that multiple of 10 when
+# it lies inside, else the integer nearest X.  U comes from a table in
+# double-double (hi + lo, ~106 bits), and m U is formed exactly as a Dekker
+# product plus the lo term, so X is known to ~1e-14.  A value whose choice
+# lies within 1e-9 of a tie, or which the interval does not describe (zero,
+# inf, nan, subnormals, power-of-two m, whose interval is lopsided), is
+# formatted by repr itself.  The text is then assembled in little-endian
+# 64-bit words (byte 0 the lowest): each value's is at most 24 bytes, and
+# with its separator it fits four.
+
+_TIE = 1e-9  # |X - a tie| below this: repr decides
+_U64 = np.uint64
+
+
+@functools.cache
+def _format_tables():
+    """The formatter's tables, built on first use (a few ms, mostly integer arithmetic):
+
+    powers  per biased exponent: U hi, its high and low 26-bit halves, U lo, and
+            k + 15, the decimal exponent of a 16-digit X's first digit (U hi is
+            0 at 0 and 2047: zero, subnormals, inf and nan take repr)
+    suffix  per decimal exponent + 309: the "e-05"-style suffix as a word and its
+            length in bits (none for the positional exponents -4..15), and the
+            value's layout (``_layouts``)
+    layout  ``_layouts``
+    """
+    uh, ul, k15 = [0.0] * 2048, [0.0] * 2048, [15.0] * 2048
+    pow5 = [1]
+    for _ in range(330):
+        pow5.append(pow5[-1] * 5)
+    for biased in range(1, 2047):
+        e = biased - 1075  # x = m 2^e
+        k = (e * 78913) >> 18  # floor(e log10 2) over this range (a test checks U)
+        s = 110 + e - k  # u = floor(U 2^110), exactly
+        u = (1 << s) // pow5[k] if k >= 0 else pow5[-k] << s if s >= 0 else pow5[-k] >> -s
+        hi = float(u)
+        uh[biased], ul[biased], k15[biased] = (math.ldexp(hi, -110),
+                                               math.ldexp(float(u - int(hi)), -110), k + 15)
+    uh = np.array(uh)
+    c = uh * 134217729.0  # Veltkamp split: 26-bit halves with exact products
+    uhh = c - (c - uh)
+    powers = np.stack([uh, uhh, uh - uhh, np.array(ul), np.array(k15)])
+    suffix = [[0] * 618, [0] * 618, list(range(-305, 313))]  # positional: layout e10 + 4
+    for e10 in [*range(-309, -4), *range(16, 309)]:
+        text = f"e{e10:+03d}".encode()
+        for row, v in zip(suffix, (int.from_bytes(text, "little"), 8 * len(text), 16 + len(text))):
+            row[e10 + 309] = v
+    return powers, np.array(suffix, np.uint64), _layouts()
+
+
+def _layouts() -> np.ndarray:
+    """How a value's text is cut from its 17 digit characters d0..d16 (three words, d0 in
+    byte 0), per layout, significant digit count n and sign: the columns of the
+    ``layout`` table, at (34 layout + 2 n + sign - 2).
+
+    The layouts are 0..19, positional with decimal exponent layout - 4, and 20 and
+    21, exponential with a 2- and a 3-digit exponent.  The text is
+    (digits << 8 s1 & K) | (digits << 8 s2 & M) | C, with K, M and C three-word
+    masks and constants; the column is K, M, C, 8 s1, 8 s2 and the text's length.
+    Built from bytes: numpy code not yet run would page in more than the table.
+    """
+    def run(lo, hi):  # bytes [lo, hi) set, of 24
+        return bytes(lo) + b"\xff" * (hi - lo) + bytes(24 - max(hi, lo))
+
+    masks, shifts = [], []
+    for lay in range(22):
+        for n in range(1, 18):
+            for neg in (0, 1):
+                sign = b"-" if neg else b""
+                if lay >= 4:  # d0..d(a-1) "." d(a)..: exponential (a = 1) or positional
+                    a = 1 if lay >= 20 else lay - 3
+                    end = n if lay >= 20 else max(n, a + 1)  # "ddd.0" when integral
+                    s1, s2, keep = neg, neg + 1, run(neg, neg + a)
+                    if end == 1:  # a lone exponential digit: no point
+                        move, length, const = run(0, 0), neg + 1, sign
+                    else:
+                        move, length = run(neg + a + 1, neg + end + 1), neg + end + 1
+                        const = sign + bytes(a) + b"."
+                else:  # "0." then -e10 - 1 zeros, then d0..d(n-1)
+                    s1, s2, keep = 0, neg + 5 - lay, run(0, 0)
+                    move, length = run(s2, s2 + n), s2 + n
+                    const = sign + b"0." + b"0" * (3 - lay)
+                masks.append(keep + move + const.ljust(24, b"\0"))
+                shifts.append((8 * s1, 8 * s2, length))
+    words = np.frombuffer(b"".join(masks), "<u8").reshape(-1, 9)
+    return np.hstack([words, np.array(shifts, np.uint64)]).T.copy()
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """Each value of the uint64 array v (< 10^8) as a word of its 8 decimal digits (0-9),
+    the first in byte 0: split in halves, quarters, then single digits, each lane at once."""
+    w = v // _U64(10000)
+    w |= (v - w * _U64(10000)) << _U64(32)
+    h = w * _U64(5243)  # x // 100 = (x * 5243) >> 19 for x < 10^4
+    h >>= _U64(19)
+    h &= _U64(0x0000007F0000007F)
+    w -= h * _U64(100)
+    w <<= _U64(16)
+    w |= h
+    h = w * _U64(103)  # x // 10 = (x * 103) >> 10 for x < 100
+    h >>= _U64(10)
+    h &= _U64(0x000F000F000F000F)
+    w -= h * _U64(10)
+    w <<= _U64(8)
+    w |= h
+    return w
+
+
+def _format_pass(x: np.ndarray, sep_words: np.ndarray):
+    """Format the float64 values ``x`` (1-D) as 32-byte slots, each the value's repr and
+    its separator (``sep_words``, one per value), NUL-padded; and the indices of the
+    values left to repr (whose slots are not filled).
+
+    Integers are uint64 and small counts float64 throughout: each further dtype
+    of a ufunc pages in more of numpy's code.
+    """
+    powers, suffix, layout = _format_tables()
+    bits = x.view(np.uint64)
+    n_val = len(bits)
+    biased = bits >> _U64(52)
+    biased &= _U64(2047)
+    mant = bits & _U64((1 << 52) - 1)
+    uh, uhh, uhl, ul, e10 = powers.take(biased.view(np.int64), axis=1)
+    fallback = uh == 0  # zero, subnormal, inf, nan
+    # X = m U = p + q: p = fl(m U hi), q the rest, by Dekker's product
+    mant |= _U64(1 << 52)
+    m = mant.astype(np.float64)
+    fallback |= m == 2.0**52  # a power of two: its interval is lopsided
+    mant &= _U64((1 << 26) - 1)
+    ml = mant.astype(np.float64)
+    mh = m - ml
+    p = m * uh
+    q = mh * uhh
+    q -= p
+    t = mh * uhl
+    q += t
+    np.multiply(ml, uhh, out=t)
+    q += t
+    np.multiply(ml, uhl, out=t)
+    q += t
+    np.multiply(m, ul, out=t)
+    q += t
+    # p is an integer below 2^63: carry its last digit into y = X - (p - p mod 10)
+    big_p = p.astype(np.uint64)
+    p_mod = big_p // _U64(10)
+    p_mod *= _U64(10)
+    big_p -= p_mod  # p mod 10; p_mod: p - p mod 10
+    y = big_p.astype(np.float64)
+    y += q
+    np.multiply(y, 0.1, out=t)  # t: the multiple of 10 nearest y
+    np.rint(t, out=t)
+    t *= 10.0
+    gap = t - y
+    np.abs(gap, out=gap)
+    uh *= 0.5
+    inside = gap < uh
+    gap -= uh
+    np.abs(gap, out=gap)
+    fallback |= gap < _TIE
+    r = np.rint(y)
+    y -= r
+    np.abs(y, out=y)
+    tie = y > 0.5 - _TIE
+    tie &= ~inside
+    fallback |= tie
+    np.copyto(r, t, where=inside)
+    r += 32.0  # >= 0 (y > -16, so t >= -10)
+    digits = r.astype(np.uint64)
+    digits += p_mod
+    digits -= _U64(32)  # 16 or 17 digits
+    short = (digits - _U64(10**16)) >> _U64(63)  # 1 for 16 digits, by the sign bit
+    e10 += 1.0
+    e10 -= short  # the decimal exponent of the first digit
+    short *= _U64(9)
+    short += _U64(1)
+    digits *= short  # 17 digits, the first of value 10^e10
+    # the digit characters: d0, then d1..d16 in two words
+    d0 = digits // _U64(10**16)
+    digits -= d0 * _U64(10**16)
+    halves = np.empty((2, n_val), np.uint64)
+    np.floor_divide(digits, _U64(10**8), out=halves[0])
+    digits -= halves[0] * _U64(10**8)
+    halves[1] = digits
+    halves = _digits8(halves)
+    nonzero = halves.astype(np.float64)  # the last nonzero digit is in the top nonzero byte
+    top = nonzero.view(np.uint64) >> _U64(52)
+    top -= _U64(1015)
+    top >>= _U64(3)  # that byte's index + 1, where the word is not 0
+    n = np.where(nonzero[1] != 0, top[1] + _U64(9), np.where(nonzero[0] != 0, top[0] + _U64(1), 1))
+    halves |= _U64(0x3030303030303030)
+    first, second = halves  # d1..d8, d9..d16
+    words = np.empty((3, n_val), np.uint64)
+    np.left_shift(first, _U64(8), out=words[0])
+    words[0] |= d0 + _U64(48)
+    np.left_shift(second, _U64(8), out=words[1])
+    words[1] |= first >> _U64(56)
+    np.right_shift(second, _U64(56), out=words[2])
+    # the body: layout by the exponent, then the layout row's masks and shifts
+    e10 += 309.0
+    suf, suf_bits, lay = suffix.take(e10.astype(np.uint64).view(np.int64), axis=1)
+    lay *= _U64(34)
+    lay += n * _U64(2)
+    lay += bits >> _U64(63)
+    lay -= _U64(2)
+    row = layout.take(lay.view(np.int64), axis=1)
+    carry = words[:2] >> _U64(1)
+    body = words << row[9]
+    body[1:] |= carry >> (_U64(63) - row[9])
+    moved = words << row[10]
+    moved[1:] |= carry >> (_U64(63) - row[10])
+    body &= row[0:3]
+    moved &= row[3:6]
+    body |= moved
+    body |= row[6:9]
+    slots = np.empty((n_val, 4), np.uint64)
+    slots[:, :3] = body.T
+    slots[:, 3] = 0
+    # the tail: exponent suffix and separator, at the body's length
+    tail = sep_words << suf_bits
+    tail |= suf
+    shift = row[11] & _U64(7)
+    shift <<= _U64(3)
+    at = row[11] >> _U64(3)
+    at += np.arange(0, 4 * n_val, 4, dtype=np.uint64)
+    flat = slots.reshape(-1)
+    flat[at.view(np.int64)] |= tail << shift
+    at += _U64(1)
+    flat[at.view(np.int64)] |= (tail >> _U64(1)) >> (_U64(63) - shift)
+    return slots, np.flatnonzero(fallback)
+
+
+def format_floats(values, seps):
+    """Yield, for each ``CSV_BLOCK_ROWS`` rows of a 2-D float array, the text ``repr``
+    gives each value, row by row, as ASCII bytes followed by ``seps[j]`` (bytes,
+    at most 2) for a value in column j: one list per pass.
+
+    ``b"".join`` of a list is CSV rows when ``seps`` ends in b"\\r\\n".  A value
+    the arithmetic cannot decide goes through ``repr`` itself, in its place.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    n_cols = x.shape[1]
+    for a in range(0, len(x), CSV_BLOCK_ROWS):
+        part = np.ascontiguousarray(x[a:a + CSV_BLOCK_ROWS]).reshape(-1)
+        sep_words = np.tile([int.from_bytes(s, "little") for s in seps],
+                            len(part) // n_cols).astype(np.uint64)
+        slots, fallback = _format_pass(part, sep_words)
+        fields = slots.view(f"S{slots.shape[1] * 8}").reshape(-1).tolist()
+        for i in fallback.tolist():
+            fields[i] = repr(float(part[i])).encode() + seps[i % n_cols]
+        yield fields
 
 
 def csv_fields(column, a: int, b: int) -> list:
     """Rows [a, b) of a ``write_csv`` column as fields: the shortest round-trip repr of
-    each float, a str as is, and an empty field past the column's end."""
-    part = column[a:b] if isinstance(column, list) else list(map(repr, column[a:b].tolist()))
+    each float (``format_floats``), a str as is, and an empty field past the column's end."""
+    if isinstance(column, list):
+        part = column[a:b]
+    else:
+        part = b"".join(chain.from_iterable(format_floats(column[a:b, None], [b"\n"])))
+        part = part.decode("ascii").split("\n")
+        part.pop()
     return part + [""] * (b - a - len(part))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import closing
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +34,8 @@ from .core import (
     PhysicalParams,
     TimeGrid,
     collapse_rate,
-    csv_fields,
-    csv_rows,
     forked_map,
+    format_floats,
     larmor_frequency,
 )
 from .rng import SeedSpec
@@ -245,32 +245,42 @@ def _write_record(fobj, pc, block, n: int, n_pref: int, workers: int) -> None:
                 pc.write(view[split:])
 
 
+# the separators after t, mean_jz, var_jz, bloch_length, y, d_xi and y_filtered
+_RECORD_SEPS = [b","] * 5 + [b"\r\n"] * 2
+
+
 def _record_task(block, n: int, n_pref: int, j: int) -> bytes:
     """The rows of ``SCAN_BLOCK`` block j [s, e) of a record's files: points s..e - 1,
     and point n too if e = n.
 
     ``block(j)`` gives the block's ``TrajectoryRecord`` and y_filtered over its
-    steps from ``n_pref`` on.  The trajectory's rows come first, after their
-    length as 8 bytes, then the photocurrent's: its t and y fields are the
-    trajectory's own strings, so each float is formatted once.
+    steps from ``n_pref`` on, and one ``format_floats`` call formats them all.
+    The trajectory's rows come first, after their length as 8 bytes, then the
+    photocurrent's: its t and y fields are the trajectory's own, so each float
+    is formatted once.
     """
     rec, y_filtered = block(j)
-    s0 = j * SCAN_BLOCK
-    end = len(rec.y) + (s0 + len(rec.y) == n)  # rows; point n's step fields are blank
-    f0 = max(s0, n_pref)  # the step of y_filtered[0]
+    steps = len(rec.y)
+    rows = steps + (j * SCAN_BLOCK + steps == n)  # point n's step fields are blank
+    first = max(n_pref - j * SCAN_BLOCK, 0)  # the row of y_filtered[0]
+    table = np.empty((rows, 7))
+    for col, points in enumerate(rec[:4]):
+        table[:, col] = points[:rows]
+    table[:steps, 4] = rec.y
+    table[:steps, 5] = rec.d_xi
+    table[first:steps, 6] = y_filtered
+    table[steps:, 4:] = table[:first, 6] = 1.5  # placeholders, dropped below
     traj, photo = [], []
-    for a in range(0, end, CSV_BLOCK_ROWS):
-        b = min(a + CSV_BLOCK_ROWS, end)
-        t, y = csv_fields(rec.times, a, b), csv_fields(rec.y, a, b)
-        traj.append(csv_rows([t, csv_fields(rec.mean_jz, a, b), csv_fields(rec.var_jz, a, b),
-                              csv_fields(rec.bloch, a, b), y, csv_fields(rec.d_xi, a, b)]))
-        s, e = max(s0 + a, n_pref), min(s0 + b, n)
-        if s < e:
-            k = s - s0 - a
-            photo.append(csv_rows([t[k:k + e - s], y[k:k + e - s],
-                                   csv_fields(y_filtered, s - f0, e - f0)]))
-    head = "".join(traj).encode()
-    return len(head).to_bytes(8, "little") + head + "".join(photo).encode()
+    for a, fields in zip(range(0, rows, CSV_BLOCK_ROWS), format_floats(table, _RECORD_SEPS)):
+        lo, hi = (7 * min(max(r - a, 0), CSV_BLOCK_ROWS) for r in (first, steps))  # photocurrent
+        photo.append(b"".join(chain.from_iterable(zip(fields[lo:hi:7], fields[lo + 4:hi:7],
+                                                      fields[lo + 6:hi:7]))))
+        del fields[6::7]
+        if a + CSV_BLOCK_ROWS >= rows > steps:
+            fields[-2:] = _RECORD_SEPS[4:6]
+        traj.append(b"".join(fields))
+    head = b"".join(traj)
+    return len(head).to_bytes(8, "little") + head + b"".join(photo)
 
 
 def reconstruct_noise(record, p: PhysicalParams) -> np.ndarray:

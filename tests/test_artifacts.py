@@ -1,4 +1,5 @@
-"""``core.write_csv`` against the per-row ``csv.writer`` loops it replaced."""
+"""``core.write_csv`` against the per-row ``csv.writer`` loops it replaced, and
+``core.format_floats`` against ``repr``."""
 
 import io
 import json
@@ -6,15 +7,19 @@ import math
 import os
 import warnings
 from dataclasses import replace
+from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkfmag.cli import main
 from qkfmag.config import load_config
 from qkfmag import dynamics
-from qkfmag.core import (CSV_BLOCK_ROWS, SCAN_BLOCK, PhysicalParams, TimeGrid, make_grid,
-                         write_csv)
+from qkfmag.core import (CSV_BLOCK_ROWS, SCAN_BLOCK, PhysicalParams, TimeGrid, _format_pass,
+                         _format_tables, format_floats, make_grid, write_csv)
 from qkfmag.dynamics import RecordStream, lowpass_filter, simulate_trajectory
 from qkfmag.estimators import (
     ThresholdCurve,
@@ -71,6 +76,61 @@ def first_difference(new: str, ref: str):
     a, b = new.split("\n"), ref.split("\n")
     k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
     return k, a[k:k + 1], b[k:k + 1]
+
+
+def formatted(values) -> list:
+    """``format_floats``' text of each value, from one call."""
+    x = np.asarray(values, dtype=float).reshape(-1, 1)
+    return [f.decode("ascii") for f in chain.from_iterable(format_floats(x, [b""]))]
+
+
+def around(v: float) -> list:
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+class TestFormatFloats:
+    """``format_floats`` writes exactly what ``repr`` writes, the values its arithmetic
+    cannot decide by ``repr`` itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))  # nan, inf, -0.0, subnormals included
+    def test_floats(self, values):
+        assert formatted(values) == [repr(v) for v in values]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_bit_patterns(self, words):
+        x = np.array(words, dtype=np.uint64).view(np.float64)
+        assert formatted(x) == [repr(v) for v in x.tolist()]
+
+    def test_edge_sets(self):
+        # powers of two (the lopsided intervals), powers of ten and their neighbours,
+        # the notation's thresholds, the integers around 2^53; both signs, one call
+        values = list(SPECIAL) + [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+        for v in [float(f"1e{k}") for k in range(-323, 309)] + [1e-5, 1e-4, 1e16]:
+            values += around(v)
+        values += [float(2**53 + d) for d in range(-8, 9)]
+        values += [-v for v in values]
+        assert formatted(values) == [repr(v) for v in values]
+
+    def test_power_table(self):
+        # U = 2^e 10^-k in [1, 10), as hi + lo to 2^-105, at every normal exponent
+        uh, _, _, ul, k15 = _format_tables()[0]
+        for biased in range(1, 2047):
+            u = Fraction(2) ** (biased - 1075) / Fraction(10) ** (int(k15[biased]) - 15)
+            assert 1 <= u < 10
+            assert abs(Fraction(uh[biased]) + Fraction(ul[biased]) - u) < u / 2**105
+
+    def test_values_left_to_repr_keep_their_place(self):
+        n = 2 * CSV_BLOCK_ROWS + 1  # three passes of two columns
+        x = np.linspace(0.1, 7.3, 2 * n).reshape(n, 2)
+        at = [0, 3, 5, 2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS, 2 * n - 1]  # row, pass ends
+        x.reshape(-1)[at] = [0.0, math.nan, 2.0**50 + 0.25, -math.inf, 5e-324, 2.0]
+        text = b"".join(chain.from_iterable(format_floats(x, [b",", b"\r\n"]))).decode("ascii")
+        assert text == "".join(f"{a!r},{b!r}\r\n" for a, b in x.tolist())
+        m = 2 * CSV_BLOCK_ROWS
+        _, left = _format_pass(x.reshape(-1)[:m].copy(), np.zeros(m, np.uint64))
+        assert left.tolist() == at[:4]  # a zero, a nan, a tie (X = ...2.5), an inf
 
 
 class TestWriteCsv:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import errno
 import importlib.resources
 import io
 import json
@@ -291,6 +292,23 @@ class TestCliSimulate:
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_full_disk_leaves_no_record(self, tmp_path, monkeypatch, capsys):
+        # the write fails in this process, after block 0 reached both files
+        task = dynamics._record_task
+
+        def full(block, n, n_pref, j):
+            if j == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return task(block, n, n_pref, j)
+
+        monkeypatch.setattr(dynamics, "SCAN_BLOCK", 100)
+        monkeypatch.setattr(dynamics, "_record_task", full)
+        cfg = _write_cfg(tmp_path, dict(TOY_DOC, grid={"dt": 2e-3, "log_prefix": False}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--workers", "1", "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert not out.exists()  # made by the command, then emptied: removed
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")

@@ -444,11 +444,13 @@ class TestChunkScan:
 def test_single_worker_run_imports_no_pool_and_no_numpy_ma():
     # start-up cost: no run imports a process pool (~17 ms), the workers are
     # forked, numpy.ma is loaded by np.unique on first use and numpy.polynomial
-    # (~5 ms) not at all; a two-worker run reaps every child it forked
+    # (~5 ms) not at all, and the import builds no float formatter table; a
+    # two-worker run reaps every child it forked
     src = str(Path(qkfmag.__file__).resolve().parents[1])
     code = textwrap.dedent("""\
         import os, sys, qkfmag.cli
-        from qkfmag.core import PhysicalParams, make_grid
+        from qkfmag.core import PhysicalParams, _format_tables, make_grid
+        print(_format_tables.cache_info().currsize)
         from qkfmag.montecarlo import (BLOCK_SIZE, EnsembleSpec, checkpoints_for_times,
                                        run_ensemble)
         p = PhysicalParams(j_total=100.0, gamma=1.5, b_true=0.01, meas_strength=50.0,
@@ -468,7 +470,7 @@ def test_single_worker_run_imports_no_pool_and_no_numpy_ma():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=300, check=True)
-    assert run.stdout.split("\n") == ["[]", "[]", "no child", ""]
+    assert run.stdout.split("\n") == ["0", "[]", "[]", "no child", ""]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
