@@ -128,7 +128,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
         raise ConfigError(f"ensemble.{key}: {exc}") from exc
     except OverflowError as exc:
         raise ConfigError(f"params.gamma, params.j_total, grid.dt: {exc}") from exc
-    with open(out_dir / "ensemble.csv", "w", encoding="utf-8", newline="") as f:
+    with open(out_dir / "ensemble.csv", "wb") as f:
         stats.to_csv(f)
 
     # the axis starts at 1e-8 s or t_total * 1e-5, whichever is later, but below t_total
@@ -148,7 +148,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     curves.append(ThresholdCurve(times=times,
                                  delta_b=np.array([shotnoise_limit(p, t) for t in times]),
                                  source="shotnoise"))
-    with open(out_dir / "thresholds.csv", "w", encoding="utf-8", newline="") as f:
+    with open(out_dir / "thresholds.csv", "wb") as f:
         write_threshold_csv(curves, f)
 
     checks = []
@@ -199,7 +199,7 @@ def cmd_scaling(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
         raise ConfigError(f"scaling.t_check: {exc}") from exc
     except OverflowError as exc:
         raise ConfigError(f"params.gamma, scaling.j_values, grid.dt: {exc}") from exc
-    with open(out_dir / "scaling.csv", "w", encoding="utf-8", newline="") as f:
+    with open(out_dir / "scaling.csv", "wb") as f:
         result.to_csv(f)
 
     lo, hi = cfg.scaling.slope_window
@@ -229,7 +229,7 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     n = int(math.ceil(p_small.t_total / dt))
     grid = TimeGrid.uniform(p_small.t_total / n, n)
     dev = compare_to_gaussian(p_small, grid, substream(cfg.seed, 0))
-    with open(out_dir / "oracle_deviation.csv", "w", encoding="utf-8", newline="") as f:
+    with open(out_dir / "oracle_deviation.csv", "wb") as f:
         dev.to_csv(f)
     mean_frac = dev.max_mean_frac()
     checks = [{

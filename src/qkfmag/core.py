@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -262,7 +261,7 @@ def with_spin(p: PhysicalParams, j_total: float) -> PhysicalParams:
     return replace(p, j_total=j_total)
 
 
-CSV_BLOCK_ROWS = 512  # rows per format_floats pass and per write: small, cache-resident temporaries
+CSV_BLOCK_ROWS = 512  # rows (write_csv: cells) per format_floats call and per write: small temporaries
 SCAN_BLOCK = 2048  # steps per tolist() block of a scalar recurrence and per plan chunk: bounds temporaries
 
 
@@ -278,12 +277,12 @@ SCAN_BLOCK = 2048  # steps per tolist() block of a scalar recurrence and per pla
 # most one multiple of 10.  The shortest digits are that multiple of 10 when
 # it lies inside, else the integer nearest X.  U comes from a table in
 # double-double (hi + lo, ~106 bits), and m U is formed exactly as a Dekker
-# product plus the lo term, so X is known to ~1e-14.  A value whose choice
-# lies within 1e-9 of a tie, or which the interval does not describe (zero,
-# inf, nan, subnormals, power-of-two m, whose interval is lopsided), is
-# formatted by repr itself.  The text is then assembled in little-endian
-# 64-bit words (byte 0 the lowest): each value's is at most 24 bytes, and
-# with its separator it fits four.
+# product plus the lo term, so X is known to ~1e-14.  Zero is digits 0 at
+# decimal exponent 0.  A value whose choice lies within 1e-9 of a tie, or
+# which the interval does not describe (inf, nan, subnormals, power-of-two m,
+# whose interval is lopsided), is formatted by repr itself.  The text is then
+# assembled in little-endian 64-bit words (byte 0 the lowest): each value's is
+# at most 24 bytes, and with its separator it fits a 32-byte cell.
 
 _TIE = 1e-9  # |X - a tie| below this: repr decides
 _U64 = np.uint64
@@ -295,13 +294,14 @@ def _format_tables():
 
     powers  per biased exponent: U hi, its high and low 26-bit halves, U lo, and
             k + 15, the decimal exponent of a 16-digit X's first digit (U hi is
-            0 at 0 and 2047: zero, subnormals, inf and nan take repr)
+            0 at 0 and 2047, and k + 15 is 0 at 0: zero gets digits 0 at decimal
+            exponent 0, "0.0"; subnormals, inf and nan take repr)
     suffix  per decimal exponent + 309: the "e-05"-style suffix as a word and its
             length in bits (none for the positional exponents -4..15), and the
             value's layout (``_layouts``)
     layout  ``_layouts``
     """
-    uh, ul, k15 = [0.0] * 2048, [0.0] * 2048, [15.0] * 2048
+    uh, ul, k15 = [0.0] * 2048, [0.0] * 2048, [0.0] + [15.0] * 2047
     pow5 = [1]
     for _ in range(330):
         pow5.append(pow5[-1] * 5)
@@ -398,7 +398,7 @@ def _format_pass(x: np.ndarray, sep_words: np.ndarray):
     biased &= _U64(2047)
     mant = bits & _U64((1 << 52) - 1)
     uh, uhh, uhl, ul, e10 = powers.take(biased.view(np.int64), axis=1)
-    fallback = uh == 0  # zero, subnormal, inf, nan
+    fallback = uh == 0  # subnormal, inf, nan (zero: cleared below)
     # X = m U = p + q: p = fl(m U hi), q the rest, by Dekker's product
     mant |= _U64(1 << 52)
     m = mant.astype(np.float64)
@@ -503,61 +503,60 @@ def _format_pass(x: np.ndarray, sep_words: np.ndarray):
     flat[at.view(np.int64)] |= tail << shift
     at += _U64(1)
     flat[at.view(np.int64)] |= (tail >> _U64(1)) >> (_U64(63) - shift)
+    fallback &= x != 0.0  # +-0.0 is exact: digits 0 at decimal exponent 0
     return slots, np.flatnonzero(fallback)
 
 
-def format_floats(values, seps):
-    """Yield, for each ``CSV_BLOCK_ROWS`` rows of a 2-D float array, the text ``repr``
-    gives each value, row by row, as ASCII bytes followed by ``seps[j]`` (bytes,
-    at most 2) for a value in column j: one list per pass.
+def format_floats(values, seps) -> np.ndarray:
+    """The text ``repr`` gives each value of a 2-D float array, as a uint8 array of
+    32-byte cells shaped (rows, columns, 32): each cell the value's ASCII bytes, then
+    ``seps[j]`` (bytes, at most 2) for a value in column j, then NUL bytes.
 
-    ``b"".join`` of a list is CSV rows when ``seps`` ends in b"\\r\\n".  A value
-    the arithmetic cannot decide goes through ``repr`` itself, in its place.
+    No field or separator holds a NUL, so ``cells[cells != 0].tobytes()`` is CSV rows
+    when ``seps`` ends in b"\\r\\n".  A value the arithmetic cannot decide goes
+    through ``repr`` itself, into its cell.
     """
-    x = np.asarray(values, dtype=np.float64)
-    n_cols = x.shape[1]
-    for a in range(0, len(x), CSV_BLOCK_ROWS):
-        part = np.ascontiguousarray(x[a:a + CSV_BLOCK_ROWS]).reshape(-1)
-        sep_words = np.tile([int.from_bytes(s, "little") for s in seps],
-                            len(part) // n_cols).astype(np.uint64)
-        slots, fallback = _format_pass(part, sep_words)
-        fields = slots.view(f"S{slots.shape[1] * 8}").reshape(-1).tolist()
-        for i in fallback.tolist():
-            fields[i] = repr(float(part[i])).encode() + seps[i % n_cols]
-        yield fields
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    rows, n_cols = x.shape
+    flat = x.reshape(-1)
+    sep_words = np.tile([int.from_bytes(s, "little") for s in seps], rows).astype(np.uint64)
+    slots, fallback = _format_pass(flat, sep_words)
+    cells = slots.view(np.uint8)
+    if fallback.size:
+        cells[fallback] = as_cells([repr(v).encode() + seps[i % n_cols]
+                                    for i, v in zip(fallback.tolist(), flat[fallback].tolist())])
+    return cells.reshape(rows, n_cols, 32)
 
 
-def csv_fields(column, a: int, b: int) -> list:
-    """Rows [a, b) of a ``write_csv`` column as fields: the shortest round-trip repr of
-    each float (``format_floats``), a str as is, and an empty field past the column's end."""
-    if isinstance(column, list):
-        part = column[a:b]
-    else:
-        part = b"".join(chain.from_iterable(format_floats(column[a:b, None], [b"\n"])))
-        part = part.decode("ascii").split("\n")
-        part.pop()
-    return part + [""] * (b - a - len(part))
-
-
-def csv_rows(fields: list) -> str:
-    """Comma-separated rows, each ending in "\\r\\n", from equally long per-column fields."""
-    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
+def as_cells(texts) -> np.ndarray:
+    """Byte strings of at most 32 bytes as NUL-padded 32-byte cells, one row each."""
+    cells = np.array(texts, dtype="S")
+    if cells.itemsize > 32:
+        raise ValueError(f"a CSV field longer than 32 bytes: {max(texts, key=len)!r}")
+    return cells.astype("S32").view(np.uint8).reshape(-1, 32)
 
 
 def write_csv(fobj, header, columns) -> None:
-    """Write ``columns`` under ``header`` as comma-separated rows ending in "\\r\\n".
+    """Write ``columns`` under ``header`` to the binary ``fobj``, as comma-separated
+    rows ending in "\\r\\n".
 
-    A float array-like column is written as the shortest round-trip repr of
-    each value, a list-of-str column as is; a shorter column is padded with
-    empty fields.  No field is quoted: none holds ``,``, ``"`` or a line break.
+    A float array-like column is written as the shortest round-trip repr of each
+    value, a list-of-str column as is; all columns have one length.  No field is
+    quoted: none holds ``,``, ``"`` or a line break.  Each pass of at most
+    ``CSV_BLOCK_ROWS`` cells is one ``format_floats`` call, label cells set in place.
     """
-    cols = [c if isinstance(c, list) and c and isinstance(c[0], str)
-            else np.asarray(c, dtype=float) for c in columns]
-    n = max(len(c) for c in cols)
-    fobj.write(",".join(header) + "\r\n")
-    for a in range(0, n, CSV_BLOCK_ROWS):
-        b = min(a + CSV_BLOCK_ROWS, n)
-        fobj.write(csv_rows([csv_fields(c, a, b) for c in cols]))
+    seps = [b","] * (len(columns) - 1) + [b"\r\n"]
+    labels = {j: as_cells([s.encode() + seps[j] for s in c]) for j, c in enumerate(columns)
+              if isinstance(c, list) and c and isinstance(c[0], str)}
+    table = np.column_stack([np.zeros(len(c)) if j in labels else np.asarray(c, dtype=float)
+                             for j, c in enumerate(columns)])
+    fobj.write(",".join(header).encode() + b"\r\n")
+    step = max(CSV_BLOCK_ROWS // len(columns), 1)  # CSV_BLOCK_ROWS cells a pass: wider ones raise peak RSS
+    for a in range(0, len(table), step):
+        cells = format_floats(table[a:a + step], seps)
+        for j, label in labels.items():
+            cells[:, j] = label[a:a + step]
+        fobj.write(cells[cells != 0].tobytes())
 
 
 # ---------------------------------------------------------------------------

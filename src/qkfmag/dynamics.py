@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import closing
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +32,7 @@ from .core import (
     SCAN_BLOCK,
     PhysicalParams,
     TimeGrid,
+    as_cells,
     collapse_rate,
     forked_map,
     format_floats,
@@ -140,11 +140,21 @@ def _record_block(p: PhysicalParams, grid: TimeGrid, s: int, m: float, gen) -> T
     return TrajectoryRecord(t, mean, conditional_variance(p, t), bloch_length(p, t), y, d_xi, sq * z)
 
 
-def _warn_small_angle(p: PhysicalParams, grid: TimeGrid) -> None:
+def _record_blocks(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec, zero_noise: bool):
+    """Yield (s, the generator's state at s, the mean at point s, the record from s) per
+    ``SCAN_BLOCK`` block, in order: the one block loop of every record.  Warns first if
+    the small-angle model is marginal; one generator draws every block's normals."""
     wl_t = abs(larmor_frequency(p)) * grid.t_total
-    if wl_t > 0.1:
+    if wl_t > 0.1:  # stacklevel 3: the caller of the function iterating this
         warnings.warn(f"omega_L * t_total = {wl_t:.3g} > 0.1: small-angle model is marginal",
                       stacklevel=3)
+    gen = None if zero_noise else seed.generator()
+    m = 0.0
+    for s in range(0, grid.n_intervals, SCAN_BLOCK):
+        state = None if gen is None else gen.bit_generator.state
+        block = _record_block(p, grid, s, m, gen)
+        yield s, state, m, block
+        m = float(block.mean_jz[-1])
 
 
 def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
@@ -152,21 +162,15 @@ def simulate_trajectory(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
     """Generate one conditional trajectory and its measurement record.
 
     Deterministic in (p, grid, seed).  ``zero_noise`` forces dW = 0
-    (debug mode: pure drift).  One pass of ``_record_block`` over blocks of
-    ``SCAN_BLOCK`` steps fills the record's arrays: no grid-length
-    temporaries.
+    (debug mode: pure drift).  One pass of ``_record_blocks`` fills the
+    record's arrays: no grid-length temporaries.
     """
-    _warn_small_angle(p, grid)
-    gen = None if zero_noise else seed.generator()
     n = grid.n_intervals
     rec = TrajectoryRecord(grid.times, *(np.empty(n + 1) for _ in range(3)),
                            *(np.empty(n) for _ in range(3)))
-    m = 0.0
-    for s in range(0, n, SCAN_BLOCK):
-        block = _record_block(p, grid, s, m, gen)
+    for s, _, _, block in _record_blocks(p, grid, seed, zero_noise):
         for col, part in zip(rec[1:], block[1:]):
             col[s:s + len(part)] = part
-        m = float(block.mean_jz[-1])
     return rec
 
 
@@ -189,25 +193,15 @@ class RecordStream:
         self.n_pref = self.n - grid.n_steps  # the photocurrent's first step
         self.starts = []  # (generator state, mean, low-pass accumulator) per block
 
-    def _generator(self, state=None):
-        gen = None if self.zero_noise else self.seed.generator()
-        if state is not None:  # only a noise generator has one
-            gen.bit_generator.state = state
-        return gen
-
     def _lowpass(self, y: np.ndarray, start: float) -> np.ndarray:
         return lowpass_filter(y, self.grid.dt, self.cutoff_hz, self.params, start=start)
 
     def blocks(self):
         """Yield the record's ``TrajectoryRecord`` blocks in order, keeping the start of each."""
-        _warn_small_angle(self.params, self.grid)
-        gen = self._generator()
-        m = acc = 0.0
+        acc = 0.0
         self.starts = []
-        for s in range(0, self.n, SCAN_BLOCK):
-            self.starts.append((None if gen is None else gen.bit_generator.state, m, acc))
-            b = _record_block(self.params, self.grid, s, m, gen)
-            m = float(b.mean_jz[-1])
+        for s, state, m, b in _record_blocks(self.params, self.grid, self.seed, self.zero_noise):
+            self.starts.append((state, m, acc))
             tail = b.y[max(self.n_pref - s, 0):]  # the steps the photocurrent reads
             if len(tail):
                 acc = float(self._lowpass(tail, acc)[-1])
@@ -218,7 +212,10 @@ class RecordStream:
         y_filtered over its steps from ``n_pref`` on."""
         state, m, acc = self.starts[j]
         s = j * SCAN_BLOCK
-        b = _record_block(self.params, self.grid, s, m, self._generator(state))
+        gen = None if state is None else self.seed.generator()  # only noise has a state
+        if gen is not None:
+            gen.bit_generator.state = state
+        b = _record_block(self.params, self.grid, s, m, gen)
         return b, self._lowpass(b.y[max(self.n_pref - s, 0):], acc)
 
     def to_csv(self, fobj, pc, workers: int = 1) -> None:
@@ -254,31 +251,31 @@ def _record_task(block, n: int, n_pref: int, j: int) -> bytes:
     and point n too if e = n.
 
     ``block(j)`` gives the block's ``TrajectoryRecord`` and y_filtered over its
-    steps from ``n_pref`` on, and one ``format_floats`` call formats them all.
-    The trajectory's rows come first, after their length as 8 bytes, then the
-    photocurrent's: its t and y fields are the trajectory's own, so each float
-    is formatted once.
+    steps from ``n_pref`` on.  Both files' rows are cut from one ``format_floats``
+    call per ``CSV_BLOCK_ROWS`` rows of the seven columns, so each float is
+    formatted once: the trajectory's from columns 0-5 (point n's step cells bare
+    separators), after their length as 8 bytes, then the photocurrent's from t,
+    y and y_filtered.
     """
     rec, y_filtered = block(j)
     steps = len(rec.y)
     rows = steps + (j * SCAN_BLOCK + steps == n)  # point n's step fields are blank
     first = max(n_pref - j * SCAN_BLOCK, 0)  # the row of y_filtered[0]
-    table = np.empty((rows, 7))
+    table = np.zeros((rows, 7))
     for col, points in enumerate(rec[:4]):
         table[:, col] = points[:rows]
     table[:steps, 4] = rec.y
     table[:steps, 5] = rec.d_xi
     table[first:steps, 6] = y_filtered
-    table[steps:, 4:] = table[:first, 6] = 1.5  # placeholders, dropped below
     traj, photo = [], []
-    for a, fields in zip(range(0, rows, CSV_BLOCK_ROWS), format_floats(table, _RECORD_SEPS)):
-        lo, hi = (7 * min(max(r - a, 0), CSV_BLOCK_ROWS) for r in (first, steps))  # photocurrent
-        photo.append(b"".join(chain.from_iterable(zip(fields[lo:hi:7], fields[lo + 4:hi:7],
-                                                      fields[lo + 6:hi:7]))))
-        del fields[6::7]
+    for a in range(0, rows, CSV_BLOCK_ROWS):
+        cells = format_floats(table[a:a + CSV_BLOCK_ROWS], _RECORD_SEPS)
         if a + CSV_BLOCK_ROWS >= rows > steps:
-            fields[-2:] = _RECORD_SEPS[4:6]
-        traj.append(b"".join(fields))
+            cells[-1, 4:6] = as_cells(_RECORD_SEPS[4:6])
+        part = cells[:, :6]
+        traj.append(part[part != 0].tobytes())
+        part = cells[max(first - a, 0):steps - a][:, (0, 4, 6)]
+        photo.append(part[part != 0].tobytes())
     head = b"".join(traj)
     return len(head).to_bytes(8, "little") + head + b"".join(photo)
 

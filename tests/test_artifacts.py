@@ -8,7 +8,6 @@ import os
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -47,41 +46,51 @@ SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16, 1e-
            1000.0, -3.0, 1.0 / 3.0, 2.0**53 + 2, 1.7976931348623157e308]
 
 
-def written(write, *args) -> str:
-    """What ``write(*args, fobj)`` writes."""
-    buf = io.StringIO()
+def written(write, *args) -> bytes:
+    """What ``write(*args, fobj)`` writes to a binary file."""
+    buf = io.BytesIO()
     write(*args, buf)
     return buf.getvalue()
 
 
-def record_text(rec) -> str:
-    """What ``rec.to_csv`` writes to a binary file, as text."""
-    buf = io.BytesIO()
-    rec.to_csv(buf)
-    return buf.getvalue().decode("ascii")
+def oracle(rows, *args) -> bytes:
+    """What the row loop ``rows(*args, fobj)`` writes to a text file, as ASCII bytes."""
+    buf = io.StringIO()
+    rows(*args, buf)
+    return buf.getvalue().encode("ascii")
 
 
 def both(header, columns):
-    new, ref = io.StringIO(), io.StringIO()
+    """What ``write_csv`` and the generic row loop write for ``columns``."""
+    new, ref = io.BytesIO(), io.StringIO()
     write_csv(new, header, columns)
     write_csv_rows(ref, header, columns)
-    return new.getvalue(), ref.getvalue()
+    return new.getvalue(), ref.getvalue().encode("ascii")
 
 
-def first_difference(new: str, ref: str):
-    """None if the texts are equal, else the first differing line of each
-    (a short failure report: a diff of two large texts is slow)."""
+def first_difference(new: bytes, ref: bytes):
+    """None if the files are equal, else the first differing line of each
+    (a short failure report: a diff of two large files is slow)."""
     if new == ref:
         return None
-    a, b = new.split("\n"), ref.split("\n")
+    a, b = new.split(b"\n"), ref.split(b"\n")
     k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
     return k, a[k:k + 1], b[k:k + 1]
 
 
+def record_files(p, grid, rec) -> list:
+    """The row loops' trajectory.csv and photocurrent_filtered.csv of the whole record ``rec``."""
+    k = grid.n_intervals - grid.n_steps  # the photocurrent's first step
+    photocurrent = io.StringIO()
+    write_csv_rows(photocurrent, ["t", "y", "y_filtered"],
+                   [rec.times[k:-1], rec.y[k:], lowpass_filter(rec.y[k:], grid.dt, params=p)])
+    return [oracle(trajectory_rows, rec), photocurrent.getvalue().encode("ascii")]
+
+
 def formatted(values) -> list:
-    """``format_floats``' text of each value, from one call."""
+    """``format_floats``' text of each value, from one call: its cells' bytes."""
     x = np.asarray(values, dtype=float).reshape(-1, 1)
-    return [f.decode("ascii") for f in chain.from_iterable(format_floats(x, [b""]))]
+    return [f.decode("ascii") for f in format_floats(x, [b""]).view("S32").reshape(-1).tolist()]
 
 
 def around(v: float) -> list:
@@ -122,15 +131,24 @@ class TestFormatFloats:
             assert abs(Fraction(uh[biased]) + Fraction(ul[biased]) - u) < u / 2**105
 
     def test_values_left_to_repr_keep_their_place(self):
-        n = 2 * CSV_BLOCK_ROWS + 1  # three passes of two columns
+        n = 2 * CSV_BLOCK_ROWS + 1
         x = np.linspace(0.1, 7.3, 2 * n).reshape(n, 2)
-        at = [0, 3, 5, 2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS, 2 * n - 1]  # row, pass ends
-        x.reshape(-1)[at] = [0.0, math.nan, 2.0**50 + 0.25, -math.inf, 5e-324, 2.0]
-        text = b"".join(chain.from_iterable(format_floats(x, [b",", b"\r\n"]))).decode("ascii")
-        assert text == "".join(f"{a!r},{b!r}\r\n" for a, b in x.tolist())
+        at = [0, 3, 5, 2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS, 2 * n - 1]  # row starts, ends
+        x.reshape(-1)[at] = [2.5e-310, math.nan, 2.0**50 + 0.25, -math.inf, 5e-324, 2.0]
+        cells = format_floats(x, [b",", b"\r\n"])
+        assert cells[cells != 0].tobytes().decode("ascii") == "".join(
+            f"{a!r},{b!r}\r\n" for a, b in x.tolist())
         m = 2 * CSV_BLOCK_ROWS
         _, left = _format_pass(x.reshape(-1)[:m].copy(), np.zeros(m, np.uint64))
-        assert left.tolist() == at[:4]  # a zero, a nan, a tie (X = ...2.5), an inf
+        assert left.tolist() == at[:4]  # a subnormal, a nan, a tie (X = ...2.5), an inf
+
+    def test_zero_takes_no_repr(self):
+        # digits 0 at decimal exponent 0: "0.0" and "-0.0" from the vectorised path
+        x = np.array([0.0, -0.0, 1e-300, -0.0, 0.0])
+        _, left = _format_pass(x, np.zeros(len(x), np.uint64))
+        assert left.size == 0
+        assert formatted(x) == [repr(v) for v in x.tolist()] == ["0.0", "-0.0", "1e-300",
+                                                                  "-0.0", "0.0"]
 
 
 class TestWriteCsv:
@@ -138,48 +156,50 @@ class TestWriteCsv:
     def test_block_boundaries(self, n):
         rng = np.random.default_rng(n)
         cols = [np.cumsum(rng.exponential(size=n)), rng.normal(size=n) * 1e-7,
-                rng.normal(size=n - 1), rng.normal(size=n // 2),
-                [("qkf", "regression")[k % 2] for k in range(n)]]
-        new, ref = both(["t", "a", "step", "half", "estimator"], cols)
+                [("qkf", "regression")[k % 2] for k in range(n)], rng.normal(size=n).round(1)]
+        new, ref = both(["t", "a", "estimator", "rounded"], cols)
         assert first_difference(new, ref) is None
-        assert new.count("\r\n") == n + 1
+        assert new.count(b"\r\n") == n + 1
 
-    @pytest.mark.parametrize("short", [0, 1, B - 1, B, B + 1, 2 * B])
-    def test_short_column_padded(self, short):
-        n = 2 * B + 1
-        cols = [np.arange(n, dtype=float), np.linspace(0.0, 1.0, short)]
-        new, ref = both(["t", "y"], cols)
-        assert first_difference(new, ref) is None
-        assert new.splitlines()[-1] == f"{float(n - 1)!r},"
+    def test_unequal_columns_raise(self):
+        with pytest.raises(ValueError):
+            write_csv(io.BytesIO(), ["t", "y"], [np.arange(3.0), np.arange(2.0)])
+        with pytest.raises(ValueError):
+            write_csv(io.BytesIO(), ["t", "source"], [np.arange(3.0), ["qkf"] * 2])
+
+    def test_label_longer_than_a_cell_raises(self):
+        # a label and its separator fill at most one 32-byte cell
+        write_csv(io.BytesIO(), ["source", "t"], [["x" * 31], [1.0]])
+        with pytest.raises(ValueError, match="longer than 32 bytes"):
+            write_csv(io.BytesIO(), ["source", "t"], [["x" * 32], [1.0]])
 
     def test_special_values(self):
         vals = np.array(SPECIAL)
         new, ref = both(["x", "y"], [vals, vals[::-1].tolist()])
         assert first_difference(new, ref) is None
-        first = [row.split(",")[0] for row in new.split("\r\n")[1:-1]]
+        first = [row.split(b",")[0].decode() for row in new.split(b"\r\n")[1:-1]]
         assert first == [repr(v) for v in SPECIAL]
         assert first[:6] == ["nan", "inf", "-inf", "-0.0", "0.0", "5e-324"]
 
     def test_integer_values_print_as_floats(self):
         new, ref = both(["j_total", "estimator"], [[1000, 10, 2**53], ["qkf", "a", "b"]])
         assert first_difference(new, ref) is None
-        assert new == "j_total,estimator\r\n1000.0,qkf\r\n10.0,a\r\n9007199254740992.0,b\r\n"
+        assert new == b"j_total,estimator\r\n1000.0,qkf\r\n10.0,a\r\n9007199254740992.0,b\r\n"
 
     def test_str_columns(self):
-        cols = [["riccati_numeric"] * 3 + ["shotnoise"] * 2, np.arange(5) * 0.5, ["x"] * 4]
+        cols = [["riccati_numeric"] * 3 + ["shotnoise"] * 2, np.arange(5) * 0.5, ["x"] * 5]
         new, ref = both(["source", "v", "tag"], cols)
         assert first_difference(new, ref) is None
-        assert new.split("\r\n")[-2] == "shotnoise,2.0,"
+        assert new.split(b"\r\n")[-2] == b"shotnoise,2.0,x"
 
     def test_dialect(self):
-        # csv.writer's terminator, raw fields, blank fields past a column's end
-        buf = io.StringIO()
-        write_csv(buf, ["t", "y", "d_xi"], [[0.0, 0.5], [1.25, -2.0], np.array([3e-9])])
-        assert buf.getvalue() == "t,y,d_xi\r\n0.0,1.25,3e-09\r\n0.5,-2.0,\r\n"
+        # csv.writer's terminator, raw fields
+        new, _ = both(["t", "y", "d_xi"], [[0.0, 0.5], [1.25, -2.0], np.array([3e-9, -0.0])])
+        assert new == b"t,y,d_xi\r\n0.0,1.25,3e-09\r\n0.5,-2.0,-0.0\r\n"
 
     def test_header_only(self):
         new, ref = both(["t", "y"], [np.empty(0), np.empty(0)])
-        assert new == ref == "t,y\r\n"
+        assert new == ref == b"t,y\r\n"
 
 
 class TestArtifactBytes:
@@ -189,9 +209,9 @@ class TestArtifactBytes:
         p = toy_params
         for n in (1, B - 2, B - 1, 2 * B + 7, 2 * SCAN_BLOCK):  # 2 SCAN_BLOCK: whole blocks
             rec = simulate_trajectory(p, TimeGrid.uniform(p.t_total / n, n), substream(5, n))
-            assert first_difference(record_text(rec), written(trajectory_rows, rec)) is None
+            assert first_difference(written(rec.to_csv), oracle(trajectory_rows, rec)) is None
         rec = simulate_trajectory(p, make_grid(p, dt=1e-4, prefix=True), substream(5, 0))
-        assert first_difference(record_text(rec), written(trajectory_rows, rec)) is None
+        assert first_difference(written(rec.to_csv), oracle(trajectory_rows, rec)) is None
 
     @pytest.mark.parametrize("estimators, prior", [(("qkf", "regression"), 0.05),
                                                    (("regression", "qkf"), 0.05),
@@ -204,14 +224,14 @@ class TestArtifactBytes:
                             estimators=estimators, checkpoints=checkpoints_for_times(grid, times))
         stats = run_ensemble(spec)
         text = written(stats.to_csv)
-        assert first_difference(text, written(ensemble_rows, stats)) is None
-        assert ("nan" in text) == math.isinf(prior)  # unresolved prior at grid point 1
+        assert first_difference(text, oracle(ensemble_rows, stats)) is None
+        assert (b"nan" in text) == math.isinf(prior)  # unresolved prior at grid point 1
 
     def test_scaling(self, toy_params):
         p = replace(toy_params, b_true=0.0, prior_b_variance=math.inf)
         result = scaling_study(p, [10, 100, 1000, 10000], n_traj=8, master_seed=1,
                                t_check=0.05, grid_for=lambda q: make_grid(q, dt=2e-3))
-        assert first_difference(written(result.to_csv), written(scaling_rows, result)) is None
+        assert first_difference(written(result.to_csv), oracle(scaling_rows, result)) is None
 
     def test_thresholds(self, toy_params):
         p = toy_params
@@ -223,7 +243,7 @@ class TestArtifactBytes:
                       ThresholdCurve(times, detection_threshold_asymptotic(p, times), "asymptotic"),
                       ThresholdCurve(times, np.array([shotnoise_limit(p, t) for t in times]),
                                      "shotnoise")]
-        new, ref = written(write_threshold_csv, curves), written(threshold_rows, curves)
+        new, ref = written(write_threshold_csv, curves), oracle(threshold_rows, curves)
         assert first_difference(new, ref) is None
 
     def test_oracle_deviation(self):
@@ -233,7 +253,7 @@ class TestArtifactBytes:
         n = int(math.ceil(p.t_total / dt))
         dev = compare_to_gaussian(p, TimeGrid.uniform(p.t_total / n, n), substream(3, 3))
         assert n > B
-        assert first_difference(written(dev.to_csv), written(deviation_rows, dev)) is None
+        assert first_difference(written(dev.to_csv), oracle(deviation_rows, dev)) is None
 
 
 class TestRecordFiles:
@@ -264,21 +284,30 @@ class TestRecordFiles:
     def test_stream_of_one_step_or_whole_blocks(self, toy_params, n, n_pref):
         # one block of one step, or whole blocks: either way the last block also
         # writes point n, whose step fields are blank
-        p = toy_params
+        self.check_stream(toy_params, n, n_pref, (1, 2, 3))
+
+    @pytest.mark.parametrize("rows", [1, 3, 5, 25])
+    def test_pass_ends_write_the_row_loops_bytes(self, toy_params, monkeypatch, rows):
+        # three blocks of 128 steps, the last of 99: the photocurrent's first row
+        # (row 24 of block 0) and point n's (row 99 of block 2) each end a pass of
+        # 1, 5 or 25 rows; with 3, the first starts a pass and point n's row is
+        # a pass of its own
+        monkeypatch.setattr(dynamics, "SCAN_BLOCK", 128)
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_ROWS", rows)
+        self.check_stream(toy_params, 2 * 128 + 99, 24, (1, 3))
+
+    def check_stream(self, p, n, n_pref, worker_counts):
+        """``RecordStream.to_csv``'s files on an n-step grid, its first ``n_pref``
+        points a geometric prefix, against the row loops at each worker count."""
         grid = TimeGrid(p.t_total / n, n - n_pref, prefix=np.geomspace(1e-7, 1e-5, n_pref))
-        rec = simulate_trajectory(p, grid, substream(5, n))
-        photocurrent = io.StringIO()
-        write_csv_rows(photocurrent, ["t", "y", "y_filtered"],
-                       [rec.times[n_pref:-1], rec.y[n_pref:],
-                        lowpass_filter(rec.y[n_pref:], grid.dt, params=p)])
-        want = [written(trajectory_rows, rec), photocurrent.getvalue()]
+        want = record_files(p, grid, simulate_trajectory(p, grid, substream(5, n)))
         stream = RecordStream(p, grid, substream(5, n))
-        assert len(list(stream.blocks())) == -(-n // SCAN_BLOCK)
-        for workers in (1, 2, 3):
+        assert len(list(stream.blocks())) == -(-n // dynamics.SCAN_BLOCK)
+        for workers in worker_counts:
             files = [io.BytesIO(), io.BytesIO()]
             stream.to_csv(*files, workers=workers)
-            for got, text in zip(files, want):
-                assert first_difference(got.getvalue().decode("ascii"), text) is None, workers
+            for got, ref in zip(files, want):
+                assert first_difference(got.getvalue(), ref) is None, workers
 
     def check_worker_counts(self, tmp_path, log_prefix, flags):
         path = tmp_path / "cfg.json"
@@ -291,19 +320,13 @@ class TestRecordFiles:
         assert (n_pref > 0) == log_prefix
         block = dynamics.SCAN_BLOCK
         assert grid.n_intervals > 2 * block and grid.n_intervals % block  # a short last block
-        filtered = lowpass_filter(rec.y[n_pref:], grid.dt, params=cfg.params)
-        photocurrent = io.StringIO()
-        write_csv_rows(photocurrent, ["t", "y", "y_filtered"],
-                       [rec.times[n_pref:-1], rec.y[n_pref:], filtered])
-        want = {"trajectory.csv": written(trajectory_rows, rec),
-                "photocurrent_filtered.csv": photocurrent.getvalue()}
+        want = record_files(cfg.params, grid, rec)
         for workers in ("1", "2", "3"):
             out = tmp_path / f"w{workers}"
             assert main(["simulate", "--config", str(path), "--workers", workers,
                          "--out", str(out), *flags]) == 0
-            for name, text in want.items():
-                with open(out / name, newline="", encoding="utf-8") as f:
-                    assert first_difference(f.read(), text) is None, (workers, name)
+            for name, ref in zip(("trajectory.csv", "photocurrent_filtered.csv"), want):
+                assert first_difference((out / name).read_bytes(), ref) is None, (workers, name)
         if hasattr(os, "fork"):
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)

@@ -138,10 +138,10 @@ def oracle_mse(spec):
     return {name: e.mean(axis=1) for name, e in err.items()}
 
 
-def csv_text(stats):
-    buf = io.StringIO()
+def csv_text(stats) -> str:
+    buf = io.BytesIO()
     stats.to_csv(buf)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")
 
 
 class TestSpecValidation:
@@ -188,10 +188,7 @@ class TestRunEnsemble:
         for k in ("qkf", "regression"):
             assert s1.mse[k].tobytes() == s2.mse[k].tobytes()
             assert s1.stderr[k].tobytes() == s2.stderr[k].tobytes()
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        s1.to_csv(buf1)
-        s2.to_csv(buf2)
-        assert buf1.getvalue() == buf2.getvalue()
+        assert csv_text(s1) == csv_text(s2)
 
     def test_worker_count_invariance(self):
         spec = toy_spec(n_traj=2200)
@@ -429,7 +426,7 @@ class TestChunkScan:
             path.write_bytes(pickle.dumps(spec))
             code = ("import pickle, sys; from qkfmag.montecarlo import run_ensemble; "
                     f"run_ensemble(pickle.loads(open({str(path)!r}, 'rb').read()))"
-                    ".to_csv(sys.stdout)")
+                    ".to_csv(sys.stdout.buffer)")
             outs = []
             for threads in ("1", "2"):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

@@ -210,6 +210,6 @@ class TestCompareToGaussian:
         import io
         p = small_params(2.0, t_total=0.01)
         dev = compare_to_gaussian(p, oracle_grid(p), substream(3, 3))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         dev.to_csv(buf)
-        assert buf.getvalue().splitlines()[0] == "t,d_mean,d_var"
+        assert buf.getvalue().splitlines()[0] == b"t,d_mean,d_var"
