@@ -281,8 +281,10 @@ SCAN_BLOCK = 2048  # steps per tolist() block of a scalar recurrence and per pla
 # decimal exponent 0.  A value whose choice lies within 1e-9 of a tie, or
 # which the interval does not describe (inf, nan, subnormals, power-of-two m,
 # whose interval is lopsided), is formatted by repr itself.  The text is then
-# assembled in little-endian 64-bit words (byte 0 the lowest): each value's is
-# at most 24 bytes, and with its separator it fits a 32-byte cell.
+# laid out at fixed places in a 32-byte cell of little-endian 64-bit words (byte 0
+# the lowest), NUL bytes between its parts: the sign in byte 0, digits, point or
+# "0.000" prefix in bytes 1-22, the exponent suffix in word 3 and the separator in
+# bytes 30-31.  A file's bytes are the cells' non-NUL bytes, so the gaps close.
 
 _TIE = 1e-9  # |X - a tie| below this: repr decides
 _U64 = np.uint64
@@ -296,9 +298,8 @@ def _format_tables():
             k + 15, the decimal exponent of a 16-digit X's first digit (U hi is
             0 at 0 and 2047, and k + 15 is 0 at 0: zero gets digits 0 at decimal
             exponent 0, "0.0"; subnormals, inf and nan take repr)
-    suffix  per decimal exponent + 309: the "e-05"-style suffix as a word and its
-            length in bits (none for the positional exponents -4..15), and the
-            value's layout (``_layouts``)
+    suffix  per decimal exponent + 309: the "e-05"-style suffix as a word (none for
+            the positional exponents -4..15), and the value's layout (``_layouts``)
     layout  ``_layouts``
     """
     uh, ul, k15 = [0.0] * 2048, [0.0] * 2048, [0.0] + [15.0] * 2047
@@ -317,50 +318,42 @@ def _format_tables():
     c = uh * 134217729.0  # Veltkamp split: 26-bit halves with exact products
     uhh = c - (c - uh)
     powers = np.stack([uh, uhh, uh - uhh, np.array(ul), np.array(k15)])
-    suffix = [[0] * 618, [0] * 618, list(range(-305, 313))]  # positional: layout e10 + 4
+    suffix = [[0] * 618, list(range(-305, 313))]  # positional: layout e10 + 4
     for e10 in [*range(-309, -4), *range(16, 309)]:
-        text = f"e{e10:+03d}".encode()
-        for row, v in zip(suffix, (int.from_bytes(text, "little"), 8 * len(text), 16 + len(text))):
-            row[e10 + 309] = v
+        suffix[0][e10 + 309] = int.from_bytes(f"e{e10:+03d}".encode(), "little")
+        suffix[1][e10 + 309] = 20
     return powers, np.array(suffix, np.uint64), _layouts()
 
 
 def _layouts() -> np.ndarray:
-    """How a value's text is cut from its 17 digit characters d0..d16 (three words, d0 in
-    byte 0), per layout, significant digit count n and sign: the columns of the
-    ``layout`` table, at (34 layout + 2 n + sign - 2).
+    """Which digit characters a value's text keeps, and where its point goes, per layout
+    and significant digit count n: column 17 layout + n - 1 of the ``layout`` table.
 
-    The layouts are 0..19, positional with decimal exponent layout - 4, and 20 and
-    21, exponential with a 2- and a 3-digit exponent.  The text is
-    (digits << 8 s1 & K) | (digits << 8 s2 & M) | C, with K, M and C three-word
-    masks and constants; the column is K, M, C, 8 s1, 8 s2 and the text's length.
-    Built from bytes: numpy code not yet run would page in more than the table.
+    The layouts are 0..19, positional with decimal exponent layout - 4, and 20,
+    exponential.  A cell's first 24 bytes are (copy 1 & K) | (copy 6 & M) | C, copy s
+    the digit characters d0..d16 with d(i) at byte s + i, and K, M and C the column's
+    three-word masks and constants; byte 0 is left to the sign.  A text
+    "d0..d(a-1).d(a).." (a = 1 when exponential) takes bytes 1..a from copy 1, its
+    point at byte a + 1 and the digits after it from copy 6; a "0.000dd.." text has
+    its prefix in bytes 1-5 and d0..d(n-1) from copy 6.  Built from bytes: numpy code
+    not yet run would page in more than the table.
     """
     def run(lo, hi):  # bytes [lo, hi) set, of 24
         return bytes(lo) + b"\xff" * (hi - lo) + bytes(24 - max(hi, lo))
 
-    masks, shifts = [], []
-    for lay in range(22):
+    columns = []
+    for lay in range(21):
         for n in range(1, 18):
-            for neg in (0, 1):
-                sign = b"-" if neg else b""
-                if lay >= 4:  # d0..d(a-1) "." d(a)..: exponential (a = 1) or positional
-                    a = 1 if lay >= 20 else lay - 3
-                    end = n if lay >= 20 else max(n, a + 1)  # "ddd.0" when integral
-                    s1, s2, keep = neg, neg + 1, run(neg, neg + a)
-                    if end == 1:  # a lone exponential digit: no point
-                        move, length, const = run(0, 0), neg + 1, sign
-                    else:
-                        move, length = run(neg + a + 1, neg + end + 1), neg + end + 1
-                        const = sign + bytes(a) + b"."
-                else:  # "0." then -e10 - 1 zeros, then d0..d(n-1)
-                    s1, s2, keep = 0, neg + 5 - lay, run(0, 0)
-                    move, length = run(s2, s2 + n), s2 + n
-                    const = sign + b"0." + b"0" * (3 - lay)
-                masks.append(keep + move + const.ljust(24, b"\0"))
-                shifts.append((8 * s1, 8 * s2, length))
-    words = np.frombuffer(b"".join(masks), "<u8").reshape(-1, 9)
-    return np.hstack([words, np.array(shifts, np.uint64)]).T.copy()
+            if lay >= 4:  # d0..d(a-1) "." d(a)..: exponential (a = 1) or positional
+                a = 1 if lay == 20 else lay - 3
+                end = n if lay == 20 else max(n, a + 1)  # "ddd.0" when integral
+                keep, move, const = run(1, 1 + a), run(6 + a, 6 + end), bytes(a + 1) + b"."
+                if end == 1:  # a lone exponential digit: no point
+                    const = b""
+            else:  # "0." then -e10 - 1 zeros, then d0..d(n-1)
+                keep, move, const = run(0, 0), run(6, 6 + n), bytes(1) + b"0." + b"0" * (3 - lay)
+            columns.append(keep + move + const.ljust(24, b"\0"))
+    return np.frombuffer(b"".join(columns), "<u8").reshape(-1, 9).T.copy()
 
 
 def _digits8(v: np.ndarray) -> np.ndarray:
@@ -383,10 +376,11 @@ def _digits8(v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _format_pass(x: np.ndarray, sep_words: np.ndarray):
-    """Format the float64 values ``x`` (1-D) as 32-byte slots, each the value's repr and
-    its separator (``sep_words``, one per value), NUL-padded; and the indices of the
-    values left to repr (whose slots are not filled).
+def _format_pass(x: np.ndarray):
+    """Format the float64 values ``x`` (1-D) as 32-byte slots, each the value's repr at
+    fixed places (``_layouts``) with NUL bytes between its parts, bytes 30-31 left NUL
+    for a separator; and the indices of the values left to repr (whose slots are not
+    filled).
 
     Integers are uint64 and small counts float64 throughout: each further dtype
     of a ufunc pages in more of numpy's code.
@@ -459,72 +453,57 @@ def _format_pass(x: np.ndarray, sep_words: np.ndarray):
     digits -= halves[0] * _U64(10**8)
     halves[1] = digits
     halves = _digits8(halves)
-    nonzero = halves.astype(np.float64)  # the last nonzero digit is in the top nonzero byte
-    top = nonzero.view(np.uint64) >> _U64(52)
-    top -= _U64(1015)
-    top >>= _U64(3)  # that byte's index + 1, where the word is not 0
-    n = np.where(nonzero[1] != 0, top[1] + _U64(9), np.where(nonzero[0] != 0, top[0] + _U64(1), 1))
+    top = (halves + 0.5).view(np.uint64) >> _U64(52)  # a word's last nonzero digit is in
+    top -= _U64(1015)  # its top nonzero byte, read off the exponent (a 0 word reads 0.5)
+    top >>= _U64(3)  # that byte's index + 1, or 0 where the word is 0
+    last = np.where(top[1] != 0, top[1] + _U64(8), top[0])  # n - 1, n the significant digits
     halves |= _U64(0x3030303030303030)
     first, second = halves  # d1..d8, d9..d16
-    words = np.empty((3, n_val), np.uint64)
-    np.left_shift(first, _U64(8), out=words[0])
-    words[0] |= d0 + _U64(48)
-    np.left_shift(second, _U64(8), out=words[1])
-    words[1] |= first >> _U64(56)
-    np.right_shift(second, _U64(56), out=words[2])
-    # the body: layout by the exponent, then the layout row's masks and shifts
+    d0 += _U64(48)
+    # the cell's words, one row each: two copies of the digits, d(i) at byte 1 + i and
+    # at byte 6 + i, masked and joined by the layout's column, then the sign and suffix
+    words = np.empty((4, n_val), np.uint64)
+    one, six = words[:3], np.empty((3, n_val), np.uint64)
+    np.left_shift(first, _U64(16), out=one[0])
+    one[0] |= d0 << _U64(8)
+    np.right_shift(first, _U64(48), out=one[1])
+    one[1] |= second << _U64(16)
+    np.right_shift(second, _U64(48), out=one[2])
+    np.left_shift(one, _U64(40), out=six)
+    six[1:] |= one[:-1] >> _U64(24)
     e10 += 309.0
-    suf, suf_bits, lay = suffix.take(e10.astype(np.uint64).view(np.int64), axis=1)
-    lay *= _U64(34)
-    lay += n * _U64(2)
-    lay += bits >> _U64(63)
-    lay -= _U64(2)
-    row = layout.take(lay.view(np.int64), axis=1)
-    carry = words[:2] >> _U64(1)
-    body = words << row[9]
-    body[1:] |= carry >> (_U64(63) - row[9])
-    moved = words << row[10]
-    moved[1:] |= carry >> (_U64(63) - row[10])
-    body &= row[0:3]
-    moved &= row[3:6]
-    body |= moved
-    body |= row[6:9]
-    slots = np.empty((n_val, 4), np.uint64)
-    slots[:, :3] = body.T
-    slots[:, 3] = 0
-    # the tail: exponent suffix and separator, at the body's length
-    tail = sep_words << suf_bits
-    tail |= suf
-    shift = row[11] & _U64(7)
-    shift <<= _U64(3)
-    at = row[11] >> _U64(3)
-    at += np.arange(0, 4 * n_val, 4, dtype=np.uint64)
-    flat = slots.reshape(-1)
-    flat[at.view(np.int64)] |= tail << shift
-    at += _U64(1)
-    flat[at.view(np.int64)] |= (tail >> _U64(1)) >> (_U64(63) - shift)
+    words[3], col = suffix.take(e10.astype(np.uint64).view(np.int64), axis=1)  # col: layout
+    col *= _U64(17)
+    col += last
+    column = layout.take(col.view(np.int64), axis=1)
+    one &= column[0:3]
+    six &= column[3:6]
+    one |= six
+    one |= column[6:9]
+    one[0] |= (bits >> _U64(63)) * _U64(ord("-"))
     fallback &= x != 0.0  # +-0.0 is exact: digits 0 at decimal exponent 0
-    return slots, np.flatnonzero(fallback)
+    return words.T.copy(), np.flatnonzero(fallback)
 
 
 def format_floats(values, seps) -> np.ndarray:
     """The text ``repr`` gives each value of a 2-D float array, as a uint8 array of
-    32-byte cells shaped (rows, columns, 32): each cell the value's ASCII bytes, then
-    ``seps[j]`` (bytes, at most 2) for a value in column j, then NUL bytes.
+    32-byte cells shaped (rows, columns, 32): each cell the value's ASCII bytes at
+    fixed places, NUL bytes between them, and ``seps[j]`` (bytes, at most 2) in bytes
+    30-31 for a value in column j.
 
     No field or separator holds a NUL, so ``cells[cells != 0].tobytes()`` is CSV rows
     when ``seps`` ends in b"\\r\\n".  A value the arithmetic cannot decide goes
-    through ``repr`` itself, into its cell.
+    through ``repr`` itself, into its cell (at most 24 bytes, so before the separator).
     """
     x = np.ascontiguousarray(values, dtype=np.float64)
     rows, n_cols = x.shape
     flat = x.reshape(-1)
-    sep_words = np.tile([int.from_bytes(s, "little") for s in seps], rows).astype(np.uint64)
-    slots, fallback = _format_pass(flat, sep_words)
+    slots, fallback = _format_pass(flat)
     cells = slots.view(np.uint8)
     if fallback.size:
-        cells[fallback] = as_cells([repr(v).encode() + seps[i % n_cols]
-                                    for i, v in zip(fallback.tolist(), flat[fallback].tolist())])
+        cells[fallback] = as_cells([repr(v).encode() for v in flat[fallback].tolist()])
+    slots.reshape(rows, n_cols, 4)[:, :, 3] |= np.array(
+        [int.from_bytes(s, "little") << 48 for s in seps], np.uint64)
     return cells.reshape(rows, n_cols, 32)
 
 

@@ -130,10 +130,11 @@ def _record_block(p: PhysicalParams, grid: TimeGrid, s: int, m: float, gen) -> T
     z = np.zeros(e - s) if gen is None else gen.standard_normal(e - s)
     sq = np.sqrt(dts)
     g_sqdt *= sq
-    mean = np.empty(e - s + 1)
-    mean[0] = m
-    steps = zip(drift.tolist(), g_sqdt.tolist(), z.tolist())  # Python floats
-    mean[1:] = [m := m + dk + gk * zk for dk, gk, zk in steps]
+    sums = np.empty(2 * (e - s) + 1)  # m + d_0 + g_0 z_0 + d_1 + ..., summed left to right
+    sums[0] = m
+    sums[1::2] = drift
+    np.multiply(g_sqdt, z, out=sums[2::2])
+    mean = np.cumsum(sums, out=sums)[::2]  # m_(k+1) = (m_k + d_k) + g_k z_k, rounded in order
     d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
     d_xi = mean[:-1] * dts + d * sq * z  # the record uses the pre-step mean
     y = d_xi * (2.0 * p.efficiency * math.sqrt(p.meas_strength)) / dts

@@ -88,9 +88,12 @@ def record_files(p, grid, rec) -> list:
 
 
 def formatted(values) -> list:
-    """``format_floats``' text of each value, from one call: its cells' bytes."""
+    """``format_floats``' text of each value, from one call: its cell's non-NUL bytes
+    before the separator b"\\r\\n", which every cell holds in bytes 30-31."""
     x = np.asarray(values, dtype=float).reshape(-1, 1)
-    return [f.decode("ascii") for f in format_floats(x, [b""]).view("S32").reshape(-1).tolist()]
+    cells = format_floats(x, [b"\r\n"]).reshape(-1, 32)
+    assert (cells[:, 30:] == np.frombuffer(b"\r\n", np.uint8)).all()
+    return [bytes(text[text != 0]).decode("ascii") for text in cells[:, :30]]
 
 
 def around(v: float) -> list:
@@ -139,13 +142,13 @@ class TestFormatFloats:
         assert cells[cells != 0].tobytes().decode("ascii") == "".join(
             f"{a!r},{b!r}\r\n" for a, b in x.tolist())
         m = 2 * CSV_BLOCK_ROWS
-        _, left = _format_pass(x.reshape(-1)[:m].copy(), np.zeros(m, np.uint64))
+        _, left = _format_pass(x.reshape(-1)[:m].copy())
         assert left.tolist() == at[:4]  # a subnormal, a nan, a tie (X = ...2.5), an inf
 
     def test_zero_takes_no_repr(self):
         # digits 0 at decimal exponent 0: "0.0" and "-0.0" from the vectorised path
         x = np.array([0.0, -0.0, 1e-300, -0.0, 0.0])
-        _, left = _format_pass(x, np.zeros(len(x), np.uint64))
+        _, left = _format_pass(x)
         assert left.size == 0
         assert formatted(x) == [repr(v) for v in x.tolist()] == ["0.0", "-0.0", "1e-300",
                                                                   "-0.0", "0.0"]

@@ -164,8 +164,9 @@ class TestPhotocurrent:
 
 
 class TestBlockedLoops:
-    """The mean and low-pass recurrences run in blocks of SCAN_BLOCK steps; they
-    must equal their per-element loops bit for bit."""
+    """The record runs in blocks of SCAN_BLOCK steps: the mean as one running sum
+    per block, the low-pass as a Python-float loop.  Both must equal their
+    per-element loops bit for bit."""
 
     N_STEPS = 4 * SCAN_BLOCK + 5
 
