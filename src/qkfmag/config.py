@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .core import INFINITE, GridConfig, PhysicalParams, TimeGrid, gamma_from_cycles, make_grid
 from .montecarlo import ESTIMATOR_NAMES, sorted_j_values
-from .sme_oracle import MAX_DENSE_J, MEAN_DEVIATION_FRAC
+from .sme_oracle import MAX_DENSE_J
 
 GAMMA_CONVENTIONS = ("angular", "cycles")
 
@@ -40,16 +40,12 @@ class ScalingConfig:
     t_check: float | None = None
     n_traj: int = 2000
     slope_window: tuple = (-1.05, -0.95)
-    shotnoise_slope_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     j_small: float = 10.0
     mt_max: float = 0.1
-    dephasing_j: float = 5.0
-    mean_threshold_frac: float = MEAN_DEVIATION_FRAC
-    dephasing_tol: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -62,14 +58,11 @@ class RunConfig:
     scaling: ScalingConfig = field(default_factory=ScalingConfig)
     oracle: OracleConfig = field(default_factory=OracleConfig)
     seed: int = 0
-    lowpass_cutoff_hz: float | None = None
 
     def make_grid(self, params: PhysicalParams | None = None) -> TimeGrid:
         """The grid section's grid for ``params`` (default: the config's own)."""
         return make_grid(self.params if params is None else params,
-                         dt=self.grid.dt, prefix=self.grid.log_prefix,
-                         prefix_ratio=self.grid.prefix_ratio,
-                         prefix_safety=self.grid.prefix_safety)
+                         dt=self.grid.dt, prefix=self.grid.log_prefix)
 
     def resolved_dict(self) -> dict:
         """Full resolved configuration for run artifacts (audit echo)."""
@@ -152,12 +145,11 @@ def _section(doc: dict, name: str, cls) -> dict:
     return {**{f.name: f.default for f in fields(cls) if f.default is not None}, **sec}
 
 
-def _spin(doc: dict, key: str, where: str, most: float = math.inf) -> float:
+def _spin(doc: dict, key: str, where: str, most: float) -> float:
     """Spin: a positive half-integer, at most ``most``."""
     v = _number(doc, key, where)
     if not (0 < v <= most and (2 * v).is_integer()):
-        bound = f" <= {most:g}" if most < math.inf else ""
-        raise ConfigError(f"{where}.{key}: expected a positive half-integer{bound}, "
+        raise ConfigError(f"{where}.{key}: expected a positive half-integer <= {most:g}, "
                           f"got {doc[key]!r}")
     return v
 
@@ -203,16 +195,7 @@ def parse_config(text: str) -> RunConfig:
     log_prefix = grid_doc["log_prefix"]
     if log_prefix not in ("auto", True, False):
         raise ConfigError("grid.log_prefix: expected 'auto', true, or false")
-    prefix_ratio = _number(grid_doc, "prefix_ratio", "grid")
-    if not 1.0 < prefix_ratio < math.inf:  # the prefix's steps must grow
-        raise ConfigError(f"grid.prefix_ratio: expected a finite number > 1, "
-                          f"got {grid_doc['prefix_ratio']!r}")
-    grid = GridConfig(
-        dt=_positive(grid_doc, "dt", "grid"),
-        log_prefix=log_prefix,
-        prefix_ratio=prefix_ratio,
-        prefix_safety=_positive(grid_doc, "prefix_safety", "grid"),
-    )
+    grid = GridConfig(dt=_positive(grid_doc, "dt", "grid"), log_prefix=log_prefix)
 
     ens_doc = _section(doc, "ensemble", EnsembleConfig)
     estimators = ens_doc["estimators"]
@@ -244,16 +227,12 @@ def parse_config(text: str) -> RunConfig:
         t_check=_positive(sc_doc, "t_check", "scaling"),
         n_traj=_integer(sc_doc, "n_traj", "scaling", least=2),
         slope_window=_window(sc_doc, "slope_window", "scaling"),
-        shotnoise_slope_tol=_number(sc_doc, "shotnoise_slope_tol", "scaling"),
     )
 
     or_doc = _section(doc, "oracle", OracleConfig)
     oracle = OracleConfig(
         j_small=_spin(or_doc, "j_small", "oracle", most=MAX_DENSE_J),
         mt_max=_positive(or_doc, "mt_max", "oracle"),
-        dephasing_j=_spin(or_doc, "dephasing_j", "oracle"),
-        mean_threshold_frac=_number(or_doc, "mean_threshold_frac", "oracle"),
-        dephasing_tol=_number(or_doc, "dephasing_tol", "oracle"),
     )
 
     seed = doc.get("seed", RunConfig.seed)
@@ -263,7 +242,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         params=params, gamma_convention=convention, gamma_raw=gamma_raw,
         grid=grid, ensemble=ensemble, scaling=scaling, oracle=oracle, seed=seed,
-        lowpass_cutoff_hz=_positive(doc, "lowpass_cutoff_hz", "top"),
     )
 
 

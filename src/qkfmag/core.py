@@ -230,29 +230,26 @@ class TimeGrid:
 class GridConfig:  # the config's grid section, and the one statement of make_grid's defaults
     dt: float | None = None
     log_prefix: str | bool = "auto"
-    prefix_ratio: float = 1.2
-    prefix_safety: float = 0.2
+
+
+# The log prefix starts once collapse_rate * dt exceeds PREFIX_SAFETY, its first
+# point at PREFIX_SAFETY / collapse_rate, so every early step resolves the
+# variance collapse; each step is PREFIX_RATIO times the last until it reaches dt.
+PREFIX_SAFETY = 0.2
+PREFIX_RATIO = 1.2
 
 
 def make_grid(p: PhysicalParams, dt: float | None = GridConfig.dt,
-              prefix: str | bool = GridConfig.log_prefix,
-              prefix_ratio: float = GridConfig.prefix_ratio,
-              prefix_safety: float = GridConfig.prefix_safety) -> TimeGrid:
-    """Default grid for ``p``: uniform dt <= 1e-3/M, log prefix when needed.
-
-    The prefix is enabled automatically once ``collapse_rate * dt``
-    exceeds ``prefix_safety``; its first point is placed at
-    ``prefix_safety / collapse_rate`` so every early step stays well
-    inside the collapse timescale.
-    """
+              prefix: str | bool = GridConfig.log_prefix) -> TimeGrid:
+    """Default grid for ``p``: uniform dt <= 1e-3/M, log prefix when needed (see PREFIX_SAFETY)."""
     if dt is None:
         dt = 1.0e-3 / p.meas_strength
     lam = collapse_rate(p)
-    want_prefix = prefix is True or (prefix == "auto" and lam * dt > prefix_safety)
+    want_prefix = prefix is True or (prefix == "auto" and lam * dt > PREFIX_SAFETY)
     if want_prefix:
-        t_first = prefix_safety / lam
+        t_first = PREFIX_SAFETY / lam
         if t_first < dt:
-            return TimeGrid.with_prefix(dt, p.t_total, t_first, prefix_ratio)
+            return TimeGrid.with_prefix(dt, p.t_total, t_first, PREFIX_RATIO)
     n = max(1, int(round(p.t_total / dt)))
     return TimeGrid(dt=p.t_total / n, n_steps=n)
 

@@ -186,16 +186,14 @@ class RecordStream:
     formed, not even the grid's times: each block forms its own points.
     """
 
-    def __init__(self, p: PhysicalParams, grid: TimeGrid, seed: SeedSpec,
-                 zero_noise: bool = False, cutoff_hz: float | None = None):
-        self.params, self.grid, self.seed = p, grid, seed
-        self.zero_noise, self.cutoff_hz = zero_noise, cutoff_hz
+    def __init__(self, p: PhysicalParams, grid: TimeGrid, seed: SeedSpec, zero_noise: bool = False):
+        self.params, self.grid, self.seed, self.zero_noise = p, grid, seed, zero_noise
         self.n = grid.n_intervals
         self.n_pref = self.n - grid.n_steps  # the photocurrent's first step
         self.starts = []  # (generator state, mean, low-pass accumulator) per block
 
     def _lowpass(self, y: np.ndarray, start: float) -> np.ndarray:
-        return lowpass_filter(y, self.grid.dt, self.cutoff_hz, self.params, start=start)
+        return lowpass_filter(y, self.grid.dt, params=self.params, start=start)
 
     def blocks(self):
         """Yield the record's ``TrajectoryRecord`` blocks in order, keeping the start of each."""

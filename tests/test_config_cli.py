@@ -159,7 +159,6 @@ class TestResolvedDict:
         assert set(echo) == {f.name for f in dataclasses.fields(cfg)}
         for name in ("params", "grid", "ensemble", "scaling", "oracle"):
             assert set(echo[name]) == {f.name for f in dataclasses.fields(getattr(cfg, name))}
-        assert echo["scaling"]["shotnoise_slope_tol"] == cfg.scaling.shotnoise_slope_tol
         json.dumps(echo)
 
 
@@ -624,7 +623,6 @@ BAD_CONFIGS = {
     "prior_negative": ("simulate", {"prior_b_variance": -0.05}, "params.prior_b_variance"),
     "prior_string": ("simulate", {"prior_b_variance": "none"}, "params.prior_b_variance"),
     "prior_bool": ("oracle-check", {"prior_b_variance": True}, "params.prior_b_variance"),
-    "lowpass_cutoff": ("simulate", {"lowpass_cutoff_hz": 0.0}, "lowpass_cutoff_hz"),
     "estimators_not_list": ("ensemble", {"ensemble": {"estimators": "qkf"}},
                             "ensemble.estimators"),
     "estimator_unknown": ("ensemble", {"ensemble": {"estimators": ["qkf", "kalman"]}},
@@ -645,8 +643,22 @@ BAD_CONFIGS = {
                                "ensemble.checkpoints_per_decade"),
     "checkpoints_per_decade_zero": ("ensemble", {"ensemble": {"checkpoints_per_decade": 0}},
                                     "ensemble.checkpoints_per_decade"),
-    "prefix_ratio": ("simulate", {"grid": {"prefix_ratio": 1.0}}, "grid.prefix_ratio"),
-    "prefix_safety": ("scaling", {"grid": {"prefix_safety": 0.0}}, "grid.prefix_safety"),
+    # former config values, now constants in the code that reads them: a config
+    # naming one, even at its old value, is refused
+    "prefix_ratio": ("simulate", {"grid": {"prefix_ratio": 1.2}},
+                     "grid: unknown keys ['prefix_ratio']"),
+    "prefix_safety": ("scaling", {"grid": {"prefix_safety": 0.2}},
+                      "grid: unknown keys ['prefix_safety']"),
+    "lowpass_cutoff": ("simulate", {"lowpass_cutoff_hz": 30.0},
+                       "top level: unknown keys ['lowpass_cutoff_hz']"),
+    "shotnoise_slope_tol": ("scaling", {"scaling": {"shotnoise_slope_tol": 1e-9}},
+                            "scaling: unknown keys ['shotnoise_slope_tol']"),
+    "dephasing_j": ("oracle-check", {"oracle": {"dephasing_j": 5}},
+                    "oracle: unknown keys ['dephasing_j']"),
+    "mean_threshold_frac": ("oracle-check", {"oracle": {"mean_threshold_frac": 0.05}},
+                            "oracle: unknown keys ['mean_threshold_frac']"),
+    "dephasing_tol": ("oracle-check", {"oracle": {"dephasing_tol": 0.01}},
+                      "oracle: unknown keys ['dephasing_tol']"),
 }
 
 
@@ -822,7 +834,7 @@ class TestCliOracleCheck:
 
 
 ORACLE_FIELDS = [("j_small", -10), ("j_small", 0), ("j_small", 2.3), ("j_small", 40),
-                 ("mt_max", -0.1), ("mt_max", 0), ("dephasing_j", -5), ("dephasing_j", 0.3)]
+                 ("mt_max", -0.1), ("mt_max", 0)]
 
 
 class TestCliOracleBounds:
@@ -842,9 +854,10 @@ class TestCliOracleBounds:
 
     def test_half_integer_spins_accepted(self):
         doc = _preset_doc("oracle")
-        doc["oracle"].update(j_small=20, dephasing_j=2.5, mt_max=0.05)
-        oc = parse_config(json.dumps(doc)).oracle
-        assert (oc.j_small, oc.dephasing_j, oc.mt_max) == (20.0, 2.5, 0.05)
+        for j_small in (20, 2.5):
+            doc["oracle"].update(j_small=j_small, mt_max=0.05)
+            oc = parse_config(json.dumps(doc)).oracle
+            assert (oc.j_small, oc.mt_max) == (j_small, 0.05)
 
 
 PARSED_TEXT_COLUMNS = {"estimator", "source"}
@@ -872,7 +885,7 @@ class TestCliArtifactsParse:
                                                   "t_check": 0.05, "n_traj": 8,
                                                   "slope_window": [-5.0, 5.0]}),
                 "oracle-check": dict(_preset_doc("oracle"),
-                                     oracle={"j_small": 2, "mt_max": 0.05, "dephasing_j": 1})}
+                                     oracle={"j_small": 2, "mt_max": 0.05})}
         names = set()
         for command, doc in docs.items():
             out = tmp_path / command

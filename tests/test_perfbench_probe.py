@@ -1,13 +1,18 @@
 """The benchmark's probe reaches into the program by name and silently skips a
 name it cannot find, so a renamed or deleted target would quietly drop a
 per-layer metric.  These tests load ``perfbench/probe.py`` as it is, resolve
-every name it uses, and run each of its counters on what its target returns."""
+every name it uses, run each of its counters on what its target returns, and
+run its set-up mode on every workload's commands."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,14 +25,20 @@ ROOT = Path(__file__).resolve().parents[1]
 PROBE = ROOT / "perfbench" / "probe.py"
 
 
-def _load_probe():
-    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    cwd = os.getcwd()
+    os.chdir(ROOT)  # run.py reads BENCHMARK.json from the working directory
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        os.chdir(cwd)
     return module
 
 
-PATCHES = _load_probe().PATCHES
+PATCHES = _load(PROBE).PATCHES
+WORKLOADS = _load(ROOT / "perfbench" / "run.py").WORKLOADS
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _, _ in PATCHES])
@@ -78,3 +89,17 @@ def test_counter_reads_its_targets_return_value(module, attr, count):
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     metrics = {k: v for k, v in counts.items() if k in declared}
     assert metrics and all(isinstance(v, int) and v > 0 for v in metrics.values())
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_setup_runs_on_workload(tmp_path, workload):
+    # the set-up mode calls the program with its signatures (override, make_grid,
+    # EnsembleSpec, kalman_schedule, the config's oracle section), which the name
+    # checks above do not call: a changed signature would fail every setup_s
+    out = tmp_path / "setup.json"
+    argv = [sys.executable, str(PROBE), "setup", "--t0", str(time.monotonic_ns()),
+            "--out", str(out), "--input", json.dumps(WORKLOADS[workload]["commands"])]
+    proc = subprocess.run(argv, cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["traj_steps"] > 0
