@@ -834,7 +834,10 @@ class TestCliOracleCheck:
 
 
 ORACLE_FIELDS = [("j_small", -10), ("j_small", 0), ("j_small", 2.3), ("j_small", 40),
-                 ("mt_max", -0.1), ("mt_max", 0)]
+                 ("mt_max", -0.1), ("mt_max", 0), ("dephasing_j", -5), ("dephasing_j", 0.3)]
+# former oracle values, now constants in sme_oracle: any value of one is refused
+# as an unknown key
+REMOVED_ORACLE_KEYS = {"dephasing_j"}
 
 
 class TestCliOracleBounds:
@@ -848,7 +851,10 @@ class TestCliOracleBounds:
                    "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(f"error: oracle.{key}: ")
+        if key in REMOVED_ORACLE_KEYS:
+            assert err == f"error: oracle: unknown keys ['{key}']\n"
+        else:
+            assert err.startswith(f"error: oracle.{key}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
