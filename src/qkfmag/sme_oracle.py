@@ -15,6 +15,12 @@ appear.
 Used to validate the Gaussian model pathwise: both integrators consume
 the *same* stored dW sequence, which is far more sensitive than
 comparing distributions.
+
+At B = 0 both superoperators act elementwise in the Jz basis, so the
+2J + 1 populations (the diagonal) evolve on their own: D[Jz] leaves them
+alone and H[Jz] only reweights them.  The pathwise comparison runs at
+B = 0 and steps only the populations; the dephasing-law check steps the
+whole matrix, whose coherences it reads.
 """
 
 from __future__ import annotations
@@ -75,10 +81,17 @@ def build_spin_operators(j: float) -> SpinOperators:
 
 
 def coherent_spin_state_x(ops: SpinOperators) -> np.ndarray:
-    """Density matrix of the highest-weight eigenstate of Jx: <Jx> = J, <Jz> = 0, <dJz^2> = J/2."""
-    w, v = np.linalg.eigh(ops.jx)
-    psi = v[:, np.argmax(w)]
-    return np.outer(psi, psi.conj())
+    """Density matrix of the highest-weight eigenstate of Jx: <Jx> = J, <Jz> = 0, <dJz^2> = J/2.
+
+    Closed form: psi_m = sqrt(C(2J, J - m) / 4^J), so rho_mm' =
+    sqrt(C_m C_m') / 2^(2J).  For 2J <= 52 the binomials and their partial
+    sums are exact floats, and sqrt of a rounded square returns its root,
+    so the diagonal is the exact C(2J, J - m) / 4^J and the trace is
+    exactly 1.
+    """
+    n = ops.dim - 1
+    c = np.array([math.comb(n, k) for k in range(ops.dim)], dtype=float)
+    return (np.sqrt(np.outer(c, c)) / 2.0**n).astype(complex)
 
 
 def recommended_dt(p: PhysicalParams, j: float) -> float:
@@ -87,9 +100,19 @@ def recommended_dt(p: PhysicalParams, j: float) -> float:
     return 1.0 / (100.0 * p.meas_strength * dim * dim)
 
 
+def _populations(r: np.ndarray) -> np.ndarray:
+    """The Jz populations of ``r``: the diagonal of a density matrix, or ``r`` itself."""
+    return r.diagonal() if r.ndim == 2 else r
+
+
 def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
              dW: float, renormalize: bool = True) -> np.ndarray:
     """One Euler-Maruyama step of the density matrix ``r``, then renormalize.
+
+    At B = 0, ``r`` may instead be the 2J + 1 populations alone (a complex
+    vector, so that the trace sums in the matrix's order): D[Jz] leaves
+    them alone, and each comes out bit for bit as the matrix's diagonal.
+    The record term is skipped when dW = 0, where it adds only zeros.
 
     Both superoperators are trace-free, so the raw increment preserves
     the trace to rounding; renormalization only corrects accumulated
@@ -98,25 +121,30 @@ def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
     Hermitian ``r`` stays exactly Hermitian.  Only a field's commutator,
     a matrix product, rounds asymmetrically: then the state is Hermitized.
     """
-    mz = float((ops.m * r.diagonal().real).sum())
-    m = p.meas_strength
-    new = r + m * dt * ops.dephase * r \
-        + math.sqrt(m * p.efficiency) * dW * (ops.msum * r - 2.0 * mz * r)
+    dense = r.ndim == 2
     gb = p.gamma * p.b_true
+    if gb != 0.0 and not dense:
+        raise ValueError("a field couples coherences into populations: step the density matrix")
+    m = p.meas_strength
+    new = (r + m * dt * ops.dephase * r) if dense else r
+    if dW != 0.0:
+        mz = float((ops.m * _populations(r).real).sum())
+        msum = ops.msum if dense else ops.msum.diagonal()
+        new = new + math.sqrt(m * p.efficiency) * dW * (msum * r - 2.0 * mz * r)
     if gb != 0.0:
         new = new + (1j * gb * dt) * (ops.jy @ r - r @ ops.jy)
         new = 0.5 * (new + new.conj().T)
     if renormalize:
-        tr = float(new.trace().real)
-        if not (tr > 0.0 and np.isfinite(tr)):
+        tr = float(_populations(new).sum().real)
+        if not (tr > 0.0 and math.isfinite(tr)):
             raise RuntimeError("trace collapsed; dt too large for this J")
         new = new / tr
     return new
 
 
-def oracle_moments(rho: np.ndarray, ops: SpinOperators):
-    """(<Jz>, <dJz^2>) of the state."""
-    pops = rho.diagonal().real
+def oracle_moments(r: np.ndarray, ops: SpinOperators):
+    """(<Jz>, <dJz^2>) of a density matrix or of its populations."""
+    pops = _populations(r).real
     mean = float((ops.m * pops).sum())
     second = float((ops.m * ops.m * pops).sum())
     return mean, second - mean * mean
@@ -140,29 +168,29 @@ class DeviationSeries:
 
 
 def compare_to_gaussian(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec) -> DeviationSeries:
-    """Per-step deviations between the dense SME and the Gaussian model.
+    """Per-step deviations between the dense SME and the Gaussian model at B = 0.
 
     The SME consumes the trajectory record's stored dW sequence, so the
-    comparison is pathwise.  Tractable for j_total <= ~20.
+    comparison is pathwise.  Only the populations are stepped, and each
+    step's mean and variance are read off them.  Tractable for
+    j_total <= ~20.
     """
     if p.j_total > MAX_DENSE_J:
         raise ValueError(f"dense oracle limited to j_total <= {MAX_DENSE_J:g}")
+    if p.b_true != 0.0:
+        raise ValueError("the pathwise comparison steps the populations alone: needs b_true = 0")
     record = simulate_trajectory(p, grid, seed)
     times = grid.times
     ops = build_spin_operators(p.j_total)
-    rho = coherent_spin_state_x(ops)
-    n = len(times) - 1
-    d_mean = np.empty(n + 1)
-    d_var = np.empty(n + 1)
-    mz, vz = oracle_moments(rho, ops)
-    d_mean[0] = abs(mz - record.mean_jz[0])
-    d_var[0] = abs(vz - record.var_jz[0])
-    for k in range(n):
-        rho = sme_step(rho, ops, p, float(times[k + 1] - times[k]), float(record.noise[k]))
-        mz, vz = oracle_moments(rho, ops)
-        d_mean[k + 1] = abs(mz - record.mean_jz[k + 1])
-        d_var[k + 1] = abs(vz - record.var_jz[k + 1])
-    return DeviationSeries(times=times, d_mean=d_mean, d_var=d_var, j_total=p.j_total)
+    pops = coherent_spin_state_x(ops).diagonal().copy()
+    mean = np.empty(len(times))
+    var = np.empty(len(times))
+    mean[0], var[0] = oracle_moments(pops, ops)
+    for k, (dt, dW) in enumerate(zip(np.diff(times), record.noise), 1):
+        pops = sme_step(pops, ops, p, float(dt), float(dW))
+        mean[k], var[k] = oracle_moments(pops, ops)
+    return DeviationSeries(times=times, d_mean=np.abs(mean - record.mean_jz, out=mean),
+                           d_var=np.abs(var - record.var_jz, out=var), j_total=p.j_total)
 
 
 def dephasing_rate_errors(p: PhysicalParams) -> np.ndarray:

@@ -832,6 +832,14 @@ class TestCliOracleCheck:
         assert summary["passed"] is True
         assert (tmp_path / "out" / "oracle_deviation.csv").exists()
 
+    def test_runs_no_eigensolver(self, tmp_path, monkeypatch):
+        # the coherent state is a closed form: no LAPACK call is paged in
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert main(["oracle-check", "--preset", "oracle", "--out", str(tmp_path / "out")]) == 0
+
 
 ORACLE_FIELDS = [("j_small", -10), ("j_small", 0), ("j_small", 2.3), ("j_small", 40),
                  ("mt_max", -0.1), ("mt_max", 0), ("dephasing_j", -5), ("dephasing_j", 0.3)]

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qkfmag import sme_oracle
+from qkfmag.config import load_preset
 from qkfmag.core import PhysicalParams, TimeGrid
 from qkfmag.dynamics import simulate_trajectory
 from qkfmag.rng import substream
@@ -17,7 +21,8 @@ from qkfmag.sme_oracle import (
     sme_step,
 )
 
-from sme_measures import check_density, positivity_tolerance, rms_var_frac
+from sme_measures import check_density, dense_compare, dense_step, positivity_tolerance, \
+    rms_var_frac
 
 
 def small_params(j, m=1.0, eta=1.0, b=0.0, t_total=0.1):
@@ -83,6 +88,21 @@ class TestCoherentState:
         rho = coherent_spin_state_x(ops)
         jx_mean = float(np.real(np.trace(rho @ ops.jx)))
         assert jx_mean == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("j", [0.5, 3.5, 10.0, 20.0])
+    def test_is_the_top_eigenstate_of_jx(self, j):
+        ops = build_spin_operators(j)
+        rho = check_density(coherent_spin_state_x(ops))
+        np.testing.assert_allclose(ops.jx @ rho, j * rho, atol=1e-13)
+
+    def test_diagonal_is_the_binomial_within_an_ulp(self):
+        # the closed form's populations against the exact rationals C(2J, J - m) / 4^J
+        for two_j in range(1, 41):
+            pops = coherent_spin_state_x(build_spin_operators(two_j / 2.0)).diagonal()
+            assert not pops.imag.any() and pops.real.sum() == 1.0
+            for k, got in enumerate(pops.real.tolist()):
+                exact = Fraction(math.comb(two_j, k), 2**two_j)
+                assert abs(Fraction(got) - exact) <= math.ulp(float(exact)), (two_j, k)
 
 
 class TestSmeStep:
@@ -159,6 +179,21 @@ class TestSmeStep:
             errs = dephasing_rate_errors(small_params(j))
             assert np.max(errs) < 0.01, f"J={j}"
 
+    @pytest.mark.parametrize("j", [1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("m", [1.0, 1.5])
+    def test_dephasing_errors_are_the_dense_loops(self, monkeypatch, j, m):
+        # the dW = 0 steps skip the record term, which adds only zeros
+        p = small_params(j, m=m)
+        errs = dephasing_rate_errors(p)
+        monkeypatch.setattr(sme_oracle, "sme_step", dense_step)
+        assert np.array_equal(errs, dephasing_rate_errors(p))
+
+    def test_populations_refuse_a_field(self):
+        ops = build_spin_operators(2.0)
+        pops = coherent_spin_state_x(ops).diagonal().copy()
+        with pytest.raises(ValueError, match="couples coherences"):
+            sme_step(pops, ops, small_params(2.0, b=0.5), 1e-4, 0.01)
+
 
 class TestOracleMoments:
     def test_jz_eigenstate(self):
@@ -200,6 +235,58 @@ class TestCompareToGaussian:
                     for s in range(3)]
             scores.append(np.mean(vals))
         assert all(a > b for a, b in zip(scores, scores[1:])), scores
+
+    @pytest.mark.parametrize("j, eta, log_prefix, seed, t_total", [
+        (0.5, 1.0, False, 23, 3.0),
+        (0.5, 0.3, True, 158, 1.0),
+        (2.0, 0.3, True, 158, 0.1),
+        (2.0, 1e-300, False, 23, 0.1),
+        (10.0, 1.0, False, 23, 0.1),
+        (10.0, 0.3, True, 158, 0.05),
+        (10.0, 1e-300, True, 5, 0.05),
+        (20.0, 1.0, True, 23, 0.01),
+        (20.0, 0.3, False, 158, 0.01),
+    ])
+    def test_populations_are_the_dense_loops(self, j, eta, log_prefix, seed, t_total):
+        # at B = 0 the populations step alone, and every gap comes out bit for
+        # bit as the whole-matrix loop's
+        p = small_params(j, eta=eta, t_total=t_total)
+        grid = oracle_grid(p)
+        if log_prefix:
+            grid = TimeGrid.with_prefix(grid.dt, t_total, grid.dt / 100.0, 1.2)
+            assert grid.prefix.size > 0
+        dev = compare_to_gaussian(p, grid, substream(seed, 0))
+        want = dense_compare(p, grid, substream(seed, 0))
+        assert np.array_equal(dev.times, want.times)
+        assert np.array_equal(dev.d_mean, want.d_mean)
+        assert np.array_equal(dev.d_var, want.d_var)
+
+    def test_rejects_a_field_before_simulating(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("simulated before refusing the field")
+
+        monkeypatch.setattr(sme_oracle, "simulate_trajectory", unreachable)
+        p = small_params(2.0, b=0.5)
+        with pytest.raises(ValueError, match="b_true = 0"):
+            compare_to_gaussian(p, oracle_grid(p), substream(0, 0))
+
+    def test_peak_memory_on_the_oracle_preset(self):
+        # the bound is the whole-matrix loop's measured peak (561,621 bytes,
+        # all of it in the record's simulation) plus 1.5% for the interpreter's
+        # own objects: the loop may keep no array of steps x (2J+1) populations,
+        # nor a list of the record's floats (+34 kB)
+        oc = load_preset("oracle").oracle
+        p = small_params(oc.j_small, t_total=oc.mt_max)
+        grid = oracle_grid(p)
+        compare_to_gaussian(p, grid, substream(5, 0))  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            compare_to_gaussian(p, grid, substream(5, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.n_intervals == 4410
+        assert peak < 570_000
 
     def test_rejects_large_j(self):
         p = small_params(40.0)
