@@ -33,7 +33,6 @@ from .dynamics import RecordStream, noise_mismatch
 # perfbench's probe wraps these three, though simulate no longer calls them
 from .dynamics import lowpass_filter, reconstruct_noise, simulate_trajectory  # noqa: F401
 from .estimators import (
-    ThresholdCurve,
     detection_threshold_asymptotic,
     riccati_analytic,
     riccati_integrate,
@@ -120,7 +119,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, zero_noise: bool = False,
 
 
 def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
-    """Ensemble MSE table plus the four reference threshold curves."""
+    """Ensemble MSE table plus the threshold table: four reference curves over one time axis."""
     p = cfg.params
     grid = cfg.make_grid()
     if cfg.ensemble.checkpoint_times:
@@ -144,22 +143,18 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     # the axis starts at 1e-8 s or t_total * 1e-5, whichever is later, but below t_total
     t_first = max(1e-8, p.t_total * 1e-5) if p.t_total > 1e-8 else p.t_total * 1e-5
     times = log_times(cfg.ensemble.first_checkpoint or t_first, p.t_total, 30)
-    curves = [riccati_integrate(p, times).threshold_curve()]
+    curves = {"riccati_numeric": np.sqrt(riccati_integrate(p, times).v22)}
     skipped = []
     try:
-        curves.append(ThresholdCurve(times=times, delta_b=riccati_analytic(p, times),
-                                     source="riccati_analytic"))
+        curves["riccati_analytic"] = riccati_analytic(p, times)
     except ValueError as exc:  # outside closed-form validity somewhere
         skipped.append({"source": "riccati_analytic", "reason": str(exc)})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        curves.append(ThresholdCurve(times=times, delta_b=detection_threshold_asymptotic(p, times),
-                                     source="asymptotic"))
-    curves.append(ThresholdCurve(times=times,
-                                 delta_b=np.array([shotnoise_limit(p, t) for t in times]),
-                                 source="shotnoise"))
+        curves["asymptotic"] = detection_threshold_asymptotic(p, times)
+    curves["shotnoise"] = shotnoise_limit(p, times)
     with open(out_dir / "thresholds.csv", "wb") as f:
-        write_threshold_csv(curves, f)
+        write_threshold_csv(times, curves, f)
 
     checks = []
     notes = [str(w.message) for w in caught]

@@ -191,9 +191,8 @@ class RecordStream:
         self.n = grid.n_intervals
         self.n_pref = self.n - grid.n_steps  # the photocurrent's first step
         self.starts = []  # (generator state, mean, low-pass accumulator) per block
-
-    def _lowpass(self, y: np.ndarray, start: float) -> np.ndarray:
-        return lowpass_filter(y, self.grid.dt, params=self.params, start=start)
+        # the display low-pass cutoff: 2 pi sqrt(J)/t_total read as rad/s, in Hz
+        self.cutoff_hz = math.sqrt(p.j_total) / p.t_total
 
     def blocks(self):
         """Yield the record's ``TrajectoryRecord`` blocks in order, keeping the start of each."""
@@ -203,7 +202,7 @@ class RecordStream:
             self.starts.append((state, m, acc))
             tail = b.y[max(self.n_pref - s, 0):]  # the steps the photocurrent reads
             if len(tail):
-                acc = float(self._lowpass(tail, acc)[-1])
+                acc = float(lowpass_filter(tail, self.grid.dt, self.cutoff_hz, acc)[-1])
             yield b
 
     def block(self, j: int) -> tuple:
@@ -215,7 +214,7 @@ class RecordStream:
         if gen is not None:
             gen.bit_generator.state = state
         b = _record_block(self.params, self.grid, s, m, gen)
-        return b, self._lowpass(b.y[max(self.n_pref - s, 0):], acc)
+        return b, lowpass_filter(b.y[max(self.n_pref - s, 0):], self.grid.dt, self.cutoff_hz, acc)
 
     def to_csv(self, fobj, pc, workers: int = 1) -> None:
         """Once ``blocks`` has run to the end: ``TrajectoryRecord.to_csv``'s bytes to
@@ -307,20 +306,13 @@ def noise_mismatch(record, p: PhysicalParams) -> tuple:
     return float(dw.max()), float((dw - bound).max()), float(np.abs(record.noise).max())
 
 
-def lowpass_filter(y: np.ndarray, dt: float, cutoff_hz: float | None = None,
-                   params: PhysicalParams | None = None, start: float = 0.0) -> np.ndarray:
+def lowpass_filter(y: np.ndarray, dt: float, cutoff_hz: float, start: float = 0.0) -> np.ndarray:
     """Causal single-pole IIR low-pass with -3 dB point at ``cutoff_hz``.
 
-    Default cutoff is sqrt(J)/t_total Hz (the display convention
-    2*pi*sqrt(J)/t_total, read as rad/s and converted).  Requires a
-    uniform sample spacing ``dt``.  ``start`` is the output before y[0]:
-    a filter run on from where an earlier run over the samples before y
-    ended gives that whole run's output, bit for bit.
+    Requires a uniform sample spacing ``dt``.  ``start`` is the output
+    before y[0]: a filter run on from where an earlier run over the samples
+    before y ended gives that whole run's output, bit for bit.
     """
-    if cutoff_hz is None:
-        if params is None:
-            raise ValueError("cutoff_hz or params required")
-        cutoff_hz = math.sqrt(params.j_total) / params.t_total
     if not cutoff_hz > 0:
         raise ValueError("cutoff must be positive")
     omega = 2.0 * math.pi * cutoff_hz

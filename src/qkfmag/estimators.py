@@ -168,13 +168,6 @@ class RiccatiSolution:
     times: np.ndarray
     v22: np.ndarray
 
-    @property
-    def delta_b(self) -> np.ndarray:
-        return np.sqrt(self.v22)
-
-    def threshold_curve(self) -> "ThresholdCurve":
-        return ThresholdCurve(times=self.times, delta_b=self.delta_b, source="riccati_numeric")
-
 
 def riccati_integrate(p: PhysicalParams, times) -> RiccatiSolution:
     """Field variance of the covariance flow at ``times``, an array.
@@ -259,27 +252,21 @@ def detection_threshold_asymptotic(p: PhysicalParams, t):
     return float(out[0]) if scalar else out
 
 
-def shotnoise_limit(p: PhysicalParams, t_tot: float) -> float:
-    """Conventional projection-noise limit 1/(gamma sqrt(J T2 t_tot)), T2 = 2/M."""
-    if not t_tot > 0:
-        raise ValueError("t_tot must be positive")
-    return 1.0 / (p.gamma * math.sqrt(p.j_total * t2_bound(p) * t_tot))
+def shotnoise_limit(p: PhysicalParams, t):
+    """Conventional projection-noise limit 1/(gamma sqrt(J T2 t)), T2 = 2/M, at ``t``,
+    a float or an array."""
+    if not np.all(np.asarray(t) > 0):
+        raise ValueError("t must be positive")
+    return 1.0 / (p.gamma * np.sqrt(p.j_total * t2_bound(p) * np.asarray(t, dtype=float)))
 
 
-@dataclass(frozen=True)
-class ThresholdCurve:
-    times: np.ndarray
-    delta_b: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        if self.source not in THRESHOLD_SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        if np.any(np.asarray(self.delta_b) <= 0):
-            raise ValueError("delta_b must be positive")
-
-
-def write_threshold_csv(curves, fobj) -> None:
-    write_csv(fobj, ["t", "delta_b", "source"],
-              [np.concatenate([c.times for c in curves]), np.concatenate([c.delta_b for c in curves]),
-               [c.source for c in curves for _ in c.times]])
+def write_threshold_csv(times: np.ndarray, curves: dict, fobj) -> None:
+    """The threshold table: each {source: delta_b} of ``curves`` over the one axis ``times``."""
+    for source, delta_b in curves.items():
+        if source not in THRESHOLD_SOURCES:
+            raise ValueError(f"unknown source {source!r}")
+        if np.any(np.asarray(delta_b) <= 0):
+            raise ValueError(f"{source}: delta_b must be positive")
+    write_csv(fobj, ["t", "delta_b", "source"], [np.tile(times, len(curves)),
+                                                 np.concatenate(list(curves.values())),
+                                                 [s for s in curves for _ in times]])

@@ -45,12 +45,12 @@ def scaling_rows(result, fobj) -> None:
         w.writerow([repr(float(j)), "shotnoise", repr(float(r))])
 
 
-def threshold_rows(curves, fobj) -> None:
+def threshold_rows(times, curves, fobj) -> None:
     w = csv.writer(fobj)
     w.writerow(["t", "delta_b", "source"])
-    for curve in curves:
-        for t, db in zip(curve.times, curve.delta_b):
-            w.writerow([repr(float(t)), repr(float(db)), curve.source])
+    for source, delta_b in curves.items():
+        for t, db in zip(times, delta_b):
+            w.writerow([repr(float(t)), repr(float(db)), source])
 
 
 def deviation_rows(dev, fobj) -> None:

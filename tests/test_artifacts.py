@@ -21,7 +21,6 @@ from qkfmag.core import (CSV_BLOCK_ROWS, SCAN_BLOCK, PhysicalParams, TimeGrid, _
                          _format_tables, format_floats, make_grid, write_csv)
 from qkfmag.dynamics import RecordStream, lowpass_filter, simulate_trajectory
 from qkfmag.estimators import (
-    ThresholdCurve,
     detection_threshold_asymptotic,
     riccati_analytic,
     riccati_integrate,
@@ -83,7 +82,7 @@ def record_files(p, grid, rec) -> list:
     k = grid.n_intervals - grid.n_steps  # the photocurrent's first step
     photocurrent = io.StringIO()
     write_csv_rows(photocurrent, ["t", "y", "y_filtered"],
-                   [rec.times[k:-1], rec.y[k:], lowpass_filter(rec.y[k:], grid.dt, params=p)])
+                   [rec.times[k:-1], rec.y[k:], lowpass_filter(rec.y[k:], grid.dt, math.sqrt(p.j_total) / p.t_total)])
     return [oracle(trajectory_rows, rec), photocurrent.getvalue().encode("ascii")]
 
 
@@ -241,12 +240,12 @@ class TestArtifactBytes:
         times = np.geomspace(1e-4, p.t_total, 31)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            curves = [riccati_integrate(p, times).threshold_curve(),
-                      ThresholdCurve(times, riccati_analytic(p, times), "riccati_analytic"),
-                      ThresholdCurve(times, detection_threshold_asymptotic(p, times), "asymptotic"),
-                      ThresholdCurve(times, np.array([shotnoise_limit(p, t) for t in times]),
-                                     "shotnoise")]
-        new, ref = written(write_threshold_csv, curves), oracle(threshold_rows, curves)
+            curves = {"riccati_numeric": np.sqrt(riccati_integrate(p, times).v22),
+                      "riccati_analytic": riccati_analytic(p, times),
+                      "asymptotic": detection_threshold_asymptotic(p, times),
+                      "shotnoise": shotnoise_limit(p, times)}
+        new = written(write_threshold_csv, times, curves)
+        ref = oracle(threshold_rows, times, curves)
         assert first_difference(new, ref) is None
 
     def test_oracle_deviation(self):

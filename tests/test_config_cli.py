@@ -36,6 +36,7 @@ from qkfmag.config import (
 )
 from qkfmag.core import TimeGrid
 from qkfmag.dynamics import lowpass_filter, simulate_trajectory
+from qkfmag.estimators import THRESHOLD_SOURCES
 from qkfmag.rng import substream
 
 FIG2_DOC = {
@@ -448,6 +449,21 @@ class TestCliEnsemble:
         assert tlines[0] == "t,delta_b,source"
         sources = {ln.split(",")[2] for ln in tlines[1:]}
         assert sources == {"riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise"}
+
+    def test_threshold_table_over_one_axis(self, tmp_path):
+        # the four sources in THRESHOLD_SOURCES order, each over the same t column
+        doc = dict(TOY_DOC)
+        doc["ensemble"] = {"n_traj": 4, "checkpoint_times": [0.5]}
+        cfg = _write_cfg(tmp_path, doc)
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "thresholds.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        axis = len(rows) // len(THRESHOLD_SOURCES)
+        assert axis > 1 and len(rows) == axis * len(THRESHOLD_SOURCES)
+        for k, source in enumerate(THRESHOLD_SOURCES):
+            block = rows[k * axis:(k + 1) * axis]
+            assert {r["source"] for r in block} == {source}
+            assert [r["t"] for r in block] == [r["t"] for r in rows[:axis]]
 
     def test_warnings_recorded(self, tmp_path):
         # fig2 physics at J = 1 (valid input): the asymptotic law is outside its
@@ -919,7 +935,8 @@ class TestCliArtifactsParse:
         record = simulate_trajectory(cfg.params, grid, substream(cfg.seed, 0))
         n_pref = grid.n_intervals - grid.n_steps
         assert n_pref > 0  # the toy grid has a log prefix
-        filtered = lowpass_filter(record.y[n_pref:], grid.dt, params=cfg.params)
+        filtered = lowpass_filter(record.y[n_pref:], grid.dt,
+                                  math.sqrt(cfg.params.j_total) / cfg.params.t_total)
         assert header == ["t", "y", "y_filtered"]
         assert len(rows) == grid.n_steps
         got = np.array(rows, dtype=float).T

@@ -233,7 +233,7 @@ class TestRecordStream:
                         prefix=np.geomspace(1e-7, 1e-5, 20))
         rec = simulate_trajectory(p, grid, substream(4, 1), zero_noise=zero_noise)
         n, n_pref = grid.n_intervals, 20
-        filtered = lowpass_filter(rec.y[n_pref:], grid.dt, params=p)
+        filtered = lowpass_filter(rec.y[n_pref:], grid.dt, math.sqrt(p.j_total) / p.t_total)
         stream = RecordStream(p, grid, substream(4, 1), zero_noise=zero_noise)
         blocks = list(stream.blocks())
         assert len(stream.starts) == len(blocks) == 3
@@ -429,15 +429,11 @@ class TestLowpass:
         factor = out[2000:].var() / y.var()
         assert factor == pytest.approx(math.pi * fc * dt, rel=0.10)
 
-    def test_default_cutoff_from_params(self):
+    def test_record_stream_cutoff(self):
+        # the display cutoff sqrt(J)/t_total Hz
         p = params(j_total=400.0, t_total=0.5)
-        y = np.ones(100)
-        out = lowpass_filter(y, dt=1e-3, params=p)  # cutoff = sqrt(J)/t_total = 40 Hz
-        explicit = lowpass_filter(y, dt=1e-3, cutoff_hz=40.0)
-        np.testing.assert_allclose(out, explicit, rtol=1e-14)
+        assert RecordStream(p, make_grid(p, dt=1e-3), substream(0, 0)).cutoff_hz == 40.0
 
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):
             lowpass_filter(np.ones(4), dt=0.1, cutoff_hz=0.0)
-        with pytest.raises(ValueError):
-            lowpass_filter(np.ones(4), dt=0.1)

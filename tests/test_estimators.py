@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import warnings
 
@@ -13,13 +14,13 @@ from qkfmag.core import (INFINITE, SCAN_BLOCK, PhysicalParams, TimeGrid, collaps
                          with_spin)
 from qkfmag.dynamics import conditional_variance, simulate_trajectory, step_coefficients
 from qkfmag.estimators import (
-    ThresholdCurve,
     _linear_recurrence,
     detection_threshold_asymptotic,
     kalman_schedule,
     riccati_analytic,
     riccati_integrate,
     shotnoise_limit,
+    write_threshold_csv,
 )
 from qkfmag.rng import substream
 
@@ -370,7 +371,7 @@ class TestRiccatiIntegrate:
     def test_monotone_threshold(self):
         ts = np.geomspace(1e-8, 2e-3, 200)
         sol = riccati_integrate(params(prior_b_variance=INFINITE), ts)
-        assert np.all(np.diff(sol.delta_b) < 0)
+        assert np.all(np.diff(np.sqrt(sol.v22)) < 0)
 
     def test_grid_input_and_t0(self):
         p = toy()
@@ -386,6 +387,22 @@ class TestRiccatiAnalytic:
         small = riccati_analytic(p, 1e-12)
         smaller = riccati_analytic(p, 1e-13)
         assert smaller > small > riccati_analytic(p, 1e-10)
+
+    def test_finite_where_v22_overflows(self):
+        # why the threshold keeps its own closed form, not sqrt(v22) with an infinite
+        # prior: v22 ~ 1/gamma^2 leaves float64 from gamma ~ 1e-150, while the closed
+        # form divides by gamma outside the square root and stays in range
+        ts = np.geomspace(5e-7, 0.05, 151)
+        overflowed = 0
+        for gamma in np.geomspace(1e-140, 1e-300, 17):
+            p = toy(j_total=100.0, gamma=gamma, meas_strength=50.0, t_total=0.05,
+                    prior_b_variance=INFINITE)
+            with np.errstate(over="ignore", divide="ignore"):
+                lost = ~np.isfinite(riccati_integrate(p, ts).v22)
+            overflowed += lost.sum()
+            delta_b = riccati_analytic(p, ts)
+            assert np.all(np.isfinite(delta_b[lost])) and np.all(delta_b > 0), gamma
+        assert overflowed > 0
 
     def test_rejects_non_positive_time(self):
         with pytest.raises(ValueError):
@@ -506,13 +523,27 @@ class TestShotnoise:
         assert shotnoise_limit(params(j_total=1.6e7), 1e-3) == pytest.approx(
             shotnoise_limit(params(), 1e-3) / 2, rel=1e-12)
 
+    def test_takes_the_axis(self):
+        # an array of times gives each time's float, bit for bit, as math.sqrt rounds
+        p = params()
+        ts = np.geomspace(1e-8, 2e-3, 101)
+        want = [1.0 / (p.gamma * math.sqrt(p.j_total * (2.0 / p.meas_strength) * t)) for t in ts]
+        assert shotnoise_limit(p, ts).tolist() == [shotnoise_limit(p, t) for t in ts] == want
+        with pytest.raises(ValueError):
+            shotnoise_limit(p, np.array([1e-3, 0.0]))
 
-class TestThresholdCurve:
-    def test_source_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdCurve(times=np.array([1.0]), delta_b=np.array([1.0]), source="nope")
-        with pytest.raises(ValueError):
-            ThresholdCurve(times=np.array([1.0]), delta_b=np.array([-1.0]), source="shotnoise")
+
+class TestThresholdTable:
+    def test_refuses_unknown_source_and_nonpositive_delta_b(self):
+        times, buf = np.array([1e-3, 2e-3]), io.BytesIO()
+        with pytest.raises(ValueError, match="unknown source"):
+            write_threshold_csv(times, {"nope": np.ones(2)}, buf)
+        with pytest.raises(ValueError, match="positive"):
+            write_threshold_csv(times, {"shotnoise": np.array([1.0, -1.0])}, buf)
+        with pytest.raises(ValueError, match="positive"):
+            write_threshold_csv(times, {"asymptotic": np.ones(2), "riccati_numeric": np.zeros(2)},
+                                buf)
+        assert buf.getvalue() == b""  # refused before a row is written
 
 
 class TestRegression:
