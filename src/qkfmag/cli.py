@@ -170,10 +170,12 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
         # the exact fixed-B MSE B^2 w^2 + v22 (1 - w), w = v22/p0 the prior's pull (see montecarlo)
         v22 = stats.predicted_v22
         w = 0.0 if math.isinf(p.prior_b_variance) else v22 / p.prior_b_variance
-        ratios = stats.mse["qkf"] / (p.b_true**2 * w * w + v22 * (1.0 - w))
+        exact = p.b_true**2 * w * w + v22 * (1.0 - w)
+        vanishing = exact == 0.0  # b_true = 0 while v22 is still the prior (w = 1): no ratio
+        ratios = np.divide(stats.mse["qkf"], exact, out=np.full_like(v22, np.nan), where=~vanishing)
         # an infinite prior leaves the estimate NaN until the data carry information
         unresolved = np.isnan(ratios) & math.isinf(p.prior_b_variance)
-        scored = ratios[~unresolved]
+        scored = ratios[~(unresolved | vanishing)]
         # only enforce where the ensemble has resolving power
         enough = stats.n_traj >= 1000
         detail = ((f"mse/exact in [{scored.min():.3f}, {scored.max():.3f}] " if len(scored) else "")
@@ -183,6 +185,10 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
             detail += f"; not scored at t = {t_unresolved}"
             notes.append(f"qkf mse is NaN at t = {t_unresolved}: the infinite "
                          f"prior is not yet resolved there (no data information)")
+        if vanishing.any():
+            t_zero = [float(t) for t in stats.times[vanishing]]
+            detail += f"; not scored at t = {t_zero} (exact mse 0)"
+            notes.append(f"qkf exact mse is 0 at t = {t_zero}: b_true = 0, v22 still the prior")
         if not (enough and len(scored)):
             detail += "; skipped: " + ("no checkpoint scored" if enough else "n_traj < 1000")
         checks.append({"name": "qkf_mse_matches_riccati", "detail": detail,
@@ -224,7 +230,7 @@ def cmd_scaling(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
-    """Dense-model validation of the Gaussian dynamics at small J.
+    """Quantum-model validation of the Gaussian dynamics at small J.
 
     Of the config it reads ``oracle.j_small``, ``oracle.mt_max``,
     ``params.efficiency`` and ``seed``: the comparison runs at M = 1 and
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_ in (("simulate", "single trajectory + filtered photocurrent"),
                         ("ensemble", "Monte Carlo error statistics vs Riccati prediction"),
                         ("scaling", "RMS error vs J slopes"),
-                        ("oracle-check", "dense small-J validation of the Gaussian model")):
+                        ("oracle-check", "small-J quantum validation of the Gaussian model")):
         sp = sub.add_parser(name, help=help_)
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", type=str, help="path to a JSON run configuration")

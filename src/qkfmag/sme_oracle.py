@@ -1,7 +1,6 @@
 """Full-Hilbert-space oracle for small J.
 
-Brute-force integration of the conditional master equation on the
-(2J+1)-dimensional space,
+The conditional master equation on the (2J+1)-dimensional space,
 
     drho = i gamma B [Jy, rho] dt + M D[Jz] rho dt + sqrt(M eta) H[Jz] rho dW,
 
@@ -12,15 +11,15 @@ Gaussian model.  A Jz Hamiltonian would commute with the measured
 observable and produce no precession, so the drift of <Jz> could never
 appear.
 
-Used to validate the Gaussian model pathwise: both integrators consume
-the *same* stored dW sequence, which is far more sensitive than
-comparing distributions.
-
-At B = 0 both superoperators act elementwise in the Jz basis, so the
-2J + 1 populations (the diagonal) evolve on their own: D[Jz] leaves them
-alone and H[Jz] only reweights them.  The pathwise comparison runs at
-B = 0 and steps only the populations; the dephasing-law check steps the
-whole matrix, whose coherences it reads.
+At B = 0 both superoperators act elementwise in the Jz basis, and the
+filter for this QND measurement of Jz (Belavkin) has a closed form: the
+Jz populations given the record are the coherent state's binomial
+C(2J, J - m) / 4^J times the record's likelihood
+exp(4 M eta m Xi - 2 M eta m^2 t), with Xi the running sum of d_xi.  The
+pathwise comparison reads the Gaussian model against this exact state on
+the model's own record, with no time stepping.  The Euler-Maruyama step
+of the whole density matrix serves the dephasing-law check, which reads
+its coherences.
 """
 
 from __future__ import annotations
@@ -35,10 +34,12 @@ from .dynamics import simulate_trajectory
 from .rng import SeedSpec
 
 # Pathwise Gaussian-model agreement threshold for the mean, in units of
-# sqrt(J/2): neglected terms are down by 1/J and this bound holds with
-# ample margin at J = 10 over matched-noise runs.
+# sqrt(J/2): neglected terms are down by 1/J.  A correct model can miss it: at
+# J = 10, M t = 0.1 the largest gap over a record has median 0.006, and its tail
+# (the binomial prior's shape, a real 1/J effect) passes 0.05 at 15 of seeds 1-1000.
 MEAN_DEVIATION_FRAC = 0.05
-MAX_DENSE_J = 20.0  # largest J the pathwise comparison integrates densely
+MAX_DENSE_J = 20.0  # largest J compared: at recommended_dt its grid has 100 M t (2J + 1)^2 steps
+POSTERIOR_BLOCK = 256  # points per closed-form block: (256, 2J + 1) temporaries
 # The dephasing-law check runs at J = 5, coherences |m - m'| up to 10.  At
 # recommended_dt the Euler step's relative rate error is about
 # M (m - m')^2 dt / 4 < 1/400, so DEPHASING_TOL leaves ample margin.
@@ -80,18 +81,23 @@ def build_spin_operators(j: float) -> SpinOperators:
                          msum=np.add.outer(m, m))
 
 
+def coherent_populations(dim: int) -> np.ndarray:
+    """The Jz populations C(2J, J - m) / 4^J of the x-polarized coherent state,
+    m = J..-J with 2J + 1 = ``dim``.  For 2J <= 52 the binomials are exact
+    floats and the division by 4^J is exact: each is its rational rounded once."""
+    n = dim - 1
+    return np.array([math.comb(n, k) for k in range(dim)], dtype=float) / 2.0**n
+
+
 def coherent_spin_state_x(ops: SpinOperators) -> np.ndarray:
     """Density matrix of the highest-weight eigenstate of Jx: <Jx> = J, <Jz> = 0, <dJz^2> = J/2.
 
-    Closed form: psi_m = sqrt(C(2J, J - m) / 4^J), so rho_mm' =
-    sqrt(C_m C_m') / 2^(2J).  For 2J <= 52 the binomials and their partial
-    sums are exact floats, and sqrt of a rounded square returns its root,
-    so the diagonal is the exact C(2J, J - m) / 4^J and the trace is
-    exactly 1.
+    Closed form: psi_m = sqrt(p_m), with p the ``coherent_populations``, so
+    rho_mm' = sqrt(p_m p_m').  sqrt of a rounded square returns its root,
+    so the diagonal is p itself, and for 2J <= 52 the trace is exactly 1.
     """
-    n = ops.dim - 1
-    c = np.array([math.comb(n, k) for k in range(ops.dim)], dtype=float)
-    return (np.sqrt(np.outer(c, c)) / 2.0**n).astype(complex)
+    c = coherent_populations(ops.dim)
+    return np.sqrt(np.outer(c, c)).astype(complex)
 
 
 def recommended_dt(p: PhysicalParams, j: float) -> float:
@@ -100,59 +106,38 @@ def recommended_dt(p: PhysicalParams, j: float) -> float:
     return 1.0 / (100.0 * p.meas_strength * dim * dim)
 
 
-def _populations(r: np.ndarray) -> np.ndarray:
-    """The Jz populations of ``r``: the diagonal of a density matrix, or ``r`` itself."""
-    return r.diagonal() if r.ndim == 2 else r
-
-
-def sme_step(r: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
+def sme_step(rho: np.ndarray, ops: SpinOperators, p: PhysicalParams, dt: float,
              dW: float, renormalize: bool = True) -> np.ndarray:
-    """One Euler-Maruyama step of the density matrix ``r``, then renormalize.
+    """One Euler-Maruyama step of the density matrix ``rho``, then renormalize.
 
-    At B = 0, ``r`` may instead be the 2J + 1 populations alone (a complex
-    vector, so that the trace sums in the matrix's order): D[Jz] leaves
-    them alone, and each comes out bit for bit as the matrix's diagonal.
     The record term is skipped when dW = 0, where it adds only zeros.
-
     Both superoperators are trace-free, so the raw increment preserves
     the trace to rounding; renormalization only corrects accumulated
-    O(dt^2) drift.  At B = 0 the step scales ``r`` elementwise by real,
+    O(dt^2) drift.  At B = 0 the step scales ``rho`` elementwise by real,
     exactly symmetric matrices (``dephase``, ``msum``), so an exactly
-    Hermitian ``r`` stays exactly Hermitian.  Only a field's commutator,
+    Hermitian ``rho`` stays exactly Hermitian.  Only a field's commutator,
     a matrix product, rounds asymmetrically: then the state is Hermitized.
     """
-    dense = r.ndim == 2
     gb = p.gamma * p.b_true
-    if gb != 0.0 and not dense:
-        raise ValueError("a field couples coherences into populations: step the density matrix")
     m = p.meas_strength
-    new = (r + m * dt * ops.dephase * r) if dense else r
+    new = rho + m * dt * ops.dephase * rho
     if dW != 0.0:
-        mz = float((ops.m * _populations(r).real).sum())
-        msum = ops.msum if dense else ops.msum.diagonal()
-        new = new + math.sqrt(m * p.efficiency) * dW * (msum * r - 2.0 * mz * r)
+        mz = float((ops.m * rho.diagonal().real).sum())
+        new = new + math.sqrt(m * p.efficiency) * dW * (ops.msum * rho - 2.0 * mz * rho)
     if gb != 0.0:
-        new = new + (1j * gb * dt) * (ops.jy @ r - r @ ops.jy)
+        new = new + (1j * gb * dt) * (ops.jy @ rho - rho @ ops.jy)
         new = 0.5 * (new + new.conj().T)
     if renormalize:
-        tr = float(_populations(new).sum().real)
+        tr = float(new.diagonal().sum().real)
         if not (tr > 0.0 and math.isfinite(tr)):
             raise RuntimeError("trace collapsed; dt too large for this J")
         new = new / tr
     return new
 
 
-def oracle_moments(r: np.ndarray, ops: SpinOperators):
-    """(<Jz>, <dJz^2>) of a density matrix or of its populations."""
-    pops = _populations(r).real
-    mean = float((ops.m * pops).sum())
-    second = float((ops.m * ops.m * pops).sum())
-    return mean, second - mean * mean
-
-
 @dataclass(frozen=True)
 class DeviationSeries:
-    """Pathwise |SME - Gaussian| gaps with matched noise."""
+    """Pathwise |exact - Gaussian| gaps on one record."""
 
     times: np.ndarray
     d_mean: np.ndarray
@@ -168,29 +153,38 @@ class DeviationSeries:
 
 
 def compare_to_gaussian(p: PhysicalParams, grid: TimeGrid, seed: SeedSpec) -> DeviationSeries:
-    """Per-step deviations between the dense SME and the Gaussian model at B = 0.
+    """Per-point gaps between the exact B = 0 quantum state and the Gaussian model.
 
-    The SME consumes the trajectory record's stored dW sequence, so the
-    comparison is pathwise.  Only the populations are stepped, and each
-    step's mean and variance are read off them.  Tractable for
-    j_total <= ~20.
+    On the Gaussian model's own record, the exact Jz populations at each
+    point are the ``coherent_populations`` times the likelihood
+    exp(4 M eta m Xi - 2 M eta m^2 t), each row's exponents shifted by their
+    largest.  Their mean and variance are read ``POSTERIOR_BLOCK`` points at
+    a time, and the gaps are written over the record's own mean_jz and
+    var_jz: no array longer than a block is formed.
     """
     if p.j_total > MAX_DENSE_J:
         raise ValueError(f"dense oracle limited to j_total <= {MAX_DENSE_J:g}")
     if p.b_true != 0.0:
-        raise ValueError("the pathwise comparison steps the populations alone: needs b_true = 0")
+        raise ValueError("the closed-form state holds at B = 0 only: needs b_true = 0")
     record = simulate_trajectory(p, grid, seed)
-    times = grid.times
     ops = build_spin_operators(p.j_total)
-    pops = coherent_spin_state_x(ops).diagonal().copy()
-    mean = np.empty(len(times))
-    var = np.empty(len(times))
-    mean[0], var[0] = oracle_moments(pops, ops)
-    for k, (dt, dW) in enumerate(zip(np.diff(times), record.noise), 1):
-        pops = sme_step(pops, ops, p, float(dt), float(dW))
-        mean[k], var[k] = oracle_moments(pops, ops)
-    return DeviationSeries(times=times, d_mean=np.abs(mean - record.mean_jz, out=mean),
-                           d_var=np.abs(var - record.var_jz, out=var), j_total=p.j_total)
+    m, prior = ops.m, coherent_populations(ops.dim)
+    c = 2.0 * p.meas_strength * p.efficiency
+    xi = record.bloch  # overwritten by Xi, the sum of d_xi over the steps before each point
+    xi[0] = 0.0
+    np.cumsum(record.d_xi, out=xi[1:])
+    for s in range(0, len(xi), POSTERIOR_BLOCK):  # the slices stop at the record's end
+        e = s + POSTERIOR_BLOCK
+        w = (2.0 * c * xi[s:e])[:, None] * m - (c * record.times[s:e])[:, None] * (m * m)
+        w -= w.max(axis=1, keepdims=True)
+        w = np.exp(w, out=w) * prior
+        z = w.sum(axis=1)
+        mean = (w * m).sum(axis=1) / z
+        dev = m - mean[:, None]
+        var = (w * dev * dev).sum(axis=1) / z
+        np.abs(mean - record.mean_jz[s:e], out=record.mean_jz[s:e])
+        np.abs(var - record.var_jz[s:e], out=record.var_jz[s:e])
+    return DeviationSeries(record.times, record.mean_jz, record.var_jz, p.j_total)
 
 
 def dephasing_rate_errors(p: PhysicalParams) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Test-side measures of the dense SME oracle: the density-matrix invariants,
-the positivity floor their check allows, the variance-gap score of a
-``DeviationSeries``, and the whole-matrix B = 0 loop that the populations
-path of ``compare_to_gaussian`` must match bit for bit.  Shared by the unit
-and acceptance tests."""
+the positivity floor their check allows, a state's Jz moments, the
+variance-gap score of a ``DeviationSeries``, the reference arithmetic of the
+B = 0 Euler step, and an independent reference for the closed-form B = 0
+state that ``compare_to_gaussian`` reads.  Shared by the unit and acceptance
+tests and by CI's oracle-check run."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from qkfmag.dynamics import simulate_trajectory
-from qkfmag.sme_oracle import DeviationSeries, build_spin_operators, coherent_spin_state_x, \
-    oracle_moments
+from qkfmag.sme_oracle import DeviationSeries
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -44,6 +45,14 @@ def rms_var_frac(dev) -> float:
     return float(np.sqrt(np.mean(dev.d_var**2)) / (dev.j_total / 2.0))
 
 
+def oracle_moments(rho: np.ndarray, ops):
+    """(<Jz>, <dJz^2>) of a density matrix."""
+    pops = rho.diagonal().real
+    mean = float((ops.m * pops).sum())
+    second = float((ops.m * ops.m * pops).sum())
+    return mean, second - mean * mean
+
+
 def dense_step(r: np.ndarray, ops, p, dt: float, dW: float) -> np.ndarray:
     """The B = 0 Euler-Maruyama step on the whole density matrix, its record term
     formed even at dW = 0, then renormalized: the reference arithmetic of
@@ -55,22 +64,58 @@ def dense_step(r: np.ndarray, ops, p, dt: float, dW: float) -> np.ndarray:
     return new / float(new.trace().real)
 
 
-def dense_compare(p, grid, seed) -> DeviationSeries:
-    """``compare_to_gaussian`` as the dense loop: ``dense_step`` on the whole
-    matrix from the coherent state, ``oracle_moments`` read at every point."""
+# Largest difference allowed between ``compare_to_gaussian``'s gaps and the
+# reference's, in units of sqrt(J/2) (mean) and J/2 (variance).  Fixed before
+# measuring: far above float64 rounding of the closed form, far below the
+# 0.05 that the mean check scores.
+CLOSED_FORM_TOL = 1e-9
+
+
+def closed_form_moments(p, times, d_xi):
+    """The exact B = 0 (<Jz>, <dJz^2>) lists at every point of a record, one point
+    at a time: log C(2J, J - m) - 2J log 2 + 4 M eta m Xi - 2 M eta m^2 t,
+    shifted by its largest, then exponentiated and summed with ``math.fsum``.
+    Xi, the sum of d_xi over the steps before the point, is summed exactly and
+    rounded once."""
+    two_j = round(2 * p.j_total)
+    ms = [p.j_total - k for k in range(two_j + 1)]
+    log_prior = [math.log(math.comb(two_j, k)) - two_j * math.log(2.0) for k in range(two_j + 1)]
+    c = 2.0 * p.meas_strength * p.efficiency
+    xi = Fraction(0)
+    means, variances = [], []
+    for k, t in enumerate(np.asarray(times).tolist()):
+        x = float(xi)
+        logs = [lp + 2.0 * c * m * x - c * m * m * t for lp, m in zip(log_prior, ms)]
+        top = max(logs)
+        w = [math.exp(v - top) for v in logs]
+        z = math.fsum(w)
+        mean = math.fsum(wi * m for wi, m in zip(w, ms)) / z
+        means.append(mean)
+        variances.append(math.fsum(wi * (m - mean) ** 2 for wi, m in zip(w, ms)) / z)
+        if k < len(d_xi):
+            xi += Fraction(float(d_xi[k]))
+    return means, variances
+
+
+def closed_form_compare(p, grid, seed) -> DeviationSeries:
+    """``compare_to_gaussian`` from ``closed_form_moments``: the gaps on the same record."""
     record = simulate_trajectory(p, grid, seed)
-    times = grid.times
-    ops = build_spin_operators(p.j_total)
-    rho = coherent_spin_state_x(ops)
-    n = len(times) - 1
-    d_mean = np.empty(n + 1)
-    d_var = np.empty(n + 1)
-    mz, vz = oracle_moments(rho, ops)
-    d_mean[0] = abs(mz - record.mean_jz[0])
-    d_var[0] = abs(vz - record.var_jz[0])
-    for k in range(n):
-        rho = dense_step(rho, ops, p, float(times[k + 1] - times[k]), float(record.noise[k]))
-        mz, vz = oracle_moments(rho, ops)
-        d_mean[k + 1] = abs(mz - record.mean_jz[k + 1])
-        d_var[k + 1] = abs(vz - record.var_jz[k + 1])
-    return DeviationSeries(times=times, d_mean=d_mean, d_var=d_var, j_total=p.j_total)
+    mean, var = closed_form_moments(p, record.times, record.d_xi)
+    return DeviationSeries(times=record.times, d_mean=np.abs(mean - record.mean_jz),
+                           d_var=np.abs(var - record.var_jz), j_total=p.j_total)
+
+
+def read_deviation(path, j_total: float) -> DeviationSeries:
+    """An ``oracle_deviation.csv`` back as a ``DeviationSeries``."""
+    t, d_mean, d_var = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    return DeviationSeries(times=t, d_mean=d_mean, d_var=d_var, j_total=j_total)
+
+
+def deviation_mismatch(a: DeviationSeries, b: DeviationSeries) -> float:
+    """The largest gap difference between two series on one grid, the mean's in units
+    of sqrt(J/2) and the variance's in J/2 (inf if the times differ)."""
+    if not np.array_equal(a.times, b.times):
+        return math.inf
+    half = a.j_total / 2.0
+    return max(float(np.max(np.abs(a.d_mean - b.d_mean))) / math.sqrt(half),
+               float(np.max(np.abs(a.d_var - b.d_var))) / half)

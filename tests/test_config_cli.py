@@ -512,6 +512,26 @@ class TestCliEnsemble:
         assert len(nan) == 1
         assert "[1e-05]" in nan[0]
 
+    def test_zero_exact_mse_checkpoint_not_scored(self, tmp_path):
+        # b_true = 0 and gamma 1e-150: at the checkpoint the data have not moved
+        # v22 off the prior, so the exact MSE is 0.  The checkpoint is reported as
+        # not scored, with no RuntimeWarning (it read "mse/exact in [inf, inf]")
+        doc = dict(TOY_DOC, gamma=1e-150, b_true=0.0, t_total=0.05, grid={"dt": 1e-4})
+        doc["ensemble"] = {"n_traj": 1024, "estimators": ["qkf"], "checkpoint_times": [5e-4]}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ensemble", "--config", _write_cfg(tmp_path, doc), "--workers", "1",
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        t = summary["checkpoints"]
+        (check,) = summary["checks"]
+        assert check["passed"] is True
+        assert check["detail"].endswith(
+            f"not scored at t = {t} (exact mse 0); skipped: no checkpoint scored")
+        assert f"qkf exact mse is 0 at t = {t}: b_true = 0, v22 still the prior" \
+            in summary["warnings"]
+
     def test_skipped_closed_form_recorded(self, tmp_path, monkeypatch):
         import qkfmag.cli as cli
 

@@ -13,15 +13,16 @@ from qkfmag.rng import substream
 from qkfmag.sme_oracle import (
     MEAN_DEVIATION_FRAC,
     build_spin_operators,
+    coherent_populations,
     coherent_spin_state_x,
     compare_to_gaussian,
     dephasing_rate_errors,
-    oracle_moments,
     recommended_dt,
     sme_step,
 )
 
-from sme_measures import check_density, dense_compare, dense_step, positivity_tolerance, \
+from sme_measures import CLOSED_FORM_TOL, check_density, closed_form_compare, \
+    closed_form_moments, deviation_mismatch, dense_step, oracle_moments, positivity_tolerance, \
     rms_var_frac
 
 
@@ -96,10 +97,12 @@ class TestCoherentState:
         np.testing.assert_allclose(ops.jx @ rho, j * rho, atol=1e-13)
 
     def test_diagonal_is_the_binomial_within_an_ulp(self):
-        # the closed form's populations against the exact rationals C(2J, J - m) / 4^J
+        # the closed form's populations against the exact rationals C(2J, J - m) / 4^J;
+        # the matrix and the B = 0 comparison's prior read one vector
         for two_j in range(1, 41):
             pops = coherent_spin_state_x(build_spin_operators(two_j / 2.0)).diagonal()
             assert not pops.imag.any() and pops.real.sum() == 1.0
+            assert np.array_equal(pops.real, coherent_populations(two_j + 1))
             for k, got in enumerate(pops.real.tolist()):
                 exact = Fraction(math.comb(two_j, k), 2**two_j)
                 assert abs(Fraction(got) - exact) <= math.ulp(float(exact)), (two_j, k)
@@ -188,12 +191,6 @@ class TestSmeStep:
         monkeypatch.setattr(sme_oracle, "sme_step", dense_step)
         assert np.array_equal(errs, dephasing_rate_errors(p))
 
-    def test_populations_refuse_a_field(self):
-        ops = build_spin_operators(2.0)
-        pops = coherent_spin_state_x(ops).diagonal().copy()
-        with pytest.raises(ValueError, match="couples coherences"):
-            sme_step(pops, ops, small_params(2.0, b=0.5), 1e-4, 0.01)
-
 
 class TestOracleMoments:
     def test_jz_eigenstate(self):
@@ -247,19 +244,43 @@ class TestCompareToGaussian:
         (20.0, 1.0, True, 23, 0.01),
         (20.0, 0.3, False, 158, 0.01),
     ])
-    def test_populations_are_the_dense_loops(self, j, eta, log_prefix, seed, t_total):
-        # at B = 0 the populations step alone, and every gap comes out bit for
-        # bit as the whole-matrix loop's
+    def test_is_the_log_sum_exp_reference(self, j, eta, log_prefix, seed, t_total):
+        # the blocked closed form against the per-point fsum reference on the
+        # same record, within CLOSED_FORM_TOL
         p = small_params(j, eta=eta, t_total=t_total)
         grid = oracle_grid(p)
         if log_prefix:
             grid = TimeGrid.with_prefix(grid.dt, t_total, grid.dt / 100.0, 1.2)
             assert grid.prefix.size > 0
         dev = compare_to_gaussian(p, grid, substream(seed, 0))
-        want = dense_compare(p, grid, substream(seed, 0))
+        want = closed_form_compare(p, grid, substream(seed, 0))
         assert np.array_equal(dev.times, want.times)
-        assert np.array_equal(dev.d_mean, want.d_mean)
-        assert np.array_equal(dev.d_var, want.d_var)
+        assert deviation_mismatch(dev, want) <= CLOSED_FORM_TOL
+
+    @pytest.mark.parametrize("j, t_total", [(2.0, 0.1), (5.0, 0.05), (10.0, 0.02)])
+    def test_euler_sme_converges_to_the_closed_form(self, j, t_total):
+        # the dense Euler SME on one record at recommended_dt, 4x and 16x finer,
+        # fed the record as dW_k = 2 sqrt(M eta) (d_xi_k - <Jz>_k dt_k): its mean's
+        # largest gap to the closed form at the coarse points shrinks with dt
+        p = small_params(j, eta=0.8, t_total=t_total)
+        n = int(math.ceil(t_total / recommended_dt(p, j)))
+        fine = simulate_trajectory(p, TimeGrid.uniform(t_total / (16 * n), 16 * n),
+                                   substream(23, 0))
+        want = closed_form_moments(p, fine.times[::16], fine.d_xi.reshape(n, 16).sum(axis=1))[0]
+        ops = build_spin_operators(j)
+        c = 2.0 * math.sqrt(p.meas_strength * p.efficiency)
+        gaps = []
+        for per in (1, 4, 16):  # steps per coarse step
+            d_xi = fine.d_xi.reshape(n * per, 16 // per).sum(axis=1).tolist()
+            dt = t_total / (n * per)
+            rho = coherent_spin_state_x(ops)
+            gap = 0.0
+            for k, dx in enumerate(d_xi, 1):
+                rho = sme_step(rho, ops, p, dt, c * (dx - oracle_moments(rho, ops)[0] * dt))
+                if k % per == 0:
+                    gap = max(gap, abs(oracle_moments(rho, ops)[0] - want[k // per]))
+            gaps.append(gap / math.sqrt(j / 2.0))
+        assert gaps[0] > gaps[1] > gaps[2], gaps
 
     def test_rejects_a_field_before_simulating(self, monkeypatch):
         def unreachable(*args):
