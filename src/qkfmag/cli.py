@@ -130,20 +130,20 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     spec = EnsembleSpec(params=p, grid=grid, n_traj=cfg.ensemble.n_traj,
                         master_seed=cfg.seed, estimators=tuple(cfg.ensemble.estimators),
                         checkpoints=cps)
+    # the threshold axis starts at 1e-8 s or t_total * 1e-5, whichever is later, but below t_total
+    t_first = max(1e-8, p.t_total * 1e-5) if p.t_total > 1e-8 else p.t_total * 1e-5
+    times = log_times(cfg.ensemble.first_checkpoint or t_first, p.t_total, 30)
     try:
         stats = run_ensemble(spec, workers=workers)
+        curves = {"riccati_numeric": np.sqrt(riccati_integrate(p, times).v22)}
     except CheckpointError as exc:
         key = "checkpoint_times" if cfg.ensemble.checkpoint_times else "first_checkpoint"
         raise ConfigError(f"ensemble.{key}: {exc}") from exc
-    except OverflowError as exc:
+    except OverflowError as exc:  # the gain schedule's or the field information's
         raise ConfigError(f"params.gamma, params.j_total, grid.dt: {exc}") from exc
     with open(out_dir / "ensemble.csv", "wb") as f:
         stats.to_csv(f)
 
-    # the axis starts at 1e-8 s or t_total * 1e-5, whichever is later, but below t_total
-    t_first = max(1e-8, p.t_total * 1e-5) if p.t_total > 1e-8 else p.t_total * 1e-5
-    times = log_times(cfg.ensemble.first_checkpoint or t_first, p.t_total, 30)
-    curves = {"riccati_numeric": np.sqrt(riccati_integrate(p, times).v22)}
     skipped = []
     try:
         curves["riccati_analytic"] = riccati_analytic(p, times)

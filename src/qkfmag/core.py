@@ -162,28 +162,23 @@ class TimeGrid:
             t[i == 0] = 0.0
         return t
 
-    def searchsorted(self, t) -> np.ndarray:
-        """``np.searchsorted(times, t)``, without forming ``times``.
+    def nearest(self, t) -> np.ndarray:
+        """The index in [1, n] of the point nearest each time, the lower on a tie (NaN: n).
 
-        Points 0..k are searched as they are.  On the uniform tail the
-        formula's inverse gives a first guess, stepped until exact: the first
-        point at or after t (n + 1 if none, or if t is NaN).
+        The guess, the search over points 0..k up to the prefix's end and the formula's
+        inverse k + rint((t - start) / dt) past it, is compared with its two neighbours.
         """
         t = np.asarray(t, dtype=float)
         k, n = self.prefix.size, self.n_intervals
         start = self.prefix[-1] if k else 0.0
-        with np.errstate(invalid="ignore"):
-            guess = np.ceil((t - start) / self.dt)
-        guess = np.clip(np.nan_to_num(guess, nan=self.n_steps + 1), 1, self.n_steps + 1)
-        i = k + guess.astype(np.int64)
-        while True:  # k + 1 <= i <= n + 1
-            down = (i > k + 1) & (self.points(i - 1) >= t)
-            up = (i <= n) & (self.points(i) < t)
-            if not (down.any() or up.any()):
-                break
-            i += up
-            i -= down
-        return np.where(t <= start, np.searchsorted(self.points(np.arange(k + 1)), t), i)
+        with np.errstate(over="ignore"):  # t / dt past float64 is inf: clipped, as NaN is
+            tail = np.clip(np.nan_to_num(np.rint((t - start) / self.dt), nan=n), 0, self.n_steps)
+        guess = np.where(t <= start, np.searchsorted(self.points(np.arange(k + 1)), t),
+                         k + tail.astype(np.int64))
+        best = np.minimum(guess + 1, n)
+        for i in (np.clip(guess, 1, n), np.clip(guess - 1, 1, n)):  # NaN compares false
+            best = np.where(np.abs(self.points(i) - t) <= np.abs(self.points(best) - t), i, best)
+        return best
 
     @property
     def times(self) -> np.ndarray:

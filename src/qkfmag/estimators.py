@@ -181,7 +181,7 @@ def riccati_integrate(p: PhysicalParams, times) -> RiccatiSolution:
 
     G1 = int_0^s (1 + lam u) e^{-M u / 2} du and den the closed form's
     denominator (``riccati_analytic`` is 1/sqrt(I)).  I is B-free, and
-    where M t underflows den, and so I, is 0.
+    where M t underflows den, and so I, is 0; ``OverflowError`` where I overflows.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -194,9 +194,14 @@ def riccati_integrate(p: PhysicalParams, times) -> RiccatiSolution:
     else:
         x = p.meas_strength * pos
         # den / M / M: at tiny M, 1/M^2 overflows (and M^2 underflows) where den is 0
-        info = ((4.0 * p.gamma * p.j_total) ** 2 * p.efficiency * _denominator(p, x)
-                / p.meas_strength / p.meas_strength
-                / (1.0 + 2.0 * p.efficiency * p.j_total * x))
+        try:
+            with np.errstate(over="raise"):
+                info = ((4.0 * p.gamma * p.j_total) ** 2 * p.efficiency * _denominator(p, x)
+                        / p.meas_strength / p.meas_strength
+                        / (1.0 + 2.0 * p.efficiency * p.j_total * x))
+        except (OverflowError, FloatingPointError):  # (4 gamma J)^2 eta den overflows first
+            raise OverflowError("field information overflowed: j_total or gamma is too large "
+                                f"(gamma J = {p.gamma * p.j_total:.3g})") from None
         v22 = 1.0 / (1.0 / p.prior_b_variance + info)  # 1/inf is 0
     if len(pos) < len(times):
         v22 = np.concatenate([[p.prior_b_variance], v22])

@@ -322,16 +322,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
 
 
 def checkpoints_for_times(grid: TimeGrid, wanted_times):
-    """The sorted distinct grid indices in (0, n] nearest to the wanted times.
-
-    On an exact tie the lower index wins.  The search reads only the points
-    it needs from the grid: no grid-length array is formed.
-    """
-    t = np.asarray(wanted_times, dtype=float)
-    hi = np.clip(grid.searchsorted(t), 1, grid.n_intervals)  # p[hi - 1] < t <= p[hi] inside
-    lo = np.maximum(hi - 1, 1)
-    k = np.where(np.abs(grid.points(lo) - t) <= np.abs(grid.points(hi) - t), lo, hi)
-    return tuple(sorted(set(k.tolist())))
+    """The sorted distinct grid indices nearest the wanted times (``TimeGrid.nearest``)."""
+    return tuple(sorted(set(grid.nearest(wanted_times).tolist())))
 
 
 def log_times(t_first: float, t_last: float, per_decade: int) -> np.ndarray:

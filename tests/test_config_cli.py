@@ -791,7 +791,8 @@ class TestCliEarlyCheckpoint:
 
 
 class TestCliScheduleOverflow:
-    """A gain schedule past the float range is bad input found at run time: exit 2, not 1."""
+    """A gain schedule or a field information past the float range is bad input found at
+    run time: exit 2, not 1, and no traceback."""
 
     @pytest.mark.parametrize("command", ["ensemble", "scaling"])
     def test_huge_j_exits_2(self, tmp_path, capsys, command):
@@ -803,6 +804,37 @@ class TestCliScheduleOverflow:
         assert err.startswith("error: params.gamma, ") and err.count("\n") == 1
         assert "gain schedule overflowed" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def _information_overflow(self, tmp_path, capsys, command, doc, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", _write_cfg(tmp_path, doc), "--workers", "1",
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: params.gamma, {field}, ") and err.count("\n") == 1
+        assert "field information overflowed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("j_total", [1e120, 1e150])
+    def test_fig2_information_overflow_exits_2(self, tmp_path, capsys, j_total):
+        # the schedule holds, but (4 gamma J)^2 eta den of the information overflows: a
+        # numpy product at 1e120 (v22 read 0, and the threshold table refused it), the
+        # float square at 1e150 (the message was "Numerical result out of range")
+        doc = dict(_preset_doc("fig2"), j_total=j_total)
+        doc["ensemble"] = dict(doc["ensemble"], n_traj=16)
+        self._information_overflow(tmp_path, capsys, "ensemble", doc, "params.j_total")
+
+    def test_threshold_axis_information_overflow_exits_2(self, tmp_path, capsys):
+        # the checkpoint at 0.1 stays in range; the threshold axis, out to 0.5, does not
+        doc = dict(TOY_DOC, j_total=1e102)
+        doc["ensemble"] = dict(TOY_DOC["ensemble"], checkpoint_times=[0.1])
+        self._information_overflow(tmp_path, capsys, "ensemble", doc, "params.j_total")
+
+    def test_scaling_information_overflow_exits_2(self, tmp_path, capsys):
+        # the qkf rms read 0.0 at every J, and its slope nan
+        doc = dict(TOY_DOC, scaling={"j_values": [1e150, 1e151, 1e152, 1e153], "n_traj": 16})
+        self._information_overflow(tmp_path, capsys, "scaling", doc, "scaling.j_values")
 
 
 class TestCliGridPoints:

@@ -163,14 +163,19 @@ def whole_times(dt: float, n_steps: int, prefix) -> np.ndarray:
     return t
 
 
-def searchsorted_checkpoints(times: np.ndarray, wanted) -> tuple:
-    """``checkpoints_for_times`` as it once ran, by ``searchsorted`` over the whole grid."""
+def searchsorted_nearest(times: np.ndarray, wanted) -> np.ndarray:
+    """``TimeGrid.nearest`` by ``searchsorted`` over the whole grid: of the two points
+    around each time, the nearer, the lower on a tie."""
     pts = times[1:]
     t = np.asarray(wanted, dtype=float)
     hi = np.minimum(np.searchsorted(pts, t), len(pts) - 1)
     lo = np.maximum(hi - 1, 0)
-    k = np.where(np.abs(pts[lo] - t) <= np.abs(pts[hi] - t), lo, hi)
-    return tuple(sorted(set((k + 1).tolist())))
+    return np.where(np.abs(pts[lo] - t) <= np.abs(pts[hi] - t), lo, hi) + 1
+
+
+def searchsorted_checkpoints(times: np.ndarray, wanted) -> tuple:
+    """``checkpoints_for_times`` as it once ran, by ``searchsorted`` over the whole grid."""
+    return tuple(sorted(set(searchsorted_nearest(times, wanted).tolist())))
 
 
 @st.composite
@@ -230,7 +235,7 @@ class TestGridFormula:
         inside = data.draw(st.lists(st.floats(min_value=0.0, max_value=times[-1]), max_size=5))
         for wanted in (exact, near, ties, outside, inside,
                        np.concatenate([exact, near, ties, outside, inside])):
-            assert np.array_equal(g.searchsorted(wanted), np.searchsorted(times, wanted))
+            assert np.array_equal(g.nearest(wanted), searchsorted_nearest(times, wanted))
             assert checkpoints_for_times(g, wanted) == searchsorted_checkpoints(times, wanted)
         assert g._times is None
 
@@ -238,13 +243,22 @@ class TestGridFormula:
         TimeGrid.with_prefix(dt=1e-3, t_total=1.0, t_first=1e-7, ratio=1.3),
         TimeGrid(0.1, 1000), TimeGrid(0.3, 3000, 0.3 * (1e15 + np.arange(1, 4)))])
     def test_searches_at_every_point(self, grid):
-        # the tail formula's inverse is one step off at ~5-10% of these points
+        # the tail's guess, rint of the formula's inverse, is one point off the answer at
+        # 10-35% of these midpoints, and never two
         times = whole_times(grid.dt, grid.n_steps, grid.prefix)
         g = TimeGrid(grid.dt, grid.n_steps, grid.prefix)
         mid = 0.5 * (times[1:] + times[:-1])
         for wanted in (times, mid, np.nextafter(times, np.inf), np.nextafter(times, -np.inf)):
-            assert np.array_equal(g.searchsorted(wanted), np.searchsorted(times, wanted))
+            assert np.array_equal(g.nearest(wanted), searchsorted_nearest(times, wanted))
             assert checkpoints_for_times(g, wanted) == searchsorted_checkpoints(times, wanted)
+
+    def test_nearest_takes_the_lower_point_on_a_tie(self):
+        # points 0, 0.25, 0.5, 1 (the prefix's end, k = 3), then 1.5, 2, 2.5, 3; rint
+        # rounds the tail's halves to even, so its guess is low at 1.25 and 2.25, high at 2.75
+        g = TimeGrid(0.5, 4, [0.25, 0.5, 1.0])
+        assert g.nearest([0.75, 1.25, 2.25, 2.75]).tolist() == [2, 3, 5, 6]
+        assert g.nearest([0.0, 1.0, 1.5, 3.0, 9.0]).tolist() == [1, 3, 4, 7, 7]
+        assert TimeGrid(0.5, 4).nearest([0.25, 0.75, 1.75]).tolist() == [1, 1, 3]
 
 
 class TestForkedMap:

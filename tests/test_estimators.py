@@ -361,6 +361,24 @@ class TestRiccatiIntegrate:
             sol = riccati_integrate(p, np.array([0.0, 1e-3 * m, m]))
         assert sol.v22.tolist() == [p.prior_b_variance] * 3
 
+    def test_finite_below_the_information_overflow(self):
+        # fig2 at J = 1e96, just below where (4 gamma J)^2 eta den leaves float64: v22,
+        # ~1e-200, is the 40-digit information's
+        pytest.importorskip("mpmath")
+        p = params(j_total=1e96)
+        ts = np.geomspace(1e-6 * p.t_total, p.t_total, 25)
+        got = riccati_integrate(p, ts).v22
+        assert np.all(got > 0)
+        np.testing.assert_allclose(got, 1.0 / (1.0 / p.prior_b_variance + information(p, ts)),
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("j_total", [1e98, 1e150])
+    def test_overflowing_information_raises(self, j_total):
+        # a numpy product overflows at 1e98, the float square (4 gamma J)^2 at 1e150: one
+        # OverflowError either way, not v22 = 0 and a RuntimeWarning (an error under pytest)
+        with pytest.raises(OverflowError, match="field information overflowed"):
+            riccati_integrate(params(j_total=j_total), np.geomspace(1e-6, 2e-3, 25))
+
     def test_information_additivity(self):
         # 1/v22(t) - 1/prior is the same for any prior (exact for this model)
         ts = np.geomspace(1e-7, 1e-3, 10)
