@@ -134,8 +134,8 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, workers: int = 1) -> int:
     t_first = max(1e-8, p.t_total * 1e-5) if p.t_total > 1e-8 else p.t_total * 1e-5
     times = log_times(cfg.ensemble.first_checkpoint or t_first, p.t_total, 30)
     try:
+        curves = {"riccati_numeric": np.sqrt(riccati_integrate(p, times).v22)}  # before any block
         stats = run_ensemble(spec, workers=workers)
-        curves = {"riccati_numeric": np.sqrt(riccati_integrate(p, times).v22)}
     except CheckpointError as exc:
         key = "checkpoint_times" if cfg.ensemble.checkpoint_times else "first_checkpoint"
         raise ConfigError(f"ensemble.{key}: {exc}") from exc

@@ -112,6 +112,11 @@ def collapse_rate(p: PhysicalParams) -> float:
     return 2.0 * p.efficiency * p.meas_strength * p.j_total
 
 
+def record_gain(p: PhysicalParams) -> float:
+    """2 sqrt(M eta), the inverse of the record noise D: dXi = <Jz> dt + dW / record_gain."""
+    return 2.0 * math.sqrt(p.meas_strength * p.efficiency)
+
+
 class TimeGrid:
     """Strictly increasing time grid starting at 0.
 
@@ -254,7 +259,7 @@ def with_spin(p: PhysicalParams, j_total: float) -> PhysicalParams:
 
 
 CSV_BLOCK_ROWS = 512  # rows (write_csv: cells) per format_floats call and per write: small temporaries
-SCAN_BLOCK = 2048  # steps per tolist() block of a scalar recurrence and per plan chunk: bounds temporaries
+SCAN_BLOCK = 2048  # steps per plan chunk, record block and tolist() block of the recurrence
 
 
 # ---------------------------------------------------------------------------

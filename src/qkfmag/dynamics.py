@@ -37,6 +37,7 @@ from .core import (
     forked_map,
     format_floats,
     larmor_frequency,
+    record_gain,
 )
 from .rng import SeedSpec
 
@@ -65,21 +66,14 @@ def step_coefficients(p: PhysicalParams, times: np.ndarray):
       g[k]     = 2 sqrt(M eta) * sqrt(var(t_k) var(t_{k+1}))  (diffusion amplitude)
     The deterministic mean shift is b_true * phi12, and
     Var(mean increment) = g^2 dt = var(t_k) - var(t_{k+1}) exactly.
-    Formed in blocks of ``SCAN_BLOCK`` steps: no grid-length temporaries.
+    One formula over all of ``times``: the passes hand it one block at a time.
     """
-    n = len(times) - 1
-    phi12, g = np.empty(n), np.empty(n)
-    for s in range(0, n, SCAN_BLOCK):
-        e = min(s + SCAN_BLOCK, n)
-        t0, t1 = times[s:e], times[s + 1:e + 1]
-        dts = t1 - t0
-        x = p.meas_strength * dts / 2.0
-        # avg of exp(-M s/2) over the step, (e0 - e1) / x, without cancelling e0 - e1
-        ebar = np.exp(-p.meas_strength * t0 / 2.0) * -np.expm1(-x) / x
-        phi12[s:e] = p.gamma * p.j_total * ebar * dts
-        v = conditional_variance(p, times[s:e + 1])
-        g[s:e] = 2.0 * math.sqrt(p.meas_strength * p.efficiency) * np.sqrt(v[:-1] * v[1:])
-    return phi12, g
+    t0, dts = times[:-1], np.diff(times)
+    x = p.meas_strength * dts / 2.0
+    # avg of exp(-M s/2) over the step, (e0 - e1) / x, without cancelling e0 - e1
+    ebar = np.exp(-p.meas_strength * t0 / 2.0) * -np.expm1(-x) / x
+    v = conditional_variance(p, times)
+    return p.gamma * p.j_total * ebar * dts, record_gain(p) * np.sqrt(v[:-1] * v[1:])
 
 
 class TrajectoryRecord(NamedTuple):
@@ -135,8 +129,7 @@ def _record_block(p: PhysicalParams, grid: TimeGrid, s: int, m: float, gen) -> T
     sums[1::2] = drift
     np.multiply(g_sqdt, z, out=sums[2::2])
     mean = np.cumsum(sums, out=sums)[::2]  # m_(k+1) = (m_k + d_k) + g_k z_k, rounded in order
-    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
-    d_xi = mean[:-1] * dts + d * sq * z  # the record uses the pre-step mean
+    d_xi = mean[:-1] * dts + 1.0 / record_gain(p) * sq * z  # the record uses the pre-step mean
     y = d_xi * (2.0 * p.efficiency * math.sqrt(p.meas_strength)) / dts
     return TrajectoryRecord(t, mean, conditional_variance(p, t), bloch_length(p, t), y, d_xi, sq * z)
 
@@ -279,11 +272,11 @@ def _record_task(block, n: int, n_pref: int, j: int) -> bytes:
 
 
 def reconstruct_noise(record, p: PhysicalParams) -> np.ndarray:
-    """Invert the record: dW = 2 sqrt(M eta) (d_xi - mean_jz dt), formed in one array."""
+    """Invert the record: dW = ``record_gain`` (d_xi - mean_jz dt), formed in one array."""
     dw = np.diff(record.times)
     np.multiply(record.mean_jz[:-1], dw, out=dw)
     np.subtract(record.d_xi, dw, out=dw)
-    dw *= 2.0 * math.sqrt(p.meas_strength * p.efficiency)
+    dw *= record_gain(p)
     return dw
 
 
@@ -292,14 +285,14 @@ def noise_mismatch(record, p: PhysicalParams) -> tuple:
     (max |reconstructed dW - stored dW|, the most it exceeds the reconstruction's
     float64 rounding at a step, max |stored dW|).
 
-    The rounding bound per step is 2 eps c (|m dt| + |d_xi|), with c = 2 sqrt(M eta)
+    The rounding bound per step is 2 eps c (|m dt| + |d_xi|), with c = ``record_gain``
     and eps = 2^-52 = 2u: twice what the arithmetic can reach.  The stored
     d_xi = fl(fl(m dt) + dW / c) is off by up to u |d_xi|, the reconstruction's
     d_xi - fl(m dt) rounds by up to u (|d_xi| + |m dt|) more, and c scales both.
     Where m dt swamps dW / c (large J) the subtraction cancels, and this
     rounding is the whole error.  The rest, a few u |dW|, stays relative to dW.
     """
-    c = 2.0 * math.sqrt(p.meas_strength * p.efficiency)
+    c = record_gain(p)
     dw = np.abs(reconstruct_noise(record, p) - record.noise)
     m_dt = np.abs(record.mean_jz[:-1] * np.diff(record.times))
     bound = 2.0 * np.finfo(float).eps * c * (m_dt + np.abs(record.d_xi))
@@ -317,9 +310,5 @@ def lowpass_filter(y: np.ndarray, dt: float, cutoff_hz: float, start: float = 0.
         raise ValueError("cutoff must be positive")
     omega = 2.0 * math.pi * cutoff_hz
     alpha = 1.0 - math.exp(-omega * dt)
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    acc = start
-    for s in range(0, len(y), SCAN_BLOCK):  # Python floats, one block of samples at a time
-        out[s:s + SCAN_BLOCK] = [acc := acc + alpha * (v - acc) for v in y[s:s + SCAN_BLOCK].tolist()]
-    return out
+    acc = start  # Python floats, over the samples it is handed
+    return np.array([acc := acc + alpha * (v - acc) for v in np.asarray(y, dtype=float).tolist()])

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SCAN_BLOCK, PhysicalParams, TimeGrid, t2_bound, write_csv
+from .core import SCAN_BLOCK, PhysicalParams, TimeGrid, record_gain, t2_bound, write_csv
 from .dynamics import step_coefficients
 
 THRESHOLD_SOURCES = ("riccati_numeric", "riccati_analytic", "asymptotic", "shotnoise")
@@ -74,7 +74,9 @@ def _linear_recurrence(a: np.ndarray, u: np.ndarray, x0: float = 0.0) -> np.ndar
 
     Not a cumprod scan: the product of the a[k] falls to 2e-10 on the fig2
     grid, and a[k] is negative on a grid too coarse for the early collapse.
-    The floats pass through Python in blocks of ``SCAN_BLOCK`` steps.
+    The floats pass through Python in blocks of ``SCAN_BLOCK`` steps, though the
+    plan hands it one block: perfbench's set-up probe runs ``kalman_schedule``
+    over whole grids, where one grid-length list measured 10-25% slower.
     """
     x = np.empty(len(a) + 1)
     x[0] = xk = x0
@@ -92,7 +94,7 @@ class KalmanSchedule:
     number of trajectories.  Per step: ``phi12`` and ``g``, as
     ``step_coefficients`` returns them, and ``k1`` = g/d; per grid point:
     ``r`` (V = v22 (r, 1)(r, 1)^T), the data information
-    ``data`` and ``v22``; ``d`` is the record noise scale 1/(2 sqrt(M eta)).
+    ``data`` and ``v22``; ``d`` is the record noise scale 1/``record_gain``.
     ``end`` is (r, info) at the last grid point, info = d^2 data the raw
     information sum: the ``start`` of the schedule over the next slice.
     """
@@ -118,7 +120,7 @@ def kalman_schedule(p: PhysicalParams, grid, start: tuple = (0.0, 0.0)) -> Kalma
     """
     times = grid.times if isinstance(grid, TimeGrid) else grid
     dts = np.diff(times)
-    d = 1.0 / (2.0 * math.sqrt(p.meas_strength * p.efficiency))
+    d = 1.0 / record_gain(p)
     p0 = p.prior_b_variance
     # overflow raises below, and 1/0 is inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -296,10 +296,14 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
 
     Deterministic in ``spec``; independent of ``workers``.  The blocks run
     through ``forked_map``: in children forked after the plan is built, or
-    in this process with one worker or block, or without ``os.fork``.
+    in this process with one worker or block, or without ``os.fork``.  The
+    Riccati prediction comes first, so an overflowing field information
+    raises before the plan and any block.
     """
     if len(spec.checkpoints) == 0:
         raise ValueError("spec.checkpoints must be non-empty")
+    times = spec.grid.points(list(spec.checkpoints))
+    predicted = riccati_integrate(spec.params, times).v22
     segments = _build_plan(spec)
     blocks = [(i, min(i + BLOCK_SIZE, spec.n_traj)) for i in range(0, spec.n_traj, BLOCK_SIZE)]
     shape = (len(spec.checkpoints), 3, segments[-1].read.shape[0])  # one block's partials
@@ -313,8 +317,6 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     names = [e for e in ESTIMATOR_NAMES if e in spec.estimators]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where e^4 overflowed
         var_e2 = np.where(np.isinf(e4), np.inf, np.maximum(e4 / n - (e2 / n) ** 2, 0.0))
-    times = spec.grid.points(list(spec.checkpoints))
-    predicted = riccati_integrate(spec.params, times).v22
     return EnsembleStats(times=times, estimators=tuple(spec.estimators),
                          mse=dict(zip(names, e2 / n)),
                          stderr=dict(zip(names, np.sqrt(var_e2 / (n - 1)))),

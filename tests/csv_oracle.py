@@ -1,6 +1,11 @@
 """The per-row ``csv.writer`` loops that ``core.write_csv`` replaced: one
 generic row loop and each artifact's own loop as it was written.  They are
-the byte-for-byte reference for the block writer."""
+the byte-for-byte reference for the block writer.
+
+Run as a script, it writes the reference for ``simulate``'s trajectory.csv:
+
+    PYTHONPATH=src python tests/csv_oracle.py fig1 5 fig1-repr.csv [--zero-noise]
+"""
 
 import csv
 
@@ -58,3 +63,24 @@ def deviation_rows(dev, fobj) -> None:
     w.writerow(["t", "d_mean", "d_var"])
     for t, dm, dv in zip(dev.times, dev.d_mean, dev.d_var):
         w.writerow([repr(float(t)), repr(float(dm)), repr(float(dv))])
+
+
+if __name__ == "__main__":
+    import argparse
+
+    from qkfmag.config import load_preset
+    from qkfmag.dynamics import simulate_trajectory
+    from qkfmag.rng import substream
+
+    ap = argparse.ArgumentParser(description="write trajectory_rows of a preset's record, as "
+                                             "simulate draws it at a seed")
+    ap.add_argument("preset")
+    ap.add_argument("seed", type=int)
+    ap.add_argument("out")
+    ap.add_argument("--zero-noise", action="store_true")
+    args = ap.parse_args()
+    cfg = load_preset(args.preset)
+    record = simulate_trajectory(cfg.params, cfg.make_grid(), substream(args.seed, 0),
+                                 zero_noise=args.zero_noise)
+    with open(args.out, "w", newline="") as f:
+        trajectory_rows(record, f)

@@ -4,8 +4,8 @@ engine's filter readout must reproduce trajectory by trajectory.  Shared by
 the unit and Monte Carlo tests.
 
 Also the schedule's own reference: the recurrence as one grid-length Python
-list and every coefficient over the whole grid at once, which the blocked
-``step_coefficients`` and ``kalman_schedule`` must match bit for bit."""
+list and every coefficient over the whole grid at once, which
+``step_coefficients`` and the blocked ``kalman_schedule`` must match bit for bit."""
 
 import math
 from dataclasses import dataclass

@@ -796,16 +796,44 @@ class TestCliScheduleOverflow:
 
     @pytest.mark.parametrize("command", ["ensemble", "scaling"])
     def test_huge_j_exits_2(self, tmp_path, capsys, command):
+        # the schedule and the information both overflow; the closed-form information,
+        # formed before the plan, is refused first
         doc = dict(TOY_DOC, j_total=1e200)
         doc["scaling"] = {"j_values": [1e197, 1e198, 1e199, 1e200], "t_check": 0.05, "n_traj": 4}
         rc = main([command, "--config", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: params.gamma, ") and err.count("\n") == 1
+        assert "field information overflowed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ensemble", "scaling"])
+    def test_gain_schedule_overflow_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # a gain that drives r past the float range, the information left in range
+        from qkfmag import estimators
+
+        exact = estimators.step_coefficients
+
+        def huge_gain(p, times):
+            phi12, g = exact(p, times)
+            return phi12, g * 1e200
+
+        monkeypatch.setattr(estimators, "step_coefficients", huge_gain)
+        doc = dict(TOY_DOC, scaling={"j_values": [10, 100, 1000, 10000], "n_traj": 4})
+        rc = main([command, "--config", _write_cfg(tmp_path, doc), "--workers", "1",
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: params.gamma, ") and err.count("\n") == 1
         assert "gain schedule overflowed" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def _information_overflow(self, tmp_path, capsys, command, doc, field):
+    def _information_overflow(self, tmp_path, capsys, monkeypatch, command, doc, field):
+        # refused before the Monte Carlo: no block of trajectories runs
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(montecarlo, "_run_block", no_block)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main([command, "--config", _write_cfg(tmp_path, doc), "--workers", "1",
@@ -817,24 +845,25 @@ class TestCliScheduleOverflow:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("j_total", [1e120, 1e150])
-    def test_fig2_information_overflow_exits_2(self, tmp_path, capsys, j_total):
+    def test_fig2_information_overflow_exits_2(self, tmp_path, capsys, monkeypatch, j_total):
         # the schedule holds, but (4 gamma J)^2 eta den of the information overflows: a
         # numpy product at 1e120 (v22 read 0, and the threshold table refused it), the
         # float square at 1e150 (the message was "Numerical result out of range")
         doc = dict(_preset_doc("fig2"), j_total=j_total)
         doc["ensemble"] = dict(doc["ensemble"], n_traj=16)
-        self._information_overflow(tmp_path, capsys, "ensemble", doc, "params.j_total")
+        self._information_overflow(tmp_path, capsys, monkeypatch, "ensemble", doc, "params.j_total")
 
-    def test_threshold_axis_information_overflow_exits_2(self, tmp_path, capsys):
+    def test_threshold_axis_information_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
         # the checkpoint at 0.1 stays in range; the threshold axis, out to 0.5, does not
         doc = dict(TOY_DOC, j_total=1e102)
         doc["ensemble"] = dict(TOY_DOC["ensemble"], checkpoint_times=[0.1])
-        self._information_overflow(tmp_path, capsys, "ensemble", doc, "params.j_total")
+        self._information_overflow(tmp_path, capsys, monkeypatch, "ensemble", doc, "params.j_total")
 
-    def test_scaling_information_overflow_exits_2(self, tmp_path, capsys):
+    def test_scaling_information_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
         # the qkf rms read 0.0 at every J, and its slope nan
         doc = dict(TOY_DOC, scaling={"j_values": [1e150, 1e151, 1e152, 1e153], "n_traj": 16})
-        self._information_overflow(tmp_path, capsys, "scaling", doc, "scaling.j_values")
+        self._information_overflow(tmp_path, capsys, monkeypatch, "scaling", doc,
+                                   "scaling.j_values")
 
 
 class TestCliGridPoints:
@@ -856,6 +885,41 @@ class TestCliGridPoints:
         monkeypatch.setattr(TimeGrid, "times", property(formed))
         assert main([command, "--config", _write_cfg(tmp_path, doc), "--workers", workers,
                      "--out", str(tmp_path / "out")]) == 0
+
+
+class TestCliPassBlocks:
+    """The passes own the blocking: no command hands a per-step helper more than
+    ``SCAN_BLOCK`` steps in one call."""
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "scaling", "oracle-check"])
+    def test_helpers_take_at_most_one_block(self, tmp_path, monkeypatch, command):
+        from qkfmag import estimators
+        from qkfmag.core import SCAN_BLOCK
+
+        steps = {}  # helper -> the steps of each call
+        for module, name, count in [(dynamics, "step_coefficients", lambda p, t: len(t) - 1),
+                                    (estimators, "step_coefficients", lambda p, t: len(t) - 1),
+                                    (dynamics, "lowpass_filter", lambda y, *_: len(y)),
+                                    (estimators, "_linear_recurrence", lambda a, *_: len(a))]:
+            def counted(*args, fn=getattr(module, name), name=name, count=count):
+                steps.setdefault(name, []).append(count(*args))
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        doc = dict(TOY_DOC, grid={"dt": 5e-5},
+                   ensemble={"n_traj": 8, "checkpoint_times": [0.1, 0.5]},
+                   scaling={"j_values": [10, 100, 1000, 10000], "n_traj": 8,
+                            "slope_window": [-5.0, 5.0]})
+        grid = load_config(_write_cfg(tmp_path, doc)).make_grid()
+        assert grid.prefix.size and grid.n_intervals > 3 * SCAN_BLOCK  # a log prefix, 5 blocks
+        source = ["--preset", "oracle"] if command == "oracle-check" else [
+            "--config", _write_cfg(tmp_path, doc)]
+        assert main([command, *source, "--workers", "1", "--out", str(tmp_path / "out")]) == 0
+        want = {"simulate": {"step_coefficients", "lowpass_filter"},
+                "oracle-check": {"step_coefficients"}}.get(
+            command, {"step_coefficients", "_linear_recurrence"})
+        assert set(steps) == want
+        assert max(max(n) for n in steps.values()) == SCAN_BLOCK
 
 
 class TestCliScaling:

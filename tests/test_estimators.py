@@ -271,9 +271,8 @@ class TestKalmanStep:
 
 
 class TestBlockedSchedule:
-    """The schedule's recurrence runs in blocks of SCAN_BLOCK steps and its step
-    coefficients block by block; it must equal the one-list, whole-grid form
-    bit for bit."""
+    """The schedule's recurrence runs in blocks of SCAN_BLOCK steps; it must equal
+    the one-list, whole-grid form bit for bit."""
 
     @staticmethod
     def check(p, grid):
